@@ -24,7 +24,15 @@ Engines:
 * greedy: per step, the single (coordinate, value) change with the largest
   loss reduction, over all d_in * 2^c candidates.
 * block: per step, the best joint update of one random k-block over all
-  2^(k*c) value combinations.
+  2^(k*c) value combinations. For k = 2 an exact pair screen proves most
+  steps to be no-ops before any block is scored: it lists the pairs whose
+  best joint update could come within a safety margin of 1e-9 times the sum
+  of the absolute terms of the delta expansion above, a margin that
+  dominates the rounding of the screen's and the engine's arithmetic by six
+  orders of magnitude. A step whose partition holds no listed pair is
+  recorded as a no-op without scanning, and once no pair is listed every
+  remaining step is a no-op, so the run stops drawing partitions. Codes and
+  traces are exactly those of scanning every step.
 * cyclic: coordinates visited in fixed order 0..d_in-1, one best value per
   visit; the classic one-sweep baseline.
 
@@ -219,6 +227,93 @@ def _value_combinations(levels: int, k: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, k)
 
 
+#: Relative safety margin of the pair screen; see ``_pair_screen``.
+SCREEN_MARGIN = 1e-9
+#: Rows of H per chunk of the pair filter, so its temporaries stay O(chunk * d_in).
+SCREEN_CHUNK_ROWS = 32
+#: Candidate pairs per chunk of the exact check, times levels^2 values each.
+SCREEN_CHECK_VALUES = 1 << 14
+
+
+def _pair_screen(hmat: np.ndarray, state: GradientState,
+                 r_grid: np.ndarray) -> Optional[np.ndarray]:
+    """Pairs (i, j), i < j, whose 2-block scan might accept a step; None if unscreenable.
+
+    A 2-block update (D_i, D_j) changes the loss by exactly
+
+        E = S_i(D_i) + S_j(D_j) + D_i D_j (H_ij + H_ji),   S_i(D) = D^2 H_ii + D g_i,
+
+    and the engine accepts it only if its own rounded evaluation of E is
+    negative. A pair is left out of the result only when, for every value
+    pair, ``E >= SCREEN_MARGIN * T`` where T is the sum of the absolute
+    values of the terms of E. That is a proof that the pair's scan is a
+    no-op: the engine's factored re-check ``dvec @ hwin @ dvec + dvec @ g``
+    is a handful of dot products over the same terms (the D are small exact
+    integers), so its rounding error is at most gamma_4 * T ~ 4.5e-16 * T,
+    and the screen's own arithmetic below (tables, products, square roots)
+    errs by a few more units of 2^-53 relative to T or to the compared
+    values. The margin of 1e-9 * T dominates both by six orders of
+    magnitude. Terms that are exactly zero (T = 0, as on the zero rows of
+    H~ for a constant group) are evaluated exactly by both sides.
+
+    Stages:
+
+    1. Single moves (D_j = 0). The slack is ``sigma_i(D) = S_i(D) -
+       SCREEN_MARGIN * (D^2 |H_ii| + |D g_i|)``. If any slack is negative,
+       a pair containing i could improve through its single move, so the
+       state has no screen and None is returned. Otherwise
+       ``rho_i = min over D != 0 of sigma_i(D) / D^2`` and ``mu_i = sqrt(rho_i)``.
+    2. Filter. By AM-GM, ``rho_i D_i^2 + rho_j D_j^2 >= 2 mu_i mu_j |D_i D_j|``,
+       so a pair cannot come within the margin unless
+       ``(1 + margin) (|H_ij| + |H_ji|) / 2 > mu_i mu_j``. The test runs over
+       row chunks of H with a slightly larger factor to absorb rounding; mu
+       below 1e-150 is taken as 0 so that mu_i mu_j never underflows.
+    3. Exact check of the pairs that pass the filter: all levels^2 value
+       pairs of ``sigma_i + sigma_j + D_i D_j c - margin |D_i D_j| a`` with
+       ``c = H_ij + H_ji`` and ``a = |H_ij| + |H_ji|``; a pair is returned
+       if any of them is negative.
+    """
+    d = hmat.shape[0]
+    hdiag = np.diag(hmat)
+    diff = r_grid[None, :] - state.codes[:, None]
+    sq = diff * diff
+    step = diff * state.gradient[:, None]
+    slack = (sq * hdiag[:, None] + step) - SCREEN_MARGIN * (sq * np.abs(hdiag)[:, None]
+                                                            + np.abs(step))
+    if (slack < 0.0).any():
+        return None
+    ratio = slack / np.maximum(sq, 1.0)
+    ratio[diff == 0.0] = np.inf
+    mu = np.sqrt(ratio.min(axis=1))
+    mu[mu < 1e-150] = 0.0
+
+    half_factor = 0.5 * (1.0 + 4.0 * SCREEN_MARGIN)
+    rows_i, cols_j = [], []
+    for lo in range(0, d - 1, SCREEN_CHUNK_ROWS):
+        hi = min(lo + SCREEN_CHUNK_ROWS, d - 1)
+        coupling = np.abs(hmat[lo:hi, lo + 1:]) + np.abs(hmat[lo + 1:, lo:hi].T)
+        hit = half_factor * coupling > mu[lo:hi, None] * mu[None, lo + 1:]
+        ii, jj = np.nonzero(hit)
+        jj += 1
+        upper = jj > ii
+        rows_i.append(ii[upper] + lo)
+        cols_j.append(jj[upper] + lo)
+    cand_i, cand_j = np.concatenate(rows_i), np.concatenate(cols_j)
+
+    keep = np.zeros(cand_i.shape[0], dtype=bool)
+    per_chunk = max(1, SCREEN_CHECK_VALUES // (r_grid.shape[0] ** 2))
+    for lo in range(0, cand_i.shape[0], per_chunk):
+        i, j = cand_i[lo:lo + per_chunk], cand_j[lo:lo + per_chunk]
+        h_ij, h_ji = hmat[i, j], hmat[j, i]
+        cross = (h_ij + h_ji)[:, None, None]
+        weight = (np.abs(h_ij) + np.abs(h_ji))[:, None, None]
+        prod = diff[i][:, :, None] * diff[j][:, None, :]
+        value = (slack[i][:, :, None] + slack[j][:, None, :] + prod * cross
+                 - SCREEN_MARGIN * (np.abs(prod) * weight))
+        keep[lo:lo + per_chunk] = (value < 0.0).any(axis=(1, 2))
+    return np.stack([cand_i[keep], cand_j[keep]], axis=1)
+
+
 def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
                  cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
     """Block coordinate descent over fresh random partitions.
@@ -227,9 +322,21 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     (canonicalized: coordinates sorted inside each block, blocks ordered by
     their first coordinate) and scans all blocks x 2^(k*c) joint updates.
     A non-improving step is recorded as a no-op and iteration continues,
-    since the next partition may still improve; with k = 1 the partition is
-    always the same, so the run reduces to greedy descent step for step and
-    honors ``early_stop``.
+    since the next partition may still improve. With k = 1 the partition is
+    always the same, so the run is greedy descent (``cd_quantize``) step for
+    step and honors ``early_stop``.
+
+    For k = 2 an exact pair screen (``_pair_screen``) lists the pairs whose
+    block might still improve the current state. A step whose partition
+    holds none of them is recorded as the same no-op the scan would have
+    produced, without scanning; the partition is still drawn, so the Philox
+    stream and every later step are unchanged. The screen is built at the
+    start and again at the first no-op step after an accepted one, since
+    only accepted steps change the state. When it lists no pair at all,
+    every remaining step is a no-op: they are recorded and drawing stops.
+    Codes, traces and ``final_gradient`` are identical to scanning every
+    step. For k >= 3 every step is scanned (a triple can improve even when
+    no pair can).
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -240,77 +347,82 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     if k * bits > MAX_BLOCK_BITS:
         raise EnumerationGuardError(
             f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
+    if k == 1:
+        return cd_quantize(prob, q0, cfg)
 
     state = GradientState.init(hmat, q0, z)
     levels = prob.params.levels
     r_grid = np.arange(levels, dtype=np.float64)
-    hdiag = np.diag(hmat).copy()
-    if k > 1:
-        combos = _value_combinations(levels, k)
-        # Scores come from the expanded quadratic r'Hr - 2r'Hq + q'Hq + (r-q)'g,
-        # a handful of small matrix products; the r'Hr table needs the combo
-        # outer products, which only pay off while they fit comfortably.
-        expanded = combos.shape[0] * k * k <= (1 << 22)
-        combos_outer = (combos[:, :, None] * combos[:, None, :]).reshape(-1, k * k) \
-            if expanded else None
-        per_block = combos.shape[0] * (k * k if expanded else k)
-        block_chunk = max(1, (1 << 22) // per_block)
+    combos = _value_combinations(levels, k)
+    # Scores come from the expanded quadratic r'Hr - 2r'Hq + q'Hq + (r-q)'g,
+    # a handful of small matrix products; the r'Hr table needs the combo
+    # outer products, which only pay off while they fit comfortably.
+    expanded = combos.shape[0] * k * k <= (1 << 22)
+    combos_outer = (combos[:, :, None] * combos[:, None, :]).reshape(-1, k * k) \
+        if expanded else None
+    per_block = combos.shape[0] * (k * k if expanded else k)
+    block_chunk = max(1, (1 << 22) // per_block)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
                          loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
-    for step in range(cfg.total_steps(d)):
-        if k == 1:
-            # Singleton partition: identical candidate set regardless of the
-            # shuffle, so skip the draw and use the greedy scan directly.
-            diff = r_grid[None, :] - state.codes[:, None]
-            delta = diff * diff * hdiag[:, None] + diff * state.gradient[:, None]
+    total = cfg.total_steps(d)
+    use_screen = k == 2
+    flagged = _pair_screen(hmat, state, r_grid) if use_screen else None
+    fresh = use_screen  # whether ``flagged`` was computed for the current state
+    partner = np.empty(d, dtype=np.intp)
+    for step in range(total):
+        if flagged is not None and not flagged.shape[0]:
+            # No pair can improve and no-op steps leave the state as it is.
+            trace.steps.extend(TraceStep(s, (), (), 0.0, loss, False) for s in range(step, total))
+            break
+        perm = rng.permutation(d)
+        if flagged is not None:
+            # Block b of this partition is {perm[2b], perm[2b + 1]}.
+            partner[perm[0::2]] = perm[1::2]
+            partner[perm[1::2]] = perm[0::2]
+            if not (partner[flagged[:, 0]] == flagged[:, 1]).any():
+                trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
+                continue
+        blocks = np.sort(perm.reshape(n_blocks, k), axis=1)
+        blocks = blocks[np.argsort(blocks[:, 0])]
+        # Blocks are scanned in canonical order and chunked to bound the
+        # score matrix; tracking the running minimum with a strict < keeps
+        # the global argmin lexicographic in (block, values).
+        best = np.inf
+        best_block = best_combo = -1
+        for lo in range(0, n_blocks, block_chunk):
+            chunk = blocks[lo:lo + block_chunk]
+            hblk = hmat[chunk[:, :, None], chunk[:, None, :]]
+            qblk = state.codes[chunk]
+            gblk = state.gradient[chunk]
+            if expanded:
+                hq = np.matmul(hblk, qblk[:, :, None])                       # (b, k, 1)
+                r_h_r = combos_outer @ hblk.reshape(chunk.shape[0], -1).T    # (v, b)
+                r_h_q = np.matmul(combos[None, :, :], hq)[:, :, 0]           # (b, v)
+                q_h_q = np.matmul(qblk[:, None, :], hq)[:, 0, 0]             # (b,)
+                r_g = combos @ gblk.T                                        # (v, b)
+                q_g = (qblk * gblk).sum(axis=1)                              # (b,)
+                delta = r_h_r.T - 2.0 * r_h_q + (q_h_q - q_g)[:, None] + r_g.T
+            else:
+                diff = combos[None, :, :] - qblk[:, None, :]
+                delta = ((np.matmul(diff, hblk) * diff).sum(axis=2)
+                         + (diff * gblk[:, None, :]).sum(axis=2))
             flat = int(np.argmin(delta))
-            bi, vi = divmod(flat, levels)
-            best = float(delta.flat[flat])
-            best_coords = np.array([bi])
-            best_values = np.array([float(vi)])
-        else:
-            perm = rng.permutation(d)
-            blocks = np.sort(perm.reshape(n_blocks, k), axis=1)
-            blocks = blocks[np.argsort(blocks[:, 0])]
-            # Blocks are scanned in canonical order and chunked to bound the
-            # score matrix; tracking the running minimum with a strict < keeps
-            # the global argmin lexicographic in (block, values).
-            best = np.inf
-            best_block = best_combo = -1
-            for lo in range(0, n_blocks, block_chunk):
-                chunk = blocks[lo:lo + block_chunk]
-                hblk = hmat[chunk[:, :, None], chunk[:, None, :]]
-                qblk = state.codes[chunk]
-                gblk = state.gradient[chunk]
-                if expanded:
-                    hq = np.matmul(hblk, qblk[:, :, None])                       # (b, k, 1)
-                    r_h_r = combos_outer @ hblk.reshape(chunk.shape[0], -1).T    # (v, b)
-                    r_h_q = np.matmul(combos[None, :, :], hq)[:, :, 0]           # (b, v)
-                    q_h_q = np.matmul(qblk[:, None, :], hq)[:, 0, 0]             # (b,)
-                    r_g = combos @ gblk.T                                        # (v, b)
-                    q_g = (qblk * gblk).sum(axis=1)                              # (b,)
-                    delta = r_h_r.T - 2.0 * r_h_q + (q_h_q - q_g)[:, None] + r_g.T
-                else:
-                    diff = combos[None, :, :] - qblk[:, None, :]
-                    delta = ((np.matmul(diff, hblk) * diff).sum(axis=2)
-                             + (diff * gblk[:, None, :]).sum(axis=2))
-                flat = int(np.argmin(delta))
-                if float(delta.flat[flat]) < best:
-                    bi, vi = divmod(flat, combos.shape[0])
-                    best = float(delta.flat[flat])
-                    best_block, best_combo = lo + bi, vi
-            best_coords = blocks[best_block]
-            best_values = combos[best_combo]
-            # Re-derive the winner's delta from the factored form: it is exact
-            # (a keep-current candidate scores exactly zero), so round-off in
-            # the expanded scores can never turn a no-op into a step.
-            dvec = best_values - state.codes[best_coords]
-            hwin = hmat[best_coords[:, None], best_coords[None, :]]
-            best = float(dvec @ hwin @ dvec + dvec @ state.gradient[best_coords])
+            if float(delta.flat[flat]) < best:
+                bi, vi = divmod(flat, combos.shape[0])
+                best = float(delta.flat[flat])
+                best_block, best_combo = lo + bi, vi
+        best_coords = blocks[best_block]
+        best_values = combos[best_combo]
+        # Re-derive the winner's delta from the factored form: it is exact
+        # (a keep-current candidate scores exactly zero), so round-off in
+        # the expanded scores can never turn a no-op into a step.
+        dvec = best_values - state.codes[best_coords]
+        hwin = hmat[best_coords[:, None], best_coords[None, :]]
+        best = float(dvec @ hwin @ dvec + dvec @ state.gradient[best_coords])
 
         if best < 0.0:
             change = best_values - state.codes[best_coords]
@@ -319,10 +431,11 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             loss = state.loss(hmat, z)
             trace.steps.append(TraceStep(step, tuple(int(c) for c in best_coords),
                                          tuple(int(v) for v in best_values), best, loss, True))
+            flagged, fresh = None, False
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
-            if k == 1 and cfg.early_stop:
-                break
+            if use_screen and not fresh:
+                flagged, fresh = _pair_screen(hmat, state, r_grid), True
     trace.final_loss = loss
     trace.final_gradient = state.gradient.copy()
     return state.codes.astype(np.uint8), trace
@@ -430,6 +543,8 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
         if group_size < 0 or d_in % group_size:
             raise ValueError("group_size must divide d_in")
     cfg = cfg or DescentConfig()
+    if method == "bcd" and d_in % cfg.block_size:
+        raise ValueError(f"block size {cfg.block_size} does not divide d_in={d_in}")
     if not np.isfinite(weights).all():
         raise ValueError("weights hold non-finite values")
 

@@ -1,0 +1,262 @@
+"""Differential tests of the bcd pair screen against the engine it replaced.
+
+``reference_bcd_quantize`` is a verbatim copy of ``bcd_quantize`` before the
+exact pair screen (k = 2) was added: it scans every block of every step.
+The screen claims to skip only scans that are provably no-ops, so codes,
+every trace step, the final loss and the final gradient must be identical.
+"""
+
+import numpy as np
+import pytest
+
+from qdescent.calibration import Hessian
+from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
+                              GradientState, TraceStep, _check_engine_inputs, _pair_screen,
+                              _value_combinations, bcd_quantize, cd_quantize)
+from qdescent.groupquant import GroupScheme, tilde_transform
+from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
+
+from conftest import random_problem
+
+
+def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
+                 cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+    """``bcd_quantize`` as it was before the pair screen: every step scans every block."""
+    hmat, z = _check_engine_inputs(prob, q0)
+    d = hmat.shape[0]
+    k = cfg.block_size
+    bits = prob.params.bits
+    if d % k:
+        raise EnumerationGuardError(f"block size {k} does not divide d_in={d}")
+    if k * bits > MAX_BLOCK_BITS:
+        raise EnumerationGuardError(
+            f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
+
+    state = GradientState.init(hmat, q0, z)
+    levels = prob.params.levels
+    r_grid = np.arange(levels, dtype=np.float64)
+    hdiag = np.diag(hmat).copy()
+    if k > 1:
+        combos = _value_combinations(levels, k)
+        # Scores come from the expanded quadratic r'Hr - 2r'Hq + q'Hq + (r-q)'g,
+        # a handful of small matrix products; the r'Hr table needs the combo
+        # outer products, which only pay off while they fit comfortably.
+        expanded = combos.shape[0] * k * k <= (1 << 22)
+        combos_outer = (combos[:, :, None] * combos[:, None, :]).reshape(-1, k * k) \
+            if expanded else None
+        per_block = combos.shape[0] * (k * k if expanded else k)
+        block_chunk = max(1, (1 << 22) // per_block)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+
+    trace = DescentTrace(initial_loss=state.loss(hmat, z),
+                         loss_scale=prob.params.scale ** 2)
+    loss = trace.initial_loss
+    n_blocks = d // k
+    for step in range(cfg.total_steps(d)):
+        if k == 1:
+            # Singleton partition: identical candidate set regardless of the
+            # shuffle, so skip the draw and use the greedy scan directly.
+            diff = r_grid[None, :] - state.codes[:, None]
+            delta = diff * diff * hdiag[:, None] + diff * state.gradient[:, None]
+            flat = int(np.argmin(delta))
+            bi, vi = divmod(flat, levels)
+            best = float(delta.flat[flat])
+            best_coords = np.array([bi])
+            best_values = np.array([float(vi)])
+        else:
+            perm = rng.permutation(d)
+            blocks = np.sort(perm.reshape(n_blocks, k), axis=1)
+            blocks = blocks[np.argsort(blocks[:, 0])]
+            # Blocks are scanned in canonical order and chunked to bound the
+            # score matrix; tracking the running minimum with a strict < keeps
+            # the global argmin lexicographic in (block, values).
+            best = np.inf
+            best_block = best_combo = -1
+            for lo in range(0, n_blocks, block_chunk):
+                chunk = blocks[lo:lo + block_chunk]
+                hblk = hmat[chunk[:, :, None], chunk[:, None, :]]
+                qblk = state.codes[chunk]
+                gblk = state.gradient[chunk]
+                if expanded:
+                    hq = np.matmul(hblk, qblk[:, :, None])                       # (b, k, 1)
+                    r_h_r = combos_outer @ hblk.reshape(chunk.shape[0], -1).T    # (v, b)
+                    r_h_q = np.matmul(combos[None, :, :], hq)[:, :, 0]           # (b, v)
+                    q_h_q = np.matmul(qblk[:, None, :], hq)[:, 0, 0]             # (b,)
+                    r_g = combos @ gblk.T                                        # (v, b)
+                    q_g = (qblk * gblk).sum(axis=1)                              # (b,)
+                    delta = r_h_r.T - 2.0 * r_h_q + (q_h_q - q_g)[:, None] + r_g.T
+                else:
+                    diff = combos[None, :, :] - qblk[:, None, :]
+                    delta = ((np.matmul(diff, hblk) * diff).sum(axis=2)
+                             + (diff * gblk[:, None, :]).sum(axis=2))
+                flat = int(np.argmin(delta))
+                if float(delta.flat[flat]) < best:
+                    bi, vi = divmod(flat, combos.shape[0])
+                    best = float(delta.flat[flat])
+                    best_block, best_combo = lo + bi, vi
+            best_coords = blocks[best_block]
+            best_values = combos[best_combo]
+            # Re-derive the winner's delta from the factored form: it is exact
+            # (a keep-current candidate scores exactly zero), so round-off in
+            # the expanded scores can never turn a no-op into a step.
+            dvec = best_values - state.codes[best_coords]
+            hwin = hmat[best_coords[:, None], best_coords[None, :]]
+            best = float(dvec @ hwin @ dvec + dvec @ state.gradient[best_coords])
+
+        if best < 0.0:
+            change = best_values - state.codes[best_coords]
+            state.gradient += 2.0 * (hmat[:, best_coords] @ change)
+            state.codes[best_coords] = best_values
+            loss = state.loss(hmat, z)
+            trace.steps.append(TraceStep(step, tuple(int(c) for c in best_coords),
+                                         tuple(int(v) for v in best_values), best, loss, True))
+        else:
+            trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
+            if k == 1 and cfg.early_stop:
+                break
+    trace.final_loss = loss
+    trace.final_gradient = state.gradient.copy()
+    return state.codes.astype(np.uint8), trace
+
+
+def assert_same_run(prob, q0, cfg):
+    codes, trace = bcd_quantize(prob, q0, cfg)
+    ref_codes, ref_trace = reference_bcd_quantize(prob, q0, cfg)
+    np.testing.assert_array_equal(codes, ref_codes)
+    assert trace.steps == ref_trace.steps
+    assert trace.initial_loss == ref_trace.initial_loss
+    assert trace.final_loss == ref_trace.final_loss
+    np.testing.assert_array_equal(trace.final_gradient, ref_trace.final_gradient)
+    return trace
+
+
+def integer_problem(d, bits, seed):
+    """Near-tie instance: small-integer PSD H, target on integers and half-integers."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
+    h = a.T @ a + np.diag(rng.integers(0, 2, size=d).astype(np.float64))
+    levels = 2 ** bits
+    z = rng.integers(0, 2 * levels - 1, size=d) / 2.0
+    params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
+    prob = ChannelProblem(weights=z, hessian=Hessian(h), params=params, target=z)
+    q0 = rng.integers(0, levels, size=d).astype(np.uint8)
+    return prob, q0
+
+
+def grouped_problem(d, group_size, bits, seed, constant_group):
+    """Tilde problem (H~ = D H D) of a channel whose ``constant_group`` has one value."""
+    prob, _ = random_problem(d, bits, seed=seed)
+    w = prob.weights.copy()
+    sl = slice(constant_group * group_size, (constant_group + 1) * group_size)
+    w[sl] = 0.25
+    params, codes = [], np.empty(d, dtype=np.uint8)
+    for g in range(d // group_size):
+        gsl = slice(g * group_size, (g + 1) * group_size)
+        p, q = owc_quantize(w[gsl], Hessian(prob.hessian.matrix[gsl, gsl]), bits, 20)
+        params.append(p)
+        codes[gsl] = q
+    scheme = GroupScheme(group_size=group_size, params=tuple(params))
+    tp = tilde_transform(w, prob.hessian, scheme)
+    assert not tp.h_tilde[sl].any()  # the constant group's rows of H~ are zero
+    return tp.as_channel_problem(prob.hessian.damping), codes
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_screen_matches_reference_on_random_problems(bits, epochs):
+    for seed in range(6):
+        d = 2 * int(np.random.default_rng(seed).integers(4, 33))
+        prob, owc_codes = random_problem(d, bits, seed=100 * bits + seed)
+        cfg = DescentConfig(block_size=2, epochs=epochs, seed=seed)
+        cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
+        for q0 in (owc_codes, cd_codes):
+            assert_same_run(prob, q0, cfg)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_screen_matches_reference_on_near_ties(bits):
+    for seed in range(40):
+        prob, q0 = integer_problem(8, bits, seed)
+        cfg = DescentConfig(block_size=2, epochs=2, seed=seed)
+        cd_codes, _ = cd_quantize(prob, q0, cfg)
+        assert_same_run(prob, q0, cfg)
+        assert_same_run(prob, cd_codes, cfg)
+
+
+def test_screen_matches_reference_with_a_constant_group():
+    for seed in range(8):
+        prob, owc_codes = grouped_problem(64, 16, bits=2 + seed % 2, seed=seed,
+                                          constant_group=seed % 4)
+        cfg = DescentConfig(block_size=2, epochs=1 + seed % 2, seed=seed)
+        cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
+        assert_same_run(prob, owc_codes, cfg)
+        assert_same_run(prob, cd_codes, cfg)
+
+
+def test_blocks_of_three_are_unchanged():
+    for seed in range(4):
+        prob, q0 = random_problem(12, 2, seed=seed)
+        assert_same_run(prob, q0, DescentConfig(block_size=3, seed=seed))
+
+
+def test_screen_is_empty_at_a_decoupled_fixed_point():
+    # Weak coupling: after cd no pair can improve, so bcd records its step
+    # budget of no-ops without scanning a single block.
+    rng = np.random.default_rng(5)
+    d, bits = 16, 3
+    a = rng.standard_normal((4 * d, d))
+    h = np.diag(rng.uniform(1.0, 2.0, size=d)) + 1e-3 * (a.T @ a) / (4 * d)
+    w = rng.standard_normal(d)
+    hess = Hessian(h)
+    params, q0 = owc_quantize(w, hess, bits, 50)
+    prob = ChannelProblem.build(w, hess, params)
+    cfg = DescentConfig(block_size=2, epochs=2, seed=3)
+    cd_codes, _ = cd_quantize(prob, q0, cfg)
+
+    state = GradientState.init(h, cd_codes, prob.target)
+    flagged = _pair_screen(h, state, np.arange(2 ** bits, dtype=np.float64))
+    assert flagged is not None and flagged.shape == (0, 2)
+    trace = assert_same_run(prob, cd_codes, cfg)
+    assert len(trace.steps) == 2 * d and not any(s.accepted for s in trace.steps)
+
+
+def test_screen_returns_none_when_a_single_move_improves():
+    prob, q0 = random_problem(16, 3, seed=2)
+    codes, _ = cd_quantize(prob, q0, DescentConfig())
+    codes[0] = 7 if codes[0] < 4 else 0  # moving coordinate 0 back now improves
+    state = GradientState.init(prob.hessian.matrix, codes, prob.target)
+    levels = np.arange(8, dtype=np.float64)
+    diff = levels[None, :] - state.codes[:, None]
+    single = diff * diff * np.diag(prob.hessian.matrix)[:, None] + diff * state.gradient[:, None]
+    assert single.min() < 0.0
+    assert _pair_screen(prob.hessian.matrix, state, levels) is None
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_unflagged_pairs_cannot_improve(bits):
+    # Soundness of the screen itself: every pair it leaves out scores >= 0
+    # for every value pair, in the engine's own re-check arithmetic.
+    levels = np.arange(2 ** bits, dtype=np.float64)
+    checked = 0
+    for seed in range(12):
+        maker = random_problem if seed % 2 else integer_problem
+        prob, q0 = maker(10, bits, seed=seed)
+        hmat = prob.hessian.matrix
+        codes, _ = cd_quantize(prob, q0, DescentConfig())
+        state = GradientState.init(hmat, codes, prob.target)
+        flagged = _pair_screen(hmat, state, levels)
+        if flagged is None:
+            continue
+        flagged = {tuple(p) for p in flagged.tolist()}
+        for i in range(10):
+            for j in range(i + 1, 10):
+                if (i, j) in flagged:
+                    continue
+                coords = np.array([i, j])
+                hwin = hmat[coords[:, None], coords[None, :]]
+                for ri in levels:
+                    for rj in levels:
+                        dvec = np.array([ri, rj]) - state.codes[coords]
+                        assert dvec @ hwin @ dvec + dvec @ state.gradient[coords] >= 0.0
+                checked += 1
+    assert checked > 0

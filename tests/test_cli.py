@@ -102,6 +102,19 @@ def test_quantize_block_guard(tmp_path):
     assert code == EXIT_GUARD
 
 
+@pytest.mark.parametrize("d_in,bits,block,expected", [
+    (8, 2, 3, EXIT_USAGE),   # 3 does not divide d_in: a usage error
+    (9, 8, 3, EXIT_GUARD),   # divides, but 2^(3*8) combinations exceed the guard
+])
+def test_quantize_block_size_exit_codes(tmp_path, capsys, d_in, bits, block, expected):
+    w, x = write_inputs(tmp_path, d_in=d_in)
+    code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                 "--method", "bcd", "--bits", str(bits), "--block-size", str(block)])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_quantize_block_size_without_bcd(tmp_path):
     w, x = write_inputs(tmp_path)
     code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),

@@ -1,0 +1,75 @@
+"""Golden-record gate: ``quantize --no-timing`` output must stay byte-identical.
+
+Each case quantizes a small seeded layer through the CLI and compares the
+report byte for byte, and the layer files by SHA-256, against files checked
+in under ``tests/golden/<case>/``. Engine changes that claim identical
+results (fast paths, refactors) must pass this unchanged. To regenerate the
+goldens deliberately, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qdescent import tensorio
+from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
+from qdescent.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+LAYER_FILES = ("codes.pc", "scales.tc", "biases.tc", "gammas.tc")
+
+CASES = {
+    # Per-channel owc -> cd -> bcd with 2-blocks.
+    "chan-bcd3": dict(d_in=128, d_out=8, n=512, seed=3, constant_group=None,
+                      flags=("--method", "bcd", "--bits", "3", "--block-size", "2")),
+    # Grouped bcd on the tilde problem; column 0 has one constant group, so
+    # H~ has zero rows and columns there.
+    "group32-bcd2": dict(d_in=128, d_out=8, n=512, seed=4, constant_group=(0, slice(32, 64)),
+                         flags=("--method", "bcd", "--bits", "2", "--group-size", "32")),
+}
+
+
+def run_case(name: str, work_dir: Path) -> Path:
+    """Quantize the case's layer into ``work_dir/layer`` and return that directory."""
+    case = CASES[name]
+    calib = gen_calibration(SynthSpec(d_in=case["d_in"], n=case["n"], spectrum_exponent=1.0,
+                                      seed=case["seed"]))
+    weights = gen_weights(case["d_in"], case["d_out"], case["seed"])
+    if case["constant_group"] is not None:
+        col, rows = case["constant_group"]
+        weights[rows, col] = 0.5
+    wpath, xpath, out = work_dir / "w.tc", work_dir / "x.tc", work_dir / "layer"
+    tensorio.write_container(wpath, weights)
+    tensorio.write_container(xpath, calib)
+    code = main(["quantize", "--weights", str(wpath), "--calib", str(xpath), "--out", str(out),
+                 *case["flags"], "--seed", str(case["seed"]), "--threads", "1", "--no-timing"])
+    assert code == EXIT_OK
+    return out
+
+
+def digests(layer_dir: Path) -> dict:
+    return {f: hashlib.sha256((layer_dir / f).read_bytes()).hexdigest() for f in LAYER_FILES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_records_and_layer_identical(name, tmp_path):
+    out = run_case(name, tmp_path)
+    golden = GOLDEN_DIR / name
+    assert (out / "records.csv").read_bytes() == (golden / "records.csv").read_bytes()
+    assert digests(out) == json.loads((golden / "sha256.json").read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case_name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            layer = run_case(case_name, Path(tmp))
+            dest = GOLDEN_DIR / case_name
+            dest.mkdir(parents=True, exist_ok=True)
+            (dest / "records.csv").write_bytes((layer / "records.csv").read_bytes())
+            (dest / "sha256.json").write_text(json.dumps(digests(layer), indent=2) + "\n")
+        print(f"wrote {dest}", file=sys.stderr)
