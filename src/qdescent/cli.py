@@ -88,8 +88,12 @@ def cmd_gen_calib(args) -> int:
 # ---------------------------------------------------------------------------
 # quantize
 
-_CONFIG_KEYS = ("method", "bits", "group_size", "block_size", "epochs", "steps", "grid_size",
-                "lambda_rel", "clip_fraction", "seed", "threads", "owc_cd", "report_format")
+#: Config-file keys and the JSON type each value must have.
+_CONFIG_TYPES = {"method": str, "bits": int, "group_size": int, "block_size": int, "epochs": int,
+                 "steps": int, "grid_size": int, "lambda_rel": float, "clip_fraction": float,
+                 "seed": int, "threads": int, "owc_cd": bool, "report_format": str}
+_CONFIG_KEYS = tuple(_CONFIG_TYPES)
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 _CONFIG_DEFAULTS = {"group_size": 0, "epochs": 1, "steps": None, "grid_size": 50,
                     "lambda_rel": 0.01, "clip_fraction": 0.0, "seed": 0, "owc_cd": False,
@@ -102,9 +106,19 @@ def _merge_config(args) -> dict:
     if args.config:
         with open(args.config) as f:
             from_file = json.load(f)
+        if not isinstance(from_file, dict):
+            raise UsageError(f"config file {args.config} does not hold a JSON object")
         unknown = set(from_file) - set(_CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in from_file.items():
+            # null stands for "not set" only where the built-in default is unset too.
+            if value is None and _CONFIG_DEFAULTS.get(key) is None:
+                continue
+            kind = _CONFIG_TYPES[key]
+            if not tensorio.json_value_is(value, kind):
+                raise UsageError(f"config key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                                 f"got {json.dumps(value)}")
     merged = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)

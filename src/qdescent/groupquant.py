@@ -26,6 +26,14 @@ swapping group i's strength to beta is
     d' H_ii d - v_i' d,      d = D(i, beta) - D(i, current).
 
 Applying a swap updates v by the rank-g correction -2 H[:, group] d.
+
+Both clip-strength searches take their candidates from one table,
+``quantcore._affine_table``: the affine fit of every (group, grid value)
+pair in one vectorized pass, bit-identical to the scalar ``_fit_affine``.
+In the descent, d and the quadratic term d' H_ii d depend only on group i's
+own state, so they are kept across steps; a swap recomputes the swapped
+group's row alone (on a length-1 slice, which yields the same bits as the
+full einsum), and only the linear term v_i' d is recomputed in full.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import Hessian, ShapeMismatchError
-from .quantcore import ChannelProblem, QuantParams, _fit_affine, _owc_search
+from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clip, _fit_affine,
+                        default_gamma_grid)
 from .descent import DescentConfig, DescentTrace, bcd_quantize, cd_quantize, cyclic_cd_quantize
 
 
@@ -147,13 +156,9 @@ def minmax_group_init(w: np.ndarray, bits: int,
     """Independent per-group min-max fit (clip strength 1)."""
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
-    for i in range(n_groups):
-        sl = slice(i * group_size, (i + 1) * group_size)
-        p, q = _fit_affine(w[sl], bits, gamma=1.0)
-        params.append(p)
-        codes[sl] = q
-    return GroupScheme(group_size=group_size, params=tuple(params)), codes
+    table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
+    params = tuple(table.params(i, 0) for i in range(n_groups))
+    return GroupScheme(group_size=group_size, params=params), table.codes[:, 0].ravel()
 
 
 def owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
@@ -167,20 +172,14 @@ def owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
     n_groups = _check_grouping(w.shape[0], group_size)
     if hessian.dim != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
     params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
     for i in range(n_groups):
         sl = slice(i * group_size, (i + 1) * group_size)
-        p, q = _owc_search(w[sl], hessian.matrix[sl, sl], bits, grid_size)
-        params.append(p)
-        codes[sl] = q
+        best = _best_clip(table.resid[i], hessian.matrix[sl, sl]) if table.live[i] else 0
+        params.append(table.params(i, best))
+        codes[sl] = table.codes[i, best]
     return GroupScheme(group_size=group_size, params=tuple(params)), codes
-
-
-def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
-    """The clip-strength grid {j/grid_size : j=1..grid_size}; excludes 0, includes 1."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    return np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
 
 
 @dataclass
@@ -200,11 +199,12 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
            steps: Optional[int] = None) -> OwcCdResult:
     """Greedy coordinate descent over per-group clip strengths.
 
-    Residuals for every (group, grid value) pair are precomputed once; each
-    step applies the single swap with the most negative exact loss change
-    (ties to the smallest (group, grid index)) and stops early at a fixed
-    point, which cannot change the outcome because the candidate table is
-    static. Default step budget is one pass, d_in / group_size.
+    Residuals for every (group, grid value) pair come from one affine table,
+    built once; each step applies the single swap with the most negative
+    exact loss change (ties to the smallest (group, grid index)) and stops
+    early at a fixed point, which cannot change the outcome because the
+    candidate table is static. Default step budget is one pass,
+    d_in / group_size.
     """
     w = np.asarray(w, dtype=np.float64)
     g = scheme.group_size
@@ -222,19 +222,9 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
     bits = scheme.bits
     n_grid = gamma_grid.shape[0]
 
-    # Residual and code tables over (group, grid value).
-    resid_table = np.empty((n_groups, n_grid, g))
-    codes_table = np.empty((n_groups, n_grid, g), dtype=np.uint8)
-    params_table: list[list[QuantParams]] = []
-    for i in range(n_groups):
-        grp = w[i * g:(i + 1) * g]
-        row = []
-        for v, beta in enumerate(gamma_grid):
-            p, q = _fit_affine(grp, bits, gamma=float(beta))
-            row.append(p)
-            codes_table[i, v] = q
-            resid_table[i, v] = grp - (p.scale * q.astype(np.float64) + p.bias)
-        params_table.append(row)
+    # Every (group, grid value) fit, from one vectorized table.
+    table = _affine_table(w.reshape(n_groups, g), bits, gamma_grid)
+    resid_table = table.resid
 
     # Current state from the scheme as passed in (its gammas need not be on the grid).
     cur_params = list(scheme.params)
@@ -256,21 +246,26 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
     loss = float(err @ (hmat @ err))
     result = OwcCdResult(scheme=scheme, codes=cur_codes, initial_loss=loss, final_loss=loss)
 
+    # The quadratic term d' H_ii d depends only on group i's own state, so it
+    # is kept across steps and only the swapped group's row is recomputed.
+    diff = resid_table - cur_resid[:, None, :]
+    quad = np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
     for _ in range(steps):
-        diff = resid_table - cur_resid[:, None, :]
-        change = (np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
-                  - np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g)))
+        change = quad - np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g))
         flat = int(np.argmin(change))
         i_star, v_star = divmod(flat, n_grid)
         best = float(change.flat[flat])
         if best >= 0.0:
             break
         sl = slice(i_star * g, (i_star + 1) * g)
+        row = slice(i_star, i_star + 1)
         delta = resid_table[i_star, v_star] - cur_resid[i_star]
         v -= 2.0 * (hmat[:, sl] @ delta)
         cur_resid[i_star] = resid_table[i_star, v_star]
-        cur_codes[sl] = codes_table[i_star, v_star]
-        cur_params[i_star] = params_table[i_star][v_star]
+        cur_codes[sl] = table.codes[i_star, v_star]
+        cur_params[i_star] = table.params(i_star, v_star)
+        diff[row] = resid_table[row] - cur_resid[row, None, :]
+        quad[row] = np.einsum("nvg,ngh,nvh->nv", diff[row], hblocks[row], diff[row])
         err = cur_resid.ravel()
         loss = float(err @ (hmat @ err))
         result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))

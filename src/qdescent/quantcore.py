@@ -134,7 +134,8 @@ def _f32(value: float) -> float:
 
 
 def _fit_affine(w: np.ndarray, bits: int, gamma: float) -> tuple[QuantParams, CodeVector]:
-    """Affine fit at a fixed clip strength; the shared kernel of every initializer."""
+    """Affine fit at a fixed clip strength; grid searches use its vectorized
+    twin ``_affine_table``, which must match it bit for bit."""
     span = float(w.max() - w.min())
     bias = _f32(float(w.min()))
     if span == 0.0:
@@ -145,6 +146,69 @@ def _fit_affine(w: np.ndarray, bits: int, gamma: float) -> tuple[QuantParams, Co
     q = round_half_away((w - params.bias) / params.scale)
     q = np.clip(q, 0, params.levels - 1).astype(np.uint8)
     return params, q
+
+
+@dataclass(frozen=True)
+class AffineTable:
+    """Affine fits of n equal-size groups at each of v clip strengths.
+
+    Entry (i, k) is what ``_fit_affine(wg[i], bits, gammas[k])`` returns;
+    a constant group (``live[i]`` false) has scale 0 and codes 0 at every k.
+    """
+
+    bits: int
+    gammas: np.ndarray    # (v,) clip strengths
+    scales: np.ndarray    # (n, v) float32 values held as float64
+    biases: np.ndarray    # (n,) float32 values held as float64
+    codes: np.ndarray     # (n, v, g) uint8
+    resid: np.ndarray     # (n, v, g) float64, w - (scale * q + bias)
+    live: np.ndarray      # (n,) bool, the group is not constant
+
+    def params(self, i: int, k: int) -> QuantParams:
+        if not self.live[i]:
+            return QuantParams(scale=0.0, bias=float(self.biases[i]), bits=self.bits, gamma=1.0)
+        return QuantParams(scale=float(self.scales[i, k]), bias=float(self.biases[i]),
+                           bits=self.bits, gamma=float(self.gammas[k]))
+
+
+def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTable:
+    """``_fit_affine`` over every (group, clip strength) pair in one numpy pass.
+
+    The operations are ``_fit_affine``'s, in its order, so every entry is
+    bit-identical to the scalar fit.
+    """
+    wg = np.asarray(wg, dtype=np.float64)
+    gammas = np.asarray(gamma_grid, dtype=np.float64)
+    levels = 1 << bits
+    wmin = wg.min(axis=1)
+    span = wg.max(axis=1) - wmin
+    live = span != 0.0
+    biases = wmin.astype(np.float32).astype(np.float64)
+    scales = ((gammas[None, :] * span[:, None]) / (levels - 1)).astype(np.float32).astype(np.float64)
+    scales[~live] = 0.0
+    divisor = np.where(live[:, None], scales, 1.0)
+    q = round_half_away((wg[:, None, :] - biases[:, None, None]) / divisor[:, :, None])
+    codes = np.clip(q, 0, levels - 1).astype(np.uint8)
+    codes[~live] = 0
+    resid = wg[:, None, :] - (scales[:, :, None] * codes.astype(np.float64) + biases[:, None, None])
+    return AffineTable(bits=bits, gammas=gammas, scales=scales, biases=biases, codes=codes,
+                       resid=resid, live=live)
+
+
+def _best_clip(resid: np.ndarray, hmat: np.ndarray) -> int:
+    """Index of the candidate residual row with the lowest ``e' H e``; ties go to
+    the last index, which on an ascending grid is the larger clip strength."""
+    scores = np.empty(resid.shape[0])
+    for k, err in enumerate(resid):
+        scores[k] = err @ (hmat @ err)
+    return int(np.flatnonzero(scores == scores.min()).max())
+
+
+def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
+    """The clip-strength grid {j/grid_size : j=1..grid_size}; excludes 0, includes 1."""
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
+    return np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
 
 
 def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
@@ -158,23 +222,13 @@ def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
 def _owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
                 grid_size: int) -> tuple[QuantParams, CodeVector]:
     """Grid search over clip strengths {j/grid_size}, ties toward larger gamma."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    grid = default_gamma_grid(grid_size)
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if float(w.max() - w.min()) == 0.0:
-        return _fit_affine(w, bits, gamma=1.0)
-
-    candidates = []
-    scores = np.empty(grid_size)
-    for j in range(1, grid_size + 1):
-        params, q = _fit_affine(w, bits, gamma=j / grid_size)
-        err = w - (params.scale * q.astype(np.float64) + params.bias)
-        scores[j - 1] = err @ (hmat @ err)
-        candidates.append((params, q))
-    best = int(np.flatnonzero(scores == scores.min()).max())
-    return candidates[best]
+    table = _affine_table(w[None, :], bits, grid)
+    best = _best_clip(table.resid[0], hmat) if table.live[0] else 0
+    return table.params(0, best), table.codes[0, best].copy()
 
 
 def owc_quantize(w: np.ndarray, hessian: Hessian, bits: int,
@@ -273,10 +327,31 @@ def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True
         tensorio.write_container(directory / "codes.tc", layer.codes.astype(np.uint8))
 
 
+class LayerMetaError(tensorio.TensorIOError):
+    """A layer's meta.json lacks a required key or holds one of the wrong type."""
+
+
+_LAYER_META_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int,
+                     "codes_packed": bool}
+
+
+def _read_layer_meta(path: Path) -> dict:
+    with open(path) as f:
+        meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise LayerMetaError(f"{path}: layer metadata is not a JSON object")
+    for key, kind in _LAYER_META_TYPES.items():
+        if key not in meta:
+            raise LayerMetaError(f"{path}: layer metadata lacks required key {key!r}")
+        if not tensorio.json_value_is(meta[key], kind):
+            raise LayerMetaError(f"{path}: layer metadata key {key!r} must be "
+                                 f"{kind.__name__}, got {meta[key]!r}")
+    return meta
+
+
 def load_layer(directory: str | Path) -> QuantizedLayer:
     directory = Path(directory)
-    with open(directory / LAYER_META_FILENAME) as f:
-        meta = json.load(f)
+    meta = _read_layer_meta(directory / LAYER_META_FILENAME)
     d_in, d_out = int(meta["d_in"]), int(meta["d_out"])
     if meta["codes_packed"]:
         packed = tensorio.read_packed(directory / "codes.pc")

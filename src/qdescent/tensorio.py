@@ -66,6 +66,15 @@ class NonFiniteDataError(TensorIOError):
     """Floating-point payload contains NaN or Inf."""
 
 
+def json_value_is(value, kind: type) -> bool:
+    """Type check of a decoded JSON value: a bool is not an int, an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 @dataclass(frozen=True)
 class TensorContainer:
     """In-memory image of a container file: header fields plus payload array."""

@@ -157,6 +157,70 @@ def test_quantize_config_file_precedence(tmp_path):
     assert meta["meta"]["method"] == "rtn"  # from config file
 
 
+@pytest.mark.parametrize("config", [
+    {"bits": "3", "method": "rtn"},
+    {"bits": 3, "method": "rtn", "owc_cd": 1},
+    {"bits": True, "method": "rtn"},
+    {"bits": 3.0, "method": "rtn"},
+    {"bits": 3, "method": "rtn", "lambda_rel": "0.01"},
+    {"bits": 3, "method": "rtn", "grid_size": None},
+    {"bits": 3, "method": ["rtn"]},
+    ["bits", 3],
+])
+def test_quantize_config_type_mismatch_exits_usage(tmp_path, capsys, config):
+    w, x = write_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_quantize_config_accepts_json_types(tmp_path):
+    w, x = write_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "cd", "bits": 2, "lambda_rel": 1, "clip_fraction": 0.0,
+                               "owc_cd": False, "steps": None, "threads": None,
+                               "report_format": "jsonl"}))
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                 "--config", str(cfg)]) == EXIT_OK
+    assert (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["d_in", "d_out", "bits", "group_size", "codes_packed"])
+def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                 "--method", "rtn", "--bits", "2"]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    del meta[key]
+    (out / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("key,value", [("d_in", "8"), ("bits", 2.0), ("codes_packed", 1),
+                                       ("group_size", None)])
+def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                 "--method", "rtn", "--bits", "2"]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    meta[key] = value
+    (out / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
 def test_eval_matches_quantize_records(tmp_path):
     w, x = write_inputs(tmp_path, d_in=12, d_out=5)
     out = tmp_path / "layer"

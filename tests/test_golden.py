@@ -29,6 +29,11 @@ CASES = {
     # H~ has zero rows and columns there.
     "group32-bcd2": dict(d_in=128, d_out=8, n=512, seed=4, constant_group=(0, slice(32, 64)),
                          flags=("--method", "bcd", "--bits", "2", "--group-size", "32")),
+    # Grouped owc -> clip-strength descent -> cd; column 3 has one constant
+    # group, so the table's degenerate path runs in both OWC stages.
+    "group32-owccd3": dict(d_in=128, d_out=8, n=512, seed=5, constant_group=(3, slice(64, 96)),
+                           flags=("--method", "cd", "--bits", "3", "--group-size", "32",
+                                  "--owc-cd")),
 }
 
 

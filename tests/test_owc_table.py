@@ -1,0 +1,350 @@
+"""Differential tests of the vectorized clip-strength table against the scalar fits.
+
+``_affine_table`` must reproduce ``_fit_affine`` entry by entry, and the
+OWC searches and the clip-strength descent built on it must match verbatim
+copies of the code they replaced (``reference_*`` below): same swaps, losses,
+codes, parameters and final gradient, bit for bit.
+"""
+
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from qdescent.calibration import Hessian, ShapeMismatchError, build_hessian
+from qdescent.groupquant import (GroupScheme, OwcCdResult, _check_grouping, minmax_group_init,
+                                 owc_cd, owc_group_init)
+from qdescent.quantcore import (QuantParams, _affine_table, _fit_affine, _owc_search,
+                                default_gamma_grid)
+
+
+def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
+                         grid_size: int) -> tuple[QuantParams, np.ndarray]:
+    """``quantcore._owc_search`` as it was before the table: one scalar fit per candidate."""
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
+    w = np.asarray(w, dtype=np.float64)
+    if w.size == 0:
+        raise ValueError("empty weight vector")
+    if float(w.max() - w.min()) == 0.0:
+        return _fit_affine(w, bits, gamma=1.0)
+
+    candidates = []
+    scores = np.empty(grid_size)
+    for j in range(1, grid_size + 1):
+        params, q = _fit_affine(w, bits, gamma=j / grid_size)
+        err = w - (params.scale * q.astype(np.float64) + params.bias)
+        scores[j - 1] = err @ (hmat @ err)
+        candidates.append((params, q))
+    best = int(np.flatnonzero(scores == scores.min()).max())
+    return candidates[best]
+
+
+def reference_owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
+                             grid_size: int = 50) -> tuple[GroupScheme, np.ndarray]:
+    """``groupquant.owc_group_init`` as it was before the table."""
+    w = np.asarray(w, dtype=np.float64)
+    n_groups = _check_grouping(w.shape[0], group_size)
+    if hessian.dim != w.shape[0]:
+        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
+    for i in range(n_groups):
+        sl = slice(i * group_size, (i + 1) * group_size)
+        p, q = reference_owc_search(w[sl], hessian.matrix[sl, sl], bits, grid_size)
+        params.append(p)
+        codes[sl] = q
+    return GroupScheme(group_size=group_size, params=tuple(params)), codes
+
+
+def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
+           gamma_grid: Optional[np.ndarray] = None,
+           steps: Optional[int] = None) -> OwcCdResult:
+    """``owc_cd`` as it was before the shared affine table and the cached quadratic term.
+
+    Residuals for every (group, grid value) pair are precomputed once; each
+    step applies the single swap with the most negative exact loss change
+    (ties to the smallest (group, grid index)) and stops early at a fixed
+    point, which cannot change the outcome because the candidate table is
+    static. Default step budget is one pass, d_in / group_size.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    g = scheme.group_size
+    n_groups = _check_grouping(w.shape[0], g)
+    if hessian.dim != w.shape[0]:
+        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    gamma_grid = default_gamma_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=np.float64)
+    if gamma_grid.size == 0:
+        raise ValueError("empty clip-strength grid")
+    if steps is None:
+        steps = n_groups
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    hmat = hessian.matrix
+    bits = scheme.bits
+    n_grid = gamma_grid.shape[0]
+
+    # Residual and code tables over (group, grid value).
+    resid_table = np.empty((n_groups, n_grid, g))
+    codes_table = np.empty((n_groups, n_grid, g), dtype=np.uint8)
+    params_table: list[list[QuantParams]] = []
+    for i in range(n_groups):
+        grp = w[i * g:(i + 1) * g]
+        row = []
+        for v, beta in enumerate(gamma_grid):
+            p, q = _fit_affine(grp, bits, gamma=float(beta))
+            row.append(p)
+            codes_table[i, v] = q
+            resid_table[i, v] = grp - (p.scale * q.astype(np.float64) + p.bias)
+        params_table.append(row)
+
+    # Current state from the scheme as passed in (its gammas need not be on the grid).
+    cur_params = list(scheme.params)
+    cur_codes = np.empty(w.shape[0], dtype=np.uint8)
+    cur_resid = np.empty((n_groups, g))
+    for i, p in enumerate(cur_params):
+        sl = slice(i * g, (i + 1) * g)
+        grp = w[sl]
+        if p.scale == 0.0:
+            q = np.zeros(g, dtype=np.uint8)
+        else:
+            _, q = _fit_affine(grp, bits, gamma=p.gamma)
+        cur_codes[sl] = q
+        cur_resid[i] = grp - (p.scale * q.astype(np.float64) + p.bias)
+
+    hblocks = hmat.reshape(n_groups, g, n_groups, g)[np.arange(n_groups), :, np.arange(n_groups), :]
+    err = cur_resid.ravel()
+    v = -2.0 * (hmat @ err)
+    loss = float(err @ (hmat @ err))
+    result = OwcCdResult(scheme=scheme, codes=cur_codes, initial_loss=loss, final_loss=loss)
+
+    for _ in range(steps):
+        diff = resid_table - cur_resid[:, None, :]
+        change = (np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
+                  - np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g)))
+        flat = int(np.argmin(change))
+        i_star, v_star = divmod(flat, n_grid)
+        best = float(change.flat[flat])
+        if best >= 0.0:
+            break
+        sl = slice(i_star * g, (i_star + 1) * g)
+        delta = resid_table[i_star, v_star] - cur_resid[i_star]
+        v -= 2.0 * (hmat[:, sl] @ delta)
+        cur_resid[i_star] = resid_table[i_star, v_star]
+        cur_codes[sl] = codes_table[i_star, v_star]
+        cur_params[i_star] = params_table[i_star][v_star]
+        err = cur_resid.ravel()
+        loss = float(err @ (hmat @ err))
+        result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))
+
+    result.scheme = GroupScheme(group_size=g, params=tuple(cur_params))
+    result.codes = cur_codes
+    result.final_loss = loss
+    result.final_v = v.copy()
+    return result
+
+
+def _weights(rng, n_groups, g, kind):
+    """Group rows of float32-representable weights of one flavour."""
+    wg = rng.standard_normal((n_groups, g)).astype(np.float32).astype(np.float64)
+    if kind == "negative":
+        wg = -np.abs(wg) - 3.0
+    elif kind == "wide":
+        wg = wg * 1e4
+    elif kind == "tiny":
+        wg = wg * 1e-30
+    elif kind == "constant":
+        wg[::2] = wg[::2, :1]
+    elif kind == "all-equal":
+        wg[:] = -0.75
+    elif kind == "constant-large":
+        # Not float32-representable: w - float32(w) is far from 0 in these groups.
+        wg[1::2] = 3.0e8 + 10.3
+    elif kind == "ties":
+        # Integer weights put many (w - b) / a quotients exactly on halves.
+        wg = rng.integers(-8, 9, size=(n_groups, g)).astype(np.float64)
+    return wg
+
+
+def _instance(seed, d, coupling=1.0):
+    """A weight column and a damped calibration Hessian with cross-group coupling."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4 * d, d))
+    x = x + coupling * rng.standard_normal((4 * d, 1))   # a shared direction couples all inputs
+    w = rng.standard_normal(d).astype(np.float32).astype(np.float64)
+    return w, build_hessian(x, 0.01)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("kind", ["normal", "negative", "wide", "tiny", "constant", "all-equal",
+                                  "constant-large", "ties"])
+@pytest.mark.parametrize("grid_size", [1, 8, 50])
+def test_affine_table_equals_scalar_fit(bits, kind, grid_size):
+    rng = np.random.default_rng(1000 * bits + grid_size)
+    wg = _weights(rng, 5, 7, kind)
+    grid = default_gamma_grid(grid_size)
+    table = _affine_table(wg, bits, grid)
+    assert table.codes.shape == table.resid.shape == (5, grid_size, 7)
+    for i in range(5):
+        assert bool(table.live[i]) == (float(wg[i].max() - wg[i].min()) != 0.0)
+        for k, gamma in enumerate(grid):
+            p, q = _fit_affine(wg[i], bits, gamma=float(gamma))
+            assert table.params(i, k) == p
+            assert table.scales[i, k] == p.scale
+            assert table.biases[i] == p.bias
+            np.testing.assert_array_equal(table.codes[i, k], q)
+            np.testing.assert_array_equal(table.resid[i, k],
+                                          wg[i] - (p.scale * q.astype(np.float64) + p.bias))
+
+
+def test_affine_table_off_grid_gammas():
+    rng = np.random.default_rng(7)
+    wg = _weights(rng, 4, 16, "normal")
+    gammas = rng.uniform(0.01, 1.0, size=13)
+    table = _affine_table(wg, 3, gammas)
+    for i in range(4):
+        for k, gamma in enumerate(gammas):
+            p, q = _fit_affine(wg[i], 3, gamma=float(gamma))
+            assert table.params(i, k) == p
+            np.testing.assert_array_equal(table.codes[i, k], q)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("grid_size", [1, 8, 50])
+def test_owc_search_matches_scalar_search(bits, grid_size):
+    for seed in range(3):
+        w, h = _instance(100 * bits + seed, 24)
+        if seed == 2:
+            w[:] = 0.125
+        p, q = _owc_search(w, h.matrix, bits, grid_size)
+        ref_p, ref_q = reference_owc_search(w, h.matrix, bits, grid_size)
+        assert p == ref_p
+        np.testing.assert_array_equal(q, ref_q)
+
+
+def test_owc_search_ties_go_to_larger_gamma():
+    # A zero Hessian scores every candidate 0, so the whole grid ties.
+    w, _ = _instance(3, 16)
+    p, q = _owc_search(w, np.zeros((16, 16)), 3, 8)
+    ref_p, ref_q = reference_owc_search(w, np.zeros((16, 16)), 3, 8)
+    assert p == ref_p and p.gamma == 1.0
+    np.testing.assert_array_equal(q, ref_q)
+    # Zero H blocks tie the per-group searches too.
+    scheme, codes = owc_group_init(w, Hessian(np.zeros((16, 16))), 3, 4, 8)
+    ref_scheme, ref_codes = reference_owc_group_init(w, Hessian(np.zeros((16, 16))), 3, 4, 8)
+    assert scheme == ref_scheme and scheme.gammas == (1.0,) * 4
+    np.testing.assert_array_equal(codes, ref_codes)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("d,g", [(32, 8), (64, 16), (128, 32)])
+def test_owc_group_init_matches_scalar_init(bits, d, g):
+    w, h = _instance(bits + d, d)
+    w[g:2 * g] = -1.5   # one constant group
+    scheme, codes = owc_group_init(w, h, bits, g)
+    ref_scheme, ref_codes = reference_owc_group_init(w, h, bits, g)
+    assert scheme == ref_scheme
+    np.testing.assert_array_equal(codes, ref_codes)
+
+
+def _assert_same_result(result: OwcCdResult, ref: OwcCdResult):
+    assert result.swaps == ref.swaps
+    np.testing.assert_array_equal(result.codes, ref.codes)
+    assert result.scheme == ref.scheme
+    assert result.initial_loss == ref.initial_loss
+    assert result.final_loss == ref.final_loss
+    np.testing.assert_array_equal(result.final_v, ref.final_v)
+
+
+def _off_grid_scheme(w, bits, g, seed):
+    """Each group fit at a random clip strength that is not on any default grid."""
+    rng = np.random.default_rng(seed)
+    params = []
+    for i in range(w.shape[0] // g):
+        p, _ = _fit_affine(w[i * g:(i + 1) * g], bits, gamma=float(rng.uniform(0.3, 0.99)))
+        params.append(p)
+    return GroupScheme(group_size=g, params=tuple(params))
+
+
+def _start_scheme(start, w, h, bits, g, grid_size, seed):
+    if start == "owc":
+        return owc_group_init(w, h, bits, g, grid_size)[0]
+    if start == "minmax":
+        return minmax_group_init(w, bits, g)[0]
+    return _off_grid_scheme(w, bits, g, seed)
+
+
+@pytest.mark.parametrize("start", ["owc", "minmax", "off-grid"])
+@pytest.mark.parametrize("bits,d,g,grid_size", [(1, 32, 4, 8), (2, 64, 8, 50), (3, 128, 32, 50),
+                                                (4, 96, 16, 20), (3, 64, 16, 1)])
+def test_owc_cd_matches_reference(start, bits, d, g, grid_size):
+    swaps = 0
+    for seed in range(3):
+        w, h = _instance(10 * d + seed, d, coupling=float(seed))
+        scheme = _start_scheme(start, w, h, bits, g, grid_size, seed)
+        grid = default_gamma_grid(grid_size)
+        result = owc_cd(w, h, scheme, grid)
+        _assert_same_result(result, reference_owc_cd(w, h, scheme, grid))
+        swaps += len(result.swaps)
+    if grid_size > 1 or start == "off-grid":
+        assert swaps > 0   # the descent moved, so the cached rows were exercised
+
+
+def test_owc_cd_matches_reference_with_constant_groups():
+    d, g, bits = 128, 16, 3
+    w, h = _instance(5, d, coupling=2.0)
+    w[0:g] = 0.25
+    w[5 * g:6 * g] = -2.0
+    for scheme in (owc_group_init(w, h, bits, g)[0], minmax_group_init(w, bits, g)[0],
+                   _off_grid_scheme(w, bits, g, 5)):
+        result = owc_cd(w, h, scheme, default_gamma_grid(50))
+        _assert_same_result(result, reference_owc_cd(w, h, scheme, default_gamma_grid(50)))
+        assert result.scheme.params[0].scale == 0.0 and result.scheme.params[5].scale == 0.0
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3, 40])
+def test_owc_cd_matches_reference_step_budgets(steps):
+    d, g, bits = 64, 8, 2   # 8 groups: 40 steps exceeds the default single pass
+    w, h = _instance(21, d, coupling=1.5)
+    scheme = minmax_group_init(w, bits, g)[0]
+    result = owc_cd(w, h, scheme, default_gamma_grid(50), steps=steps)
+    _assert_same_result(result, reference_owc_cd(w, h, scheme, default_gamma_grid(50),
+                                                 steps=steps))
+    if steps == 0:
+        assert result.swaps == [] and result.final_loss == result.initial_loss
+
+
+def test_owc_cd_matches_reference_default_grid_and_steps():
+    w, h = _instance(33, 64, coupling=1.0)
+    scheme = _off_grid_scheme(w, 3, 16, 33)
+    _assert_same_result(owc_cd(w, h, scheme), reference_owc_cd(w, h, scheme))
+
+
+@pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
+                                   (7, 13, 24), (4, 256, 64)])
+def test_einsum_row_slice_equals_full_row(n, v, g):
+    """``owc_cd`` recomputes one row of the quadratic term on a length-1 slice.
+
+    That row must be bit-identical to the same row of the full einsum, which
+    depends on the einsum's iteration order; this pins that order down.
+    """
+    rng = np.random.default_rng(n * v * g)
+    hmat = rng.standard_normal((n * g, n * g))
+    hblocks = hmat.reshape(n, g, n, g)[np.arange(n), :, np.arange(n), :]
+    diff = rng.standard_normal((n, v, g)) * 10.0 ** rng.integers(-3, 4, size=(n, v, 1))
+    full = np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
+    for i in range(n):
+        row = slice(i, i + 1)
+        part = np.einsum("nvg,ngh,nvh->nv", diff[row], hblocks[row], diff[row])
+        np.testing.assert_array_equal(part[0], full[i])
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_minmax_group_init_matches_scalar_fits(bits):
+    w, _ = _instance(bits, 64)
+    w[16:32] = 0.625
+    scheme, codes = minmax_group_init(w, bits, 16)
+    for i in range(4):
+        sl = slice(i * 16, (i + 1) * 16)
+        p, q = _fit_affine(w[sl], bits, gamma=1.0)
+        assert scheme.params[i] == p
+        np.testing.assert_array_equal(codes[sl], q)
