@@ -22,7 +22,11 @@ random partition drawn each step.
 Engines:
 
 * greedy: per step, the single (coordinate, value) change with the largest
-  loss reduction, over all d_in * 2^c candidates.
+  loss reduction over all d_in * 2^c candidates, found in O(d_in): delta is
+  a parabola in r with vertex r* = q_i - g_i / (2 H_ii), so each coordinate
+  scores only the closed-form window {floor(r*), floor(r*) + 1} (shifted into
+  range), which provably holds its best value while no value outside it can
+  tie (see ``_best_moves``).
 * block: per step, the best joint update of one random k-block over all
   2^(k*c) value combinations. For k = 2 an exact pair screen proves most
   steps to be no-ops before any block is scored: it lists the pairs whose
@@ -34,7 +38,13 @@ Engines:
   remaining step is a no-op, so the run stops drawing partitions. Codes and
   traces are exactly those of scanning every step.
 * cyclic: coordinates visited in fixed order 0..d_in-1, one best value per
-  visit; the classic one-sweep baseline.
+  visit, chosen by the same closed-form window; the classic one-sweep
+  baseline.
+
+Greedy and cyclic track the loss incrementally (``loss += delta``) in each
+step's ``loss_after``; block steps recompute it from scratch. Every engine
+computes ``final_loss`` from scratch on the final codes, and
+``oracle.verify_trace`` is the from-scratch audit of every step.
 
 Determinism: argmin ties break to the lexicographically smallest
 (coordinate, value) or (block, values); block partitions come from a
@@ -112,9 +122,13 @@ class TraceStep:
 class DescentTrace:
     """Step-by-step record of one engine run on one channel.
 
-    ``loss_after`` entries are recomputed from scratch, not accumulated, so
-    the trace doubles as evidence that the predicted deltas are exact.
-    ``final_gradient`` is the incrementally maintained g at termination.
+    ``loss_after`` entries of the greedy and cyclic engines are accumulated
+    (the previous loss plus ``predicted_delta``); the block engine recomputes
+    them from scratch. ``final_loss`` is always recomputed from scratch on
+    the final codes. ``oracle.verify_trace`` replays a trace against
+    from-scratch losses, so it checks both the predicted deltas and the
+    accumulated losses. ``final_gradient`` is the incrementally maintained g
+    at termination.
     """
 
     initial_loss: float
@@ -182,41 +196,105 @@ def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarr
     return hmat, prob.target
 
 
+def _best_moves(codes: np.ndarray, gradient: np.ndarray, hdiag: np.ndarray,
+                levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best single-coordinate move of every row, (values, scores), in O(rows).
+
+    Entry i is the value r minimizing ``diff*diff*hdiag[i] + diff*gradient[i]``
+    over r in {0..levels-1}, diff = r - codes[i], ties to the smaller r, with
+    that score: bitwise what a scan of all ``levels`` values of the row
+    returns. With h = H_ii > 0, q = codes[i] and g = gradient[i] the exact
+    score is the parabola
+
+        S(r) = (r - q)^2 h + (r - q) g = h (r - r*)^2 - h (q - r*)^2,   r* = q - g / (2h),
+
+    so a row scores only the window {lo, lo + 1}, lo = clip(floor(r^), 0, L - 2),
+    where r^ is the computed r* and L = levels <= 2^8. Both values are scored
+    with the scan's own formula and the lower one wins a tie, so the result
+    is the scan's whenever every value outside the window scores strictly
+    above a window value. Proof, with u = 2^-53 and g finite:
+
+    1. r^ = q - 0.5 (g / h) has two roundings, so
+       |r^ - r*| <= 2.1 u (L + |r*|), less than e = 1e-12 when |r*| <= 4L;
+       when |r*| > 4L, r^ has the sign of r* (also if g / h overflows to
+       +-inf). A value r < lo exists only if lo >= 1, and then r^ >= lo, so
+       r* > lo - e (or r* > 4L > lo). A value r > lo + 1 exists only if
+       lo <= L - 3, so lo = max(floor(r^), 0) and r^ < lo + 1, so
+       r* < lo + 1 + e (or r* < -4L).
+    2. Exact gap. For r < lo, against lo (which lies between r and r*),
+
+           S(r) - S(lo) = h (lo - r) (2r* - r - lo) >= h ((r* - r) + (r* - lo)) > h (|r - r*| - e),
+
+       and for r > lo + 1 against lo + 1 the same bound follows from
+       r* < lo + 1 + e. As |r - r*| > 1 - e, the gap exceeds h (1 - 2e).
+    3. Rounding. The scan computes fl(fl(D^2 h) + fl(D g)) with D = r - q an
+       exact integer, |D| <= L - 1, so a score is within 3u (D^2 h + |D g|)
+       of S. Since |g| = 2h |q - r*| <= 2h (|D| + |r - r*|), that is at most
+       3u h (L-1) (3(L-1) + 2 |r - r*|), and the window value of step 2 is
+       no farther from r* than r. The two errors together stay below
+       1.3e-10 h + 3.5e-13 h |r - r*|, far less than the gap of step 2.
+
+    Rows with h <= 0, where the argument does not hold (the zero rows of H~
+    for a constant group, whose scores are all exactly 0), get the full scan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rstar = codes - 0.5 * (gradient / hdiag)
+    lo = np.clip(np.floor(rstar), 0.0, float(levels - 2))
+    hi = lo + 1.0
+    d_lo, d_hi = lo - codes, hi - codes
+    s_lo = d_lo * d_lo * hdiag + d_lo * gradient
+    s_hi = d_hi * d_hi * hdiag + d_hi * gradient
+    values = np.where(s_hi < s_lo, hi, lo)
+    scores = np.minimum(s_lo, s_hi)
+
+    no_vertex = ~(hdiag > 0.0)
+    if no_vertex.any():
+        rows = np.flatnonzero(no_vertex)
+        diff = np.arange(levels, dtype=np.float64) - codes[rows, None]
+        delta = diff * diff * hdiag[rows, None] + diff * gradient[rows, None]
+        col = np.argmin(delta, axis=1)
+        values[rows] = col
+        scores[rows] = delta[np.arange(rows.size), col]
+    return values, scores
+
+
 def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
                 cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
     """Greedy coordinate descent over (coordinate, value) candidates.
 
-    Each step scans all d_in * 2^c single-coordinate changes and applies the
-    one with the most negative predicted delta; ties break to the smallest
-    (coordinate, value). When no candidate improves the loss the greedy
-    state is a fixed point, so with ``early_stop`` the run terminates after
-    recording one final no-op step.
+    Each step applies the single-coordinate change with the most negative
+    predicted delta among all d_in * 2^c candidates; ties break to the
+    smallest (coordinate, value). ``_best_moves`` finds each coordinate's
+    best value in closed form, and the first coordinate whose best score
+    reaches the minimum is the lexicographic argmin of the full scan. When
+    no candidate improves the loss the greedy state is a fixed point, so
+    with ``early_stop`` the run terminates after recording one final no-op
+    step. ``loss_after`` accumulates the predicted deltas; ``final_loss`` is
+    recomputed from scratch.
     """
     hmat, z = _check_engine_inputs(prob, q0)
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
-    r_grid = np.arange(prob.params.levels, dtype=np.float64)
+    levels = prob.params.levels
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
                          loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     for step in range(cfg.total_steps(hmat.shape[0])):
-        diff = r_grid[None, :] - state.codes[:, None]
-        delta = diff * diff * hdiag[:, None] + diff * state.gradient[:, None]
-        flat = int(np.argmin(delta))
-        i, r = divmod(flat, r_grid.shape[0])
-        best = float(delta.flat[flat])
+        values, scores = _best_moves(state.codes, state.gradient, hdiag, levels)
+        i = int(np.argmin(scores))
+        best = float(scores[i])
         if best < 0.0:
-            change = float(r) - state.codes[i]
-            state.gradient += (2.0 * change) * hmat[:, i]
-            state.codes[i] = float(r)
-            loss = state.loss(hmat, z)
+            r = float(values[i])
+            state.gradient += (2.0 * (r - state.codes[i])) * hmat[:, i]
+            state.codes[i] = r
+            loss += best
             trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if cfg.early_stop:
                 break
-    trace.final_loss = loss
+    trace.final_loss = state.loss(hmat, z)
     trace.final_gradient = state.gradient.copy()
     return state.codes.astype(np.uint8), trace
 
@@ -337,6 +415,11 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     Codes, traces and ``final_gradient`` are identical to scanning every
     step. For k >= 3 every step is scanned (a triple can improve even when
     no pair can).
+
+    Unlike the greedy and cyclic engines, an accepted block step recomputes
+    ``loss_after`` from scratch: accepted block steps are few, and
+    ``tests/test_bcd_screen.py`` compares the whole trace bit for bit with a
+    verbatim copy of the engine before the pair screen.
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -446,36 +529,42 @@ def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     """Cyclic coordinate descent baseline: one best-value update per visit.
 
     Coordinates are visited in fixed order 0..d_in-1, ``epochs`` times. A
-    visit keeps the current code when no value strictly improves the loss
-    (a zero delta counts as keep-current). Gradient maintenance is identical
-    to the greedy engine.
+    visit takes the coordinate's best value from ``_best_moves`` (ties to
+    the smaller value) and keeps the current code when no value strictly
+    improves the loss (a zero delta counts as keep-current). Gradient
+    maintenance and loss bookkeeping are those of the greedy engine:
+    ``loss_after`` accumulates the predicted deltas, ``final_loss`` is
+    recomputed from scratch.
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
-    r_grid = np.arange(prob.params.levels, dtype=np.float64)
+    levels = prob.params.levels
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
                          loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     step = 0
+    # Every row's best move stays valid until a visit changes the state, so
+    # the moves are recomputed only after an accepted visit.
+    values = scores = None
     for _ in range(cfg.epochs):
         for i in range(d):
-            diff = r_grid - state.codes[i]
-            delta = diff * diff * hdiag[i] + diff * state.gradient[i]
-            r = int(np.argmin(delta))
-            best = float(delta[r])
+            if scores is None:
+                values, scores = _best_moves(state.codes, state.gradient, hdiag, levels)
+            best = float(scores[i])
             if best < 0.0:
-                change = float(r) - state.codes[i]
-                state.gradient += (2.0 * change) * hmat[:, i]
-                state.codes[i] = float(r)
-                loss = state.loss(hmat, z)
-                trace.steps.append(TraceStep(step, (i,), (r,), best, loss, True))
+                r = float(values[i])
+                state.gradient += (2.0 * (r - state.codes[i])) * hmat[:, i]
+                state.codes[i] = r
+                loss += best
+                scores = None
+                trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
             else:
                 trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             step += 1
-    trace.final_loss = loss
+    trace.final_loss = state.loss(hmat, z)
     trace.final_gradient = state.gradient.copy()
     return state.codes.astype(np.uint8), trace
 

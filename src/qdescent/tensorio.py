@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
@@ -125,38 +126,47 @@ def write_container(path: str | Path, data: TensorContainer | np.ndarray) -> Non
 
 
 def read_container(path: str | Path) -> TensorContainer:
-    """Read a container written by :func:`write_container`."""
+    """Read a container written by :func:`write_container`.
+
+    The header is parsed and the payload length checked against the file
+    size before the payload is read straight into the returned array, so
+    the file's bytes are held in memory once.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
+        head = f.read(14)
+        if len(head) < 14 or head[:4] != CONTAINER_MAGIC:
+            raise MalformedHeaderError("bad magic: not a tensor container")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != FORMAT_VERSION:
+            raise MalformedHeaderError(f"unsupported container version {version}")
+        dtype_tag, order_flag = struct.unpack_from("<BB", head, 8)
+        if dtype_tag not in _TAG_TO_DTYPE:
+            raise MalformedHeaderError(f"unknown dtype tag {dtype_tag}")
+        if order_flag != 1:
+            raise MalformedHeaderError("only row-major containers are supported")
+        (ndim,) = struct.unpack_from("<I", head, 10)
+        if ndim == 0 or ndim > 32:
+            raise MalformedHeaderError(f"invalid rank {ndim}")
+        dims = f.read(8 * ndim)
+        if len(dims) < 8 * ndim:
+            raise MalformedHeaderError("truncated header")
+        shape = struct.unpack(f"<{ndim}Q", dims)
+        offset = 14 + 8 * ndim
 
-    if len(raw) < 14 or raw[:4] != CONTAINER_MAGIC:
-        raise MalformedHeaderError("bad magic: not a tensor container")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise MalformedHeaderError(f"unsupported container version {version}")
-    dtype_tag, order_flag = struct.unpack_from("<BB", raw, 8)
-    if dtype_tag not in _TAG_TO_DTYPE:
-        raise MalformedHeaderError(f"unknown dtype tag {dtype_tag}")
-    if order_flag != 1:
-        raise MalformedHeaderError("only row-major containers are supported")
-    (ndim,) = struct.unpack_from("<I", raw, 10)
-    if ndim == 0 or ndim > 32:
-        raise MalformedHeaderError(f"invalid rank {ndim}")
-    offset = 14
-    if len(raw) < offset + 8 * ndim:
-        raise MalformedHeaderError("truncated header")
-    shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-    offset += 8 * ndim
-
-    dtype = _TAG_TO_DTYPE[dtype_tag]
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise PayloadMismatchError(
-            f"payload length mismatch: header declares {expected} bytes, file has {len(payload)}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype, copy=True)
-    arr = arr.reshape(shape)
+        dtype = _TAG_TO_DTYPE[dtype_tag]
+        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        size = os.fstat(f.fileno()).st_size - offset
+        if size != expected:
+            raise PayloadMismatchError(
+                f"payload length mismatch: header declares {expected} bytes, file has {size}"
+            )
+        arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
+        got = f.readinto(arr.reshape(-1).view(np.uint8))
+        if got != expected:
+            raise PayloadMismatchError(
+                f"payload length mismatch: header declares {expected} bytes, file has {got}"
+            )
+    arr = arr.astype(dtype, copy=False)
     if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
         raise NonFiniteDataError("container holds non-finite values")
     return TensorContainer(array=arr, version=version)

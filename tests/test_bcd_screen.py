@@ -13,10 +13,9 @@ from qdescent.calibration import Hessian
 from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
                               GradientState, TraceStep, _check_engine_inputs, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
-from qdescent.groupquant import GroupScheme, tilde_transform
-from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
+from qdescent.quantcore import ChannelProblem, owc_quantize
 
-from conftest import random_problem
+from conftest import grouped_problem, integer_problem, random_problem
 
 
 def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -128,37 +127,6 @@ def assert_same_run(prob, q0, cfg):
     assert trace.final_loss == ref_trace.final_loss
     np.testing.assert_array_equal(trace.final_gradient, ref_trace.final_gradient)
     return trace
-
-
-def integer_problem(d, bits, seed):
-    """Near-tie instance: small-integer PSD H, target on integers and half-integers."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
-    h = a.T @ a + np.diag(rng.integers(0, 2, size=d).astype(np.float64))
-    levels = 2 ** bits
-    z = rng.integers(0, 2 * levels - 1, size=d) / 2.0
-    params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=Hessian(h), params=params, target=z)
-    q0 = rng.integers(0, levels, size=d).astype(np.uint8)
-    return prob, q0
-
-
-def grouped_problem(d, group_size, bits, seed, constant_group):
-    """Tilde problem (H~ = D H D) of a channel whose ``constant_group`` has one value."""
-    prob, _ = random_problem(d, bits, seed=seed)
-    w = prob.weights.copy()
-    sl = slice(constant_group * group_size, (constant_group + 1) * group_size)
-    w[sl] = 0.25
-    params, codes = [], np.empty(d, dtype=np.uint8)
-    for g in range(d // group_size):
-        gsl = slice(g * group_size, (g + 1) * group_size)
-        p, q = owc_quantize(w[gsl], Hessian(prob.hessian.matrix[gsl, gsl]), bits, 20)
-        params.append(p)
-        codes[gsl] = q
-    scheme = GroupScheme(group_size=group_size, params=tuple(params))
-    tp = tilde_transform(w, prob.hessian, scheme)
-    assert not tp.h_tilde[sl].any()  # the constant group's rows of H~ are zero
-    return tp.as_channel_problem(prob.hessian.damping), codes
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])

@@ -306,6 +306,14 @@ def test_oracle_canonical(tmp_path, capsys):
     assert payload["enumeration_count"] == 4
 
 
+def test_oracle_canonical_gap_is_exactly_zero(capsys):
+    # benchmarks/run.py refuses to run unless this gap is exactly 0.
+    assert main(["oracle", "--canonical"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gap"] == 0.0
+    assert payload["cd_objective"].hex() == payload["oracle_objective"].hex()
+
+
 def test_oracle_file_instance(tmp_path, capsys):
     w, x = write_inputs(tmp_path, d_in=6, d_out=2)
     assert main(["oracle", "--weights", w, "--calib", x, "--channel", "1",

@@ -60,6 +60,34 @@ def test_container_truncated_payload(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("change, found", [(-1, 47), (1, 49)])
+def test_container_payload_one_byte_off(tmp_path, change, found):
+    path = tmp_path / "off.tc"
+    write_container(path, np.arange(12, dtype=np.float32).reshape(3, 4))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + b"\x00")
+    with pytest.raises(PayloadMismatchError,
+                       match=f"header declares 48 bytes, file has {found}$"):
+        read_container(path)
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (4, struct.pack("<I", 2), "unsupported container version 2"),
+    (9, b"\x00", "only row-major containers are supported"),
+    (10, struct.pack("<I", 0), "invalid rank 0"),
+    (10, struct.pack("<I", 33), "invalid rank 33"),
+    (10, struct.pack("<I", 3), "truncated header"),
+])
+def test_container_malformed_header_messages(tmp_path, offset, value, message):
+    path = tmp_path / "hdr.tc"
+    write_container(path, np.ones(1, dtype=np.uint8))  # header 22 bytes, payload 1
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedHeaderError, match=f"^{message}$"):
+        read_container(path)
+
+
 def test_container_bad_magic(tmp_path):
     path = tmp_path / "bad.tc"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
