@@ -30,6 +30,10 @@ Applying a swap updates v by the rank-g correction -2 H[:, group] d.
 Both clip-strength searches take their candidates from one table,
 ``quantcore._affine_table``: the affine fit of every (group, grid value)
 pair in one vectorized pass, bit-identical to the scalar ``_fit_affine``.
+The grid search scores the whole table against the stacked diagonal blocks
+of H in one batched product; ``quantcore._best_clips``'s rounding screen
+keeps each group's choice exactly that of a per-candidate loop. H~ is built
+with one d_in x d_in temporary, scaled in place.
 In the descent, d and the quadratic term d' H_ii d depend only on group i's
 own state, so they are kept across steps; a swap recomputes the swapped
 group's row alone (on a length-1 slice, which yields the same bits as the
@@ -44,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import Hessian, ShapeMismatchError
-from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clip, _fit_affine,
+from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips, _fit_affine,
                         default_gamma_grid)
 from .descent import DescentConfig, DescentTrace, bcd_quantize, cd_quantize, cyclic_cd_quantize
 
@@ -122,7 +126,8 @@ def tilde_transform(w: np.ndarray, hessian: Hessian, scheme: GroupScheme) -> Til
         if p.scale == 0.0 and float(grp.max() - grp.min()) != 0.0:
             raise ValueError(f"zero scale for non-constant group {i}")
 
-    h_tilde = hessian.matrix * avec[:, None] * avec[None, :]
+    h_tilde = hessian.matrix * avec[:, None]
+    h_tilde *= avec[None, :]  # in place: one d_in x d_in temporary, same two products
     active = avec > 0.0
     z_tilde = np.zeros_like(w)
     z_tilde[active] = (w[active] - bvec[active]) / avec[active]
@@ -151,6 +156,11 @@ def group_cyclic_quantize(w: np.ndarray, hessian: Hessian, scheme: GroupScheme, 
     return cyclic_cd_quantize(tp.as_channel_problem(hessian.damping), q0, cfg)
 
 
+def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
+    """The (n_groups, g, g) stack of H's diagonal blocks, copied in one gather."""
+    return hmat.reshape(n_groups, g, n_groups, g)[np.arange(n_groups), :, np.arange(n_groups), :]
+
+
 def minmax_group_init(w: np.ndarray, bits: int,
                       group_size: int) -> tuple[GroupScheme, np.ndarray]:
     """Independent per-group min-max fit (clip strength 1)."""
@@ -173,13 +183,13 @@ def owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
     if hessian.dim != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
-    params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
-    for i in range(n_groups):
-        sl = slice(i * group_size, (i + 1) * group_size)
-        best = _best_clip(table.resid[i], hessian.matrix[sl, sl]) if table.live[i] else 0
-        params.append(table.params(i, best))
-        codes[sl] = table.codes[i, best]
-    return GroupScheme(group_size=group_size, params=tuple(params)), codes
+    hmat = hessian.matrix
+    hviews = [hmat[i * group_size:(i + 1) * group_size, i * group_size:(i + 1) * group_size]
+              for i in range(n_groups)]
+    best = _best_clips(table, _diag_blocks(hmat, n_groups, group_size), hviews)
+    params = tuple(table.params(i, int(k)) for i, k in enumerate(best))
+    codes = table.codes[np.arange(n_groups), best].ravel()
+    return GroupScheme(group_size=group_size, params=params), codes
 
 
 @dataclass
@@ -240,7 +250,7 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         cur_codes[sl] = q
         cur_resid[i] = grp - (p.scale * q.astype(np.float64) + p.bias)
 
-    hblocks = hmat.reshape(n_groups, g, n_groups, g)[np.arange(n_groups), :, np.arange(n_groups), :]
+    hblocks = _diag_blocks(hmat, n_groups, g)
     err = cur_resid.ravel()
     v = -2.0 * (hmat @ err)
     loss = float(err @ (hmat @ err))

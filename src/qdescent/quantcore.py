@@ -11,7 +11,10 @@ gamma = 1 is plain min-max quantization; shrinking gamma trades clipping of
 the extremes for a finer grid over the bulk of the weights. The search
 scores each candidate with the calibration-weighted reconstruction loss
 ``e' H e`` (e = w - a*q - b) and keeps the best, so its result can never be
-worse than min-max.
+worse than min-max. All candidates are scored in one batched product, and a
+rounding screen (``_best_clips``) proves which of them a per-candidate loop
+of ``e @ (H @ e)`` could pick; when more than one could, those are re-scored
+by exactly that loop, so the choice is the loop's, bit for bit.
 
 Scales and biases are canonicalized to float32 at creation time: that is
 the precision they are stored at, and evaluating with the exact stored
@@ -195,13 +198,105 @@ def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTa
                        resid=resid, live=live)
 
 
-def _best_clip(resid: np.ndarray, hmat: np.ndarray) -> int:
-    """Index of the candidate residual row with the lowest ``e' H e``; ties go to
-    the last index, which on an ascending grid is the larger clip strength."""
-    scores = np.empty(resid.shape[0])
-    for k, err in enumerate(resid):
-        scores[k] = err @ (hmat @ err)
-    return int(np.flatnonzero(scores == scores.min()).max())
+#: Multiplier of the clip screen's rounding bound; ``_best_clips`` proves it sound above 5.04.
+CLIP_SCREEN_FACTOR = 6.0
+#: Absolute slack of the clip screen for underflow; see ``_best_clips``.
+_CLIP_SCREEN_TINY = 2.0 ** -1000
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, as BLAS calls (``np.vecdot`` on numpy >= 2)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _loop_argmin(resid: np.ndarray, hmat: np.ndarray, ks: np.ndarray) -> int:
+    """Among candidate rows ``ks``, the one with the lowest ``err @ (hmat @ err)``;
+    ties go to the last index, which on an ascending grid is the larger clip strength."""
+    scores = np.array([resid[k] @ (hmat @ resid[k]) for k in ks])
+    return int(ks[np.flatnonzero(scores == scores.min()).max()])
+
+
+def _best_clips(table: AffineTable, blocks: np.ndarray, hviews: list[np.ndarray]) -> np.ndarray:
+    """Each group's best clip strength: the index k minimizing ``e' H e`` over its
+    candidate residuals ``e = table.resid[i][k]``, ties to the larger k; 0 for a
+    constant group.
+
+    ``blocks`` is an (n, g, g) array holding each group's H block and
+    ``hviews[i]`` the array to be exact for: the result is, bit for bit, what a
+    loop of ``err @ (hviews[i] @ err)`` over all candidates picks. All
+    candidates of all groups are scored at once, s = rowsum((E B) * E), and a
+    rounding screen proves which ones the loop could pick. For one group with
+    H = H_i, u = 2^-53, gamma_g = g u / (1 - g u), and N = ||H||_F and
+    E_k = ||e_k||^2 as computed, the bound is
+
+        b_k = 6 gamma_g N E_k + tau_k,    tau_k = 2^-1000 g (1 + N) (2 + g E_k),
+
+    and only candidates with s_k - b_k <= min_j (s_j + b_j) survive. Proof,
+    with t_k the loop's score of candidate k:
+
+    1. Scores. A dot product of length g, in any summation order and with or
+       without fused multiply-adds, is within gamma_g sum_j |x_j y_j| of exact,
+       plus 2^-1075 (1 + gamma_g) per underflowing product. The loop's
+       e'(H e) and the batched (e'H) e are two such rounds each, so both lie
+       within 2.01 gamma_g A + 1.01 g 2^-1075 (1 + ||e||_1) of the exact e'He,
+       A = |e|'|H||e|.
+    2. Bound. A <= ||H||_F ||e||^2 (Cauchy-Schwarz on |H| and |e|). With
+       N >= 2^-450 and g <= 2^20, the computed N is within a relative
+       gamma_(g^2) + 2^-100 <= 2^-12 of ||H||_F (squares that underflow lose at
+       most g^2 2^-1075 against N^2 >= 2^-900), and ||e||^2 <= E_k (1 + gamma_g)
+       + g 2^-1075. So |s_k - t_k| <= 4.03 gamma_g N E_k plus underflow terms,
+       which tau_k exceeds more than 2^60-fold, since 1 + ||e||_1 <= 1.5 +
+       g ||e||^2 / 2. Hence |s_k - t_k| <= 0.672 b_k.
+    3. Screen. Let k* be the loop's pick, so t_k* <= t_j for every j. Then
+       s_k* - b_k* <= t_k* - 0.328 b_k* and s_j + b_j >= t_j + 0.328 b_j. The
+       two sums are rounded once each, by at most u (|s| + b); as
+       |s| <= 1.01 N E + tau <= 0.17 b / (g u), that is below 0.18 b, and b
+       itself is computed to a relative 5u, so the rounded comparison still
+       admits k*. The same holds for every candidate
+       tied with k*, so re-scoring the survivors with the loop's own
+       expression and taking the last minimum returns k*, and a single
+       survivor is k*.
+    4. Range. The screen runs only when 2^-450 <= N and
+       N (1 + max_k E_k) <= 2^1000 (false for NaN); then no partial sum of
+       either score exceeds 1.01 N (1 + E_k), so nothing overflows. A bound
+       that overflows to inf only lets more candidates survive. Groups out
+       of range run the whole loop.
+    """
+    best = np.zeros(table.live.shape[0], dtype=np.intp)
+    rows = np.flatnonzero(table.live)
+    if rows.size == 0:
+        return best
+    resid = table.resid
+    if rows.size < best.size:
+        resid, blocks = resid[rows], blocks[rows]
+    scores, bounds, in_range = _clip_screen(resid, blocks)
+    with np.errstate(invalid="ignore"):
+        survive = scores - bounds <= (scores + bounds).min(axis=1, keepdims=True)
+    picks = np.argmax(survive, axis=1)
+    for j in np.flatnonzero(~in_range | (survive.sum(axis=1) != 1)):
+        ks = np.flatnonzero(survive[j]) if in_range[j] else np.arange(resid.shape[1])
+        picks[j] = _loop_argmin(table.resid[rows[j]], hviews[rows[j]], ks)
+    best[rows] = picks
+    return best
+
+
+def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                  np.ndarray]:
+    """Batched scores s (n, v) of the (n, v, g) residuals against the (n, g, g)
+    blocks, their bounds b (n, v), and the (n,) mask of groups in the screen's
+    range; the formulas and their proof are in ``_best_clips``."""
+    g = resid.shape[2]
+    gamma_g = g * 2.0 ** -53 / (1.0 - g * 2.0 ** -53)
+    with np.errstate(all="ignore"):
+        scores = _rowdot(np.matmul(resid, blocks), resid)
+        sq = _rowdot(resid, resid)
+        flat = blocks.reshape(blocks.shape[0], -1)
+        hnorm = np.sqrt(_rowdot(flat, flat))[:, None]
+        bounds = (CLIP_SCREEN_FACTOR * gamma_g * hnorm * sq
+                  + _CLIP_SCREEN_TINY * g * (1.0 + hnorm) * (2.0 + g * sq))
+        in_range = ((hnorm >= 2.0 ** -450)
+                    & (hnorm * (1.0 + sq.max(axis=1, keepdims=True)) <= 2.0 ** 1000))
+    return scores, bounds, in_range[:, 0]
 
 
 def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
@@ -227,7 +322,7 @@ def _owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
     if w.size == 0:
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, grid)
-    best = _best_clip(table.resid[0], hmat) if table.live[0] else 0
+    best = int(_best_clips(table, hmat[None], [hmat])[0])
     return table.params(0, best), table.codes[0, best].copy()
 
 

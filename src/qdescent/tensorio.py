@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields, asdict
@@ -154,7 +155,7 @@ def read_container(path: str | Path) -> TensorContainer:
         offset = 14 + 8 * ndim
 
         dtype = _TAG_TO_DTYPE[dtype_tag]
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize  # Python ints: no wraparound
         size = os.fstat(f.fileno()).st_size - offset
         if size != expected:
             raise PayloadMismatchError(

@@ -3,11 +3,16 @@
 import csv
 import json
 import filecmp
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdescent
 from qdescent import tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 
@@ -138,6 +143,21 @@ def test_quantize_missing_file(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 64 - 1,)])
+def test_quantize_huge_container_dims_exit_io(tmp_path, capsys, dims):
+    w, x = write_inputs(tmp_path)
+    header = b"QDTC" + struct.pack("<I", 1) + struct.pack("<BB", 1, 1)
+    header += struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+    Path(w).write_bytes(header + struct.pack("<d", 1.0))
+    code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                 "--method", "cd", "--bits", "2"])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    declared = 8 * dims[0] * (dims[1] if len(dims) > 1 else 1)
+    assert err == (f"error: payload length mismatch: header declares {declared} bytes, "
+                   f"file has 8\n")
+
+
 def test_quantize_group_size_must_divide(tmp_path):
     w, x = write_inputs(tmp_path, d_in=8)
     code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
@@ -234,6 +254,41 @@ def test_eval_matches_quantize_records(tmp_path):
     for qr, er in zip(quantize_rows, eval_rows):
         q, e = float(qr["objective"]), float(er["objective"])
         assert abs(q - e) <= 1e-9 * max(1.0, abs(q))
+
+
+def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
+    # At d_in = 1024 the BLAS calls are large enough for OpenBLAS to thread
+    # them, unlike the small layers above, and the eigenvalue clip depends on
+    # the BLAS thread count. The thread pool must still give byte-identical
+    # artifacts, and eval must recompute each channel's objective to the same
+    # text as records.csv. One fresh interpreter runs quantize and eval, as a
+    # benchmark child does, so BLAS state left by earlier tests cannot mask a
+    # thread-count change made inside the pool.
+    from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
+
+    d_in, d_out = 1024, 4
+    wpath, xpath = tmp_path / "w.tc", tmp_path / "x.tc"
+    tensorio.write_container(wpath, gen_weights(d_in, d_out, 7))
+    tensorio.write_container(xpath, gen_calibration(SynthSpec(
+        d_in=d_in, n=2 * d_in, spectrum_exponent=1.0, outlier_directions=4,
+        outlier_gain=100.0, seed=7)))
+    dirs = [tmp_path / f"layer{threads}" for threads in (1, 2)]
+    report = tmp_path / "eval.csv"
+    runs = [["quantize", "--weights", str(wpath), "--calib", str(xpath), "--out", str(out),
+             "--method", "cd", "--bits", "8", "--clip-fraction", "0.01",
+             "--threads", str(threads), "--no-timing"] for threads, out in zip((1, 2), dirs)]
+    runs.append(["eval", "--layer", str(dirs[1]), "--calib", str(xpath), "--out", str(report)])
+    script = ("import json, sys\nfrom qdescent.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    src = str(Path(qdescent.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert dir_bytes(dirs[0]) == dir_bytes(dirs[1])
+    quantized = [r["objective"] for r in read_records(dirs[1] / "records.csv")]
+    assert quantized == [r["objective"] for r in read_records(report)]
 
 
 def test_eval_flags_zero_columns(tmp_path, capsys):

@@ -34,6 +34,10 @@ CASES = {
     "group32-owccd3": dict(d_in=128, d_out=8, n=512, seed=5, constant_group=(3, slice(64, 96)),
                            flags=("--method", "cd", "--bits", "3", "--group-size", "32",
                                   "--owc-cd")),
+    # Per-channel owc -> cd at 8 bits on an eigen-clipped Hessian: every
+    # channel's clip strength comes from the 50-candidate OWC grid score.
+    "chan-cd8": dict(d_in=256, d_out=8, n=1024, seed=6, constant_group=None,
+                     flags=("--method", "cd", "--bits", "8", "--clip-fraction", "0.01")),
 }
 
 

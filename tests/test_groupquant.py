@@ -55,6 +55,19 @@ def test_tilde_rejects_inconsistent_zero_scale():
         tilde_transform(w, h, scheme)
 
 
+@pytest.mark.parametrize("d, g", [(6, 2), (128, 32), (1024, 32)])
+def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
+    w, h = _rand_instance(d, 4)
+    w[g:2 * g] = 0.75  # a constant group: zero scale, zero rows and columns of H~
+    scheme, _ = owc_group_init(w, h, bits=3, group_size=g)
+    assert scheme.params[1].scale == 0.0
+    avec, _ = expand_scheme(scheme)
+    expected = h.matrix * avec[:, None] * avec[None, :]
+    h_tilde = tilde_transform(w, h, scheme).h_tilde
+    assert h_tilde.tobytes() == expected.tobytes()
+    assert not h_tilde[g:2 * g].any() and not h_tilde[:, g:2 * g].any()
+
+
 def test_tilde_degenerate_group_constant_weights():
     w, h = _rand_instance(6, 3)
     w[2:4] = 1.5  # middle group constant

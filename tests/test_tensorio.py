@@ -71,6 +71,25 @@ def test_container_payload_one_byte_off(tmp_path, change, found):
         read_container(path)
 
 
+def _huge_dims_container(path, dims):
+    """A f64 container whose header declares ``dims`` and whose payload is 8 bytes."""
+    header = b"QDTC" + struct.pack("<I", 1) + struct.pack("<BB", 1, 1)
+    header += struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+    path.write_bytes(header + struct.pack("<d", 1.0))
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 64 - 1,)])
+def test_container_huge_dims_report_true_byte_count(tmp_path, dims):
+    # In int64 these element counts wrap: 2^64 to 0 bytes (which passed the
+    # length check) and 2^64 - 1 to -1, i.e. "-8 bytes".
+    path = tmp_path / "huge.tc"
+    _huge_dims_container(path, dims)
+    declared = 8 * dims[0] * (dims[1] if len(dims) > 1 else 1)
+    with pytest.raises(PayloadMismatchError,
+                       match=f"header declares {declared} bytes, file has 8$"):
+        read_container(path)
+
+
 @pytest.mark.parametrize("offset, value, message", [
     (4, struct.pack("<I", 2), "unsupported container version 2"),
     (9, b"\x00", "only row-major containers are supported"),
