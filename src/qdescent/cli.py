@@ -93,11 +93,32 @@ _CONFIG_TYPES = {"method": str, "bits": int, "group_size": int, "block_size": in
                  "steps": int, "grid_size": int, "lambda_rel": float, "clip_fraction": float,
                  "seed": int, "threads": int, "owc_cd": bool, "report_format": str}
 _CONFIG_KEYS = tuple(_CONFIG_TYPES)
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+                    dict: "an object"}
 
 _CONFIG_DEFAULTS = {"group_size": 0, "epochs": 1, "steps": None, "grid_size": 50,
                     "lambda_rel": 0.01, "clip_fraction": 0.0, "seed": 0, "owc_cd": False,
                     "report_format": "csv"}
+
+
+def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
+    """Reject keys outside ``types`` and values of another JSON type; ``[kind]``
+    stands for a list of kind, and keys in ``nullable`` may also hold null."""
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        kind = types[key]
+        if value is None and key in nullable:
+            continue
+        if isinstance(kind, list):
+            if not (isinstance(value, list)
+                    and all(tensorio.json_value_is(v, kind[0]) for v in value)):
+                raise UsageError(f"{where} key {key!r} must be a list, each entry "
+                                 f"{_JSON_TYPE_NAMES[kind[0]]}, got {json.dumps(value)}")
+        elif not tensorio.json_value_is(value, kind):
+            raise UsageError(f"{where} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                             f"got {json.dumps(value)}")
 
 
 def _merge_config(args) -> dict:
@@ -108,17 +129,9 @@ def _merge_config(args) -> dict:
             from_file = json.load(f)
         if not isinstance(from_file, dict):
             raise UsageError(f"config file {args.config} does not hold a JSON object")
-        unknown = set(from_file) - set(_CONFIG_KEYS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in from_file.items():
-            # null stands for "not set" only where the built-in default is unset too.
-            if value is None and _CONFIG_DEFAULTS.get(key) is None:
-                continue
-            kind = _CONFIG_TYPES[key]
-            if not tensorio.json_value_is(value, kind):
-                raise UsageError(f"config key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
-                                 f"got {json.dumps(value)}")
+        # null stands for "not set" only where the built-in default is unset too.
+        _check_json_types("config", from_file, _CONFIG_TYPES,
+                          nullable=[k for k in _CONFIG_KEYS if _CONFIG_DEFAULTS.get(k) is None])
     merged = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -200,14 +213,10 @@ def cmd_eval(args) -> int:
     w64 = weights.astype(np.float64)
     records, flagged = [], []
     for j in range(layer.d_out):
-        err = w64[:, j] - layer.dequantize_channel(j)
-        obj = float(err @ (hessian.matrix @ err))
-        base = quantcore.zero_baseline(w64[:, j], hessian)
-        if base == 0.0:
+        obj, rel, base = quantcore.channel_objective(w64[:, j], layer.scales[j], layer.biases[j],
+                                                     layer.codes[j], hessian)
+        if not base > 0.0:
             flagged.append(j)
-            rel = 0.0
-        else:
-            rel = obj / base
         records.append(BenchRecord(method=meta.get("method", "?"), bits=layer.bits,
                                    group_size=layer.group_size,
                                    block_size=meta.get("block_size", 0),
@@ -245,6 +254,31 @@ def default_suite() -> dict:
     }
 
 
+#: Bench-suite keys and the JSON type of each value; ``[kind]`` is a list of kind.
+_SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], "group_size": int,
+                "block_size": int, "epochs": int, "grid_size": int, "lambda_rel": float,
+                "clip_fraction": float, "owc_cd": bool}
+#: Bench-suite instance keys and the JSON type of each value.
+_INSTANCE_TYPES = {"d_in": int, "d_out": int, "n": int, "seed": int, "spectrum_exponent": float,
+                   "outlier_directions": int, "outlier_gain": float}
+_INSTANCE_REQUIRED = ("d_in", "d_out", "n", "seed")
+
+
+def _read_suite(path: str) -> dict:
+    """A suite file merged over :func:`default_suite`, each value type-checked."""
+    with open(path) as f:
+        suite = json.load(f)
+    if not isinstance(suite, dict):
+        raise UsageError(f"suite file {path} does not hold a JSON object")
+    _check_json_types("suite", suite, _SUITE_TYPES)
+    for i, inst in enumerate(suite.get("instances", [])):
+        missing = [key for key in _INSTANCE_REQUIRED if key not in inst]
+        if missing:
+            raise UsageError(f"suite instance {i} lacks required keys {missing}")
+        _check_json_types(f"suite instance {i}", inst, _INSTANCE_TYPES)
+    return {**default_suite(), **suite}
+
+
 def _canonical_records() -> list[BenchRecord]:
     """Fixed regression rows: the 2-d instance's oracle/greedy/cyclic objectives."""
     prob, q0 = oracle.canonical_problem()
@@ -264,14 +298,7 @@ def _canonical_records() -> list[BenchRecord]:
 
 
 def cmd_bench(args) -> int:
-    if args.suite:
-        with open(args.suite) as f:
-            suite = json.load(f)
-        base = default_suite()
-        base.update(suite)
-        suite = base
-    else:
-        suite = default_suite()
+    suite = _read_suite(args.suite) if args.suite else default_suite()
     if not suite.get("methods"):
         raise UsageError("bench suite has an empty method list")
     if not suite.get("instances"):
@@ -349,6 +376,8 @@ def cmd_oracle(args) -> int:
         if calib.shape[1] != weights.shape[0]:
             raise ShapeMismatchError(
                 f"calibration d_in={calib.shape[1]} but weights d_in={weights.shape[0]}")
+        if not 0 <= args.channel < weights.shape[1]:
+            raise UsageError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         hessian = _build_hessian_pipeline(calib, args.lambda_rel, 0.0)
         w = weights.astype(np.float64)[:, args.channel]
         params, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)

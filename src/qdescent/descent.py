@@ -66,7 +66,7 @@ import numpy as np
 
 from .calibration import Hessian, ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
-                        minmax_quantize, objective, owc_quantize, zero_baseline)
+                        channel_objective, minmax_quantize, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -175,9 +175,6 @@ class GradientState:
     def init(cls, hmat: np.ndarray, q0: np.ndarray, z: np.ndarray) -> "GradientState":
         codes = np.asarray(q0, dtype=np.float64).copy()
         return cls(codes=codes, gradient=2.0 * (hmat @ (codes - z)))
-
-    def recompute_gradient(self, hmat: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return 2.0 * (hmat @ (self.codes - z))
 
     def loss(self, hmat: np.ndarray, z: np.ndarray) -> float:
         err = self.codes - z
@@ -578,32 +575,41 @@ def channel_seed(seed: int, channel: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _quantize_channel(w: np.ndarray, hessian: Hessian, method: str, bits: int,
-                      cfg: DescentConfig, grid_size: int) -> tuple[QuantParams, np.ndarray, int]:
-    """Per-channel pipeline: affine init, then the selected engine.
+def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
+            cfg: DescentConfig) -> tuple[np.ndarray, int]:
+    """The code engines of ``method`` on ``prob``, shared by the per-channel and
+    grouped pipelines: cd, cyclic, or cd then bcd warm-started from the greedy
+    result. Returns (codes, steps_taken).
 
-    The block engine is always warm-started from the greedy result. Returns
-    (params, codes, steps_taken).
+    The engines are looked up as module globals at each call, so a wrapper
+    rebound over them (a tracer, a profiler) sees every call.
+    """
+    if method == "cyclic":
+        codes, trace = cyclic_cd_quantize(prob, codes, cfg)
+        return codes, len(trace.steps)
+    if method not in ("cd", "bcd"):
+        raise ValueError(f"unknown method {method!r}")
+    codes, trace = cd_quantize(prob, codes, cfg)
+    steps = len(trace.steps)
+    if method == "bcd":
+        codes, trace = bcd_quantize(prob, codes, cfg)
+        steps += len(trace.steps)
+    return codes, steps
+
+
+def _quantize_channel(w: np.ndarray, hessian: Hessian, method: str, bits: int, cfg: DescentConfig,
+                      grid_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
+    """Per-channel pipeline: affine init, then :func:`descend` on the channel's
+    own problem. Returns ((params,), codes, steps_taken).
     """
     if method == "rtn":
         params, codes = minmax_quantize(w, bits)
-        return params, codes, 0
+        return (params,), codes, 0
     params, codes = owc_quantize(w, hessian, bits, grid_size)
     if method == "owc" or params.scale == 0.0:
-        return params, codes, 0
-
-    prob = ChannelProblem.build(w, hessian, params)
-    if method == "cd":
-        codes, trace = cd_quantize(prob, codes, cfg)
-        return params, codes, len(trace.steps)
-    if method == "cyclic":
-        codes, trace = cyclic_cd_quantize(prob, codes, cfg)
-        return params, codes, len(trace.steps)
-    if method == "bcd":
-        codes, cd_trace = cd_quantize(prob, codes, cfg)
-        codes, bcd_trace = bcd_quantize(prob, codes, cfg)
-        return params, codes, len(cd_trace.steps) + len(bcd_trace.steps)
-    raise ValueError(f"unknown method {method!r}")
+        return (params,), codes, 0
+    codes, steps = descend(ChannelProblem.build(w, hessian, params), codes, method, cfg)
+    return (params,), codes, steps
 
 
 def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
@@ -648,22 +654,13 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
         w = w64[:, j]
         if group_size == 0:
             params, codes, steps = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
-            scales = np.array([params.scale], dtype=np.float32)
-            biases = np.array([params.bias], dtype=np.float32)
-            gammas = np.array([params.gamma], dtype=np.float32)
-            err = w - (params.scale * codes.astype(np.float64) + params.bias)
         else:
-            scheme, codes, steps = groupquant.quantize_channel_grouped(
+            params, codes, steps = groupquant.quantize_channel_grouped(
                 w, hessian, method, bits, group_size, ccfg, grid_size, owc_cd_refine)
-            scales = np.array([p.scale for p in scheme.params], dtype=np.float32)
-            biases = np.array([p.bias for p in scheme.params], dtype=np.float32)
-            gammas = np.array([p.gamma for p in scheme.params], dtype=np.float32)
-            avec, bvec = groupquant.expand_scheme(scheme)
-            err = w - (avec * codes.astype(np.float64) + bvec)
-
-        obj = float(err @ (hessian.matrix @ err))
-        base = zero_baseline(w, hessian)
-        rel = obj / base if base > 0.0 else 0.0
+        scales = np.array([p.scale for p in params], dtype=np.float32)
+        biases = np.array([p.bias for p in params], dtype=np.float32)
+        gammas = np.array([p.gamma for p in params], dtype=np.float32)
+        obj, rel, _ = channel_objective(w, scales, biases, codes, hessian)
         wall = (time.perf_counter() - start) * 1e3 if collect_timing else 0.0
         record = BenchRecord(method=method, bits=bits, group_size=group_size,
                              block_size=cfg.block_size if method == "bcd" else 0,

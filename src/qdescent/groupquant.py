@@ -50,7 +50,7 @@ import numpy as np
 from .calibration import Hessian, ShapeMismatchError
 from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips, _fit_affine,
                         default_gamma_grid)
-from .descent import DescentConfig, DescentTrace, bcd_quantize, cd_quantize, cyclic_cd_quantize
+from .descent import DescentConfig, descend
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,6 @@ class GroupScheme:
         return self.params[0].bits
 
 
-@dataclass(frozen=True)
-class TildeProblem:
-    """Grouped problem mapped onto per-channel form: H~ = D H D, z~ = (w-b)/a."""
-
-    h_tilde: np.ndarray
-    z_tilde: np.ndarray
-    scale_vec: np.ndarray
-    bias_vec: np.ndarray
-    scheme: GroupScheme
-
-    def as_channel_problem(self, damping: float = 0.0) -> ChannelProblem:
-        params = QuantParams(scale=1.0, bias=0.0, bits=self.scheme.bits, gamma=1.0)
-        return ChannelProblem(weights=self.z_tilde, hessian=Hessian(self.h_tilde, damping),
-                              params=params, target=self.z_tilde)
-
-
 def expand_scheme(scheme: GroupScheme) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate (scale, bias) float64 vectors."""
     a = np.repeat(np.array([p.scale for p in scheme.params], dtype=np.float64), scheme.group_size)
@@ -106,8 +90,10 @@ def _check_grouping(d_in: int, group_size: int) -> int:
     return d_in // group_size
 
 
-def tilde_transform(w: np.ndarray, hessian: Hessian, scheme: GroupScheme) -> TildeProblem:
-    """Build (H~, z~) by row/column scaling of H; no activation matrix needed.
+def tilde_transform(w: np.ndarray, hessian: Hessian, scheme: GroupScheme) -> ChannelProblem:
+    """The grouped problem in per-channel form: H~ = D H D (row/column scaling
+    of H, no activation matrix needed) and target z~ = (w - b) / a, at unit
+    scale and zero bias, so the engines' scaled loss is the true loss.
 
     A zero group scale is only legal for a constant group (the degenerate
     path); anything else means the scheme is inconsistent with the weights.
@@ -131,29 +117,9 @@ def tilde_transform(w: np.ndarray, hessian: Hessian, scheme: GroupScheme) -> Til
     active = avec > 0.0
     z_tilde = np.zeros_like(w)
     z_tilde[active] = (w[active] - bvec[active]) / avec[active]
-    return TildeProblem(h_tilde=h_tilde, z_tilde=z_tilde, scale_vec=avec, bias_vec=bvec,
-                        scheme=scheme)
-
-
-def group_cd_quantize(w: np.ndarray, hessian: Hessian, scheme: GroupScheme, q0: np.ndarray,
-                      cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
-    """Greedy coordinate descent on the scaled grouped problem."""
-    tp = tilde_transform(w, hessian, scheme)
-    return cd_quantize(tp.as_channel_problem(hessian.damping), q0, cfg)
-
-
-def group_bcd_quantize(w: np.ndarray, hessian: Hessian, scheme: GroupScheme, q0: np.ndarray,
-                       cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
-    """Block coordinate descent on the scaled grouped problem."""
-    tp = tilde_transform(w, hessian, scheme)
-    return bcd_quantize(tp.as_channel_problem(hessian.damping), q0, cfg)
-
-
-def group_cyclic_quantize(w: np.ndarray, hessian: Hessian, scheme: GroupScheme, q0: np.ndarray,
-                          cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
-    """Cyclic baseline on the scaled grouped problem."""
-    tp = tilde_transform(w, hessian, scheme)
-    return cyclic_cd_quantize(tp.as_channel_problem(hessian.damping), q0, cfg)
+    params = QuantParams(scale=1.0, bias=0.0, bits=scheme.bits, gamma=1.0)
+    return ChannelProblem(weights=z_tilde, hessian=Hessian(h_tilde, hessian.damping),
+                          params=params, target=z_tilde)
 
 
 def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
@@ -289,38 +255,22 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
 
 def quantize_channel_grouped(w: np.ndarray, hessian: Hessian, method: str, bits: int,
                              group_size: int, cfg: DescentConfig, grid_size: int,
-                             owc_cd_refine: bool) -> tuple[GroupScheme, np.ndarray, int]:
-    """Grouped counterpart of the per-channel pipeline.
-
-    Initialization is the per-group grid search (optionally refined by the
-    clip-strength descent); code engines run on the scaled problem, the
-    block engine warm-started from the greedy result.
+                             owc_cd_refine: bool) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
+    """Grouped counterpart of the per-channel pipeline: the per-group grid
+    search (optionally refined by the clip-strength descent), then
+    ``descent.descend`` on the scaled problem. Returns (params, codes,
+    steps_taken), one params entry per group.
     """
     if method == "rtn":
         scheme, codes = minmax_group_init(w, bits, group_size)
-        return scheme, codes, 0
+        return scheme.params, codes, 0
     scheme, codes = owc_group_init(w, hessian, bits, group_size, grid_size)
     steps = 0
     if owc_cd_refine:
         refined = owc_cd(w, hessian, scheme, default_gamma_grid(grid_size))
         scheme, codes = refined.scheme, refined.codes
         steps += len(refined.swaps)
-    if method == "owc":
-        return scheme, codes, steps
-
-    tp = tilde_transform(w, hessian, scheme)
-    prob = tp.as_channel_problem(hessian.damping)
-    if method == "cd":
-        codes, trace = cd_quantize(prob, codes, cfg)
-        steps += len(trace.steps)
-    elif method == "cyclic":
-        codes, trace = cyclic_cd_quantize(prob, codes, cfg)
-        steps += len(trace.steps)
-    elif method == "bcd":
-        codes, cd_trace = cd_quantize(prob, codes, cfg)
-        steps += len(cd_trace.steps)
-        codes, bcd_trace = bcd_quantize(prob, codes, cfg)
-        steps += len(bcd_trace.steps)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return scheme, codes, steps
+    if method != "owc":
+        codes, engine_steps = descend(tilde_transform(w, hessian, scheme), codes, method, cfg)
+        steps += engine_steps
+    return scheme.params, codes, steps

@@ -45,10 +45,6 @@ class DegenerateChannelError(ValueError):
     """Scale is zero (constant weight vector), descent is undefined."""
 
 
-class ZeroBaselineError(ValueError):
-    """w'Hw = 0, the relative objective has a zero denominator."""
-
-
 @dataclass(frozen=True)
 class QuantParams:
     """Affine dequantization parameters for one channel or group."""
@@ -123,13 +119,24 @@ def zero_baseline(weights: np.ndarray, hessian: Hessian | np.ndarray) -> float:
     return float(w @ (h @ w))
 
 
-def relative_objective(weights: np.ndarray, codes: CodeVector, params: QuantParams,
-                       hessian: Hessian | np.ndarray) -> float:
-    """objective / (w' H w); raises ZeroBaselineError when the base is zero."""
-    base = zero_baseline(weights, hessian)
-    if base == 0.0:
-        raise ZeroBaselineError("zero denominator: w'Hw = 0")
-    return objective(weights, codes, params, hessian) / base
+def channel_objective(weights: np.ndarray, scales: np.ndarray, biases: np.ndarray,
+                      codes: CodeVector, hessian: Hessian) -> tuple[float, float, float]:
+    """(objective, relative objective, baseline) of one stored channel.
+
+    ``scales``/``biases`` hold the channel's float32 params, one per group
+    (one in all for per-channel quantization); the objective is e' H e with
+    e = w - (a*q + b), the baseline w' H w, and the relative objective their
+    ratio, 0 where the baseline is not positive. ``quantize`` and ``eval``
+    both report these numbers, so they agree bit for bit.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    reps = w.shape[0] // len(scales)
+    a = np.repeat(scales.astype(np.float64), reps)
+    b = np.repeat(biases.astype(np.float64), reps)
+    err = w - (a * codes.astype(np.float64) + b)
+    obj = float(err @ (hessian.matrix @ err))
+    base = zero_baseline(w, hessian)
+    return obj, (obj / base if base > 0.0 else 0.0), base
 
 
 def _f32(value: float) -> float:

@@ -49,6 +49,6 @@ def grouped_problem(d, group_size, bits, seed, constant_group):
         params.append(p)
         codes[gsl] = q
     scheme = GroupScheme(group_size=group_size, params=tuple(params))
-    tp = tilde_transform(w, prob.hessian, scheme)
-    assert not tp.h_tilde[sl].any()  # the constant group's rows of H~ are zero
-    return tp.as_channel_problem(prob.hessian.damping), codes
+    tilde = tilde_transform(w, prob.hessian, scheme)
+    assert not tilde.hessian.matrix[sl].any()  # the constant group's rows of H~ are zero
+    return tilde, codes

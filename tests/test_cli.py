@@ -241,19 +241,33 @@ def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
 
 
-def test_eval_matches_quantize_records(tmp_path):
+def test_eval_matches_quantize_records(tmp_path, capsys):
+    # Per-channel, and grouped with a constant group (column 3) and an
+    # all-zero column (1, zero baseline): eval must print the records' text.
     w, x = write_inputs(tmp_path, d_in=12, d_out=5)
-    out = tmp_path / "layer"
-    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
-                 "--method", "cd", "--bits", "3", "--seed", "2"]) == EXIT_OK
-    report = tmp_path / "eval.csv"
-    assert main(["eval", "--layer", str(out), "--calib", x, "--out", str(report)]) == EXIT_OK
-    quantize_rows = read_records(out / "records.csv")
-    eval_rows = read_records(report)
-    assert len(quantize_rows) == len(eval_rows)
-    for qr, er in zip(quantize_rows, eval_rows):
-        q, e = float(qr["objective"]), float(er["objective"])
-        assert abs(q - e) <= 1e-9 * max(1.0, abs(q))
+    weights = tensorio.read_container(w).array.copy()
+    weights[:, 1] = 0.0
+    weights[4:8, 3] = 0.5
+    w_grouped = str(tmp_path / "w_grouped.tc")
+    tensorio.write_container(w_grouped, weights)
+    for tag, wpath, extra in (("pc", w, []), ("grp", w_grouped, ["--group-size", "4"])):
+        out = tmp_path / tag
+        assert main(["quantize", "--weights", wpath, "--calib", x, "--out", str(out),
+                     "--method", "cd", "--bits", "3", "--seed", "2"] + extra) == EXIT_OK
+        report = tmp_path / f"{tag}.csv"
+        capsys.readouterr()
+        assert main(["eval", "--layer", str(out), "--calib", x, "--out", str(report)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        quantize_rows = read_records(out / "records.csv")
+        eval_rows = read_records(report)
+        assert len(quantize_rows) == len(eval_rows) == 5
+        for qr, er in zip(quantize_rows, eval_rows):
+            assert (qr["objective"], qr["relative_objective"]) == \
+                   (er["objective"], er["relative_objective"])
+        if tag == "grp":
+            assert quantize_rows[1]["objective"] == "0.0"
+            assert quantize_rows[1]["relative_objective"] == "0.0"
+            assert "column 1: zero denominator" in printed
 
 
 def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
@@ -351,6 +365,44 @@ def test_bench_empty_methods(tmp_path):
     assert main(["bench", "--suite", str(suite_path), "--out-dir", str(tmp_path / "b")]) == EXIT_USAGE
 
 
+def _run_suite(tmp_path, capsys, suite):
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(suite))
+    capsys.readouterr()
+    code = main(["bench", "--suite", str(suite_path), "--out-dir", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+_INSTANCE = {"d_in": 4, "d_out": 2, "n": 8, "seed": 0}
+
+
+def test_bench_suite_not_an_object(tmp_path, capsys):
+    code, err = _run_suite(tmp_path, capsys, [{"methods": ["cd"]}])
+    assert code == EXIT_USAGE and "JSON object" in err
+
+
+def test_bench_suite_instance_missing_key(tmp_path, capsys):
+    inst = {k: v for k, v in _INSTANCE.items() if k != "d_in"}
+    code, err = _run_suite(tmp_path, capsys, {"instances": [inst], "methods": ["cd"]})
+    assert code == EXIT_USAGE and "'d_in'" in err
+
+
+def test_bench_suite_wrong_value_type(tmp_path, capsys):
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "bits": "x"})
+    assert code == EXIT_USAGE and "'bits'" in err
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "bits": [2, "x"]})
+    assert code == EXIT_USAGE and "'bits'" in err
+    code, err = _run_suite(tmp_path, capsys, {"instances": [dict(_INSTANCE, seed=1.5)]})
+    assert code == EXIT_USAGE and "'seed'" in err
+
+
+def test_bench_suite_methods_string(tmp_path, capsys):
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "methods": "cd"})
+    assert code == EXIT_USAGE and "'methods'" in err and "'c'" not in err
+
+
 def test_oracle_canonical(tmp_path, capsys):
     assert main(["oracle", "--canonical"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -376,6 +428,16 @@ def test_oracle_file_instance(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["gap"] >= -1e-12
     assert payload["enumeration_count"] == 4 ** 6
+
+
+def test_oracle_channel_out_of_range(tmp_path, capsys):
+    w, x = write_inputs(tmp_path, d_in=6, d_out=4)
+    for channel in ("9", "4", "-9", "-1"):
+        capsys.readouterr()
+        assert main(["oracle", "--weights", w, "--calib", x, "--channel", channel,
+                     "--bits", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and channel in err
 
 
 def test_oracle_guard(tmp_path):

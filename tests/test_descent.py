@@ -6,7 +6,8 @@ import pytest
 from conftest import random_problem
 from qdescent.calibration import Hessian, build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, GradientState, bcd_quantize,
-                              cd_quantize, cyclic_cd_quantize, dump_trace, quantize_matrix)
+                              cd_quantize, cyclic_cd_quantize, descend, dump_trace,
+                              quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantParams,
                                 minmax_quantize, objective, owc_quantize)
@@ -264,3 +265,20 @@ def test_quantize_matrix_owc_objectives_match_engine_inits():
         assert rec.objective == pytest.approx(
             objective(w[:, j].astype(np.float64), codes, params, h), rel=1e-12)
         np.testing.assert_array_equal(layer.codes[j], codes)
+
+
+def test_descend_chains_the_engines():
+    prob, q0 = random_problem(16, 2, seed=21)
+    cfg = DescentConfig(block_size=2, seed=5)
+    cd_codes, cd_trace = cd_quantize(prob, q0, cfg)
+    bcd_codes, bcd_trace = bcd_quantize(prob, cd_codes, cfg)
+    cyc_codes, cyc_trace = cyclic_cd_quantize(prob, q0, cfg)
+    for method, codes, steps in (("cd", cd_codes, len(cd_trace.steps)),
+                                 ("bcd", bcd_codes, len(cd_trace.steps) + len(bcd_trace.steps)),
+                                 ("cyclic", cyc_codes, len(cyc_trace.steps))):
+        out, taken = descend(prob, q0, method, cfg)
+        np.testing.assert_array_equal(out, codes)
+        assert taken == steps
+    for method in ("rtn", "owc", "gptq"):
+        with pytest.raises(ValueError, match="unknown method"):
+            descend(prob, q0, method, cfg)

@@ -38,6 +38,24 @@ CASES = {
     # channel's clip strength comes from the 50-candidate OWC grid score.
     "chan-cd8": dict(d_in=256, d_out=8, n=1024, seed=6, constant_group=None,
                      flags=("--method", "cd", "--bits", "8", "--clip-fraction", "0.01")),
+    # Per-channel rtn; column 2 is constant, so its scale is 0.
+    "chan-rtn3": dict(d_in=128, d_out=8, n=512, seed=7, constant_group=(2, slice(0, 128)),
+                      flags=("--method", "rtn", "--bits", "3")),
+    # Per-channel owc; column 5 is constant, so the clip search is skipped there.
+    "chan-owc3": dict(d_in=128, d_out=8, n=512, seed=8, constant_group=(5, slice(0, 128)),
+                      flags=("--method", "owc", "--bits", "3")),
+    # Per-channel owc -> two epochs of cyclic descent.
+    "chan-cyclic3": dict(d_in=128, d_out=8, n=512, seed=9, constant_group=None,
+                         flags=("--method", "cyclic", "--bits", "3", "--epochs", "2")),
+    # Grouped rtn; column 1 has one constant group.
+    "group32-rtn3": dict(d_in=128, d_out=8, n=512, seed=10, constant_group=(1, slice(0, 32)),
+                         flags=("--method", "rtn", "--bits", "3", "--group-size", "32")),
+    # Grouped owc (no clip-strength descent); column 6 has one constant group.
+    "group32-owc3": dict(d_in=128, d_out=8, n=512, seed=11, constant_group=(6, slice(96, 128)),
+                         flags=("--method", "owc", "--bits", "3", "--group-size", "32")),
+    # Grouped owc -> cyclic descent on the tilde problem.
+    "group32-cyclic3": dict(d_in=128, d_out=8, n=512, seed=12, constant_group=None,
+                            flags=("--method", "cyclic", "--bits", "3", "--group-size", "32")),
 }
 
 

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import random_problem
 from qdescent.calibration import Hessian, build_hessian
-from qdescent.descent import DescentConfig, cd_quantize, quantize_matrix
+from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
 from qdescent.groupquant import (GroupScheme, default_gamma_grid, expand_scheme,
-                                 group_bcd_quantize, group_cd_quantize, minmax_group_init,
-                                 owc_cd, owc_group_init, quantize_channel_grouped,
-                                 tilde_transform)
+                                 minmax_group_init, owc_cd, owc_group_init,
+                                 quantize_channel_grouped, tilde_transform)
 from qdescent.quantcore import (QuantParams, _fit_affine, minmax_quantize, objective,
                                 owc_quantize)
 
@@ -29,17 +28,19 @@ def _uniform_scheme(d, g, params):
 def test_tilde_identity_when_scales_one():
     w, h = _rand_instance(6, 0)
     scheme = _uniform_scheme(6, 2, QuantParams(scale=1.0, bias=0.25, bits=2))
-    tp = tilde_transform(w, h, scheme)
-    np.testing.assert_array_equal(tp.h_tilde, h.matrix)
-    np.testing.assert_allclose(tp.z_tilde, w - 0.25)
+    tilde = tilde_transform(w, h, scheme)
+    np.testing.assert_array_equal(tilde.hessian.matrix, h.matrix)
+    np.testing.assert_allclose(tilde.target, w - 0.25)
+    assert tilde.weights is tilde.target and tilde.hessian.damping == h.damping
+    assert (tilde.params.scale, tilde.params.bias, tilde.params.bits) == (1.0, 0.0, 2)
 
 
 def test_tilde_uniform_scale_matches_per_channel_trajectory():
     prob, q0 = random_problem(12, 2, seed=1)
     params = prob.params
     scheme = _uniform_scheme(12, 3, params)
-    codes_g, trace_g = group_cd_quantize(prob.weights, prob.hessian, scheme, q0,
-                                         DescentConfig())
+    codes_g, trace_g = cd_quantize(tilde_transform(prob.weights, prob.hessian, scheme), q0,
+                                   DescentConfig())
     codes_c, trace_c = cd_quantize(prob, q0, DescentConfig())
     np.testing.assert_array_equal(codes_g, codes_c)
     assert [(s.coords, s.values) for s in trace_g.steps] == \
@@ -63,7 +64,7 @@ def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
     assert scheme.params[1].scale == 0.0
     avec, _ = expand_scheme(scheme)
     expected = h.matrix * avec[:, None] * avec[None, :]
-    h_tilde = tilde_transform(w, h, scheme).h_tilde
+    h_tilde = tilde_transform(w, h, scheme).hessian.matrix
     assert h_tilde.tobytes() == expected.tobytes()
     assert not h_tilde[g:2 * g].any() and not h_tilde[:, g:2 * g].any()
 
@@ -75,7 +76,7 @@ def test_tilde_degenerate_group_constant_weights():
     assert scheme.params[1].scale == 0.0
     np.testing.assert_array_equal(codes[2:4], [0, 0])
     # engines never touch the degenerate coordinates
-    out, trace = group_cd_quantize(w, h, scheme, codes, DescentConfig())
+    out, trace = cd_quantize(tilde_transform(w, h, scheme), codes, DescentConfig())
     np.testing.assert_array_equal(out[2:4], [0, 0])
     avec, bvec = expand_scheme(scheme)
     np.testing.assert_allclose((avec * out + bvec)[2:4], [1.5, 1.5])
@@ -92,11 +93,10 @@ def test_single_group_reduces_to_per_channel_bitwise():
     from qdescent.quantcore import ChannelProblem
     prob = ChannelProblem.build(w, h, params_c)
     out_c, _ = cd_quantize(prob, codes_c, cfg)
-    out_g, _ = group_cd_quantize(w, h, scheme_g, codes_g, cfg)
+    out_g, _ = cd_quantize(tilde_transform(w, h, scheme_g), codes_g, cfg)
     np.testing.assert_array_equal(out_c, out_g)
 
-    bcd_c, _ = group_bcd_quantize(w, h, scheme_g, codes_g, cfg)
-    from qdescent.descent import bcd_quantize
+    bcd_c, _ = bcd_quantize(tilde_transform(w, h, scheme_g), codes_g, cfg)
     bcd_ref, _ = bcd_quantize(prob, codes_c, cfg)
     np.testing.assert_array_equal(bcd_c, bcd_ref)
 
@@ -107,7 +107,7 @@ def test_group_pipeline_equals_per_channel_pipeline_at_full_group():
     x = rng.standard_normal((32, 8)).astype(np.float32)
     h = build_hessian(x, 0.01)
     cfg = DescentConfig(block_size=2, seed=9)
-    for method in ("rtn", "owc", "cd", "bcd"):
+    for method in ("rtn", "owc", "cd", "cyclic", "bcd"):
         per_channel, _ = quantize_matrix(w, h, method, bits=2, group_size=0, cfg=cfg)
         grouped, _ = quantize_matrix(w, h, method, bits=2, group_size=8, cfg=cfg)
         np.testing.assert_array_equal(per_channel.codes, grouped.codes)
@@ -133,7 +133,7 @@ def test_block_diagonal_groups_decouple():
     w = rng.standard_normal(d)
     scheme, q0 = owc_group_init(w, h, bits=2, group_size=g)
     cfg = DescentConfig(steps=64)
-    joint, _ = group_cd_quantize(w, h, scheme, q0, cfg)
+    joint, _ = cd_quantize(tilde_transform(w, h, scheme), q0, cfg)
 
     for i in range(d // g):
         sl = slice(i * g, (i + 1) * g)
@@ -248,8 +248,8 @@ def test_quantize_channel_grouped_monotone():
     cfg = DescentConfig(block_size=2, seed=2)
     objectives = {}
     for method in ("owc", "cd", "bcd"):
-        scheme, codes, steps = quantize_channel_grouped(w, h, method, 2, 4, cfg, 50, False)
-        avec, bvec = expand_scheme(scheme)
+        params, codes, steps = quantize_channel_grouped(w, h, method, 2, 4, cfg, 50, False)
+        avec, bvec = expand_scheme(GroupScheme(group_size=4, params=params))
         err = w - (avec * codes + bvec)
         objectives[method] = float(err @ h.matrix @ err)
     assert objectives["cd"] <= objectives["owc"] + 1e-12
@@ -260,10 +260,11 @@ def test_owc_cd_refine_improves_group_init():
     for seed in range(5):
         w, h = _rand_instance(16, 30 + seed)
         cfg = DescentConfig(seed=1)
-        plain_scheme, plain_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, False)
-        refined_scheme, refined_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, True)
-        def loss(scheme, codes):
-            avec, bvec = expand_scheme(scheme)
+        plain_params, plain_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, False)
+        refined_params, refined_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50,
+                                                                    True)
+        def loss(params, codes):
+            avec, bvec = expand_scheme(GroupScheme(group_size=4, params=params))
             err = w - (avec * codes + bvec)
             return float(err @ h.matrix @ err)
-        assert loss(refined_scheme, refined_codes) <= loss(plain_scheme, plain_codes) + 1e-12
+        assert loss(refined_params, refined_codes) <= loss(plain_params, plain_codes) + 1e-12

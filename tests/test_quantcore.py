@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qdescent.calibration import Hessian, build_hessian
-from qdescent.quantcore import (ChannelProblem, QuantParams, QuantizedLayer, ZeroBaselineError,
+from qdescent.quantcore import (ChannelProblem, QuantParams, QuantizedLayer, channel_objective,
                                 dequantize, load_layer, minmax_quantize, objective, owc_quantize,
-                                relative_objective, round_half_away, save_layer, zero_baseline)
+                                round_half_away, save_layer, zero_baseline)
 
 
 def hess(mat):
@@ -175,22 +175,43 @@ def test_owc_degenerate_constant():
     np.testing.assert_array_equal(q, [0, 0])
 
 
-def test_relative_objective():
-    p = QuantParams(scale=1.0, bias=0.0, bits=1)
+def _f32(*values):
+    return np.array(values, dtype=np.float32)
+
+
+def test_channel_objective():
     w = np.array([0.4, 0.6])
     h = hess([[2.0, 1.0], [1.0, 2.0]])
-    assert relative_objective(w, np.array([0, 1]), p, h) == pytest.approx(0.32 / 1.52)
+    obj, rel, base = channel_objective(w, _f32(1.0), _f32(0.0), np.array([0, 1]), h)
+    assert base == pytest.approx(1.52)
+    assert obj == pytest.approx(0.32) and rel == pytest.approx(0.32 / 1.52)
 
-    # dequantized output identical to w: ratio 0
-    pw = QuantParams(scale=0.2, bias=0.4, bits=1)
-    assert relative_objective(np.array([0.4, 0.6]), np.array([0, 1]), pw, h) == pytest.approx(0.0)
+    # dequantized output identical to w (up to the f32 params): ratio ~0
+    obj, rel, _ = channel_objective(w, _f32(0.2), _f32(0.4), np.array([0, 1]), h)
+    assert rel == pytest.approx(0.0, abs=1e-12)
 
     # dequantized output of all zeros: ratio 1
-    pz = QuantParams(scale=0.0, bias=0.0, bits=1)
-    assert relative_objective(w, np.array([0, 0]), pz, h) == pytest.approx(1.0)
+    obj, rel, base = channel_objective(w, _f32(0.0), _f32(0.0), np.array([0, 0]), h)
+    assert obj == base and rel == 1.0
 
-    with pytest.raises(ZeroBaselineError):
-        relative_objective(np.zeros(2), np.array([0, 0]), pz, h)
+    # zero baseline: reported as 0, as in the records, not raised
+    assert channel_objective(np.zeros(2), _f32(0.0), _f32(0.0), np.array([0, 0]), h) == \
+        (0.0, 0.0, 0.0)
+
+
+def test_channel_objective_groups_and_stored_params():
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(6)
+    h = build_hessian(rng.standard_normal((24, 6)), 0.01)
+    params, codes = owc_quantize(w, h, 3)
+    obj, rel, base = channel_objective(w, _f32(params.scale), _f32(params.bias), codes, h)
+    assert obj == objective(w, codes, params, h) and base == zero_baseline(w, h)
+    assert rel == obj / base
+    # three groups of two: group k dequantizes with its own (scale, bias)
+    scales, biases = _f32(0.5, 0.0, 0.25), _f32(-1.0, 0.75, 0.5)
+    q = np.array([1, 3, 0, 0, 2, 1])
+    err = w - (np.repeat(scales.astype(np.float64), 2) * q + np.repeat(biases.astype(np.float64), 2))
+    assert channel_objective(w, scales, biases, q, h)[0] == float(err @ (h.matrix @ err))
 
 
 def test_channel_problem_target_cache():
