@@ -12,18 +12,17 @@ Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure,
 4 shape mismatch, 5 enumeration guard exceeded.
 
 All flags are long-form. ``quantize`` optionally reads defaults from a flat
-JSON config file; explicit flags win over the file. The default worker
-count comes from the QDESCENT_THREADS environment variable, else the
-machine's CPU count; any worker count produces byte-identical artifacts.
-Report files embed per-channel wall-clock times unless --no-timing is
-given, which zeroes them so reports are byte-stable too.
+JSON config file; explicit flags win over the file. Channels are quantized
+one after another; ``--threads`` and the ``threads`` config key are still
+accepted for old command lines and configs, and have no effect. Report
+files embed per-channel wall-clock times unless --no-timing is given,
+which zeroes them so reports are byte-stable too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -44,13 +43,6 @@ EXIT_GUARD = 5
 
 class UsageError(ValueError):
     """Invalid flag combination detected after parsing."""
-
-
-def _default_threads() -> int:
-    env = os.environ.get("QDESCENT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _read_matrix(path: str, expect_ndim: int = 2) -> np.ndarray:
@@ -176,7 +168,7 @@ def cmd_quantize(args) -> int:
     layer, records = descent.quantize_matrix(
         weights, hessian, method, bits=cfg_map["bits"], group_size=cfg_map["group_size"],
         cfg=cfg, grid_size=cfg_map["grid_size"], owc_cd_refine=cfg_map["owc_cd"],
-        threads=cfg_map["threads"] or _default_threads(), collect_timing=not args.no_timing,
+        collect_timing=not args.no_timing,
         extra_meta={"lambda_rel": cfg_map["lambda_rel"],
                     "clip_fraction": cfg_map["clip_fraction"],
                     "weights_path": args.weights, "calib_path": args.calib})
@@ -276,6 +268,10 @@ def _read_suite(path: str) -> dict:
         if missing:
             raise UsageError(f"suite instance {i} lacks required keys {missing}")
         _check_json_types(f"suite instance {i}", inst, _INSTANCE_TYPES)
+        for key in ("d_in", "d_out", "n"):
+            if inst[key] < 1:
+                raise UsageError(f"suite instance {i} key {key!r} must be at least 1, "
+                                 f"got {inst[key]}")
     return {**default_suite(), **suite}
 
 
@@ -309,7 +305,6 @@ def cmd_bench(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads or _default_threads()
 
     records = _canonical_records()
     aggregates = []
@@ -328,7 +323,7 @@ def cmd_bench(args) -> int:
                 _, recs = descent.quantize_matrix(
                     weights, hessian, method, bits=bits, group_size=suite["group_size"],
                     cfg=cfg, grid_size=suite["grid_size"], owc_cd_refine=suite["owc_cd"],
-                    threads=threads, collect_timing=not args.no_timing)
+                    collect_timing=not args.no_timing)
                 records.extend(recs)
                 rels = [r.relative_objective for r in recs]
                 aggregates.append({
@@ -437,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-rel", type=float, default=None, dest="lambda_rel")
     p.add_argument("--clip-fraction", type=float, default=None, dest="clip_fraction")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     p.add_argument("--owc-cd", action="store_const", const=True, default=None, dest="owc_cd",
                    help="refine group clip strengths by coordinate descent before the engines")
     p.add_argument("--report-format", choices=("csv", "jsonl"), default=None,
@@ -461,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a method x config experiment matrix")
     p.add_argument("--suite", default=None, help="suite JSON; defaults to the built-in matrix")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_bench)
 

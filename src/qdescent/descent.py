@@ -49,15 +49,14 @@ computes ``final_loss`` from scratch on the final codes, and
 Determinism: argmin ties break to the lexicographically smallest
 (coordinate, value) or (block, values); block partitions come from a
 counter-based Philox stream; per-channel seeds are derived from the global
-seed and the channel index, so full-matrix results do not depend on thread
-count or scheduling.
+seed and the channel index, so a channel's result does not depend on the
+other channels or on the order they run in.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -614,17 +613,19 @@ def _quantize_channel(w: np.ndarray, hessian: Hessian, method: str, bits: int, c
 
 def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
                     bits: int, group_size: int = 0, cfg: Optional[DescentConfig] = None,
-                    grid_size: int = 50, owc_cd_refine: bool = False, threads: int = 1,
+                    grid_size: int = 50, owc_cd_refine: bool = False,
                     collect_timing: bool = True,
                     extra_meta: Optional[dict] = None) -> tuple[QuantizedLayer, list[BenchRecord]]:
     """Quantize a (d_in, d_out) weight matrix column by column.
 
     Channels are independent problems sharing the read-only Hessian; they
-    are dispatched to a thread pool and reassembled by index, so the layer
-    is identical for any worker count. Group quantization (group_size > 0)
+    run one after another, each filling its row of the layer, and BLAS
+    threads the products inside each. Group quantization (group_size > 0)
     routes through the sub-channel pipeline; ``owc_cd_refine`` additionally
     runs the clip-strength coordinate descent before the code engines.
     """
+    from . import groupquant  # deferred: groupquant imports this module's engines
+
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     weights = np.asarray(weights)
@@ -634,6 +635,8 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
     if d_in != hessian.dim:
         raise ShapeMismatchError(
             f"weights have d_in={d_in} but the Hessian is {hessian.dim}x{hessian.dim}")
+    if d_out == 0:
+        raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
     if group_size:
         if group_size < 0 or d_in % group_size:
             raise ValueError("group_size must divide d_in")
@@ -645,10 +648,18 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
 
     w64 = weights.astype(np.float64)
     n_groups = 1 if group_size == 0 else d_in // group_size
-
-    def run_channel(j: int):
-        from . import groupquant  # deferred: groupquant imports this module's engines
-
+    layer = QuantizedLayer(
+        d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
+        scales=np.empty((d_out, n_groups), np.float32),
+        biases=np.empty((d_out, n_groups), np.float32),
+        gammas=np.empty((d_out, n_groups), np.float32),
+        codes=np.empty((d_out, d_in), np.uint8),
+        meta={"method": method, "grid_size": grid_size, "seed": cfg.seed,
+              "epochs": cfg.epochs, "block_size": cfg.block_size,
+              "owc_cd_refine": bool(owc_cd_refine), **(extra_meta or {})},
+    )
+    records = []
+    for j in range(d_out):
         start = time.perf_counter()
         ccfg = replace(cfg, seed=channel_seed(cfg.seed, j))
         w = w64[:, j]
@@ -657,32 +668,15 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
         else:
             params, codes, steps = groupquant.quantize_channel_grouped(
                 w, hessian, method, bits, group_size, ccfg, grid_size, owc_cd_refine)
-        scales = np.array([p.scale for p in params], dtype=np.float32)
-        biases = np.array([p.bias for p in params], dtype=np.float32)
-        gammas = np.array([p.gamma for p in params], dtype=np.float32)
-        obj, rel, _ = channel_objective(w, scales, biases, codes, hessian)
+        layer.scales[j] = [p.scale for p in params]
+        layer.biases[j] = [p.bias for p in params]
+        layer.gammas[j] = [p.gamma for p in params]
+        layer.codes[j] = codes
+        obj, rel, _ = channel_objective(w, layer.scales[j], layer.biases[j], codes, hessian)
         wall = (time.perf_counter() - start) * 1e3 if collect_timing else 0.0
-        record = BenchRecord(method=method, bits=bits, group_size=group_size,
-                             block_size=cfg.block_size if method == "bcd" else 0,
-                             epochs=cfg.epochs, column=j, objective=obj,
-                             relative_objective=rel, steps=steps, wall_millis=wall)
-        return scales, biases, gammas, codes, record
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_channel, range(d_out)))
-    else:
-        results = [run_channel(j) for j in range(d_out)]
-
-    layer = QuantizedLayer(
-        d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
-        scales=np.stack([r[0] for r in results]).reshape(d_out, n_groups),
-        biases=np.stack([r[1] for r in results]).reshape(d_out, n_groups),
-        gammas=np.stack([r[2] for r in results]).reshape(d_out, n_groups),
-        codes=np.stack([r[3] for r in results]).reshape(d_out, d_in).astype(np.uint8),
-        meta={"method": method, "grid_size": grid_size, "seed": cfg.seed,
-              "epochs": cfg.epochs, "block_size": cfg.block_size,
-              "owc_cd_refine": bool(owc_cd_refine), **(extra_meta or {})},
-    )
+        records.append(BenchRecord(method=method, bits=bits, group_size=group_size,
+                                   block_size=cfg.block_size if method == "bcd" else 0,
+                                   epochs=cfg.epochs, column=j, objective=obj,
+                                   relative_objective=rel, steps=steps, wall_millis=wall))
     layer.validate()
-    return layer, [r[4] for r in results]
+    return layer, records

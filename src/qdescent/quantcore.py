@@ -435,6 +435,9 @@ class LayerMetaError(tensorio.TensorIOError):
 
 _LAYER_META_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int,
                      "codes_packed": bool}
+#: Optional run-provenance keys of the inner ``meta`` object that eval reads.
+_RUN_META_TYPES = {"weights_path": str, "method": str, "lambda_rel": float,
+                   "clip_fraction": float, "block_size": int, "epochs": int}
 
 
 def _read_layer_meta(path: Path) -> dict:
@@ -448,6 +451,13 @@ def _read_layer_meta(path: Path) -> dict:
         if not tensorio.json_value_is(meta[key], kind):
             raise LayerMetaError(f"{path}: layer metadata key {key!r} must be "
                                  f"{kind.__name__}, got {meta[key]!r}")
+    run = meta.get("meta", {})
+    if not isinstance(run, dict):
+        raise LayerMetaError(f"{path}: layer metadata key 'meta' must be an object, got {run!r}")
+    for key, kind in _RUN_META_TYPES.items():
+        if key in run and not tensorio.json_value_is(run[key], kind):
+            raise LayerMetaError(f"{path}: run metadata key {key!r} must be "
+                                 f"{kind.__name__}, got {run[key]!r}")
     return meta
 
 

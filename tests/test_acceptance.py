@@ -200,7 +200,7 @@ def test_criterion_06_qualitative_ordering():
             for method in ("cyclic", "cd", "bcd"):
                 _, recs = descent.quantize_matrix(
                     w, hessian, method, bits=bits,
-                    cfg=DescentConfig(block_size=2, epochs=1, seed=seed), threads=1,
+                    cfg=DescentConfig(block_size=2, epochs=1, seed=seed),
                     collect_timing=False)
                 med[method] = float(np.median([r.relative_objective for r in recs]))
             cells[(seed, bits)] = med

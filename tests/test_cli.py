@@ -210,35 +210,55 @@ def test_quantize_config_accepts_json_types(tmp_path):
     assert (out / "records.jsonl").exists()
 
 
-@pytest.mark.parametrize("key", ["d_in", "d_out", "bits", "group_size", "codes_packed"])
-def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
+def _eval_with_edited_meta(tmp_path, capsys, edit):
+    """Quantize, apply ``edit`` to the stored meta.json, then run eval; returns
+    eval's exit code and its one-line error."""
     w, x = write_inputs(tmp_path)
     out = tmp_path / "layer"
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
                  "--method", "rtn", "--bits", "2"]) == EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
-    del meta[key]
+    edit(meta)
     (out / "meta.json").write_text(json.dumps(meta))
     capsys.readouterr()
-    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    code = main(["eval", "--layer", str(out), "--calib", x])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("key", ["d_in", "d_out", "bits", "group_size", "codes_packed"])
+def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
+    code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.pop(key))
+    assert code == EXIT_IO and repr(key) in err
 
 
 @pytest.mark.parametrize("key,value", [("d_in", "8"), ("bits", 2.0), ("codes_packed", 1),
-                                       ("group_size", None)])
+                                       ("group_size", None), ("meta", "x")])
 def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
+    code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.update({key: value}))
+    assert code == EXIT_IO and repr(key) in err
+
+
+@pytest.mark.parametrize("key,value", [("weights_path", 5), ("method", 1), ("lambda_rel", "x"),
+                                       ("clip_fraction", [1]), ("block_size", 2.0),
+                                       ("epochs", True)])
+def test_eval_run_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
+    code, err = _eval_with_edited_meta(tmp_path, capsys,
+                                       lambda meta: meta["meta"].update({key: value}))
+    assert code == EXIT_IO and repr(key) in err
+
+
+def test_quantize_zero_output_channels_exits_shape(tmp_path, capsys):
     w, x = write_inputs(tmp_path)
-    out = tmp_path / "layer"
-    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
-                 "--method", "rtn", "--bits", "2"]) == EXIT_OK
-    meta = json.loads((out / "meta.json").read_text())
-    meta[key] = value
-    (out / "meta.json").write_text(json.dumps(meta))
+    empty = tmp_path / "w0.tc"
+    tensorio.write_container(empty, np.zeros((8, 0), dtype=np.float32))
     capsys.readouterr()
-    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    code = main(["quantize", "--weights", str(empty), "--calib", x, "--out",
+                 str(tmp_path / "layer"), "--method", "cd", "--bits", "2"])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert code == EXIT_SHAPE and err.startswith("error: ") and err.count("\n") == 1
+    assert "d_out=0" in err
 
 
 def test_eval_matches_quantize_records(tmp_path, capsys):
@@ -273,11 +293,11 @@ def test_eval_matches_quantize_records(tmp_path, capsys):
 def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
     # At d_in = 1024 the BLAS calls are large enough for OpenBLAS to thread
     # them, unlike the small layers above, and the eigenvalue clip depends on
-    # the BLAS thread count. The thread pool must still give byte-identical
+    # the BLAS thread count. --threads must still give byte-identical
     # artifacts, and eval must recompute each channel's objective to the same
     # text as records.csv. One fresh interpreter runs quantize and eval, as a
     # benchmark child does, so BLAS state left by earlier tests cannot mask a
-    # thread-count change made inside the pool.
+    # BLAS thread-count change made by either command.
     from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
 
     d_in, d_out = 1024, 4
@@ -398,6 +418,14 @@ def test_bench_suite_wrong_value_type(tmp_path, capsys):
     assert code == EXIT_USAGE and "'seed'" in err
 
 
+@pytest.mark.parametrize("key", ["d_in", "d_out", "n"])
+def test_bench_suite_instance_dim_below_one(tmp_path, capsys, key):
+    inst = dict(_INSTANCE, **{key: 0})
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE, inst], "methods": ["cd"]})
+    assert code == EXIT_USAGE and repr(key) in err and "instance 1" in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bench_suite_methods_string(tmp_path, capsys):
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "methods": "cd"})
     assert code == EXIT_USAGE and "'methods'" in err and "'c'" not in err
@@ -450,16 +478,22 @@ def test_oracle_needs_inputs():
 
 
 def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("QDESCENT_THREADS", "2")
+    # QDESCENT_THREADS, --threads and the threads config key are still accepted
+    # and leave the artifacts byte-identical to a plain run.
+    monkeypatch.delenv("QDESCENT_THREADS", raising=False)
     w, x = write_inputs(tmp_path)
-    out = tmp_path / "layer"
-    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
-                 "--method", "cd", "--bits", "2", "--no-timing"]) == EXIT_OK
+    base = ["quantize", "--weights", w, "--calib", x, "--method", "cd", "--bits", "2",
+            "--no-timing"]
     ref = tmp_path / "ref"
-    monkeypatch.setenv("QDESCENT_THREADS", "1")
-    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(ref),
-                 "--method", "cd", "--bits", "2", "--no-timing"]) == EXIT_OK
-    assert dir_bytes(out) == dir_bytes(ref)
+    assert main(base + ["--out", str(ref)]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    for name, extra in (("flag", ["--threads", "2"]), ("config", ["--config", str(cfg)])):
+        assert main(base + ["--out", str(tmp_path / name)] + extra) == EXIT_OK
+        assert dir_bytes(tmp_path / name) == dir_bytes(ref)
+    monkeypatch.setenv("QDESCENT_THREADS", "2")
+    assert main(base + ["--out", str(tmp_path / "env")]) == EXIT_OK
+    assert dir_bytes(tmp_path / "env") == dir_bytes(ref)
 
 
 def test_unpacked_codes_mode(tmp_path):

@@ -206,20 +206,6 @@ def test_quantize_matrix_rtn_exact_weights():
     np.testing.assert_allclose(layer.dequantize(), w)
 
 
-def test_quantize_matrix_parallel_bitwise_identical():
-    w, h = _layer_inputs()
-    cfg = DescentConfig(block_size=2, seed=5)
-    outs = []
-    for threads in (1, 2, 8):
-        layer, _ = quantize_matrix(w, h, "bcd", bits=2, cfg=cfg, threads=threads,
-                                   collect_timing=False)
-        outs.append(layer)
-    for other in outs[1:]:
-        np.testing.assert_array_equal(outs[0].codes, other.codes)
-        assert outs[0].scales.tobytes() == other.scales.tobytes()
-        assert outs[0].biases.tobytes() == other.biases.tobytes()
-
-
 def test_quantize_matrix_monotone_pipeline():
     w, h = _layer_inputs(d_in=32, d_out=12, seed=3, n=128)
     cfg = DescentConfig(block_size=2, seed=0)
