@@ -19,6 +19,7 @@ seed, the generated matrix is identical across runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -46,8 +47,8 @@ class SynthSpec:
             raise ValueError("n must be >= 1")
         if not 0 <= self.outlier_directions <= self.d_in:
             raise ValueError("outlier_directions must be in 0..d_in")
-        if self.outlier_gain < 1.0:
-            raise ValueError("outlier_gain must be >= 1")
+        if not 1.0 <= self.outlier_gain <= sys.float_info.max:
+            raise ValueError(f"outlier_gain must be finite and >= 1, got {self.outlier_gain!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -59,7 +60,7 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class Hessian:
-    """Symmetric PSD curvature matrix with its damping and clipping provenance.
+    """Symmetric PSD curvature matrix with its damping provenance.
 
     ``matrix`` is float64 and stored canonically symmetric. ``damping`` is the
     absolute multiple of the identity already folded into ``matrix``.
@@ -67,7 +68,6 @@ class Hessian:
 
     matrix: np.ndarray
     damping: float = 0.0
-    clip_fraction: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -87,9 +87,13 @@ def gen_calibration(spec: SynthSpec) -> np.ndarray:
     rng = _rng(spec.seed)
     d = spec.d_in
 
-    eigvals = np.arange(1, d + 1, dtype=np.float64) ** (-spec.spectrum_exponent)
-    if spec.outlier_directions:
-        eigvals[: spec.outlier_directions] *= spec.outlier_gain
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigvals = np.arange(1, d + 1, dtype=np.float64) ** (-spec.spectrum_exponent)
+        if spec.outlier_directions:
+            eigvals[: spec.outlier_directions] *= spec.outlier_gain
+    if not np.isfinite(eigvals).all():
+        raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
+                         f"{spec.outlier_gain!r} give a non-finite eigenvalue spectrum")
 
     basis_seed = rng.standard_normal((d, d))
     q, r = np.linalg.qr(basis_seed)
@@ -118,13 +122,17 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> Hessian:
         raise ShapeMismatchError("calibration matrix must be 2-d with d_in >= 1")
     if x.size and not np.isfinite(x).all():
         raise ValueError("calibration matrix holds non-finite values")
-    if lambda_rel < 0:
-        raise ValueError("lambda_rel must be nonnegative")
+    if not 0 <= lambda_rel <= sys.float_info.max:
+        raise ValueError(f"lambda_rel must be finite and nonnegative, got {lambda_rel!r}")
 
     x64 = x.astype(np.float64, copy=False)
     gram = x64.T @ x64
     gram = (gram + gram.T) / 2.0
-    lam = float(lambda_rel * np.mean(np.diag(gram)))
+    with np.errstate(over="ignore"):
+        lam = float(lambda_rel * np.mean(np.diag(gram)))
+        damped = np.diag(gram) + lam
+    if not np.isfinite(damped).all():
+        raise ValueError(f"lambda_rel={lambda_rel!r} overflows the damped Hessian diagonal")
     if lam:
         gram = gram + lam * np.eye(gram.shape[0])
     return Hessian(matrix=gram, damping=lam)
@@ -142,8 +150,7 @@ def clip_hessian_eigenvalues(hessian: Hessian, clip_fraction: float) -> Hessian:
     d = hessian.dim
     m = math.ceil(clip_fraction * d)
     if m == 0:
-        return Hessian(matrix=hessian.matrix.copy(), damping=hessian.damping,
-                       clip_fraction=clip_fraction)
+        return Hessian(matrix=hessian.matrix.copy(), damping=hessian.damping)
     if m >= d:
         raise ValueError(f"cannot clip {m} of {d} eigenvalues: nothing left to clip against")
 
@@ -153,4 +160,4 @@ def clip_hessian_eigenvalues(hessian: Hessian, clip_fraction: float) -> Hessian:
     clipped[d - m:] = threshold
     out = (eigvecs * clipped) @ eigvecs.T
     out = (out + out.T) / 2.0
-    return Hessian(matrix=out, damping=hessian.damping, clip_fraction=clip_fraction)
+    return Hessian(matrix=out, damping=hessian.damping)

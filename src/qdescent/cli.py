@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, descent, oracle, quantcore, tensorio
-from .calibration import ShapeMismatchError, SynthSpec
+from .calibration import Hessian, ShapeMismatchError, SynthSpec
 from .descent import DescentConfig, EnumerationGuardError
 from .tensorio import BenchRecord, TensorIOError
 
@@ -45,18 +45,38 @@ class UsageError(ValueError):
     """Invalid flag combination detected after parsing."""
 
 
-def _read_matrix(path: str, expect_ndim: int = 2) -> np.ndarray:
-    arr = tensorio.read_container(path).array
-    if arr.ndim != expect_ndim:
-        raise ShapeMismatchError(f"{path}: expected a {expect_ndim}-d tensor, got shape {arr.shape}")
-    return arr
-
-
 def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
     hessian = calibration.build_hessian(calib, lambda_rel)
     if clip_fraction > 0.0:
         hessian = calibration.clip_hessian_eigenvalues(hessian, clip_fraction)
     return hessian
+
+
+def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
+                 clip_fraction: float) -> tuple[np.ndarray, Hessian]:
+    """The weights and the calibration Hessian, once both containers hold matrices of one d_in."""
+    weights, calib = (tensorio.read_container(path).array for path in (weights_path, calib_path))
+    for path, arr in ((weights_path, weights), (calib_path, calib)):
+        if arr.ndim != 2:
+            raise ShapeMismatchError(f"{path}: expected a 2-d tensor, got shape {arr.shape}")
+    if calib.shape[1] != weights.shape[0]:
+        raise ShapeMismatchError(
+            f"calibration d_in={calib.shape[1]} but weights d_in={weights.shape[0]}")
+    return weights, _build_hessian_pipeline(calib, lambda_rel, clip_fraction)
+
+
+def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: Hessian) -> None:
+    """Mean and median relative objective, leaving out and naming each channel
+    whose baseline w'Hw is not positive (it reports 0, so only 0s are checked)."""
+    w64 = np.asarray(weights, dtype=np.float64)
+    zero = [r.column for r in records if r.relative_objective == 0.0
+            and not quantcore.zero_baseline(w64[:, r.column], hessian) > 0.0]
+    for j in zero:
+        print(f"column {j}: zero denominator (excluded from means)")
+    kept = [r.relative_objective for r in records if r.column not in zero]
+    if kept:
+        print(f"relative objective mean {statistics.fmean(kept):.6g}, "
+              f"median {statistics.median(kept):.6g} over {len(kept)} channels")
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +156,6 @@ def _merge_config(args) -> dict:
     return merged
 
 
-def _summarize(records: list[BenchRecord]) -> str:
-    rels = [r.relative_objective for r in records]
-    return (f"{len(records)} channels, relative objective "
-            f"mean {statistics.fmean(rels):.6g}, median {statistics.median(rels):.6g}")
-
-
 def cmd_quantize(args) -> int:
     cfg_map = _merge_config(args)
     method = cfg_map["method"]
@@ -151,18 +165,16 @@ def cmd_quantize(args) -> int:
         raise UsageError(f"unknown method {method!r}")
     if cfg_map["block_size"] is not None and method != "bcd":
         raise UsageError("--block-size only applies to --method bcd")
+    if cfg_map["owc_cd"] and not cfg_map["group_size"]:
+        raise UsageError("--owc-cd only applies with --group-size > 0")
     block_size = cfg_map["block_size"] if cfg_map["block_size"] is not None else 2
 
-    weights = _read_matrix(args.weights)
-    calib = _read_matrix(args.calib)
-    if calib.shape[1] != weights.shape[0]:
-        raise ShapeMismatchError(
-            f"calibration d_in={calib.shape[1]} but weights d_in={weights.shape[0]}")
+    weights, hessian = _read_inputs(args.weights, args.calib, cfg_map["lambda_rel"],
+                                    cfg_map["clip_fraction"])
     if cfg_map["group_size"] and weights.shape[0] % cfg_map["group_size"]:
         raise UsageError(f"group size {cfg_map['group_size']} does not divide "
                          f"d_in={weights.shape[0]}")
 
-    hessian = _build_hessian_pipeline(calib, cfg_map["lambda_rel"], cfg_map["clip_fraction"])
     cfg = DescentConfig(steps=cfg_map["steps"], epochs=cfg_map["epochs"],
                         block_size=block_size, seed=cfg_map["seed"])
     layer, records = descent.quantize_matrix(
@@ -177,7 +189,8 @@ def cmd_quantize(args) -> int:
     quantcore.save_layer(layer, out_dir, packed=not args.unpacked_codes)
     report_path = out_dir / f"records.{cfg_map['report_format']}"
     tensorio.emit_report(records, cfg_map["report_format"], report_path)
-    print(f"quantized {weights.shape[0]} x {weights.shape[1]} with {method}: {_summarize(records)}")
+    print(f"quantized {weights.shape[0]} x {weights.shape[1]} with {method}")
+    _print_summary(records, weights, hessian)
     print(f"layer -> {out_dir}, records -> {report_path}")
     return EXIT_OK
 
@@ -192,37 +205,15 @@ def cmd_eval(args) -> int:
     weights_path = args.weights or meta.get("weights_path")
     if not weights_path:
         raise UsageError("--weights required (layer metadata holds no weights path)")
-    weights = _read_matrix(weights_path)
-    calib = _read_matrix(args.calib)
+    weights, hessian = _read_inputs(weights_path, args.calib, meta.get("lambda_rel", 0.01),
+                                    meta.get("clip_fraction", 0.0))
     if weights.shape != (layer.d_in, layer.d_out):
         raise ShapeMismatchError(f"weights shape {weights.shape} does not match layer "
                                  f"({layer.d_in}, {layer.d_out})")
-    if calib.shape[1] != layer.d_in:
-        raise ShapeMismatchError(f"calibration d_in={calib.shape[1]} != layer d_in={layer.d_in}")
-
-    hessian = _build_hessian_pipeline(calib, meta.get("lambda_rel", 0.01),
-                                      meta.get("clip_fraction", 0.0))
-    w64 = weights.astype(np.float64)
-    records, flagged = [], []
-    for j in range(layer.d_out):
-        obj, rel, base = quantcore.channel_objective(w64[:, j], layer.scales[j], layer.biases[j],
-                                                     layer.codes[j], hessian)
-        if not base > 0.0:
-            flagged.append(j)
-        records.append(BenchRecord(method=meta.get("method", "?"), bits=layer.bits,
-                                   group_size=layer.group_size,
-                                   block_size=meta.get("block_size", 0),
-                                   epochs=meta.get("epochs", 1), column=j, objective=obj,
-                                   relative_objective=rel, steps=0, wall_millis=0.0))
-
-    kept = [r.relative_objective for r in records if r.column not in flagged]
+    records = quantcore.layer_records(layer, weights, hessian)
     if args.out:
         tensorio.emit_report(records, args.report_format, args.out)
-    for j in flagged:
-        print(f"column {j}: zero denominator (excluded from means)")
-    if kept:
-        print(f"relative objective mean {statistics.fmean(kept):.6g}, "
-              f"median {statistics.median(kept):.6g} over {len(kept)} channels")
+    _print_summary(records, weights, hessian)
     return EXIT_OK
 
 
@@ -302,6 +293,8 @@ def cmd_bench(args) -> int:
     for m in suite["methods"]:
         if m not in descent.METHODS:
             raise UsageError(f"unknown method {m!r} in suite")
+    if suite["owc_cd"] and not suite["group_size"]:
+        raise UsageError("bench suite key 'owc_cd' only applies with 'group_size' > 0")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,14 +359,9 @@ def cmd_oracle(args) -> int:
     else:
         if not (args.weights and args.calib and args.bits):
             raise UsageError("oracle needs --canonical, or --weights/--calib/--bits")
-        weights = _read_matrix(args.weights)
-        calib = _read_matrix(args.calib)
-        if calib.shape[1] != weights.shape[0]:
-            raise ShapeMismatchError(
-                f"calibration d_in={calib.shape[1]} but weights d_in={weights.shape[0]}")
+        weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
         if not 0 <= args.channel < weights.shape[1]:
             raise UsageError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
-        hessian = _build_hessian_pipeline(calib, args.lambda_rel, 0.0)
         w = weights.astype(np.float64)[:, args.channel]
         params, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
         if params.scale == 0.0:

@@ -65,7 +65,7 @@ import numpy as np
 
 from .calibration import Hessian, ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
-                        channel_objective, minmax_quantize, owc_quantize)
+                        layer_records, minmax_quantize, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -622,7 +622,8 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
     run one after another, each filling its row of the layer, and BLAS
     threads the products inside each. Group quantization (group_size > 0)
     routes through the sub-channel pipeline; ``owc_cd_refine`` additionally
-    runs the clip-strength coordinate descent before the code engines.
+    runs the clip-strength coordinate descent before the code engines. Each
+    record's wall time covers its channel's quantization only.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -640,6 +641,8 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
     if group_size:
         if group_size < 0 or d_in % group_size:
             raise ValueError("group_size must divide d_in")
+    elif owc_cd_refine:
+        raise ValueError("owc_cd_refine refines group clip strengths; it needs group_size > 0")
     cfg = cfg or DescentConfig()
     if method == "bcd" and d_in % cfg.block_size:
         raise ValueError(f"block size {cfg.block_size} does not divide d_in={d_in}")
@@ -658,25 +661,21 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
               "epochs": cfg.epochs, "block_size": cfg.block_size,
               "owc_cd_refine": bool(owc_cd_refine), **(extra_meta or {})},
     )
-    records = []
+    steps, walls = [], []
     for j in range(d_out):
         start = time.perf_counter()
         ccfg = replace(cfg, seed=channel_seed(cfg.seed, j))
         w = w64[:, j]
         if group_size == 0:
-            params, codes, steps = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
+            params, codes, n_steps = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
         else:
-            params, codes, steps = groupquant.quantize_channel_grouped(
+            params, codes, n_steps = groupquant.quantize_channel_grouped(
                 w, hessian, method, bits, group_size, ccfg, grid_size, owc_cd_refine)
         layer.scales[j] = [p.scale for p in params]
         layer.biases[j] = [p.bias for p in params]
         layer.gammas[j] = [p.gamma for p in params]
         layer.codes[j] = codes
-        obj, rel, _ = channel_objective(w, layer.scales[j], layer.biases[j], codes, hessian)
-        wall = (time.perf_counter() - start) * 1e3 if collect_timing else 0.0
-        records.append(BenchRecord(method=method, bits=bits, group_size=group_size,
-                                   block_size=cfg.block_size if method == "bcd" else 0,
-                                   epochs=cfg.epochs, column=j, objective=obj,
-                                   relative_objective=rel, steps=steps, wall_millis=wall))
+        steps.append(n_steps)
+        walls.append((time.perf_counter() - start) * 1e3 if collect_timing else 0.0)
     layer.validate()
-    return layer, records
+    return layer, layer_records(layer, w64, hessian, steps, walls)

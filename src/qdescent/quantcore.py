@@ -26,6 +26,7 @@ Rounding is half-away-from-zero throughout, never banker's rounding.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -130,13 +131,18 @@ def channel_objective(weights: np.ndarray, scales: np.ndarray, biases: np.ndarra
     both report these numbers, so they agree bit for bit.
     """
     w = np.asarray(weights, dtype=np.float64)
-    reps = w.shape[0] // len(scales)
-    a = np.repeat(scales.astype(np.float64), reps)
-    b = np.repeat(biases.astype(np.float64), reps)
-    err = w - (a * codes.astype(np.float64) + b)
+    err = w - _reconstruct(scales, biases, codes)
     obj = float(err @ (hessian.matrix @ err))
     base = zero_baseline(w, hessian)
     return obj, (obj / base if base > 0.0 else 0.0), base
+
+
+def _reconstruct(scales: np.ndarray, biases: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """a*q + b of one channel or a layer, each group's float32 params repeated over its codes."""
+    reps = codes.shape[-1] // scales.shape[-1]
+    a = np.repeat(scales.astype(np.float64), reps, axis=-1)
+    b = np.repeat(biases.astype(np.float64), reps, axis=-1)
+    return a * codes.astype(np.float64) + b
 
 
 def _f32(value: float) -> float:
@@ -321,27 +327,23 @@ def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
     return _fit_affine(w, bits, gamma=1.0)
 
 
-def _owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
-                grid_size: int) -> tuple[QuantParams, CodeVector]:
-    """Grid search over clip strengths {j/grid_size}, ties toward larger gamma."""
-    grid = default_gamma_grid(grid_size)
-    w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("empty weight vector")
-    table = _affine_table(w[None, :], bits, grid)
-    best = int(_best_clips(table, hmat[None], [hmat])[0])
-    return table.params(0, best), table.codes[0, best].copy()
-
-
 def owc_quantize(w: np.ndarray, hessian: Hessian, bits: int,
                  grid_size: int = 50) -> tuple[QuantParams, CodeVector]:
-    """Clip-strength grid search scored by the calibration-weighted loss.
+    """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
+    loss, ties toward larger gamma.
 
     The grid always contains gamma = 1, so the returned objective is never
     worse than :func:`minmax_quantize`, and grid_size = 1 reproduces it
     bit for bit.
     """
-    return _owc_search(w, hessian.matrix, bits, grid_size)
+    grid = default_gamma_grid(grid_size)
+    w = np.asarray(w, dtype=np.float64)
+    if w.size == 0:
+        raise ValueError("empty weight vector")
+    hmat = hessian.matrix
+    table = _affine_table(w[None, :], bits, grid)
+    best = int(_best_clips(table, hmat[None], [hmat])[0])
+    return table.params(0, best), table.codes[0, best].copy()
 
 
 @dataclass
@@ -380,23 +382,9 @@ class QuantizedLayer:
         if self.codes.size and int(self.codes.max()) >= (1 << self.bits):
             raise ValueError("code out of range for declared bit width")
 
-    def channel_scale_vectors(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate (scale, bias) vectors for one channel."""
-        reps = self.d_in if self.group_size == 0 else self.group_size
-        a = np.repeat(self.scales[channel].astype(np.float64), reps)
-        b = np.repeat(self.biases[channel].astype(np.float64), reps)
-        return a, b
-
-    def dequantize_channel(self, channel: int) -> np.ndarray:
-        a, b = self.channel_scale_vectors(channel)
-        return a * self.codes[channel].astype(np.float64) + b
-
     def dequantize(self) -> np.ndarray:
         """Reconstructed (d_in, d_out) float64 weight matrix."""
-        out = np.empty((self.d_in, self.d_out))
-        for j in range(self.d_out):
-            out[:, j] = self.dequantize_channel(j)
-        return out
+        return _reconstruct(self.scales, self.biases, self.codes).T
 
 
 def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True) -> None:
@@ -429,8 +417,29 @@ def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True
         tensorio.write_container(directory / "codes.tc", layer.codes.astype(np.uint8))
 
 
+def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: Hessian,
+                  steps: Optional[list[int]] = None,
+                  walls: Optional[list[float]] = None) -> list[tensorio.BenchRecord]:
+    """The report rows ``quantize`` writes and ``eval`` recomputes: per channel, its
+    :func:`channel_objective`, run keys from ``layer.meta`` (block size 0 unless
+    bcd), and its ``steps`` and ``walls`` (ms), 0 where not given."""
+    meta = layer.meta
+    method = meta.get("method", "?")
+    block_size = meta.get("block_size", 0) if method == "bcd" else 0
+    w64 = np.asarray(weights, dtype=np.float64)
+    records = []
+    for j in range(layer.d_out):
+        obj, rel, _ = channel_objective(w64[:, j], layer.scales[j], layer.biases[j],
+                                        layer.codes[j], hessian)
+        records.append(tensorio.BenchRecord(
+            method=method, bits=layer.bits, group_size=layer.group_size, block_size=block_size,
+            epochs=meta.get("epochs", 1), column=j, objective=obj, relative_objective=rel,
+            steps=steps[j] if steps else 0, wall_millis=walls[j] if walls else 0.0))
+    return records
+
+
 class LayerMetaError(tensorio.TensorIOError):
-    """A layer's meta.json lacks a required key or holds one of the wrong type."""
+    """A layer's meta.json lacks a required key or holds one of the wrong type or range."""
 
 
 _LAYER_META_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int,
@@ -458,6 +467,22 @@ def _read_layer_meta(path: Path) -> dict:
         if key in run and not tensorio.json_value_is(run[key], kind):
             raise LayerMetaError(f"{path}: run metadata key {key!r} must be "
                                  f"{kind.__name__}, got {run[key]!r}")
+    d_in, group_size = meta["d_in"], meta["group_size"]
+    divides = group_size == 0 or (group_size > 0 and d_in % group_size == 0)
+    for key, ok, rule in (("bits", 1 <= meta["bits"] <= 8, "in 1..8"),
+                          ("d_in", d_in >= 1, "at least 1"),
+                          ("d_out", meta["d_out"] >= 1, "at least 1"),
+                          ("group_size", divides, f"0 or a divisor of d_in={d_in}")):
+        if not ok:
+            raise LayerMetaError(f"{path}: layer metadata key {key!r} must be {rule}, "
+                                 f"got {meta[key]!r}")
+    for key, ok, rule in (("lambda_rel", lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"),
+                          ("clip_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
+                          ("block_size", lambda v: v >= 1, "at least 1"),
+                          ("epochs", lambda v: v >= 1, "at least 1")):
+        if key in run and not ok(run[key]):
+            raise LayerMetaError(f"{path}: run metadata key {key!r} must be {rule}, "
+                                 f"got {run[key]!r}")
     return meta
 
 
@@ -467,6 +492,10 @@ def load_layer(directory: str | Path) -> QuantizedLayer:
     d_in, d_out = int(meta["d_in"]), int(meta["d_out"])
     if meta["codes_packed"]:
         packed = tensorio.read_packed(directory / "codes.pc")
+        if packed.bit_width != meta["bits"]:
+            raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
+                                 f"is {meta['bits']}, but codes.pc holds {packed.bit_width}-bit "
+                                 f"codes")
         if packed.count != d_in * d_out:
             raise tensorio.PayloadMismatchError("code count disagrees with layer dims")
         codes = tensorio.unpack_codes(packed).reshape(d_out, d_in)

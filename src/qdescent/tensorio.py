@@ -49,7 +49,6 @@ FORMAT_VERSION = 1
 
 _DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _TAG_TO_DTYPE = {v: k for k, v in _DTYPE_TO_TAG.items()}
-_TAG_NAMES = {0: "f32", 1: "f64", 2: "u8"}
 
 
 class TensorIOError(Exception):
@@ -79,32 +78,14 @@ def json_value_is(value, kind: type) -> bool:
 
 @dataclass(frozen=True)
 class TensorContainer:
-    """In-memory image of a container file: header fields plus payload array."""
+    """In-memory image of a container file: its payload array."""
 
     array: np.ndarray
-    version: int = FORMAT_VERSION
-    row_major: bool = True
-
-    @property
-    def dtype_tag(self) -> str:
-        return _TAG_NAMES[_DTYPE_TO_TAG[self.array.dtype]]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.array.shape)
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "TensorContainer":
-        arr = np.ascontiguousarray(array)
-        if arr.dtype not in _DTYPE_TO_TAG:
-            raise MalformedHeaderError(f"unsupported dtype {arr.dtype} (use f32, f64 or u8)")
-        return cls(array=arr)
 
 
-def write_container(path: str | Path, data: TensorContainer | np.ndarray) -> None:
+def write_container(path: str | Path, array: np.ndarray) -> None:
     """Write a tensor container; raises NonFiniteDataError on NaN/Inf payloads."""
-    container = data if isinstance(data, TensorContainer) else TensorContainer.from_array(data)
-    arr = np.ascontiguousarray(container.array)
+    arr = np.ascontiguousarray(array)
     if arr.dtype not in _DTYPE_TO_TAG:
         raise MalformedHeaderError(f"unsupported dtype {arr.dtype} (use f32, f64 or u8)")
     if arr.ndim == 0:
@@ -170,7 +151,7 @@ def read_container(path: str | Path) -> TensorContainer:
     arr = arr.astype(dtype, copy=False)
     if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
         raise NonFiniteDataError("container holds non-finite values")
-    return TensorContainer(array=arr, version=version)
+    return TensorContainer(array=arr)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,21 @@ def test_gen_calib_outlier_dominance(tmp_path):
     assert eig[1] >= 10.0 * eig[2]  # two boosted directions dominate the rest
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["--spectrum-exponent", "nan"],
+    ["--spectrum-exponent", "-1000"],   # (i+1)^1000 overflows
+    ["--outlier-directions", "2", "--outlier-gain", "nan"],
+    ["--outlier-directions", "2", "--outlier-gain", "inf"],
+])
+def test_gen_calib_non_finite_spectrum_exits_usage(tmp_path, capsys, flags):
+    out = tmp_path / "x.tc"
+    code = main(["gen-calib", "--d-in", "8", "--n", "16", "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_quantize_exact_weights_zero_objective(tmp_path):
     w, x = write_inputs(tmp_path, exact_bits=3)
     out = tmp_path / "layer"
@@ -125,6 +140,46 @@ def test_quantize_block_size_without_bcd(tmp_path):
     code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
                  "--method", "cd", "--bits", "2", "--block-size", "2"])
     assert code == EXIT_USAGE
+
+
+def _quantize_error(tmp_path, capsys, argv):
+    """Run quantize with ``argv`` added; returns its exit code and its one-line error."""
+    w, x = write_inputs(tmp_path)
+    capsys.readouterr()
+    code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+@pytest.mark.filterwarnings("error")
+def test_quantize_non_finite_lambda_rel_exits_usage(tmp_path, capsys, value):
+    code, err = _quantize_error(tmp_path, capsys, ["--method", "cd", "--bits", "2",
+                                                   "--lambda-rel", value])
+    assert code == EXIT_USAGE and "lambda_rel" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["NaN", "1" + "0" * 400], ids=["nan", "int-1e400"])
+def test_quantize_config_non_finite_lambda_rel_exits_usage(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"method": "cd", "bits": 2, "lambda_rel": {value}}}')
+    code, err = _quantize_error(tmp_path, capsys, ["--config", str(cfg)])
+    assert code == EXIT_USAGE and "lambda_rel" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--owc-cd"], {}),
+    ([], {"owc_cd": True}),
+    (["--group-size", "0", "--owc-cd"], {}),
+])
+def test_quantize_owc_cd_without_groups_exits_usage(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "cd", "bits": 2, **config}))
+    code, err = _quantize_error(tmp_path, capsys, ["--config", str(cfg)] + argv)
+    assert code == EXIT_USAGE and "owc" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_quantize_shape_mismatch(tmp_path):
@@ -234,7 +289,10 @@ def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("key,value", [("d_in", "8"), ("bits", 2.0), ("codes_packed", 1),
-                                       ("group_size", None), ("meta", "x")])
+                                       ("group_size", None), ("meta", "x"),
+                                       ("bits", 9), ("bits", 0), ("bits", -1), ("bits", 3),
+                                       ("d_in", 0), ("d_out", 0), ("group_size", 3),
+                                       ("group_size", -4)])
 def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
     code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.update({key: value}))
     assert code == EXIT_IO and repr(key) in err
@@ -242,7 +300,12 @@ def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key,value", [("weights_path", 5), ("method", 1), ("lambda_rel", "x"),
                                        ("clip_fraction", [1]), ("block_size", 2.0),
-                                       ("epochs", True)])
+                                       ("epochs", True), ("lambda_rel", -0.5),
+                                       ("lambda_rel", float("nan")), ("lambda_rel", float("inf")),
+                                       pytest.param("lambda_rel", 10 ** 400,
+                                                    id="lambda_rel-int-1e400"),
+                                       ("clip_fraction", 1.0), ("clip_fraction", -0.1),
+                                       ("block_size", 0), ("epochs", 0)])
 def test_eval_run_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
     code, err = _eval_with_edited_meta(tmp_path, capsys,
                                        lambda meta: meta["meta"].update({key: value}))
@@ -262,32 +325,41 @@ def test_quantize_zero_output_channels_exits_shape(tmp_path, capsys):
 
 
 def test_eval_matches_quantize_records(tmp_path, capsys):
-    # Per-channel, and grouped with a constant group (column 3) and an
-    # all-zero column (1, zero baseline): eval must print the records' text.
+    # Per-channel cd, cyclic and bcd, and grouped with a constant group
+    # (column 3) and an all-zero column (1, zero baseline): eval's report must
+    # equal records.csv in every column but steps and wall_millis, and both
+    # commands must print the same summary.
     w, x = write_inputs(tmp_path, d_in=12, d_out=5)
     weights = tensorio.read_container(w).array.copy()
     weights[:, 1] = 0.0
     weights[4:8, 3] = 0.5
     w_grouped = str(tmp_path / "w_grouped.tc")
     tensorio.write_container(w_grouped, weights)
-    for tag, wpath, extra in (("pc", w, []), ("grp", w_grouped, ["--group-size", "4"])):
+    for tag, wpath, extra in (("cd", w, ["--method", "cd"]),
+                              ("cyclic", w, ["--method", "cyclic"]),
+                              ("bcd", w, ["--method", "bcd", "--block-size", "2"]),
+                              ("grp", w_grouped, ["--method", "cd", "--group-size", "4"])):
         out = tmp_path / tag
-        assert main(["quantize", "--weights", wpath, "--calib", x, "--out", str(out),
-                     "--method", "cd", "--bits", "3", "--seed", "2"] + extra) == EXIT_OK
-        report = tmp_path / f"{tag}.csv"
         capsys.readouterr()
+        assert main(["quantize", "--weights", wpath, "--calib", x, "--out", str(out),
+                     "--bits", "3", "--seed", "2"] + extra) == EXIT_OK
+        quantize_printed = capsys.readouterr().out.splitlines()
+        report = tmp_path / f"{tag}.csv"
         assert main(["eval", "--layer", str(out), "--calib", x, "--out", str(report)]) == EXIT_OK
-        printed = capsys.readouterr().out
+        eval_printed = capsys.readouterr().out.splitlines()
+        assert quantize_printed[1:-1] == eval_printed
         quantize_rows = read_records(out / "records.csv")
         eval_rows = read_records(report)
         assert len(quantize_rows) == len(eval_rows) == 5
         for qr, er in zip(quantize_rows, eval_rows):
-            assert (qr["objective"], qr["relative_objective"]) == \
-                   (er["objective"], er["relative_objective"])
+            for row in (qr, er):
+                del row["steps"], row["wall_millis"]
+            assert qr == er
         if tag == "grp":
             assert quantize_rows[1]["objective"] == "0.0"
             assert quantize_rows[1]["relative_objective"] == "0.0"
-            assert "column 1: zero denominator" in printed
+            assert "column 1: zero denominator (excluded from means)" in eval_printed
+            assert eval_printed[-1].endswith("over 4 channels")
 
 
 def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
@@ -423,6 +495,12 @@ def test_bench_suite_instance_dim_below_one(tmp_path, capsys, key):
     inst = dict(_INSTANCE, **{key: 0})
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE, inst], "methods": ["cd"]})
     assert code == EXIT_USAGE and repr(key) in err and "instance 1" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_suite_owc_cd_without_groups(tmp_path, capsys):
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "owc_cd": True})
+    assert code == EXIT_USAGE and "'owc_cd'" in err
     assert not (tmp_path / "b").exists()
 
 

@@ -223,7 +223,7 @@ def test_quantize_matrix_degenerate_column():
     layer, records = quantize_matrix(w, h, "cd", bits=2)
     assert records[1].steps == 0
     assert records[1].objective == pytest.approx(0.0)
-    np.testing.assert_allclose(layer.dequantize_channel(1), 2.5)
+    np.testing.assert_allclose(layer.dequantize()[:, 1], 2.5)
 
 
 def test_quantize_matrix_zero_column_relative():
@@ -241,6 +241,12 @@ def test_quantize_matrix_shape_checks():
         quantize_matrix(w, h, "cd", bits=2, group_size=3)
     with pytest.raises(ValueError):
         quantize_matrix(w, h, "nope", bits=2)
+
+
+def test_quantize_matrix_owc_cd_needs_groups():
+    w, h = _layer_inputs(d_in=8, d_out=3)
+    with pytest.raises(ValueError, match="group_size"):
+        quantize_matrix(w, h, "cd", bits=2, owc_cd_refine=True)
 
 
 def test_quantize_matrix_owc_objectives_match_engine_inits():

@@ -18,8 +18,8 @@ import pytest
 from qdescent import quantcore
 from qdescent.calibration import Hessian, ShapeMismatchError, build_hessian
 from qdescent.groupquant import GroupScheme, _check_grouping, _diag_blocks, owc_group_init
-from qdescent.quantcore import (_affine_table, _best_clips, _clip_screen, _owc_search,
-                                default_gamma_grid)
+from qdescent.quantcore import (_affine_table, _best_clips, _clip_screen, default_gamma_grid,
+                                owc_quantize)
 
 
 def reference_best_clip(resid: np.ndarray, hmat: np.ndarray) -> int:
@@ -112,7 +112,7 @@ def test_owc_search_matches_loop(bits, grid_size, h1024, loop_calls):
         hmat = h1024.matrix[:d, :d]
         for _ in range(2):
             w = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 30.0])
-            p, q = _owc_search(w, hmat, bits, grid_size)
+            p, q = owc_quantize(w, Hessian(hmat), bits, grid_size)
             ref_p, ref_q = reference_owc_search(w, hmat, bits, grid_size)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -125,7 +125,7 @@ def test_owc_search_matches_loop_on_hard_hessians(kind, loop_calls):
         hmat = HESSIANS[kind](d, seed)
         w = np.random.default_rng(seed).standard_normal(d)
         for bits in (2, 4, 8):
-            p, q = _owc_search(w, hmat, bits, 50)
+            p, q = owc_quantize(w, Hessian(hmat), bits, 50)
             ref_p, ref_q = reference_owc_search(w, hmat, bits, 50)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -291,7 +291,7 @@ def test_out_of_range_hessian_runs_the_loop(factor, loop_calls):
     table = _affine_table(w[None, :], 3, default_gamma_grid(50))
     _, _, in_range = _clip_screen(table.resid, hmat[None])
     assert not in_range.any()
-    p, q = _owc_search(w, hmat, 3, 50)
+    p, q = owc_quantize(w, Hessian(hmat), 3, 50)
     ref_p, ref_q = reference_owc_search(w, hmat, 3, 50)
     assert_same_params(p, ref_p)
     assert np.array_equal(q, ref_q)
@@ -308,4 +308,4 @@ def test_non_finite_hessian_fails_like_the_loop():
     with pytest.raises(ValueError):
         reference_owc_search(w, hmat, 3, 8)
     with pytest.raises(ValueError):
-        _owc_search(w, hmat, 3, 8)
+        owc_quantize(w, Hessian(hmat), 3, 8)

@@ -14,13 +14,13 @@ import pytest
 from qdescent.calibration import Hessian, ShapeMismatchError, build_hessian
 from qdescent.groupquant import (GroupScheme, OwcCdResult, _check_grouping, minmax_group_init,
                                  owc_cd, owc_group_init)
-from qdescent.quantcore import (QuantParams, _affine_table, _fit_affine, _owc_search,
-                                default_gamma_grid)
+from qdescent.quantcore import (QuantParams, _affine_table, _fit_affine, default_gamma_grid,
+                                owc_quantize)
 
 
 def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
                          grid_size: int) -> tuple[QuantParams, np.ndarray]:
-    """``quantcore._owc_search`` as it was before the table: one scalar fit per candidate."""
+    """``quantcore.owc_quantize`` as it was before the table: one scalar fit per candidate."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     w = np.asarray(w, dtype=np.float64)
@@ -215,7 +215,7 @@ def test_owc_search_matches_scalar_search(bits, grid_size):
         w, h = _instance(100 * bits + seed, 24)
         if seed == 2:
             w[:] = 0.125
-        p, q = _owc_search(w, h.matrix, bits, grid_size)
+        p, q = owc_quantize(w, h, bits, grid_size)
         ref_p, ref_q = reference_owc_search(w, h.matrix, bits, grid_size)
         assert p == ref_p
         np.testing.assert_array_equal(q, ref_q)
@@ -224,7 +224,7 @@ def test_owc_search_matches_scalar_search(bits, grid_size):
 def test_owc_search_ties_go_to_larger_gamma():
     # A zero Hessian scores every candidate 0, so the whole grid ties.
     w, _ = _instance(3, 16)
-    p, q = _owc_search(w, np.zeros((16, 16)), 3, 8)
+    p, q = owc_quantize(w, Hessian(np.zeros((16, 16))), 3, 8)
     ref_p, ref_q = reference_owc_search(w, np.zeros((16, 16)), 3, 8)
     assert p == ref_p and p.gamma == 1.0
     np.testing.assert_array_equal(q, ref_q)

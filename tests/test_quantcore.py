@@ -269,7 +269,8 @@ def test_layer_validation_errors():
 
 def test_layer_dequantize_groups():
     layer = _toy_layer()
-    a, b = layer.channel_scale_vectors(1)
+    a = np.repeat(layer.scales[1].astype(np.float64), layer.group_size)
+    b = np.repeat(layer.biases[1].astype(np.float64), layer.group_size)
     assert a.shape == (4,)
     expected = a * layer.codes[1] + b
-    np.testing.assert_allclose(layer.dequantize_channel(1), expected)
+    np.testing.assert_allclose(layer.dequantize()[:, 1], expected)

@@ -39,7 +39,7 @@ def test_container_roundtrip_dtypes(tmp_path, dtype):
     write_container(path, arr)
     back = read_container(path)
     assert back.array.dtype == dtype
-    assert back.shape == (3, 4)
+    assert back.array.shape == (3, 4)
     np.testing.assert_array_equal(back.array, arr)
 
 
