@@ -6,13 +6,13 @@ randomized-block coordinate descent, clip-strength initialization, grouped
 (sub-channel) scales, and an exhaustive oracle for verification.
 """
 
-from .calibration import (Hessian, ShapeMismatchError, SynthSpec, build_hessian,
-                          clip_hessian_eigenvalues, gen_calibration, gen_weights)
+from .calibration import (ShapeMismatchError, SynthSpec, build_hessian, clip_hessian_eigenvalues,
+                          gen_calibration, gen_weights)
 from .descent import (DescentConfig, DescentTrace, EnumerationGuardError, GradientState,
                       TraceStep, bcd_quantize, cd_quantize, cyclic_cd_quantize, descend,
                       dump_trace, quantize_matrix)
-from .groupquant import (GroupScheme, OwcCdResult, default_gamma_grid, expand_scheme,
-                         minmax_group_init, owc_cd, owc_group_init, tilde_transform)
+from .groupquant import (OwcCdResult, default_gamma_grid, minmax_group_init, owc_cd,
+                         owc_group_init, tilde_transform)
 from .oracle import OracleResult, VerifyReport, brute_force, canonical_problem, verify_trace
 from .quantcore import (ChannelProblem, CodeVector, DegenerateChannelError, QuantParams,
                         QuantizedLayer, channel_objective, dequantize, load_layer,

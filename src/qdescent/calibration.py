@@ -58,22 +58,6 @@ class SynthSpec:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
-class Hessian:
-    """Symmetric PSD curvature matrix with its damping provenance.
-
-    ``matrix`` is float64 and stored canonically symmetric. ``damping`` is the
-    absolute multiple of the identity already folded into ``matrix``.
-    """
-
-    matrix: np.ndarray
-    damping: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -101,8 +85,12 @@ def gen_calibration(spec: SynthSpec) -> np.ndarray:
 
     # M satisfies M'M = Q diag(eigvals) Q', so X = Z M has the target covariance.
     mix = np.sqrt(eigvals)[:, None] * q.T
-    samples = rng.standard_normal((spec.n, d))
-    return (samples @ mix).astype(np.float32)
+    samples = rng.standard_normal((spec.n, d)) @ mix
+    limit = float(np.finfo(np.float32).max)
+    if not (-limit <= samples.min() and samples.max() <= limit):  # NaN fails too
+        raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
+                         f"{spec.outlier_gain!r} give samples beyond the float32 range")
+    return samples.astype(np.float32)
 
 
 def gen_weights(d_in: int, d_out: int, seed: int) -> np.ndarray:
@@ -111,8 +99,8 @@ def gen_weights(d_in: int, d_out: int, seed: int) -> np.ndarray:
     return rng.standard_normal((d_in, d_out)).astype(np.float32)
 
 
-def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> Hessian:
-    """Accumulate H = X'X + lambda*I with lambda = lambda_rel * mean(diag(X'X)).
+def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
+    """The float64 matrix H = X'X + lambda*I with lambda = lambda_rel * mean(diag(X'X)).
 
     Accumulation is in float64 regardless of the input dtype; the result is
     forced exactly symmetric.
@@ -135,10 +123,10 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> Hessian:
         raise ValueError(f"lambda_rel={lambda_rel!r} overflows the damped Hessian diagonal")
     if lam:
         gram = gram + lam * np.eye(gram.shape[0])
-    return Hessian(matrix=gram, damping=lam)
+    return gram
 
 
-def clip_hessian_eigenvalues(hessian: Hessian, clip_fraction: float) -> Hessian:
+def clip_hessian_eigenvalues(hessian: np.ndarray, clip_fraction: float) -> np.ndarray:
     """Flatten the top ceil(rho*d) eigenvalues down to the next one.
 
     Eigenvectors are preserved, the output is re-symmetrized, and clipping is
@@ -147,17 +135,16 @@ def clip_hessian_eigenvalues(hessian: Hessian, clip_fraction: float) -> Hessian:
     """
     if not 0.0 <= clip_fraction < 1.0:
         raise ValueError("clip_fraction must be in [0, 1)")
-    d = hessian.dim
+    d = hessian.shape[0]
     m = math.ceil(clip_fraction * d)
     if m == 0:
-        return Hessian(matrix=hessian.matrix.copy(), damping=hessian.damping)
+        return hessian.copy()
     if m >= d:
         raise ValueError(f"cannot clip {m} of {d} eigenvalues: nothing left to clip against")
 
-    eigvals, eigvecs = np.linalg.eigh(hessian.matrix)  # ascending
+    eigvals, eigvecs = np.linalg.eigh(hessian)  # ascending
     threshold = eigvals[d - m - 1]
     clipped = eigvals.copy()
     clipped[d - m:] = threshold
     out = (eigvecs * clipped) @ eigvecs.T
-    out = (out + out.T) / 2.0
-    return Hessian(matrix=out, damping=hessian.damping)
+    return (out + out.T) / 2.0

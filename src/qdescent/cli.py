@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, descent, oracle, quantcore, tensorio
-from .calibration import Hessian, ShapeMismatchError, SynthSpec
+from .calibration import ShapeMismatchError, SynthSpec
 from .descent import DescentConfig, EnumerationGuardError
 from .tensorio import BenchRecord, TensorIOError
 
@@ -53,7 +53,7 @@ def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction:
 
 
 def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
-                 clip_fraction: float) -> tuple[np.ndarray, Hessian]:
+                 clip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """The weights and the calibration Hessian, once both containers hold matrices of one d_in."""
     weights, calib = (tensorio.read_container(path).array for path in (weights_path, calib_path))
     for path, arr in ((weights_path, weights), (calib_path, calib)):
@@ -65,7 +65,7 @@ def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
     return weights, _build_hessian_pipeline(calib, lambda_rel, clip_fraction)
 
 
-def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: Hessian) -> None:
+def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: np.ndarray) -> None:
     """Mean and median relative objective, leaving out and naming each channel
     whose baseline w'Hw is not positive (it reports 0, so only 0s are checked)."""
     w64 = np.asarray(weights, dtype=np.float64)

@@ -63,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import Hessian, ShapeMismatchError
+from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
                         layer_records, minmax_quantize, owc_quantize)
 from .tensorio import BenchRecord
@@ -183,7 +183,7 @@ class GradientState:
 def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if prob.params.scale == 0.0 or prob.target is None:
         raise DegenerateChannelError("constant weight vector: run the degenerate path, not descent")
-    hmat = prob.hessian.matrix
+    hmat = prob.hessian
     q0 = np.asarray(q0)
     if q0.shape[0] != hmat.shape[0]:
         raise ShapeMismatchError("initial codes do not match the Hessian dimension")
@@ -596,7 +596,8 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
     return codes, steps
 
 
-def _quantize_channel(w: np.ndarray, hessian: Hessian, method: str, bits: int, cfg: DescentConfig,
+def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
+                      cfg: DescentConfig,
                       grid_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
     """Per-channel pipeline: affine init, then :func:`descend` on the channel's
     own problem. Returns ((params,), codes, steps_taken).
@@ -611,7 +612,7 @@ def _quantize_channel(w: np.ndarray, hessian: Hessian, method: str, bits: int, c
     return (params,), codes, steps
 
 
-def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
+def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
                     bits: int, group_size: int = 0, cfg: Optional[DescentConfig] = None,
                     grid_size: int = 50, owc_cd_refine: bool = False,
                     collect_timing: bool = True,
@@ -633,9 +634,9 @@ def quantize_matrix(weights: np.ndarray, hessian: Hessian, method: str, *,
     if weights.ndim != 2:
         raise ShapeMismatchError("weights must be a (d_in, d_out) matrix")
     d_in, d_out = weights.shape
-    if d_in != hessian.dim:
-        raise ShapeMismatchError(
-            f"weights have d_in={d_in} but the Hessian is {hessian.dim}x{hessian.dim}")
+    if d_in != hessian.shape[0]:
+        raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
+                                 f"{hessian.shape[0]}x{hessian.shape[0]}")
     if d_out == 0:
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
     if group_size:

@@ -47,41 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import Hessian, ShapeMismatchError
+from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips, _fit_affine,
                         default_gamma_grid)
 from .descent import DescentConfig, descend
-
-
-@dataclass(frozen=True)
-class GroupScheme:
-    """Per-group affine parameters of one channel."""
-
-    group_size: int
-    params: tuple[QuantParams, ...]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.params)
-
-    @property
-    def d_in(self) -> int:
-        return self.group_size * len(self.params)
-
-    @property
-    def gammas(self) -> tuple[float, ...]:
-        return tuple(p.gamma for p in self.params)
-
-    @property
-    def bits(self) -> int:
-        return self.params[0].bits
-
-
-def expand_scheme(scheme: GroupScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate (scale, bias) float64 vectors."""
-    a = np.repeat(np.array([p.scale for p in scheme.params], dtype=np.float64), scheme.group_size)
-    b = np.repeat(np.array([p.bias for p in scheme.params], dtype=np.float64), scheme.group_size)
-    return a, b
 
 
 def _check_grouping(d_in: int, group_size: int) -> int:
@@ -90,36 +59,42 @@ def _check_grouping(d_in: int, group_size: int) -> int:
     return d_in // group_size
 
 
-def tilde_transform(w: np.ndarray, hessian: Hessian, scheme: GroupScheme) -> ChannelProblem:
+def _group_size(d_in: int, params: tuple[QuantParams, ...]) -> int:
+    """The size of each group when ``params`` holds one entry per group of d_in weights."""
+    if not params or d_in % len(params):
+        raise ShapeMismatchError(f"{len(params)} groups do not divide d_in={d_in}")
+    return d_in // len(params)
+
+
+def tilde_transform(w: np.ndarray, hessian: np.ndarray,
+                    params: tuple[QuantParams, ...]) -> ChannelProblem:
     """The grouped problem in per-channel form: H~ = D H D (row/column scaling
     of H, no activation matrix needed) and target z~ = (w - b) / a, at unit
     scale and zero bias, so the engines' scaled loss is the true loss.
 
+    ``params`` holds one entry per group, of size ``len(w) // len(params)``.
     A zero group scale is only legal for a constant group (the degenerate
-    path); anything else means the scheme is inconsistent with the weights.
+    path); anything else means the params are inconsistent with the weights.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = scheme.group_size
-    n_groups = _check_grouping(w.shape[0], g)
-    if n_groups != scheme.n_groups:
-        raise ShapeMismatchError("scheme group count disagrees with the weight length")
-    if hessian.dim != w.shape[0]:
+    g = _group_size(w.shape[0], params)
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
 
-    avec, bvec = expand_scheme(scheme)
-    for i, p in enumerate(scheme.params):
+    avec = np.repeat(np.array([p.scale for p in params], dtype=np.float64), g)
+    bvec = np.repeat(np.array([p.bias for p in params], dtype=np.float64), g)
+    for i, p in enumerate(params):
         grp = w[i * g:(i + 1) * g]
         if p.scale == 0.0 and float(grp.max() - grp.min()) != 0.0:
             raise ValueError(f"zero scale for non-constant group {i}")
 
-    h_tilde = hessian.matrix * avec[:, None]
+    h_tilde = hessian * avec[:, None]
     h_tilde *= avec[None, :]  # in place: one d_in x d_in temporary, same two products
     active = avec > 0.0
     z_tilde = np.zeros_like(w)
     z_tilde[active] = (w[active] - bvec[active]) / avec[active]
-    params = QuantParams(scale=1.0, bias=0.0, bits=scheme.bits, gamma=1.0)
-    return ChannelProblem(weights=z_tilde, hessian=Hessian(h_tilde, hessian.damping),
-                          params=params, target=z_tilde)
+    unit = QuantParams(scale=1.0, bias=0.0, bits=params[0].bits, gamma=1.0)
+    return ChannelProblem(weights=z_tilde, hessian=h_tilde, params=unit, target=z_tilde)
 
 
 def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
@@ -128,41 +103,43 @@ def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
 
 
 def minmax_group_init(w: np.ndarray, bits: int,
-                      group_size: int) -> tuple[GroupScheme, np.ndarray]:
-    """Independent per-group min-max fit (clip strength 1)."""
+                      group_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray]:
+    """Independent per-group min-max fit (clip strength 1): (params per group, codes)."""
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
     table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
-    params = tuple(table.params(i, 0) for i in range(n_groups))
-    return GroupScheme(group_size=group_size, params=params), table.codes[:, 0].ravel()
+    return tuple(table.params(i, 0) for i in range(n_groups)), table.codes[:, 0].ravel()
 
 
-def owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
-                   grid_size: int = 50) -> tuple[GroupScheme, np.ndarray]:
-    """Per-group clip-strength grid search against the group's own H block.
+def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
+                   grid_size: int = 50) -> tuple[tuple[QuantParams, ...], np.ndarray]:
+    """Per-group clip-strength grid search against the group's own H block:
+    (params per group, codes).
 
     Cross-group coupling is ignored here (block-diagonal approximation);
     the clip-strength coordinate descent below is what accounts for it.
     """
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    if hessian.dim != w.shape[0]:
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
-    hmat = hessian.matrix
-    hviews = [hmat[i * group_size:(i + 1) * group_size, i * group_size:(i + 1) * group_size]
+    hviews = [hessian[i * group_size:(i + 1) * group_size, i * group_size:(i + 1) * group_size]
               for i in range(n_groups)]
-    best = _best_clips(table, _diag_blocks(hmat, n_groups, group_size), hviews)
+    best = _best_clips(table, _diag_blocks(hessian, n_groups, group_size), hviews)
     params = tuple(table.params(i, int(k)) for i, k in enumerate(best))
-    codes = table.codes[np.arange(n_groups), best].ravel()
-    return GroupScheme(group_size=group_size, params=params), codes
+    return params, table.codes[np.arange(n_groups), best].ravel()
 
 
 @dataclass
 class OwcCdResult:
-    """Outcome of the clip-strength coordinate descent."""
+    """Outcome of the clip-strength coordinate descent.
 
-    scheme: GroupScheme
+    Each swap is (group, new clip strength, loss change, loss after it), the
+    loss accumulated from ``initial_loss``; ``final_loss`` is recomputed.
+    """
+
+    params: tuple[QuantParams, ...]
     codes: np.ndarray
     swaps: list[tuple[int, float, float, float]] = field(default_factory=list)
     initial_loss: float = 0.0
@@ -170,7 +147,7 @@ class OwcCdResult:
     final_v: Optional[np.ndarray] = None
 
 
-def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
+def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
            gamma_grid: Optional[np.ndarray] = None,
            steps: Optional[int] = None) -> OwcCdResult:
     """Greedy coordinate descent over per-group clip strengths.
@@ -180,12 +157,12 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
     exact loss change (ties to the smallest (group, grid index)) and stops
     early at a fixed point, which cannot change the outcome because the
     candidate table is static. Default step budget is one pass,
-    d_in / group_size.
+    d_in / group_size, with group size ``len(w) // len(params)``.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = scheme.group_size
-    n_groups = _check_grouping(w.shape[0], g)
-    if hessian.dim != w.shape[0]:
+    g = _group_size(w.shape[0], params)
+    n_groups = len(params)
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     gamma_grid = default_gamma_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=np.float64)
     if gamma_grid.size == 0:
@@ -194,16 +171,15 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         steps = n_groups
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    hmat = hessian.matrix
-    bits = scheme.bits
+    bits = params[0].bits
     n_grid = gamma_grid.shape[0]
 
     # Every (group, grid value) fit, from one vectorized table.
     table = _affine_table(w.reshape(n_groups, g), bits, gamma_grid)
     resid_table = table.resid
 
-    # Current state from the scheme as passed in (its gammas need not be on the grid).
-    cur_params = list(scheme.params)
+    # Current state from the params as passed in (their gammas need not be on the grid).
+    cur_params = list(params)
     cur_codes = np.empty(w.shape[0], dtype=np.uint8)
     cur_resid = np.empty((n_groups, g))
     for i, p in enumerate(cur_params):
@@ -216,11 +192,11 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         cur_codes[sl] = q
         cur_resid[i] = grp - (p.scale * q.astype(np.float64) + p.bias)
 
-    hblocks = _diag_blocks(hmat, n_groups, g)
+    hblocks = _diag_blocks(hessian, n_groups, g)
     err = cur_resid.ravel()
-    v = -2.0 * (hmat @ err)
-    loss = float(err @ (hmat @ err))
-    result = OwcCdResult(scheme=scheme, codes=cur_codes, initial_loss=loss, final_loss=loss)
+    v = -2.0 * (hessian @ err)
+    loss = float(err @ (hessian @ err))
+    result = OwcCdResult(params=params, codes=cur_codes, initial_loss=loss)
 
     # The quadratic term d' H_ii d depends only on group i's own state, so it
     # is kept across steps and only the swapped group's row is recomputed.
@@ -236,24 +212,24 @@ def owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         sl = slice(i_star * g, (i_star + 1) * g)
         row = slice(i_star, i_star + 1)
         delta = resid_table[i_star, v_star] - cur_resid[i_star]
-        v -= 2.0 * (hmat[:, sl] @ delta)
+        v -= 2.0 * (hessian[:, sl] @ delta)
         cur_resid[i_star] = resid_table[i_star, v_star]
         cur_codes[sl] = table.codes[i_star, v_star]
         cur_params[i_star] = table.params(i_star, v_star)
         diff[row] = resid_table[row] - cur_resid[row, None, :]
         quad[row] = np.einsum("nvg,ngh,nvh->nv", diff[row], hblocks[row], diff[row])
-        err = cur_resid.ravel()
-        loss = float(err @ (hmat @ err))
+        loss += best
         result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))
 
-    result.scheme = GroupScheme(group_size=g, params=tuple(cur_params))
+    err = cur_resid.ravel()
+    result.params = tuple(cur_params)
     result.codes = cur_codes
-    result.final_loss = loss
+    result.final_loss = float(err @ (hessian @ err))
     result.final_v = v.copy()
     return result
 
 
-def quantize_channel_grouped(w: np.ndarray, hessian: Hessian, method: str, bits: int,
+def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
                              group_size: int, cfg: DescentConfig, grid_size: int,
                              owc_cd_refine: bool) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
     """Grouped counterpart of the per-channel pipeline: the per-group grid
@@ -262,15 +238,15 @@ def quantize_channel_grouped(w: np.ndarray, hessian: Hessian, method: str, bits:
     steps_taken), one params entry per group.
     """
     if method == "rtn":
-        scheme, codes = minmax_group_init(w, bits, group_size)
-        return scheme.params, codes, 0
-    scheme, codes = owc_group_init(w, hessian, bits, group_size, grid_size)
+        params, codes = minmax_group_init(w, bits, group_size)
+        return params, codes, 0
+    params, codes = owc_group_init(w, hessian, bits, group_size, grid_size)
     steps = 0
     if owc_cd_refine:
-        refined = owc_cd(w, hessian, scheme, default_gamma_grid(grid_size))
-        scheme, codes = refined.scheme, refined.codes
+        refined = owc_cd(w, hessian, params, default_gamma_grid(grid_size))
+        params, codes = refined.params, refined.codes
         steps += len(refined.swaps)
     if method != "owc":
-        codes, engine_steps = descend(tilde_transform(w, hessian, scheme), codes, method, cfg)
+        codes, engine_steps = descend(tilde_transform(w, hessian, params), codes, method, cfg)
         steps += engine_steps
-    return scheme.params, codes, steps
+    return params, codes, steps

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import Hessian
 from .descent import DescentTrace, EnumerationGuardError
 from .quantcore import ChannelProblem, DegenerateChannelError, QuantParams, objective
 
@@ -41,7 +40,7 @@ def brute_force(prob: ChannelProblem) -> OracleResult:
     """Enumerate every code vector and return the scaled-loss minimizer."""
     if prob.params.scale == 0.0 or prob.target is None:
         raise DegenerateChannelError("constant weight vector has the trivial all-zero optimum")
-    hmat = prob.hessian.matrix
+    hmat = prob.hessian
     z = prob.target
     d = hmat.shape[0]
     c = prob.params.bits
@@ -93,7 +92,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
     """Replay a trace, recomputing the loss from scratch after every step."""
     if prob.target is None:
         raise DegenerateChannelError("cannot verify a trace on a degenerate channel")
-    hmat = prob.hessian.matrix
+    hmat = prob.hessian
     z = prob.target
     levels = prob.params.levels
     codes = np.asarray(q0, dtype=np.float64).copy()
@@ -138,7 +137,7 @@ def canonical_problem() -> tuple[ChannelProblem, np.ndarray]:
     0.32; the greedy engine reaches it while a single cyclic sweep commits
     to coordinate 0 first and lands on q = (1, 0) at 0.72.
     """
-    hessian = Hessian(matrix=np.array([[2.0, 1.0], [1.0, 2.0]]), damping=0.0)
+    hessian = np.array([[2.0, 1.0], [1.0, 2.0]])
     params = QuantParams(scale=1.0, bias=0.0, bits=1, gamma=1.0)
     weights = np.array([0.4, 0.6])
     prob = ChannelProblem.build(weights, hessian, params)

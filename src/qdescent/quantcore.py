@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import Hessian, ShapeMismatchError
+from .calibration import ShapeMismatchError
 from . import tensorio
 
 #: Integer codes are plain uint8 numpy vectors; every entry must be < 2^bits.
@@ -75,16 +75,17 @@ class ChannelProblem:
     """
 
     weights: np.ndarray
-    hessian: Hessian
+    hessian: np.ndarray
     params: QuantParams
     target: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, weights: np.ndarray, hessian: Hessian, params: QuantParams) -> "ChannelProblem":
+    def build(cls, weights: np.ndarray, hessian: np.ndarray,
+              params: QuantParams) -> "ChannelProblem":
         w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != hessian.dim:
+        if w.ndim != 1 or w.shape[0] != hessian.shape[0]:
             raise ShapeMismatchError(
-                f"weights have shape {w.shape}, Hessian is {hessian.dim}x{hessian.dim}")
+                f"weights have shape {w.shape}, Hessian is {hessian.shape[0]}x{hessian.shape[0]}")
         target = (w - params.bias) / params.scale if params.scale > 0 else None
         return cls(weights=w, hessian=hessian, params=params, target=target)
 
@@ -103,9 +104,9 @@ def dequantize(codes: CodeVector, params: QuantParams) -> np.ndarray:
 
 
 def objective(weights: np.ndarray, codes: CodeVector, params: QuantParams,
-              hessian: Hessian | np.ndarray) -> float:
+              hessian: np.ndarray) -> float:
     """Reconstruction loss e' H e with e = w - dequantize(q)."""
-    h = hessian.matrix if isinstance(hessian, Hessian) else np.asarray(hessian, dtype=np.float64)
+    h = np.asarray(hessian, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[0] != h.shape[0] or w.shape[0] != np.asarray(codes).shape[0]:
         raise ShapeMismatchError("weights, codes and Hessian dimensions disagree")
@@ -113,15 +114,15 @@ def objective(weights: np.ndarray, codes: CodeVector, params: QuantParams,
     return float(err @ (h @ err))
 
 
-def zero_baseline(weights: np.ndarray, hessian: Hessian | np.ndarray) -> float:
+def zero_baseline(weights: np.ndarray, hessian: np.ndarray) -> float:
     """Loss of the all-zero reconstruction, w' H w."""
-    h = hessian.matrix if isinstance(hessian, Hessian) else np.asarray(hessian, dtype=np.float64)
+    h = np.asarray(hessian, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     return float(w @ (h @ w))
 
 
 def channel_objective(weights: np.ndarray, scales: np.ndarray, biases: np.ndarray,
-                      codes: CodeVector, hessian: Hessian) -> tuple[float, float, float]:
+                      codes: CodeVector, hessian: np.ndarray) -> tuple[float, float, float]:
     """(objective, relative objective, baseline) of one stored channel.
 
     ``scales``/``biases`` hold the channel's float32 params, one per group
@@ -132,7 +133,7 @@ def channel_objective(weights: np.ndarray, scales: np.ndarray, biases: np.ndarra
     """
     w = np.asarray(weights, dtype=np.float64)
     err = w - _reconstruct(scales, biases, codes)
-    obj = float(err @ (hessian.matrix @ err))
+    obj = float(err @ (hessian @ err))
     base = zero_baseline(w, hessian)
     return obj, (obj / base if base > 0.0 else 0.0), base
 
@@ -327,7 +328,7 @@ def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
     return _fit_affine(w, bits, gamma=1.0)
 
 
-def owc_quantize(w: np.ndarray, hessian: Hessian, bits: int,
+def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
                  grid_size: int = 50) -> tuple[QuantParams, CodeVector]:
     """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
     loss, ties toward larger gamma.
@@ -340,9 +341,8 @@ def owc_quantize(w: np.ndarray, hessian: Hessian, bits: int,
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    hmat = hessian.matrix
     table = _affine_table(w[None, :], bits, grid)
-    best = int(_best_clips(table, hmat[None], [hmat])[0])
+    best = int(_best_clips(table, hessian[None], [hessian])[0])
     return table.params(0, best), table.codes[0, best].copy()
 
 
@@ -417,7 +417,7 @@ def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True
         tensorio.write_container(directory / "codes.tc", layer.codes.astype(np.uint8))
 
 
-def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: Hessian,
+def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: np.ndarray,
                   steps: Optional[list[int]] = None,
                   walls: Optional[list[float]] = None) -> list[tensorio.BenchRecord]:
     """The report rows ``quantize`` writes and ``eval`` recomputes: per channel, its
@@ -491,16 +491,22 @@ def load_layer(directory: str | Path) -> QuantizedLayer:
     meta = _read_layer_meta(directory / LAYER_META_FILENAME)
     d_in, d_out = int(meta["d_in"]), int(meta["d_out"])
     if meta["codes_packed"]:
-        packed = tensorio.read_packed(directory / "codes.pc")
+        path = directory / "codes.pc"
+        packed = tensorio.read_packed(path)
         if packed.bit_width != meta["bits"]:
             raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
                                  f"is {meta['bits']}, but codes.pc holds {packed.bit_width}-bit "
                                  f"codes")
-        if packed.count != d_in * d_out:
-            raise tensorio.PayloadMismatchError("code count disagrees with layer dims")
-        codes = tensorio.unpack_codes(packed).reshape(d_out, d_in)
+        codes = tensorio.unpack_codes(packed)
     else:
-        codes = tensorio.read_container(directory / "codes.tc").array.reshape(d_out, d_in)
+        path = directory / "codes.tc"
+        codes = tensorio.read_container(path).array
+        if codes.dtype != np.uint8:
+            raise tensorio.PayloadMismatchError(f"{path}: codes must be u8, got {codes.dtype}")
+    if codes.size != d_in * d_out:
+        raise tensorio.PayloadMismatchError(f"{path}: holds {codes.size} codes, a {d_in} x "
+                                            f"{d_out} layer needs {d_in * d_out}")
+    codes = codes.reshape(d_out, d_in)
     layer = QuantizedLayer(
         d_in=d_in,
         d_out=d_out,

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from qdescent.calibration import Hessian, build_hessian
-from qdescent.groupquant import GroupScheme, tilde_transform
+from qdescent.calibration import build_hessian
+from qdescent.groupquant import tilde_transform
 from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
 
 
@@ -31,9 +31,16 @@ def integer_problem(d, bits, seed):
     levels = 2 ** bits
     z = rng.integers(0, 2 * levels - 1, size=d) / 2.0
     params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=Hessian(h), params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
     q0 = rng.integers(0, levels, size=d).astype(np.uint8)
     return prob, q0
+
+
+def expand_params(params, d):
+    """Per-coordinate (scale, bias) float64 vectors of one params entry per group of d weights."""
+    g = d // len(params)
+    return (np.repeat(np.array([p.scale for p in params], dtype=np.float64), g),
+            np.repeat(np.array([p.bias for p in params], dtype=np.float64), g))
 
 
 def grouped_problem(d, group_size, bits, seed, constant_group):
@@ -45,10 +52,9 @@ def grouped_problem(d, group_size, bits, seed, constant_group):
     params, codes = [], np.empty(d, dtype=np.uint8)
     for g in range(d // group_size):
         gsl = slice(g * group_size, (g + 1) * group_size)
-        p, q = owc_quantize(w[gsl], Hessian(prob.hessian.matrix[gsl, gsl]), bits, 20)
+        p, q = owc_quantize(w[gsl], prob.hessian[gsl, gsl], bits, 20)
         params.append(p)
         codes[gsl] = q
-    scheme = GroupScheme(group_size=group_size, params=tuple(params))
-    tilde = tilde_transform(w, prob.hessian, scheme)
-    assert not tilde.hessian.matrix[sl].any()  # the constant group's rows of H~ are zero
+    tilde = tilde_transform(w, prob.hessian, tuple(params))
+    assert not tilde.hessian[sl].any()  # the constant group's rows of H~ are zero
     return tilde, codes

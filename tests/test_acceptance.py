@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_problem
+from conftest import expand_params, random_problem
 from qdescent import calibration, descent, groupquant, oracle, quantcore, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
@@ -117,7 +117,7 @@ def test_criterion_04_gradient_and_v_drift():
         prob, q0 = random_problem(64, 2, seed=100 + seed)
         codes, trace = cd_quantize(prob, q0, DescentConfig(early_stop=False))
         assert len(trace.steps) == 64
-        fresh = 2.0 * (prob.hessian.matrix @ (codes.astype(np.float64) - prob.target))
+        fresh = 2.0 * (prob.hessian @ (codes.astype(np.float64) - prob.target))
         worst_g = max(worst_g, float(np.abs(trace.final_gradient - fresh).max()))
 
     worst_v = 0.0
@@ -127,12 +127,12 @@ def test_criterion_04_gradient_and_v_drift():
         x = rng.standard_normal((4 * d, d))
         hessian = build_hessian(x, 0.01)
         w = rng.standard_normal(d)
-        scheme, _ = groupquant.owc_group_init(w, hessian, bits=2, group_size=g, grid_size=16)
-        result = groupquant.owc_cd(w, hessian, scheme, groupquant.default_gamma_grid(16),
+        params, _ = groupquant.owc_group_init(w, hessian, bits=2, group_size=g, grid_size=16)
+        result = groupquant.owc_cd(w, hessian, params, groupquant.default_gamma_grid(16),
                                    steps=d // g)
-        avec, bvec = groupquant.expand_scheme(result.scheme)
+        avec, bvec = expand_params(result.params, d)
         err = w - (avec * result.codes + bvec)
-        fresh_v = -2.0 * (hessian.matrix @ err)
+        fresh_v = -2.0 * (hessian @ err)
         worst_v = max(worst_v, float(np.abs(result.final_v - fresh_v).max()))
 
     ok = worst_g < 1e-6 and worst_v < 1e-6
@@ -219,11 +219,11 @@ def test_criterion_07_eigenvalue_clipping():
     spectral_ok = True
     for d, m in ((16, 2), (24, 3), (8, 1)):
         h = build_hessian(rng.standard_normal((3 * d, d)), 0.01)
-        eig_in = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
+        eig_in = np.sort(np.linalg.eigvalsh(h))[::-1]
         clipped = clip_hessian_eigenvalues(h, m / d)
-        eig_out = np.sort(np.linalg.eigvalsh(clipped.matrix))[::-1]
-        if not (np.array_equal(clipped.matrix, clipped.matrix.T)
-                and eig_out.min() >= -1e-8 * np.trace(h.matrix)
+        eig_out = np.sort(np.linalg.eigvalsh(clipped))[::-1]
+        if not (np.array_equal(clipped, clipped.T)
+                and eig_out.min() >= -1e-8 * np.trace(h)
                 and abs(eig_out[0] - eig_in[m]) <= 1e-9 * max(1.0, eig_in[m])):
             spectral_ok = False
 
@@ -247,7 +247,7 @@ def test_criterion_07_eigenvalue_clipping():
             rels = []
             for j in range(d_out):
                 err = w[:, j].astype(np.float64) - deq[:, j]
-                rels.append(float(err @ h_ref.matrix @ err)
+                rels.append(float(err @ h_ref @ err)
                             / zero_baseline(w[:, j].astype(np.float64), h_ref))
             means[tag] = float(np.mean(rels))
         wins += means["clip"] < means["plain"]

@@ -9,7 +9,6 @@ every trace step, the final loss and the final gradient must be identical.
 import numpy as np
 import pytest
 
-from qdescent.calibration import Hessian
 from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
                               GradientState, TraceStep, _check_engine_inputs, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
@@ -175,9 +174,8 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     a = rng.standard_normal((4 * d, d))
     h = np.diag(rng.uniform(1.0, 2.0, size=d)) + 1e-3 * (a.T @ a) / (4 * d)
     w = rng.standard_normal(d)
-    hess = Hessian(h)
-    params, q0 = owc_quantize(w, hess, bits, 50)
-    prob = ChannelProblem.build(w, hess, params)
+    params, q0 = owc_quantize(w, h, bits, 50)
+    prob = ChannelProblem.build(w, h, params)
     cfg = DescentConfig(block_size=2, epochs=2, seed=3)
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
@@ -192,12 +190,12 @@ def test_screen_returns_none_when_a_single_move_improves():
     prob, q0 = random_problem(16, 3, seed=2)
     codes, _ = cd_quantize(prob, q0, DescentConfig())
     codes[0] = 7 if codes[0] < 4 else 0  # moving coordinate 0 back now improves
-    state = GradientState.init(prob.hessian.matrix, codes, prob.target)
+    state = GradientState.init(prob.hessian, codes, prob.target)
     levels = np.arange(8, dtype=np.float64)
     diff = levels[None, :] - state.codes[:, None]
-    single = diff * diff * np.diag(prob.hessian.matrix)[:, None] + diff * state.gradient[:, None]
+    single = diff * diff * np.diag(prob.hessian)[:, None] + diff * state.gradient[:, None]
     assert single.min() < 0.0
-    assert _pair_screen(prob.hessian.matrix, state, levels) is None
+    assert _pair_screen(prob.hessian, state, levels) is None
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -209,7 +207,7 @@ def test_unflagged_pairs_cannot_improve(bits):
     for seed in range(12):
         maker = random_problem if seed % 2 else integer_problem
         prob, q0 = maker(10, bits, seed=seed)
-        hmat = prob.hessian.matrix
+        hmat = prob.hessian
         codes, _ = cd_quantize(prob, q0, DescentConfig())
         state = GradientState.init(hmat, codes, prob.target)
         flagged = _pair_screen(hmat, state, levels)

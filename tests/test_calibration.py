@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qdescent.calibration import (Hessian, SynthSpec, build_hessian, clip_hessian_eigenvalues,
+from qdescent.calibration import (SynthSpec, build_hessian, clip_hessian_eigenvalues,
                                   gen_calibration, gen_weights)
 
 
@@ -47,8 +47,18 @@ def test_gen_outlier_dominance():
     x = gen_calibration(SynthSpec(d_in=4, n=1000, outlier_directions=1,
                                   outlier_gain=100.0, seed=3))
     h = build_hessian(x, 0.0)
-    eig = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
+    eig = np.sort(np.linalg.eigvalsh(h))[::-1]
     assert eig[0] >= 20.0 * eig[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_gen_rejects_samples_beyond_float32():
+    spec = SynthSpec(d_in=8, n=16, outlier_directions=1, outlier_gain=1e300)
+    with pytest.raises(ValueError, match="float32 range"):
+        gen_calibration(spec)
+    # A gain whose samples fit in float32 still generates.
+    x = gen_calibration(SynthSpec(d_in=8, n=16, outlier_directions=1, outlier_gain=1e60))
+    assert x.dtype == np.float32 and np.isfinite(x).all()
 
 
 def test_gen_weights_deterministic():
@@ -63,20 +73,25 @@ def test_gen_weights_deterministic():
 
 
 def test_hessian_identity_inputs():
-    h = build_hessian(np.eye(2, dtype=np.float32), 0.0)
-    np.testing.assert_allclose(h.matrix, np.eye(2))
-    assert h.damping == 0.0
+    x = np.eye(2, dtype=np.float32)
+    h = build_hessian(x, 0.0)
+    np.testing.assert_allclose(h, np.eye(2))
+    lam = 0.0 * np.mean(np.diag(x.T @ x))
+    np.testing.assert_array_equal(h, x.T @ x + lam * np.eye(2))
 
 
 def test_hessian_rank_one():
     h = build_hessian(np.array([[1.0, 1.0]]), 0.0)
-    np.testing.assert_allclose(h.matrix, np.ones((2, 2)))
+    np.testing.assert_allclose(h, np.ones((2, 2)))
 
 
 def test_hessian_damping_formula():
-    h = build_hessian(np.eye(2), 0.01)
-    np.testing.assert_allclose(h.matrix, 1.01 * np.eye(2))
-    assert h.damping == pytest.approx(0.01)
+    x = np.eye(2)
+    h = build_hessian(x, 0.01)
+    np.testing.assert_allclose(h, 1.01 * np.eye(2))
+    lam = 0.01 * np.mean(np.diag(x.T @ x))
+    assert lam == pytest.approx(0.01)
+    np.testing.assert_allclose(h - x.T @ x, lam * np.eye(2))
 
 
 def test_hessian_matches_explicit_product():
@@ -85,9 +100,9 @@ def test_hessian_matches_explicit_product():
         x = rng.standard_normal((30, 7))
         h = build_hessian(x, 0.0)
         ref = x.T @ x
-        err = np.linalg.norm(h.matrix - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(h - ref) / np.linalg.norm(ref)
         assert err < 1e-10
-        np.testing.assert_array_equal(h.matrix, h.matrix.T)
+        np.testing.assert_array_equal(h, h.T)
 
 
 def test_hessian_damped_is_positive_definite():
@@ -96,8 +111,9 @@ def test_hessian_damped_is_positive_definite():
         d = int(rng.integers(2, 10))
         x = rng.standard_normal((max(1, d // 2), d))  # rank-deficient without damping
         h = build_hessian(x, 0.01)
-        np.linalg.cholesky(h.matrix)  # raises LinAlgError on a zero pivot
-        assert np.linalg.eigvalsh(h.matrix).min() >= h.damping * (1 - 1e-9)
+        np.linalg.cholesky(h)  # raises LinAlgError on a zero pivot
+        lam = 0.01 * np.mean(np.diag(x.T @ x))
+        assert np.linalg.eigvalsh(h).min() >= lam * (1 - 1e-9)
 
 
 def test_hessian_rejects_nan():
@@ -110,10 +126,10 @@ def test_hessian_psd_probe_vectors():
     for seed in range(20):
         x = rng.standard_normal((5, 9))  # rank deficient, undamped
         h = build_hessian(x, 0.0)
-        eps = 1e-8 * np.trace(h.matrix)
+        eps = 1e-8 * np.trace(h)
         for _ in range(20):
             v = rng.standard_normal(9)
-            assert v @ h.matrix @ v >= -eps * (v @ v)
+            assert v @ h @ v >= -eps * (v @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +137,16 @@ def test_hessian_psd_probe_vectors():
 
 
 def test_clip_diag_forced_example():
-    h = Hessian(matrix=np.diag([100.0, 1.0, 1.0]))
+    h = np.diag([100.0, 1.0, 1.0])
     clipped = clip_hessian_eigenvalues(h, 1 / 3)  # m = 1
-    np.testing.assert_allclose(clipped.matrix, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(clipped, np.eye(3), atol=1e-12)
 
 
 def test_clip_identity_noop():
-    h = Hessian(matrix=np.eye(5))
+    h = np.eye(5)
     for rho in (0.0, 0.2, 0.5, 0.8):  # m = ceil(rho*5) must stay below d
         clipped = clip_hessian_eigenvalues(h, rho)
-        np.testing.assert_allclose(clipped.matrix, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(clipped, np.eye(5), atol=1e-12)
 
 
 def _random_psd(d, seed):
@@ -141,29 +157,29 @@ def _random_psd(d, seed):
 
 def test_clip_max_eig_matches_third_largest():
     h = _random_psd(8, 4)
-    eig_in = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
+    eig_in = np.sort(np.linalg.eigvalsh(h))[::-1]
     clipped = clip_hessian_eigenvalues(h, 2 / 8)  # m = 2
-    eig_out = np.sort(np.linalg.eigvalsh(clipped.matrix))[::-1]
+    eig_out = np.sort(np.linalg.eigvalsh(clipped))[::-1]
     assert abs(eig_out.max() - eig_in[2]) < 1e-9 * max(1.0, eig_in[2])
-    np.testing.assert_array_equal(clipped.matrix, clipped.matrix.T)
-    assert eig_out.min() >= -1e-8 * np.trace(h.matrix)
+    np.testing.assert_array_equal(clipped, clipped.T)
+    assert eig_out.min() >= -1e-8 * np.trace(h)
 
 
 def test_clip_idempotent():
     h = _random_psd(10, 9)
     once = clip_hessian_eigenvalues(h, 0.3)
     twice = clip_hessian_eigenvalues(once, 0.3)
-    assert np.abs(twice.matrix - once.matrix).max() < 1e-9
+    assert np.abs(twice - once).max() < 1e-9
 
 
 def test_clip_monotone_quadratic_forms():
     h = _random_psd(12, 1)
     clipped = clip_hessian_eigenvalues(h, 0.25)
     rng = np.random.default_rng(0)
-    slack = 1e-9 * np.trace(h.matrix)
+    slack = 1e-9 * np.trace(h)
     for _ in range(50):
         x = rng.standard_normal(12)
-        assert x @ clipped.matrix @ x <= x @ h.matrix @ x + slack * (x @ x)
+        assert x @ clipped @ x <= x @ h @ x + slack * (x @ x)
 
 
 def test_clip_errors():
@@ -181,7 +197,7 @@ def test_clip_preserves_eigenvectors():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     vals = np.array([50.0, 10.0, 3.0, 2.0, 1.0])
-    h = Hessian(matrix=(q * vals) @ q.T)
+    h = (q * vals) @ q.T
     clipped = clip_hessian_eigenvalues(h, 1 / 5)
     expected = (q * np.array([10.0, 10.0, 3.0, 2.0, 1.0])) @ q.T
-    np.testing.assert_allclose(clipped.matrix, expected, atol=1e-9)
+    np.testing.assert_allclose(clipped, expected, atol=1e-9)

@@ -12,7 +12,6 @@ the accumulated ``loss_after`` must agree to 1e-12 relative.
 import numpy as np
 import pytest
 
-from qdescent.calibration import Hessian
 from qdescent.descent import (DescentConfig, DescentTrace, GradientState, TraceStep,
                               _best_moves, _check_engine_inputs, cd_quantize, cyclic_cd_quantize)
 from qdescent.oracle import verify_trace
@@ -147,7 +146,7 @@ def test_best_moves_breaks_exact_ties_to_the_smaller_value():
 def test_scan_matches_reference_with_a_constant_group(bits):
     for seed in range(4):
         prob, owc_codes = grouped_problem(64, 16, bits=bits, seed=seed, constant_group=seed)
-        assert (np.diag(prob.hessian.matrix) == 0.0).sum() == 16
+        assert (np.diag(prob.hessian) == 0.0).sum() == 16
         assert_both_engines(prob, owc_codes, DescentConfig(epochs=1 + seed % 2))
 
 
@@ -160,7 +159,7 @@ def scaled_problem(d, bits, seed, tiny, tiny_rows):
     h = scale[:, None] * (a.T @ a) * scale[None, :] + 1e-3 * np.diag(scale * scale)
     z = rng.uniform(0.0, 2 ** bits - 1, size=d)
     params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=Hessian(h), params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
     return prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)
 
 
@@ -168,8 +167,8 @@ def scaled_problem(d, bits, seed, tiny, tiny_rows):
 def test_scan_matches_reference_with_r_star_far_outside(bits):
     for seed, tiny in enumerate((1e-4, 1e-8, 1e-150)):
         prob, q0 = scaled_problem(24, bits, seed, tiny, tiny_rows=[0, 5, 6, 23])
-        state = GradientState.init(prob.hessian.matrix, q0, prob.target)
-        rstar = state.codes - 0.5 * state.gradient / np.diag(prob.hessian.matrix)
+        state = GradientState.init(prob.hessian, q0, prob.target)
+        rstar = state.codes - 0.5 * state.gradient / np.diag(prob.hessian)
         assert np.abs(rstar[[0, 5, 6, 23]]).max() > 4 * 2 ** bits
         assert_both_engines(prob, q0, DescentConfig(epochs=2))
 
@@ -185,7 +184,7 @@ def test_scan_matches_reference_on_indefinite_and_overflowing_rows():
     h[7, 7] = 5e-324
     z = rng.uniform(0.0, 15.0, size=d)
     params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=Hessian(h), params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
     q0 = rng.integers(0, 16, size=d).astype(np.uint8)
     state = GradientState.init(h, q0, z)
     with np.errstate(over="ignore"):

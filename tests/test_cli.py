@@ -73,6 +73,9 @@ def test_gen_calib_outlier_dominance(tmp_path):
     ["--spectrum-exponent", "-1000"],   # (i+1)^1000 overflows
     ["--outlier-directions", "2", "--outlier-gain", "nan"],
     ["--outlier-directions", "2", "--outlier-gain", "inf"],
+    # finite spectra whose samples lie beyond the float32 range
+    ["--outlier-directions", "1", "--outlier-gain", "1e300"],
+    ["--spectrum-exponent", "-200"],
 ])
 def test_gen_calib_non_finite_spectrum_exits_usage(tmp_path, capsys, flags):
     out = tmp_path / "x.tc"
@@ -582,3 +585,31 @@ def test_unpacked_codes_mode(tmp_path):
     assert main(base + ["--out", str(unpacked), "--unpacked-codes"]) == EXIT_OK
     from qdescent.quantcore import load_layer
     np.testing.assert_array_equal(load_layer(packed).codes, load_layer(unpacked).codes)
+
+
+def _eval_with_rewritten_codes(tmp_path, capsys, rewrite):
+    """Quantize a 16 x 4 layer with unpacked codes, replace its codes.tc by
+    ``rewrite(codes)``, then run eval; returns eval's exit code and its one-line error."""
+    w, x = write_inputs(tmp_path, d_in=16, d_out=4)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "cd",
+                 "--bits", "3", "--unpacked-codes"]) == EXIT_OK
+    codes = tensorio.read_container(out / "codes.tc").array
+    tensorio.write_container(out / "codes.tc", rewrite(codes))
+    capsys.readouterr()
+    code = main(["eval", "--layer", str(out), "--calib", x])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "codes.tc" in err
+    return code, err
+
+
+def test_eval_unpacked_codes_wrong_count_exits_io(tmp_path, capsys):
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys, lambda codes: codes[:3])
+    assert code == EXIT_IO and "48" in err
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5, -5.0])
+def test_eval_unpacked_codes_not_u8_exits_io(tmp_path, capsys, offset):
+    code, err = _eval_with_rewritten_codes(
+        tmp_path, capsys, lambda codes: codes.astype(np.float32) + np.float32(offset))
+    assert code == EXIT_IO and "u8" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
-from qdescent.calibration import Hessian, build_hessian
+from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, GradientState, bcd_quantize,
                               cd_quantize, cyclic_cd_quantize, descend, dump_trace,
                               quantize_matrix)
@@ -15,7 +15,7 @@ from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantPar
 
 def test_cd_canonical_trace():
     prob, q0 = canonical_problem()
-    state = GradientState.init(prob.hessian.matrix, q0, prob.target)
+    state = GradientState.init(prob.hessian, q0, prob.target)
     np.testing.assert_allclose(state.gradient, [-2.8, -3.2])
 
     codes, trace = cd_quantize(prob, q0, DescentConfig())
@@ -33,7 +33,7 @@ def test_cd_diagonal_h_rtn_init_is_fixed_point():
     rng = np.random.default_rng(0)
     for seed in range(5):
         w = rng.standard_normal(8)
-        h = Hessian(matrix=np.diag(rng.uniform(0.5, 3.0, size=8)))
+        h = np.diag(rng.uniform(0.5, 3.0, size=8))
         params, q0 = minmax_quantize(w, 2)
         prob = ChannelProblem.build(w, h, params)
         codes, trace = cd_quantize(prob, q0, DescentConfig())
@@ -45,7 +45,7 @@ def test_cd_scale_invariance_power_of_two():
     prob, q0 = random_problem(10, 2, seed=3)
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
-                            hessian=Hessian(matrix=4.0 * prob.hessian.matrix),
+                            hessian=4.0 * prob.hessian,
                             params=prob.params, target=prob.target)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
@@ -59,14 +59,14 @@ def test_cd_scale_invariance_generic_factor():
     prob, q0 = random_problem(12, 2, seed=4)
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
-                            hessian=Hessian(matrix=3.7 * prob.hessian.matrix),
+                            hessian=3.7 * prob.hessian,
                             params=prob.params, target=prob.target)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
 
 
 def test_cd_rejects_degenerate_scale():
-    h = Hessian(matrix=np.eye(2))
+    h = np.eye(2)
     params = QuantParams(scale=0.0, bias=1.0, bits=2)
     prob = ChannelProblem.build(np.ones(2), h, params)
     with pytest.raises(DegenerateChannelError):
@@ -133,7 +133,7 @@ def test_cyclic_canonical_one_pass():
 def test_cyclic_diagonal_single_pass_is_optimal():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(6)
-    h = Hessian(matrix=np.diag(rng.uniform(0.2, 2.0, size=6)))
+    h = np.diag(rng.uniform(0.2, 2.0, size=6))
     params, _ = minmax_quantize(w, 2)
     prob = ChannelProblem.build(w, h, params)
     q0 = np.zeros(6, dtype=np.uint8)
@@ -172,7 +172,7 @@ def test_gradient_maintenance_drift():
     prob, q0 = random_problem(32, 2, seed=13, scale=1.0)
     cfg = DescentConfig(early_stop=False)  # force the full d_in steps
     codes, trace = cd_quantize(prob, q0, cfg)
-    fresh = 2.0 * (prob.hessian.matrix @ (codes.astype(np.float64) - prob.target))
+    fresh = 2.0 * (prob.hessian @ (codes.astype(np.float64) - prob.target))
     assert np.abs(trace.final_gradient - fresh).max() < 1e-6
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
-from qdescent.calibration import Hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, TraceStep, bcd_quantize,
                               cd_quantize)
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
@@ -16,7 +15,7 @@ from qdescent.quantcore import ChannelProblem, QuantParams
 
 def naive_enumeration(prob):
     """Independent reference: itertools over all code tuples, min with first-wins ties."""
-    hmat = prob.hessian.matrix
+    hmat = prob.hessian
     z = prob.target
     best = None
     for combo in itertools.product(range(prob.params.levels), repeat=z.shape[0]):
@@ -33,7 +32,7 @@ def test_canonical_enumeration():
     scores = {}
     for combo in itertools.product((0, 1), repeat=2):
         err = np.asarray(combo, dtype=np.float64) - prob.target
-        scores[combo] = float(err @ prob.hessian.matrix @ err)
+        scores[combo] = float(err @ prob.hessian @ err)
     assert scores[(0, 0)] == pytest.approx(1.52, abs=1e-12)
     assert scores[(1, 0)] == pytest.approx(0.72, abs=1e-12)
     assert scores[(0, 1)] == pytest.approx(0.32, abs=1e-12)
@@ -57,7 +56,7 @@ def test_brute_force_matches_naive_reference():
 
 def test_brute_force_exact_weights():
     params = QuantParams(scale=1.0, bias=0.0, bits=2)
-    h = Hessian(matrix=np.eye(3))
+    h = np.eye(3)
     prob = ChannelProblem.build(np.array([0.0, 2.0, 3.0]), h, params)
     result = brute_force(prob)
     assert result.scaled_objective == 0.0
@@ -66,7 +65,7 @@ def test_brute_force_exact_weights():
 
 def test_brute_force_tie_break_lexicographic():
     params = QuantParams(scale=1.0, bias=0.0, bits=1)
-    h = Hessian(matrix=np.eye(2))
+    h = np.eye(2)
     prob = ChannelProblem.build(np.array([0.5, 0.5]), h, params)
     result = brute_force(prob)  # all four codes tie at 0.5
     np.testing.assert_array_equal(result.codes, [0, 0])

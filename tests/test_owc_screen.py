@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from qdescent import quantcore
-from qdescent.calibration import Hessian, ShapeMismatchError, build_hessian
-from qdescent.groupquant import GroupScheme, _check_grouping, _diag_blocks, owc_group_init
-from qdescent.quantcore import (_affine_table, _best_clips, _clip_screen, default_gamma_grid,
-                                owc_quantize)
+from qdescent.calibration import ShapeMismatchError, build_hessian
+from qdescent.groupquant import _check_grouping, _diag_blocks, owc_group_init
+from qdescent.quantcore import (QuantParams, _affine_table, _best_clips, _clip_screen,
+                                default_gamma_grid, owc_quantize)
 
 
 def reference_best_clip(resid: np.ndarray, hmat: np.ndarray) -> int:
@@ -42,8 +42,8 @@ def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int, grid_size: 
     return table.params(0, best), table.codes[0, best].copy()
 
 
-def reference_owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
-                             grid_size: int = 50) -> tuple[GroupScheme, np.ndarray]:
+def reference_owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
+                             grid_size: int = 50) -> tuple[tuple[QuantParams, ...], np.ndarray]:
     """Per-group clip-strength grid search against the group's own H block.
 
     Cross-group coupling is ignored here (block-diagonal approximation);
@@ -51,16 +51,16 @@ def reference_owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_s
     """
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    if hessian.dim != w.shape[0]:
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
     params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
     for i in range(n_groups):
         sl = slice(i * group_size, (i + 1) * group_size)
-        best = reference_best_clip(table.resid[i], hessian.matrix[sl, sl]) if table.live[i] else 0
+        best = reference_best_clip(table.resid[i], hessian[sl, sl]) if table.live[i] else 0
         params.append(table.params(i, best))
         codes[sl] = table.codes[i, best]
-    return GroupScheme(group_size=group_size, params=tuple(params)), codes
+    return tuple(params), codes
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def loop_calls(monkeypatch):
     return calls
 
 
-def calib_hessian(d: int, seed: int) -> Hessian:
+def calib_hessian(d: int, seed: int) -> np.ndarray:
     return build_hessian(np.random.default_rng(seed).standard_normal((2 * d, d)), 0.01)
 
 
@@ -88,7 +88,7 @@ def spectrum_hessian(d: int, seed: int, eigs: np.ndarray) -> np.ndarray:
 
 
 HESSIANS = {
-    "calib": lambda d, seed: calib_hessian(d, seed).matrix,
+    "calib": calib_hessian,
     "ill-conditioned": lambda d, seed: spectrum_hessian(d, seed, np.logspace(-14, 2, d)),
     "indefinite": lambda d, seed: spectrum_hessian(
         d, seed, np.random.default_rng(seed + 1).standard_normal(d)),
@@ -96,7 +96,7 @@ HESSIANS = {
 
 
 @pytest.fixture(scope="module")
-def h1024() -> Hessian:
+def h1024() -> np.ndarray:
     return calib_hessian(1024, 0)
 
 
@@ -109,10 +109,10 @@ def assert_same_params(got, ref):
 def test_owc_search_matches_loop(bits, grid_size, h1024, loop_calls):
     rng = np.random.default_rng(100 * bits + grid_size)
     for d in (2, 16, 256, 1024):
-        hmat = h1024.matrix[:d, :d]
+        hmat = h1024[:d, :d]
         for _ in range(2):
             w = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 30.0])
-            p, q = owc_quantize(w, Hessian(hmat), bits, grid_size)
+            p, q = owc_quantize(w, hmat, bits, grid_size)
             ref_p, ref_q = reference_owc_search(w, hmat, bits, grid_size)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -125,7 +125,7 @@ def test_owc_search_matches_loop_on_hard_hessians(kind, loop_calls):
         hmat = HESSIANS[kind](d, seed)
         w = np.random.default_rng(seed).standard_normal(d)
         for bits in (2, 4, 8):
-            p, q = owc_quantize(w, Hessian(hmat), bits, 50)
+            p, q = owc_quantize(w, hmat, bits, 50)
             ref_p, ref_q = reference_owc_search(w, hmat, bits, 50)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -136,15 +136,15 @@ def test_owc_search_matches_loop_on_hard_hessians(kind, loop_calls):
 def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
     rng = np.random.default_rng(10 * bits + grid_size)
     for d, g in ((1024, 32), (1024, 128), (256, 4), (96, 1), (12, 12)):
-        hessian = Hessian(h1024.matrix[:d, :d])
+        hessian = h1024[:d, :d]
         w = rng.standard_normal(d)
         w[:g] = 0.5  # a constant group: scale 0, codes 0, never scored
         if d // g > 2:
             w[2 * g:3 * g] = -1.25
-        scheme, codes = owc_group_init(w, hessian, bits, g, grid_size)
-        ref_scheme, ref_codes = reference_owc_group_init(w, hessian, bits, g, grid_size)
-        assert scheme.group_size == ref_scheme.group_size
-        for p, ref_p in zip(scheme.params, ref_scheme.params, strict=True):
+        params, codes = owc_group_init(w, hessian, bits, g, grid_size)
+        ref_params, ref_codes = reference_owc_group_init(w, hessian, bits, g, grid_size)
+        assert len(params) == len(ref_params) == d // g
+        for p, ref_p in zip(params, ref_params, strict=True):
             assert_same_params(p, ref_p)
         assert np.array_equal(codes, ref_codes)
         assert codes.dtype == ref_codes.dtype
@@ -154,10 +154,10 @@ def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
 
 def test_all_groups_constant_returns_first_index():
     w = np.full(64, 0.75)
-    scheme, codes = owc_group_init(w, calib_hessian(64, 1), 3, 16)
-    ref_scheme, ref_codes = reference_owc_group_init(w, calib_hessian(64, 1), 3, 16)
-    assert scheme == ref_scheme and np.array_equal(codes, ref_codes)
-    assert all(p.scale == 0.0 and p.gamma == 1.0 for p in scheme.params)
+    params, codes = owc_group_init(w, calib_hessian(64, 1), 3, 16)
+    ref_params, ref_codes = reference_owc_group_init(w, calib_hessian(64, 1), 3, 16)
+    assert params == ref_params and np.array_equal(codes, ref_codes)
+    assert all(p.scale == 0.0 and p.gamma == 1.0 for p in params)
 
 
 def exact_score(e: np.ndarray, h: np.ndarray) -> Fraction:
@@ -189,11 +189,11 @@ def test_screen_bound_holds(kind):
 def test_screen_bound_holds_per_group(h1024):
     w = np.random.default_rng(8).standard_normal(1024)
     table = _affine_table(w.reshape(32, 32), 4, default_gamma_grid(50))
-    blocks = _diag_blocks(h1024.matrix, 32, 32)
+    blocks = _diag_blocks(h1024, 32, 32)
     scores, bounds, in_range = _clip_screen(table.resid, blocks)
     assert in_range.all()
     for i in range(32):
-        view = h1024.matrix[32 * i:32 * (i + 1), 32 * i:32 * (i + 1)]
+        view = h1024[32 * i:32 * (i + 1), 32 * i:32 * (i + 1)]
         loop = np.array([err @ (view @ err) for err in table.resid[i]])
         assert (np.abs(scores[i] - loop) <= bounds[i]).all()
 
@@ -215,7 +215,7 @@ def involution_hessian(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_duplicate_rows_tie_to_larger_gamma(loop_calls):
-    hmat = calib_hessian(128, 9).matrix
+    hmat = calib_hessian(128, 9)
     table = channel_table(128, 9)
     best = reference_best_clip(table.resid[0], hmat)
     for other in (0, best // 2, 49):
@@ -252,7 +252,7 @@ def test_exact_ties_in_different_order_are_rescored(loop_calls):
 
 def test_near_ties_are_rescored(loop_calls):
     for seed in range(40):
-        hmat = calib_hessian(96, seed).matrix
+        hmat = calib_hessian(96, seed)
         table = channel_table(96, seed, bits=3)
         resid = table.resid.copy()
         k = reference_best_clip(resid[0], hmat)
@@ -285,13 +285,13 @@ def test_forced_ties_per_group(loop_calls):
 def test_out_of_range_hessian_runs_the_loop(factor, loop_calls):
     # 1e306: some scores overflow to inf (a diagonal H, so no inf - inf);
     # 1e-150: ||H||_F below 2^-450; 0: every candidate ties.
-    hmat = calib_hessian(32, 4).matrix
+    hmat = calib_hessian(32, 4)
     hmat = (np.diag(np.diag(hmat)) if factor > 1.0 else hmat) * factor
     w = np.random.default_rng(4).standard_normal(32)
     table = _affine_table(w[None, :], 3, default_gamma_grid(50))
     _, _, in_range = _clip_screen(table.resid, hmat[None])
     assert not in_range.any()
-    p, q = owc_quantize(w, Hessian(hmat), 3, 50)
+    p, q = owc_quantize(w, hmat, 3, 50)
     ref_p, ref_q = reference_owc_search(w, hmat, 3, 50)
     assert_same_params(p, ref_p)
     assert np.array_equal(q, ref_q)
@@ -302,10 +302,10 @@ def test_out_of_range_hessian_runs_the_loop(factor, loop_calls):
 
 
 def test_non_finite_hessian_fails_like_the_loop():
-    hmat = calib_hessian(16, 5).matrix.copy()
+    hmat = calib_hessian(16, 5).copy()
     hmat[3, 4] = np.nan
     w = np.random.default_rng(5).standard_normal(16)
     with pytest.raises(ValueError):
         reference_owc_search(w, hmat, 3, 8)
     with pytest.raises(ValueError):
-        owc_quantize(w, Hessian(hmat), 3, 8)
+        owc_quantize(w, hmat, 3, 8)

@@ -3,7 +3,10 @@
 ``_affine_table`` must reproduce ``_fit_affine`` entry by entry, and the
 OWC searches and the clip-strength descent built on it must match verbatim
 copies of the code they replaced (``reference_*`` below): same swaps, losses,
-codes, parameters and final gradient, bit for bit.
+codes, parameters and final gradient, bit for bit. The one exception is the
+loss recorded with each swap: ``owc_cd`` accumulates it as ``loss + change``
+while the reference recomputes ``e' H e``. The changes are summed at the scale
+of the starting loss, so the two agree to 1e-12 of ``initial_loss``.
 """
 
 from typing import Optional
@@ -11,9 +14,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from qdescent.calibration import Hessian, ShapeMismatchError, build_hessian
-from qdescent.groupquant import (GroupScheme, OwcCdResult, _check_grouping, minmax_group_init,
-                                 owc_cd, owc_group_init)
+from qdescent.calibration import ShapeMismatchError, build_hessian
+from qdescent.groupquant import (OwcCdResult, _check_grouping, minmax_group_init, owc_cd,
+                                 owc_group_init)
 from qdescent.quantcore import (QuantParams, _affine_table, _fit_affine, default_gamma_grid,
                                 owc_quantize)
 
@@ -40,23 +43,23 @@ def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
     return candidates[best]
 
 
-def reference_owc_group_init(w: np.ndarray, hessian: Hessian, bits: int, group_size: int,
-                             grid_size: int = 50) -> tuple[GroupScheme, np.ndarray]:
+def reference_owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
+                             grid_size: int = 50) -> tuple[tuple[QuantParams, ...], np.ndarray]:
     """``groupquant.owc_group_init`` as it was before the table."""
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    if hessian.dim != w.shape[0]:
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
     for i in range(n_groups):
         sl = slice(i * group_size, (i + 1) * group_size)
-        p, q = reference_owc_search(w[sl], hessian.matrix[sl, sl], bits, grid_size)
+        p, q = reference_owc_search(w[sl], hessian[sl, sl], bits, grid_size)
         params.append(p)
         codes[sl] = q
-    return GroupScheme(group_size=group_size, params=tuple(params)), codes
+    return tuple(params), codes
 
 
-def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
+def reference_owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
            gamma_grid: Optional[np.ndarray] = None,
            steps: Optional[int] = None) -> OwcCdResult:
     """``owc_cd`` as it was before the shared affine table and the cached quadratic term.
@@ -68,9 +71,9 @@ def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
     static. Default step budget is one pass, d_in / group_size.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = scheme.group_size
+    g = w.shape[0] // len(params)
     n_groups = _check_grouping(w.shape[0], g)
-    if hessian.dim != w.shape[0]:
+    if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     gamma_grid = default_gamma_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=np.float64)
     if gamma_grid.size == 0:
@@ -79,8 +82,8 @@ def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         steps = n_groups
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    hmat = hessian.matrix
-    bits = scheme.bits
+    hmat = hessian
+    bits = params[0].bits
     n_grid = gamma_grid.shape[0]
 
     # Residual and code tables over (group, grid value).
@@ -97,8 +100,8 @@ def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
             resid_table[i, v] = grp - (p.scale * q.astype(np.float64) + p.bias)
         params_table.append(row)
 
-    # Current state from the scheme as passed in (its gammas need not be on the grid).
-    cur_params = list(scheme.params)
+    # Current state from the params as passed in (their gammas need not be on the grid).
+    cur_params = list(params)
     cur_codes = np.empty(w.shape[0], dtype=np.uint8)
     cur_resid = np.empty((n_groups, g))
     for i, p in enumerate(cur_params):
@@ -115,7 +118,7 @@ def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
     err = cur_resid.ravel()
     v = -2.0 * (hmat @ err)
     loss = float(err @ (hmat @ err))
-    result = OwcCdResult(scheme=scheme, codes=cur_codes, initial_loss=loss, final_loss=loss)
+    result = OwcCdResult(params=params, codes=cur_codes, initial_loss=loss, final_loss=loss)
 
     for _ in range(steps):
         diff = resid_table - cur_resid[:, None, :]
@@ -136,7 +139,7 @@ def reference_owc_cd(w: np.ndarray, hessian: Hessian, scheme: GroupScheme,
         loss = float(err @ (hmat @ err))
         result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))
 
-    result.scheme = GroupScheme(group_size=g, params=tuple(cur_params))
+    result.params = tuple(cur_params)
     result.codes = cur_codes
     result.final_loss = loss
     result.final_v = v.copy()
@@ -216,7 +219,7 @@ def test_owc_search_matches_scalar_search(bits, grid_size):
         if seed == 2:
             w[:] = 0.125
         p, q = owc_quantize(w, h, bits, grid_size)
-        ref_p, ref_q = reference_owc_search(w, h.matrix, bits, grid_size)
+        ref_p, ref_q = reference_owc_search(w, h, bits, grid_size)
         assert p == ref_p
         np.testing.assert_array_equal(q, ref_q)
 
@@ -224,14 +227,14 @@ def test_owc_search_matches_scalar_search(bits, grid_size):
 def test_owc_search_ties_go_to_larger_gamma():
     # A zero Hessian scores every candidate 0, so the whole grid ties.
     w, _ = _instance(3, 16)
-    p, q = owc_quantize(w, Hessian(np.zeros((16, 16))), 3, 8)
+    p, q = owc_quantize(w, np.zeros((16, 16)), 3, 8)
     ref_p, ref_q = reference_owc_search(w, np.zeros((16, 16)), 3, 8)
     assert p == ref_p and p.gamma == 1.0
     np.testing.assert_array_equal(q, ref_q)
     # Zero H blocks tie the per-group searches too.
-    scheme, codes = owc_group_init(w, Hessian(np.zeros((16, 16))), 3, 4, 8)
-    ref_scheme, ref_codes = reference_owc_group_init(w, Hessian(np.zeros((16, 16))), 3, 4, 8)
-    assert scheme == ref_scheme and scheme.gammas == (1.0,) * 4
+    params, codes = owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
+    ref_params, ref_codes = reference_owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
+    assert params == ref_params and tuple(p.gamma for p in params) == (1.0,) * 4
     np.testing.assert_array_equal(codes, ref_codes)
 
 
@@ -240,37 +243,39 @@ def test_owc_search_ties_go_to_larger_gamma():
 def test_owc_group_init_matches_scalar_init(bits, d, g):
     w, h = _instance(bits + d, d)
     w[g:2 * g] = -1.5   # one constant group
-    scheme, codes = owc_group_init(w, h, bits, g)
-    ref_scheme, ref_codes = reference_owc_group_init(w, h, bits, g)
-    assert scheme == ref_scheme
+    params, codes = owc_group_init(w, h, bits, g)
+    ref_params, ref_codes = reference_owc_group_init(w, h, bits, g)
+    assert params == ref_params
     np.testing.assert_array_equal(codes, ref_codes)
 
 
 def _assert_same_result(result: OwcCdResult, ref: OwcCdResult):
-    assert result.swaps == ref.swaps
+    assert [s[:3] for s in result.swaps] == [s[:3] for s in ref.swaps]
+    for s, ref_s in zip(result.swaps, ref.swaps):
+        assert abs(s[3] - ref_s[3]) <= 1e-12 * ref.initial_loss
     np.testing.assert_array_equal(result.codes, ref.codes)
-    assert result.scheme == ref.scheme
+    assert result.params == ref.params
     assert result.initial_loss == ref.initial_loss
     assert result.final_loss == ref.final_loss
     np.testing.assert_array_equal(result.final_v, ref.final_v)
 
 
-def _off_grid_scheme(w, bits, g, seed):
+def _off_grid_params(w, bits, g, seed):
     """Each group fit at a random clip strength that is not on any default grid."""
     rng = np.random.default_rng(seed)
     params = []
     for i in range(w.shape[0] // g):
         p, _ = _fit_affine(w[i * g:(i + 1) * g], bits, gamma=float(rng.uniform(0.3, 0.99)))
         params.append(p)
-    return GroupScheme(group_size=g, params=tuple(params))
+    return tuple(params)
 
 
-def _start_scheme(start, w, h, bits, g, grid_size, seed):
+def _start_params(start, w, h, bits, g, grid_size, seed):
     if start == "owc":
         return owc_group_init(w, h, bits, g, grid_size)[0]
     if start == "minmax":
         return minmax_group_init(w, bits, g)[0]
-    return _off_grid_scheme(w, bits, g, seed)
+    return _off_grid_params(w, bits, g, seed)
 
 
 @pytest.mark.parametrize("start", ["owc", "minmax", "off-grid"])
@@ -280,10 +285,10 @@ def test_owc_cd_matches_reference(start, bits, d, g, grid_size):
     swaps = 0
     for seed in range(3):
         w, h = _instance(10 * d + seed, d, coupling=float(seed))
-        scheme = _start_scheme(start, w, h, bits, g, grid_size, seed)
+        params = _start_params(start, w, h, bits, g, grid_size, seed)
         grid = default_gamma_grid(grid_size)
-        result = owc_cd(w, h, scheme, grid)
-        _assert_same_result(result, reference_owc_cd(w, h, scheme, grid))
+        result = owc_cd(w, h, params, grid)
+        _assert_same_result(result, reference_owc_cd(w, h, params, grid))
         swaps += len(result.swaps)
     if grid_size > 1 or start == "off-grid":
         assert swaps > 0   # the descent moved, so the cached rows were exercised
@@ -294,20 +299,20 @@ def test_owc_cd_matches_reference_with_constant_groups():
     w, h = _instance(5, d, coupling=2.0)
     w[0:g] = 0.25
     w[5 * g:6 * g] = -2.0
-    for scheme in (owc_group_init(w, h, bits, g)[0], minmax_group_init(w, bits, g)[0],
-                   _off_grid_scheme(w, bits, g, 5)):
-        result = owc_cd(w, h, scheme, default_gamma_grid(50))
-        _assert_same_result(result, reference_owc_cd(w, h, scheme, default_gamma_grid(50)))
-        assert result.scheme.params[0].scale == 0.0 and result.scheme.params[5].scale == 0.0
+    for params in (owc_group_init(w, h, bits, g)[0], minmax_group_init(w, bits, g)[0],
+                   _off_grid_params(w, bits, g, 5)):
+        result = owc_cd(w, h, params, default_gamma_grid(50))
+        _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50)))
+        assert result.params[0].scale == 0.0 and result.params[5].scale == 0.0
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3, 40])
 def test_owc_cd_matches_reference_step_budgets(steps):
     d, g, bits = 64, 8, 2   # 8 groups: 40 steps exceeds the default single pass
     w, h = _instance(21, d, coupling=1.5)
-    scheme = minmax_group_init(w, bits, g)[0]
-    result = owc_cd(w, h, scheme, default_gamma_grid(50), steps=steps)
-    _assert_same_result(result, reference_owc_cd(w, h, scheme, default_gamma_grid(50),
+    params = minmax_group_init(w, bits, g)[0]
+    result = owc_cd(w, h, params, default_gamma_grid(50), steps=steps)
+    _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50),
                                                  steps=steps))
     if steps == 0:
         assert result.swaps == [] and result.final_loss == result.initial_loss
@@ -315,8 +320,8 @@ def test_owc_cd_matches_reference_step_budgets(steps):
 
 def test_owc_cd_matches_reference_default_grid_and_steps():
     w, h = _instance(33, 64, coupling=1.0)
-    scheme = _off_grid_scheme(w, 3, 16, 33)
-    _assert_same_result(owc_cd(w, h, scheme), reference_owc_cd(w, h, scheme))
+    params = _off_grid_params(w, 3, 16, 33)
+    _assert_same_result(owc_cd(w, h, params), reference_owc_cd(w, h, params))
 
 
 @pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
@@ -342,9 +347,9 @@ def test_einsum_row_slice_equals_full_row(n, v, g):
 def test_minmax_group_init_matches_scalar_fits(bits):
     w, _ = _instance(bits, 64)
     w[16:32] = 0.625
-    scheme, codes = minmax_group_init(w, bits, 16)
+    params, codes = minmax_group_init(w, bits, 16)
     for i in range(4):
         sl = slice(i * 16, (i + 1) * 16)
         p, q = _fit_affine(w[sl], bits, gamma=1.0)
-        assert scheme.params[i] == p
+        assert params[i] == p
         np.testing.assert_array_equal(codes[sl], q)
