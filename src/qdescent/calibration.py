@@ -49,6 +49,8 @@ class SynthSpec:
             raise ValueError("outlier_directions must be in 0..d_in")
         if not 1.0 <= self.outlier_gain <= sys.float_info.max:
             raise ValueError(f"outlier_gain must be finite and >= 1, got {self.outlier_gain!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         return asdict(self)

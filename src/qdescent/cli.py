@@ -357,7 +357,7 @@ def cmd_oracle(args) -> int:
     if args.canonical:
         prob, q0 = oracle.canonical_problem()
     else:
-        if not (args.weights and args.calib and args.bits):
+        if not (args.weights and args.calib) or args.bits is None:
             raise UsageError("oracle needs --canonical, or --weights/--calib/--bits")
         weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
         if not 0 <= args.channel < weights.shape[1]:

@@ -99,6 +99,8 @@ class DescentConfig:
             raise ValueError("epochs must be >= 1")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def total_steps(self, d_in: int) -> int:
         per_epoch = d_in if self.steps is None else self.steps
@@ -158,26 +160,10 @@ def dump_trace(trace: DescentTrace, path: str | Path) -> None:
                                 "loss_after": s.loss_after, "accepted": s.accepted}) + "\n")
 
 
-@dataclass
-class GradientState:
-    """Maintained codes and gradient of the scaled loss.
-
-    ``codes`` is a float64 working copy of q (entries are exact small
-    integers); ``gradient`` is kept equal to 2 H (q - z) by rank-1 (or
-    rank-k) updates as codes change.
-    """
-
-    codes: np.ndarray
-    gradient: np.ndarray
-
-    @classmethod
-    def init(cls, hmat: np.ndarray, q0: np.ndarray, z: np.ndarray) -> "GradientState":
-        codes = np.asarray(q0, dtype=np.float64).copy()
-        return cls(codes=codes, gradient=2.0 * (hmat @ (codes - z)))
-
-    def loss(self, hmat: np.ndarray, z: np.ndarray) -> float:
-        err = self.codes - z
-        return float(err @ (hmat @ err))
+def _loss(hmat: np.ndarray, codes: np.ndarray, z: np.ndarray) -> float:
+    """The scaled loss (q - z)' H (q - z), from scratch."""
+    err = codes - z
+    return float(err @ (hmat @ err))
 
 
 def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,30 +255,30 @@ def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     recomputed from scratch.
     """
     hmat, z = _check_engine_inputs(prob, q0)
-    state = GradientState.init(hmat, q0, z)
+    codes = np.array(q0, dtype=np.float64)
+    gradient = 2.0 * (hmat @ (codes - z))
     hdiag = np.diag(hmat).copy()
     levels = prob.params.levels
 
-    trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     for step in range(cfg.total_steps(hmat.shape[0])):
-        values, scores = _best_moves(state.codes, state.gradient, hdiag, levels)
+        values, scores = _best_moves(codes, gradient, hdiag, levels)
         i = int(np.argmin(scores))
         best = float(scores[i])
         if best < 0.0:
             r = float(values[i])
-            state.gradient += (2.0 * (r - state.codes[i])) * hmat[:, i]
-            state.codes[i] = r
+            gradient += (2.0 * (r - codes[i])) * hmat[:, i]
+            codes[i] = r
             loss += best
             trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if cfg.early_stop:
                 break
-    trace.final_loss = state.loss(hmat, z)
-    trace.final_gradient = state.gradient.copy()
-    return state.codes.astype(np.uint8), trace
+    trace.final_loss = _loss(hmat, codes, z)
+    trace.final_gradient = gradient.copy()
+    return codes.astype(np.uint8), trace
 
 
 def _value_combinations(levels: int, k: int) -> np.ndarray:
@@ -309,7 +295,7 @@ SCREEN_CHUNK_ROWS = 32
 SCREEN_CHECK_VALUES = 1 << 14
 
 
-def _pair_screen(hmat: np.ndarray, state: GradientState,
+def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
                  r_grid: np.ndarray) -> Optional[np.ndarray]:
     """Pairs (i, j), i < j, whose 2-block scan might accept a step; None if unscreenable.
 
@@ -349,9 +335,9 @@ def _pair_screen(hmat: np.ndarray, state: GradientState,
     """
     d = hmat.shape[0]
     hdiag = np.diag(hmat)
-    diff = r_grid[None, :] - state.codes[:, None]
+    diff = r_grid[None, :] - codes[:, None]
     sq = diff * diff
-    step = diff * state.gradient[:, None]
+    step = diff * gradient[:, None]
     slack = (sq * hdiag[:, None] + step) - SCREEN_MARGIN * (sq * np.abs(hdiag)[:, None]
                                                             + np.abs(step))
     if (slack < 0.0).any():
@@ -429,7 +415,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     if k == 1:
         return cd_quantize(prob, q0, cfg)
 
-    state = GradientState.init(hmat, q0, z)
+    codes = np.array(q0, dtype=np.float64)
+    gradient = 2.0 * (hmat @ (codes - z))
     levels = prob.params.levels
     r_grid = np.arange(levels, dtype=np.float64)
     combos = _value_combinations(levels, k)
@@ -443,13 +430,12 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     block_chunk = max(1, (1 << 22) // per_block)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
 
-    trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
     total = cfg.total_steps(d)
     use_screen = k == 2
-    flagged = _pair_screen(hmat, state, r_grid) if use_screen else None
+    flagged = _pair_screen(hmat, codes, gradient, r_grid) if use_screen else None
     fresh = use_screen  # whether ``flagged`` was computed for the current state
     partner = np.empty(d, dtype=np.intp)
     for step in range(total):
@@ -475,8 +461,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         for lo in range(0, n_blocks, block_chunk):
             chunk = blocks[lo:lo + block_chunk]
             hblk = hmat[chunk[:, :, None], chunk[:, None, :]]
-            qblk = state.codes[chunk]
-            gblk = state.gradient[chunk]
+            qblk = codes[chunk]
+            gblk = gradient[chunk]
             if expanded:
                 hq = np.matmul(hblk, qblk[:, :, None])                       # (b, k, 1)
                 r_h_r = combos_outer @ hblk.reshape(chunk.shape[0], -1).T    # (v, b)
@@ -499,25 +485,25 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         # Re-derive the winner's delta from the factored form: it is exact
         # (a keep-current candidate scores exactly zero), so round-off in
         # the expanded scores can never turn a no-op into a step.
-        dvec = best_values - state.codes[best_coords]
+        dvec = best_values - codes[best_coords]
         hwin = hmat[best_coords[:, None], best_coords[None, :]]
-        best = float(dvec @ hwin @ dvec + dvec @ state.gradient[best_coords])
+        best = float(dvec @ hwin @ dvec + dvec @ gradient[best_coords])
 
         if best < 0.0:
-            change = best_values - state.codes[best_coords]
-            state.gradient += 2.0 * (hmat[:, best_coords] @ change)
-            state.codes[best_coords] = best_values
-            loss = state.loss(hmat, z)
+            change = best_values - codes[best_coords]
+            gradient += 2.0 * (hmat[:, best_coords] @ change)
+            codes[best_coords] = best_values
+            loss = _loss(hmat, codes, z)
             trace.steps.append(TraceStep(step, tuple(int(c) for c in best_coords),
                                          tuple(int(v) for v in best_values), best, loss, True))
             flagged, fresh = None, False
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if use_screen and not fresh:
-                flagged, fresh = _pair_screen(hmat, state, r_grid), True
+                flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid), True
     trace.final_loss = loss
-    trace.final_gradient = state.gradient.copy()
-    return state.codes.astype(np.uint8), trace
+    trace.final_gradient = gradient.copy()
+    return codes.astype(np.uint8), trace
 
 
 def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -534,12 +520,12 @@ def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
-    state = GradientState.init(hmat, q0, z)
+    codes = np.array(q0, dtype=np.float64)
+    gradient = 2.0 * (hmat @ (codes - z))
     hdiag = np.diag(hmat).copy()
     levels = prob.params.levels
 
-    trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     step = 0
     # Every row's best move stays valid until a visit changes the state, so
@@ -548,21 +534,21 @@ def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     for _ in range(cfg.epochs):
         for i in range(d):
             if scores is None:
-                values, scores = _best_moves(state.codes, state.gradient, hdiag, levels)
+                values, scores = _best_moves(codes, gradient, hdiag, levels)
             best = float(scores[i])
             if best < 0.0:
                 r = float(values[i])
-                state.gradient += (2.0 * (r - state.codes[i])) * hmat[:, i]
-                state.codes[i] = r
+                gradient += (2.0 * (r - codes[i])) * hmat[:, i]
+                codes[i] = r
                 loss += best
                 scores = None
                 trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
             else:
                 trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             step += 1
-    trace.final_loss = state.loss(hmat, z)
-    trace.final_gradient = state.gradient.copy()
-    return state.codes.astype(np.uint8), trace
+    trace.final_loss = _loss(hmat, codes, z)
+    trace.final_gradient = gradient.copy()
+    return codes.astype(np.uint8), trace
 
 
 METHODS = ("rtn", "owc", "cyclic", "cd", "bcd")

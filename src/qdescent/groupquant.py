@@ -29,7 +29,8 @@ Applying a swap updates v by the rank-g correction -2 H[:, group] d.
 
 Both clip-strength searches take their candidates from one table,
 ``quantcore._affine_table``: the affine fit of every (group, grid value)
-pair in one vectorized pass, bit-identical to the scalar ``_fit_affine``.
+pair in one vectorized pass; the descent's start state is one more table
+call, at each group's own clip strength.
 The grid search scores the whole table against the stacked diagonal blocks
 of H in one batched product; ``quantcore._best_clips``'s rounding screen
 keeps each group's choice exactly that of a per-candidate loop. H~ is built
@@ -48,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips, _fit_affine,
+from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips,
                         default_gamma_grid)
 from .descent import DescentConfig, descend
 
@@ -175,22 +176,19 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
     n_grid = gamma_grid.shape[0]
 
     # Every (group, grid value) fit, from one vectorized table.
-    table = _affine_table(w.reshape(n_groups, g), bits, gamma_grid)
+    wg = w.reshape(n_groups, g)
+    table = _affine_table(wg, bits, gamma_grid)
     resid_table = table.resid
 
-    # Current state from the params as passed in (their gammas need not be on the grid).
+    # Current state from the params as passed in: each group fit at its own
+    # gamma (which need not be on the grid), with codes 0 where its scale is 0.
     cur_params = list(params)
-    cur_codes = np.empty(w.shape[0], dtype=np.uint8)
-    cur_resid = np.empty((n_groups, g))
-    for i, p in enumerate(cur_params):
-        sl = slice(i * g, (i + 1) * g)
-        grp = w[sl]
-        if p.scale == 0.0:
-            q = np.zeros(g, dtype=np.uint8)
-        else:
-            _, q = _fit_affine(grp, bits, gamma=p.gamma)
-        cur_codes[sl] = q
-        cur_resid[i] = grp - (p.scale * q.astype(np.float64) + p.bias)
+    scales = np.array([[p.scale] for p in params])
+    biases = np.array([[p.bias] for p in params])
+    start = _affine_table(wg, bits, np.array([[p.gamma] for p in params])).codes[:, 0]
+    start[scales[:, 0] == 0.0] = 0
+    cur_resid = wg - (scales * start.astype(np.float64) + biases)
+    cur_codes = start.ravel()
 
     hblocks = _diag_blocks(hessian, n_groups, g)
     err = cur_resid.ravel()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descent import DescentTrace, EnumerationGuardError
-from .quantcore import ChannelProblem, DegenerateChannelError, QuantParams, objective
+from .quantcore import ChannelProblem, DegenerateChannelError, QuantParams, channel_objective
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
 MAX_SEARCH_BITS = 24
@@ -65,10 +65,10 @@ def brute_force(prob: ChannelProblem) -> OracleResult:
             best_index = int(idx[j])
 
     best_codes = ((best_index // place) % levels).astype(np.uint8)
+    true_objective, _, _ = channel_objective(prob.weights, np.array([prob.params.scale]),
+                                             np.array([prob.params.bias]), best_codes, hmat)
     return OracleResult(codes=best_codes, scaled_objective=best_loss,
-                        true_objective=objective(prob.weights, best_codes, prob.params,
-                                                 prob.hessian),
-                        enumeration_count=total)
+                        true_objective=true_objective, enumeration_count=total)
 
 
 @dataclass

@@ -95,25 +95,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def dequantize(codes: CodeVector, params: QuantParams) -> np.ndarray:
-    """Return a*q + b as float64; a constant b vector when scale is zero."""
-    q = np.asarray(codes)
-    if q.size and int(q.max(initial=0)) >= params.levels:
-        raise ValueError(f"code out of range for {params.bits} bits")
-    return params.scale * q.astype(np.float64) + params.bias
-
-
-def objective(weights: np.ndarray, codes: CodeVector, params: QuantParams,
-              hessian: np.ndarray) -> float:
-    """Reconstruction loss e' H e with e = w - dequantize(q)."""
-    h = np.asarray(hessian, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != h.shape[0] or w.shape[0] != np.asarray(codes).shape[0]:
-        raise ShapeMismatchError("weights, codes and Hessian dimensions disagree")
-    err = w - dequantize(codes, params)
-    return float(err @ (h @ err))
-
-
 def zero_baseline(weights: np.ndarray, hessian: np.ndarray) -> float:
     """Loss of the all-zero reconstruction, w' H w."""
     h = np.asarray(hessian, dtype=np.float64)
@@ -146,35 +127,18 @@ def _reconstruct(scales: np.ndarray, biases: np.ndarray, codes: np.ndarray) -> n
     return a * codes.astype(np.float64) + b
 
 
-def _f32(value: float) -> float:
-    return float(np.float32(value))
-
-
-def _fit_affine(w: np.ndarray, bits: int, gamma: float) -> tuple[QuantParams, CodeVector]:
-    """Affine fit at a fixed clip strength; grid searches use its vectorized
-    twin ``_affine_table``, which must match it bit for bit."""
-    span = float(w.max() - w.min())
-    bias = _f32(float(w.min()))
-    if span == 0.0:
-        params = QuantParams(scale=0.0, bias=bias, bits=bits, gamma=1.0)
-        return params, np.zeros(w.shape[0], dtype=np.uint8)
-    scale = _f32(gamma * span / ((1 << bits) - 1))
-    params = QuantParams(scale=scale, bias=bias, bits=bits, gamma=gamma)
-    q = round_half_away((w - params.bias) / params.scale)
-    q = np.clip(q, 0, params.levels - 1).astype(np.uint8)
-    return params, q
-
-
 @dataclass(frozen=True)
 class AffineTable:
-    """Affine fits of n equal-size groups at each of v clip strengths.
+    """Affine fits of n equal-size groups at v clip strengths each.
 
-    Entry (i, k) is what ``_fit_affine(wg[i], bits, gammas[k])`` returns;
-    a constant group (``live[i]`` false) has scale 0 and codes 0 at every k.
+    Entry (i, k) fits group i at clip strength ``gammas[i, k]`` by the module
+    docstring's formulas, with scale and bias rounded to float32 before the codes;
+    a constant group (``live[i]`` false) has scale 0, codes 0 and clip strength
+    1 at every k.
     """
 
     bits: int
-    gammas: np.ndarray    # (v,) clip strengths
+    gammas: np.ndarray    # (n, v) clip strengths
     scales: np.ndarray    # (n, v) float32 values held as float64
     biases: np.ndarray    # (n,) float32 values held as float64
     codes: np.ndarray     # (n, v, g) uint8
@@ -185,23 +149,25 @@ class AffineTable:
         if not self.live[i]:
             return QuantParams(scale=0.0, bias=float(self.biases[i]), bits=self.bits, gamma=1.0)
         return QuantParams(scale=float(self.scales[i, k]), bias=float(self.biases[i]),
-                           bits=self.bits, gamma=float(self.gammas[k]))
+                           bits=self.bits, gamma=float(self.gammas[i, k]))
 
 
 def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTable:
-    """``_fit_affine`` over every (group, clip strength) pair in one numpy pass.
-
-    The operations are ``_fit_affine``'s, in its order, so every entry is
-    bit-identical to the scalar fit.
+    """The affine fit of each of the (n, g) groups ``wg`` at each clip strength of
+    ``gamma_grid``, one (v,) grid shared by all groups or an (n, v) grid per group,
+    in one numpy pass. Every initializer fits through here, so ``bits`` is checked here.
     """
+    if not 1 <= bits <= 8:
+        raise ValueError(f"bits must be in 1..8, got {bits}")
     wg = np.asarray(wg, dtype=np.float64)
-    gammas = np.asarray(gamma_grid, dtype=np.float64)
     levels = 1 << bits
     wmin = wg.min(axis=1)
     span = wg.max(axis=1) - wmin
     live = span != 0.0
     biases = wmin.astype(np.float32).astype(np.float64)
-    scales = ((gammas[None, :] * span[:, None]) / (levels - 1)).astype(np.float32).astype(np.float64)
+    grid = np.asarray(gamma_grid, dtype=np.float64)
+    gammas = np.broadcast_to(grid, (wg.shape[0], grid.shape[-1]))
+    scales = ((gammas * span[:, None]) / (levels - 1)).astype(np.float32).astype(np.float64)
     scales[~live] = 0.0
     divisor = np.where(live[:, None], scales, 1.0)
     q = round_half_away((wg[:, None, :] - biases[:, None, None]) / divisor[:, :, None])
@@ -325,7 +291,8 @@ def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    return _fit_affine(w, bits, gamma=1.0)
+    table = _affine_table(w[None, :], bits, np.ones(1))
+    return table.params(0, 0), table.codes[0, 0].copy()
 
 
 def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
@@ -489,34 +456,36 @@ def _read_layer_meta(path: Path) -> dict:
 def load_layer(directory: str | Path) -> QuantizedLayer:
     directory = Path(directory)
     meta = _read_layer_meta(directory / LAYER_META_FILENAME)
-    d_in, d_out = int(meta["d_in"]), int(meta["d_out"])
+    d_in, d_out, bits = int(meta["d_in"]), int(meta["d_out"]), int(meta["bits"])
     if meta["codes_packed"]:
         path = directory / "codes.pc"
         packed = tensorio.read_packed(path)
-        if packed.bit_width != meta["bits"]:
+        if packed.bit_width != bits:
             raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
-                                 f"is {meta['bits']}, but codes.pc holds {packed.bit_width}-bit "
-                                 f"codes")
+                                 f"is {bits}, but codes.pc holds {packed.bit_width}-bit codes")
         codes = tensorio.unpack_codes(packed)
     else:
         path = directory / "codes.tc"
         codes = tensorio.read_container(path).array
         if codes.dtype != np.uint8:
             raise tensorio.PayloadMismatchError(f"{path}: codes must be u8, got {codes.dtype}")
+        if codes.size and int(codes.max()) >= 1 << bits:
+            raise tensorio.PayloadMismatchError(f"{path}: code {int(codes.max())} is out of "
+                                                f"range for {bits}-bit codes")
     if codes.size != d_in * d_out:
         raise tensorio.PayloadMismatchError(f"{path}: holds {codes.size} codes, a {d_in} x "
                                             f"{d_out} layer needs {d_in * d_out}")
-    codes = codes.reshape(d_out, d_in)
-    layer = QuantizedLayer(
-        d_in=d_in,
-        d_out=d_out,
-        bits=int(meta["bits"]),
-        group_size=int(meta["group_size"]),
-        scales=tensorio.read_container(directory / "scales.tc").array,
-        biases=tensorio.read_container(directory / "biases.tc").array,
-        gammas=tensorio.read_container(directory / "gammas.tc").array,
-        codes=codes,
-        meta=meta.get("meta", {}),
-    )
+    params = {}
+    for name in ("scales", "biases", "gammas"):
+        path = directory / f"{name}.tc"
+        params[name] = tensorio.read_container(path).array
+        if params[name].dtype != np.float32:
+            raise tensorio.PayloadMismatchError(f"{path}: {name} must be f32, "
+                                                f"got {params[name].dtype}")
+    if params["scales"].size and params["scales"].min() < 0.0:
+        raise tensorio.PayloadMismatchError(f"{directory / 'scales.tc'}: scales must be >= 0, "
+                                            f"got {params['scales'].min()}")
+    layer = QuantizedLayer(d_in=d_in, d_out=d_out, bits=bits, group_size=int(meta["group_size"]),
+                           codes=codes.reshape(d_out, d_in), meta=meta.get("meta", {}), **params)
     layer.validate()
     return layer

@@ -1,10 +1,79 @@
-"""Shared instance factories for the test suite."""
+"""Shared instance factories and reference copies for the test suite.
+
+``_fit_affine``, ``objective`` (with ``dequantize``) and ``GradientState`` are
+verbatim copies of code the package no longer has: the scalar affine fit that
+``quantcore._affine_table`` must match bit for bit, the one-params objective
+that independent checks score with, and the engines' old state class, which
+the tests' reference engine copies still use.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from qdescent.calibration import build_hessian
+from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
+from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize, round_half_away
+
+
+def _f32(value: float) -> float:
+    return float(np.float32(value))
+
+
+def _fit_affine(w: np.ndarray, bits: int, gamma: float) -> tuple[QuantParams, np.ndarray]:
+    """Affine fit at a fixed clip strength; grid searches use its vectorized
+    twin ``_affine_table``, which must match it bit for bit."""
+    span = float(w.max() - w.min())
+    bias = _f32(float(w.min()))
+    if span == 0.0:
+        params = QuantParams(scale=0.0, bias=bias, bits=bits, gamma=1.0)
+        return params, np.zeros(w.shape[0], dtype=np.uint8)
+    scale = _f32(gamma * span / ((1 << bits) - 1))
+    params = QuantParams(scale=scale, bias=bias, bits=bits, gamma=gamma)
+    q = round_half_away((w - params.bias) / params.scale)
+    q = np.clip(q, 0, params.levels - 1).astype(np.uint8)
+    return params, q
+
+
+def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:
+    """Return a*q + b as float64; a constant b vector when scale is zero."""
+    q = np.asarray(codes)
+    if q.size and int(q.max(initial=0)) >= params.levels:
+        raise ValueError(f"code out of range for {params.bits} bits")
+    return params.scale * q.astype(np.float64) + params.bias
+
+
+def objective(weights: np.ndarray, codes: np.ndarray, params: QuantParams,
+              hessian: np.ndarray) -> float:
+    """Reconstruction loss e' H e with e = w - dequantize(q)."""
+    h = np.asarray(hessian, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape[0] != h.shape[0] or w.shape[0] != np.asarray(codes).shape[0]:
+        raise ShapeMismatchError("weights, codes and Hessian dimensions disagree")
+    err = w - dequantize(codes, params)
+    return float(err @ (h @ err))
+
+
+@dataclass
+class GradientState:
+    """Maintained codes and gradient of the scaled loss.
+
+    ``codes`` is a float64 working copy of q (entries are exact small
+    integers); ``gradient`` is kept equal to 2 H (q - z) by rank-1 (or
+    rank-k) updates as codes change.
+    """
+
+    codes: np.ndarray
+    gradient: np.ndarray
+
+    @classmethod
+    def init(cls, hmat: np.ndarray, q0: np.ndarray, z: np.ndarray) -> "GradientState":
+        codes = np.asarray(q0, dtype=np.float64).copy()
+        return cls(codes=codes, gradient=2.0 * (hmat @ (codes - z)))
+
+    def loss(self, hmat: np.ndarray, z: np.ndarray) -> float:
+        err = self.codes - z
+        return float(err @ (hmat @ err))
 
 
 def random_problem(d_in, bits, seed, n=None, lambda_rel=0.01, grid_size=50, scale=1.0):

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import expand_params, random_problem
-from qdescent import calibration, descent, groupquant, oracle, quantcore, tensorio
+from conftest import expand_params, objective, random_problem
+from qdescent import calibration, descent, groupquant, oracle, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, cyclic_cd_quantize
@@ -153,7 +153,7 @@ def test_criterion_05_exact_equivalences():
         if (p1, list(q1)) != (pm, list(qm)):
             owc_is_minmax = False
         p50, q50 = owc_quantize(w, hessian, 3, grid_size=50)
-        if quantcore.objective(w, q50, p50, hessian) > quantcore.objective(w, qm, pm, hessian):
+        if objective(w, q50, p50, hessian) > objective(w, qm, pm, hessian):
             owc_not_worse = False
 
     traces_equal = True

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
-                              GradientState, TraceStep, _check_engine_inputs, _pair_screen,
+                              TraceStep, _check_engine_inputs, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.quantcore import ChannelProblem, owc_quantize
 
-from conftest import grouped_problem, integer_problem, random_problem
+from conftest import GradientState, grouped_problem, integer_problem, random_problem
 
 
 def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -180,7 +180,7 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
     state = GradientState.init(h, cd_codes, prob.target)
-    flagged = _pair_screen(h, state, np.arange(2 ** bits, dtype=np.float64))
+    flagged = _pair_screen(h, state.codes, state.gradient, np.arange(2 ** bits, dtype=np.float64))
     assert flagged is not None and flagged.shape == (0, 2)
     trace = assert_same_run(prob, cd_codes, cfg)
     assert len(trace.steps) == 2 * d and not any(s.accepted for s in trace.steps)
@@ -195,7 +195,7 @@ def test_screen_returns_none_when_a_single_move_improves():
     diff = levels[None, :] - state.codes[:, None]
     single = diff * diff * np.diag(prob.hessian)[:, None] + diff * state.gradient[:, None]
     assert single.min() < 0.0
-    assert _pair_screen(prob.hessian, state, levels) is None
+    assert _pair_screen(prob.hessian, state.codes, state.gradient, levels) is None
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -210,7 +210,7 @@ def test_unflagged_pairs_cannot_improve(bits):
         hmat = prob.hessian
         codes, _ = cd_quantize(prob, q0, DescentConfig())
         state = GradientState.init(hmat, codes, prob.target)
-        flagged = _pair_screen(hmat, state, levels)
+        flagged = _pair_screen(hmat, state.codes, state.gradient, levels)
         if flagged is None:
             continue
         flagged = {tuple(p) for p in flagged.tolist()}

@@ -12,12 +12,12 @@ the accumulated ``loss_after`` must agree to 1e-12 relative.
 import numpy as np
 import pytest
 
-from qdescent.descent import (DescentConfig, DescentTrace, GradientState, TraceStep,
+from qdescent.descent import (DescentConfig, DescentTrace, TraceStep,
                               _best_moves, _check_engine_inputs, cd_quantize, cyclic_cd_quantize)
 from qdescent.oracle import verify_trace
 from qdescent.quantcore import ChannelProblem, QuantParams
 
-from conftest import grouped_problem, integer_problem, random_problem
+from conftest import GradientState, grouped_problem, integer_problem, random_problem
 
 
 def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,

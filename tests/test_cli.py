@@ -587,19 +587,20 @@ def test_unpacked_codes_mode(tmp_path):
     np.testing.assert_array_equal(load_layer(packed).codes, load_layer(unpacked).codes)
 
 
-def _eval_with_rewritten_codes(tmp_path, capsys, rewrite):
-    """Quantize a 16 x 4 layer with unpacked codes, replace its codes.tc by
-    ``rewrite(codes)``, then run eval; returns eval's exit code and its one-line error."""
+def _eval_with_rewritten_codes(tmp_path, capsys, rewrite, name="codes.tc"):
+    """Quantize a 16 x 4 layer with unpacked codes, replace its ``name`` container
+    (codes.tc by default) by ``rewrite(array)``, then run eval; returns eval's exit
+    code and its one-line error, which must name the file."""
     w, x = write_inputs(tmp_path, d_in=16, d_out=4)
     out = tmp_path / "layer"
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "cd",
                  "--bits", "3", "--unpacked-codes"]) == EXIT_OK
-    codes = tensorio.read_container(out / "codes.tc").array
-    tensorio.write_container(out / "codes.tc", rewrite(codes))
+    array = tensorio.read_container(out / name).array
+    tensorio.write_container(out / name, rewrite(array))
     capsys.readouterr()
     code = main(["eval", "--layer", str(out), "--calib", x])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "codes.tc" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
     return code, err
 
 
@@ -613,3 +614,61 @@ def test_eval_unpacked_codes_not_u8_exits_io(tmp_path, capsys, offset):
     code, err = _eval_with_rewritten_codes(
         tmp_path, capsys, lambda codes: codes.astype(np.float32) + np.float32(offset))
     assert code == EXIT_IO and "u8" in err
+
+
+def test_eval_unpacked_code_out_of_range_exits_io(tmp_path, capsys):
+    def rewrite(codes):
+        codes = codes.copy()
+        codes.flat[5] = 9   # beyond the 3-bit range
+        return codes
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys, rewrite)
+    assert code == EXIT_IO and "9" in err and "3-bit" in err
+
+
+@pytest.mark.parametrize("name", ["scales.tc", "biases.tc", "gammas.tc"])
+def test_eval_params_not_f32_exits_io(tmp_path, capsys, name):
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys,
+                                           lambda params: params.astype(np.float64), name)
+    assert code == EXIT_IO and "f32" in err
+
+
+def test_eval_negative_scale_exits_io(tmp_path, capsys):
+    def rewrite(scales):
+        scales = scales.copy()
+        scales[1, 0] = -1.0
+        return scales
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys, rewrite, "scales.tc")
+    assert code == EXIT_IO and ">= 0" in err
+
+
+_BITS_0 = "bits must be in 1..8, got 0"
+
+
+@pytest.mark.parametrize("argv,suite,message", [
+    (["quantize", "--method", "rtn", "--bits", "0"], None, _BITS_0),
+    (["quantize", "--method", "cd", "--bits", "0"], None, _BITS_0),
+    (["quantize", "--method", "owc", "--bits", "-1"], None, "bits must be in 1..8, got -1"),
+    (["quantize", "--method", "bcd", "--bits", "0", "--group-size", "4"], None, _BITS_0),
+    (["oracle", "--bits", "0"], None, _BITS_0),
+    (["bench"], {"instances": [_INSTANCE], "methods": ["cd", "owc", "bcd"], "bits": [0]},
+     _BITS_0),
+    (["quantize", "--method", "cd", "--bits", "2", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+    (["gen-calib", "--d-in", "4", "--n", "8", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["bench"], {"instances": [dict(_INSTANCE, seed=-1)], "methods": ["cd"]},
+     "seed must be >= 0, got -1"),
+], ids=["quantize-rtn-bits0", "quantize-cd-bits0", "quantize-owc-bits-1", "grouped-bcd-bits0",
+        "oracle-bits0", "bench-bits0", "quantize-seed-1", "gen-calib-seed-1",
+        "bench-seed-1"])
+def test_bad_bits_or_seed_exits_usage(tmp_path, capsys, argv, suite, message):
+    w, x = write_inputs(tmp_path)
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(suite))
+    files = {"quantize": ["--weights", w, "--calib", x, "--out", str(tmp_path / "layer")],
+             "oracle": ["--weights", w, "--calib", x],
+             "gen-calib": ["--out", str(tmp_path / "calib.tc")],
+             "bench": ["--suite", str(suite_path), "--out-dir", str(tmp_path / "b")]}
+    capsys.readouterr()
+    code = main(argv + files[argv[0]])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and err == f"error: {message}\n"

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import GradientState, objective, random_problem
 from qdescent.calibration import build_hessian
-from qdescent.descent import (DescentConfig, EnumerationGuardError, GradientState, bcd_quantize,
+from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
                               cd_quantize, cyclic_cd_quantize, descend, dump_trace,
                               quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantParams,
-                                minmax_quantize, objective, owc_quantize)
+                                minmax_quantize, owc_quantize)
 
 
 def test_cd_canonical_trace():

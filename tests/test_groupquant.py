@@ -5,13 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import expand_params, random_problem
+from conftest import _fit_affine, expand_params, random_problem
 from qdescent.calibration import build_hessian
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
 from qdescent.groupquant import (default_gamma_grid, minmax_group_init, owc_cd, owc_group_init,
                                  quantize_channel_grouped, tilde_transform)
-from qdescent.quantcore import (QuantParams, _fit_affine, minmax_quantize, objective,
-                                owc_quantize)
+from qdescent.quantcore import QuantParams, owc_quantize
 
 
 def _rand_instance(d, seed, n=None):

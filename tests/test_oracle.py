@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import objective, random_problem
 from qdescent.descent import (DescentConfig, EnumerationGuardError, TraceStep, bcd_quantize,
                               cd_quantize)
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
@@ -87,7 +87,6 @@ def test_brute_force_chunking_consistent():
 
 
 def test_true_objective_matches_quantcore():
-    from qdescent.quantcore import objective
     prob, _ = random_problem(4, 2, seed=9)
     result = brute_force(prob)
     assert result.true_objective == objective(prob.weights, result.codes, prob.params,

@@ -1,12 +1,14 @@
 """Differential tests of the vectorized clip-strength table against the scalar fits.
 
-``_affine_table`` must reproduce ``_fit_affine`` entry by entry, and the
-OWC searches and the clip-strength descent built on it must match verbatim
-copies of the code they replaced (``reference_*`` below): same swaps, losses,
-codes, parameters and final gradient, bit for bit. The one exception is the
-loss recorded with each swap: ``owc_cd`` accumulates it as ``loss + change``
-while the reference recomputes ``e' H e``. The changes are summed at the scale
-of the starting loss, so the two agree to 1e-12 of ``initial_loss``.
+``_affine_table`` must reproduce ``_fit_affine`` (the scalar fit, a verbatim
+copy in ``conftest.py``) entry by entry, for one grid shared by all groups
+and for a grid per group, and the OWC searches and the clip-strength descent
+built on it must match verbatim copies of the code they replaced
+(``reference_*`` below): same swaps, losses, codes, parameters and final
+gradient, bit for bit. The one exception is the loss recorded with each swap:
+``owc_cd`` accumulates it as ``loss + change`` while the reference recomputes
+``e' H e``. The changes are summed at the scale of the starting loss, so the
+two agree to 1e-12 of ``initial_loss``.
 """
 
 from typing import Optional
@@ -17,8 +19,9 @@ import pytest
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.groupquant import (OwcCdResult, _check_grouping, minmax_group_init, owc_cd,
                                  owc_group_init)
-from qdescent.quantcore import (QuantParams, _affine_table, _fit_affine, default_gamma_grid,
-                                owc_quantize)
+from qdescent.quantcore import QuantParams, _affine_table, default_gamma_grid, owc_quantize
+
+from conftest import _fit_affine
 
 
 def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
@@ -211,6 +214,21 @@ def test_affine_table_off_grid_gammas():
             np.testing.assert_array_equal(table.codes[i, k], q)
 
 
+def test_affine_table_per_group_grids():
+    rng = np.random.default_rng(11)
+    wg = _weights(rng, 6, 16, "constant")
+    gammas = rng.uniform(0.01, 1.0, size=(6, 5))
+    table = _affine_table(wg, 3, gammas)
+    assert table.gammas.shape == table.scales.shape == (6, 5)
+    for i in range(6):
+        for k in range(5):
+            p, q = _fit_affine(wg[i], 3, gamma=float(gammas[i, k]))
+            assert table.params(i, k) == p
+            np.testing.assert_array_equal(table.codes[i, k], q)
+            np.testing.assert_array_equal(table.resid[i, k],
+                                          wg[i] - (p.scale * q.astype(np.float64) + p.bias))
+
+
 @pytest.mark.parametrize("bits", range(1, 9))
 @pytest.mark.parametrize("grid_size", [1, 8, 50])
 def test_owc_search_matches_scalar_search(bits, grid_size):
@@ -316,6 +334,23 @@ def test_owc_cd_matches_reference_step_budgets(steps):
                                                  steps=steps))
     if steps == 0:
         assert result.swaps == [] and result.final_loss == result.initial_loss
+
+
+@pytest.mark.parametrize("steps", [0, None])
+def test_owc_cd_zero_scale_start_matches_reference(steps):
+    # A zero scale passed for a non-constant group starts that group at codes 0,
+    # not at the codes of a fit at its gamma.
+    d, g, bits = 64, 16, 3
+    w, h = _instance(41, d, coupling=1.0)
+    params = list(owc_group_init(w, h, bits, g)[0])
+    assert np.ptp(w[2 * g:3 * g]) > 0.0 and params[2].gamma < 1.0
+    params[2] = QuantParams(scale=0.0, bias=params[2].bias, bits=bits, gamma=params[2].gamma)
+    params = tuple(params)
+    result = owc_cd(w, h, params, default_gamma_grid(50), steps=steps)
+    _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50),
+                                                 steps=steps))
+    if steps == 0:
+        assert not result.codes[2 * g:3 * g].any() and result.params == params
 
 
 def test_owc_cd_matches_reference_default_grid_and_steps():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import objective
 from qdescent.calibration import build_hessian
-from qdescent.quantcore import (ChannelProblem, QuantParams, QuantizedLayer, channel_objective,
-                                dequantize, load_layer, minmax_quantize, objective, owc_quantize,
-                                round_half_away, save_layer, zero_baseline)
+from qdescent.quantcore import (ChannelProblem, QuantizedLayer, _reconstruct, channel_objective,
+                                load_layer, minmax_quantize, owc_quantize, round_half_away,
+                                save_layer, zero_baseline)
 
 
 def hess(mat):
@@ -18,38 +19,46 @@ def test_round_half_away_from_zero():
     np.testing.assert_array_equal(round_half_away(x), [1, 2, 3, -1, -2, 0, -0])
 
 
+def _f32(*values):
+    return np.array(values, dtype=np.float32)
+
+
+def _loss(w, codes, params, h):
+    """``channel_objective``'s loss of one channel under one params entry."""
+    return channel_objective(w, _f32(params.scale), _f32(params.bias), codes, h)[0]
+
+
+def _deq(codes, params):
+    return _reconstruct(_f32(params.scale), _f32(params.bias), codes)
+
+
 def test_dequantize_examples():
-    p = QuantParams(scale=1.0, bias=0.0, bits=2)
-    np.testing.assert_array_equal(dequantize(np.array([0, 1, 2, 3]), p), [0, 1, 2, 3])
-    p0 = QuantParams(scale=0.0, bias=5.0, bits=3)
-    np.testing.assert_array_equal(dequantize(np.array([0, 0]), p0), [5.0, 5.0])
-    ph = QuantParams(scale=0.5, bias=-1.0, bits=2)
-    np.testing.assert_allclose(dequantize(np.array([1, 3]), ph), [-0.5, 0.5])
-
-
-def test_dequantize_range_check():
-    with pytest.raises(ValueError, match="out of range"):
-        dequantize(np.array([2]), QuantParams(scale=1.0, bias=0.0, bits=1))
+    np.testing.assert_array_equal(_reconstruct(_f32(1.0), _f32(0.0), np.array([0, 1, 2, 3])),
+                                  [0, 1, 2, 3])
+    np.testing.assert_array_equal(_reconstruct(_f32(0.0), _f32(5.0), np.array([0, 0])),
+                                  [5.0, 5.0])
+    np.testing.assert_allclose(_reconstruct(_f32(0.5), _f32(-1.0), np.array([1, 3])), [-0.5, 0.5])
 
 
 def test_objective_examples():
-    p = QuantParams(scale=1.0, bias=0.0, bits=2)
     w = np.array([0.0, 1.0, 2.0, 3.0])
-    assert objective(w, np.array([0, 1, 2, 3]), p, hess(np.eye(4))) == 0.0
+    assert channel_objective(w, _f32(1.0), _f32(0.0), np.array([0, 1, 2, 3]),
+                             hess(np.eye(4)))[0] == 0.0
 
-    p1 = QuantParams(scale=1.0, bias=0.0, bits=1)
     w1 = np.array([0.4, 0.6])
-    assert objective(w1, np.array([0, 1]), p1, hess(np.eye(2))) == pytest.approx(0.32)
+    assert channel_objective(w1, _f32(1.0), _f32(0.0), np.array([0, 1]),
+                             hess(np.eye(2)))[0] == pytest.approx(0.32)
 
     h = hess([[2.0, 1.0], [1.0, 2.0]])
     w2 = np.array([-0.4, -0.6])  # codes 0, error is w itself
-    assert objective(w2, np.array([0, 0]), p1, h) == pytest.approx(1.52)
+    assert channel_objective(w2, _f32(1.0), _f32(0.0), np.array([0, 0]), h)[0] == \
+        pytest.approx(1.52)
 
 
 def test_objective_shape_mismatch():
-    p = QuantParams(scale=1.0, bias=0.0, bits=1)
     with pytest.raises(ValueError):
-        objective(np.array([1.0, 2.0, 3.0]), np.array([0, 1]), p, hess(np.eye(2)))
+        channel_objective(np.array([1.0, 2.0, 3.0]), _f32(1.0), _f32(0.0), np.array([0, 1]),
+                          hess(np.eye(2)))
 
 
 def test_objective_strictly_positive_off_grid():
@@ -59,8 +68,8 @@ def test_objective_strictly_positive_off_grid():
     for _ in range(20):
         w = rng.standard_normal(8)
         params, q = minmax_quantize(w, 2)
-        err = w - dequantize(q, params)
-        got = objective(w, q, params, h)
+        err = w - _deq(q, params)
+        got = _loss(w, q, params, h)
         assert got >= 0.0
         if np.abs(err).max() > 1e-12:
             assert got > 0.0
@@ -73,10 +82,10 @@ def test_objective_vs_explicit_data_products():
         h = build_hessian(x, 0.01)
         w = rng.standard_normal(6)
         params, q = minmax_quantize(w, 3)
-        err = w - dequantize(q, params)
+        err = w - _deq(q, params)
         lam = 0.01 * np.mean(np.diag(x.T @ x))
         direct = np.linalg.norm(x @ err) ** 2 + lam * np.linalg.norm(err) ** 2
-        got = objective(w, q, params, h)
+        got = _loss(w, q, params, h)
         assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -92,7 +101,7 @@ def test_minmax_examples():
     params, q = minmax_quantize(np.array([5.0, 5.0]), 3)
     assert params.scale == 0.0 and params.bias == 5.0
     np.testing.assert_array_equal(q, [0, 0])
-    np.testing.assert_array_equal(dequantize(q, params), [5.0, 5.0])
+    np.testing.assert_array_equal(_deq(q, params), [5.0, 5.0])
 
 
 def test_minmax_empty():
@@ -105,14 +114,14 @@ def test_requantize_idempotent():
     for _ in range(20):
         w = rng.standard_normal(16)
         params, q = minmax_quantize(w, 3)
-        deq = dequantize(q, params)
+        deq = _deq(q, params)
         # same params: rounding (deq - b) / a recovers the codes exactly
         again = np.clip(round_half_away((deq - params.bias) / params.scale),
                         0, params.levels - 1).astype(np.uint8)
         np.testing.assert_array_equal(again, q)
         # fresh min-max fit of the dequantized vector reproduces it bit for bit
         params2, q2 = minmax_quantize(deq, 3)
-        np.testing.assert_array_equal(dequantize(q2, params2), deq)
+        np.testing.assert_array_equal(_deq(q2, params2), deq)
 
 
 def test_owc_grid_one_is_minmax_bitwise():
@@ -174,10 +183,6 @@ def test_owc_degenerate_constant():
     params, q = owc_quantize(np.array([3.0, 3.0]), h, 4)
     assert params.scale == 0.0 and params.gamma == 1.0
     np.testing.assert_array_equal(q, [0, 0])
-
-
-def _f32(*values):
-    return np.array(values, dtype=np.float32)
 
 
 def test_channel_objective():
