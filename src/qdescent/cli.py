@@ -47,7 +47,7 @@ class UsageError(ValueError):
 
 def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
     hessian = calibration.build_hessian(calib, lambda_rel)
-    if clip_fraction > 0.0:
+    if clip_fraction != 0.0:  # so that a negative or NaN fraction is range-checked
         hessian = calibration.clip_hessian_eigenvalues(hessian, clip_fraction)
     return hessian
 
@@ -481,6 +481,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size argument too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -41,6 +41,9 @@ Engines:
   visit, chosen by the same closed-form window; the classic one-sweep
   baseline.
 
+Greedy and cyclic descent are one loop (``_single_moves``) that differs only
+in which coordinate a step takes; greedy stops at its first no-op, a fixed
+point. Every engine runs at most ``DescentConfig.total_steps(d_in)`` steps.
 Greedy and cyclic track the loss incrementally (``loss += delta``) in each
 step's ``loss_after``; block steps recompute it from scratch. Every engine
 computes ``final_loss`` from scratch on the final codes, and
@@ -80,8 +83,9 @@ class EnumerationGuardError(ValueError):
 class DescentConfig:
     """Engine configuration.
 
-    ``steps`` is the per-epoch step budget; None means d_in, so the default
-    run is one epoch of d_in steps. The block engine enumerates
+    ``steps`` is the per-epoch step budget of every engine; None means d_in,
+    so the default run is one epoch of d_in steps. Greedy descent stops
+    sooner, at its first no-op step. The block engine enumerates
     2^(block_size*bits) combinations per block and is guarded by
     ``block_size * bits <= MAX_BLOCK_BITS``.
     """
@@ -90,7 +94,6 @@ class DescentConfig:
     epochs: int = 1
     block_size: int = 1
     seed: int = 0
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.steps is not None and self.steps < 0:
@@ -240,21 +243,23 @@ def _best_moves(codes: np.ndarray, gradient: np.ndarray, hdiag: np.ndarray,
     return values, scores
 
 
-def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
-    """Greedy coordinate descent over (coordinate, value) candidates.
+def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
+                  cyclic: bool) -> tuple[np.ndarray, DescentTrace]:
+    """The one loop of greedy and cyclic descent, ``cfg.total_steps(d_in)`` steps.
 
-    Each step applies the single-coordinate change with the most negative
-    predicted delta among all d_in * 2^c candidates; ties break to the
-    smallest (coordinate, value). ``_best_moves`` finds each coordinate's
-    best value in closed form, and the first coordinate whose best score
-    reaches the minimum is the lexicographic argmin of the full scan. When
-    no candidate improves the loss the greedy state is a fixed point, so
-    with ``early_stop`` the run terminates after recording one final no-op
-    step. ``loss_after`` accumulates the predicted deltas; ``final_loss`` is
-    recomputed from scratch.
+    Step s takes coordinate ``s % d_in`` (cyclic) or the first coordinate
+    whose best score reaches the minimum (greedy), which is the lexicographic
+    argmin of the full scan of all d_in * 2^c candidates. The coordinate moves
+    to its best value from ``_best_moves`` (ties to the smaller value) when
+    that strictly improves the loss, and otherwise the step is a no-op (a
+    zero delta counts as keep-current). Every row's best move stays valid
+    until a step changes the state, so the moves are recomputed only after an
+    accepted step. A greedy no-op is a fixed point, so greedy stops after
+    recording it. ``loss_after`` accumulates the predicted deltas;
+    ``final_loss`` is recomputed from scratch.
     """
     hmat, z = _check_engine_inputs(prob, q0)
+    d = hmat.shape[0]
     codes = np.array(q0, dtype=np.float64)
     gradient = 2.0 * (hmat @ (codes - z))
     hdiag = np.diag(hmat).copy()
@@ -262,23 +267,38 @@ def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
 
     trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
-    for step in range(cfg.total_steps(hmat.shape[0])):
-        values, scores = _best_moves(codes, gradient, hdiag, levels)
-        i = int(np.argmin(scores))
+    scores = None
+    for step in range(cfg.total_steps(d)):
+        if scores is None:
+            values, scores = _best_moves(codes, gradient, hdiag, levels)
+        i = step % d if cyclic else int(np.argmin(scores))
         best = float(scores[i])
         if best < 0.0:
             r = float(values[i])
             gradient += (2.0 * (r - codes[i])) * hmat[:, i]
             codes[i] = r
             loss += best
+            scores = None
             trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
-            if cfg.early_stop:
+            if not cyclic:
                 break
     trace.final_loss = _loss(hmat, codes, z)
     trace.final_gradient = gradient.copy()
     return codes.astype(np.uint8), trace
+
+
+def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
+                cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+    """Greedy coordinate descent: each step applies the best single-coordinate change."""
+    return _single_moves(prob, q0, cfg, cyclic=False)
+
+
+def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
+                       cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+    """Cyclic coordinate descent baseline: coordinates visited in order 0..d_in-1."""
+    return _single_moves(prob, q0, cfg, cyclic=True)
 
 
 def _value_combinations(levels: int, k: int) -> np.ndarray:
@@ -384,7 +404,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     A non-improving step is recorded as a no-op and iteration continues,
     since the next partition may still improve. With k = 1 the partition is
     always the same, so the run is greedy descent (``cd_quantize``) step for
-    step and honors ``early_stop``.
+    step and stops at its first no-op.
 
     For k = 2 an exact pair screen (``_pair_screen``) lists the pairs whose
     block might still improve the current state. A step whose partition
@@ -502,51 +522,6 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             if use_screen and not fresh:
                 flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid), True
     trace.final_loss = loss
-    trace.final_gradient = gradient.copy()
-    return codes.astype(np.uint8), trace
-
-
-def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                       cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
-    """Cyclic coordinate descent baseline: one best-value update per visit.
-
-    Coordinates are visited in fixed order 0..d_in-1, ``epochs`` times. A
-    visit takes the coordinate's best value from ``_best_moves`` (ties to
-    the smaller value) and keeps the current code when no value strictly
-    improves the loss (a zero delta counts as keep-current). Gradient
-    maintenance and loss bookkeeping are those of the greedy engine:
-    ``loss_after`` accumulates the predicted deltas, ``final_loss`` is
-    recomputed from scratch.
-    """
-    hmat, z = _check_engine_inputs(prob, q0)
-    d = hmat.shape[0]
-    codes = np.array(q0, dtype=np.float64)
-    gradient = 2.0 * (hmat @ (codes - z))
-    hdiag = np.diag(hmat).copy()
-    levels = prob.params.levels
-
-    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
-    loss = trace.initial_loss
-    step = 0
-    # Every row's best move stays valid until a visit changes the state, so
-    # the moves are recomputed only after an accepted visit.
-    values = scores = None
-    for _ in range(cfg.epochs):
-        for i in range(d):
-            if scores is None:
-                values, scores = _best_moves(codes, gradient, hdiag, levels)
-            best = float(scores[i])
-            if best < 0.0:
-                r = float(values[i])
-                gradient += (2.0 * (r - codes[i])) * hmat[:, i]
-                codes[i] = r
-                loss += best
-                scores = None
-                trace.steps.append(TraceStep(step, (i,), (int(r),), best, loss, True))
-            else:
-                trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
-            step += 1
-    trace.final_loss = _loss(hmat, codes, z)
     trace.final_gradient = gradient.copy()
     return codes.astype(np.uint8), trace
 

@@ -168,7 +168,9 @@ def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTa
     grid = np.asarray(gamma_grid, dtype=np.float64)
     gammas = np.broadcast_to(grid, (wg.shape[0], grid.shape[-1]))
     scales = ((gammas * span[:, None]) / (levels - 1)).astype(np.float32).astype(np.float64)
-    scales[~live] = 0.0
+    # A live span below about (2^c - 1) * 2^-149 rounds to an f32 scale of 0;
+    # it gets the smallest f32 scale instead, so no live group divides by 0.
+    scales = np.where(live[:, None], np.maximum(scales, 2.0 ** -149), 0.0)
     divisor = np.where(live[:, None], scales, 1.0)
     q = round_half_away((wg[:, None, :] - biases[:, None, None]) / divisor[:, :, None])
     codes = np.clip(q, 0, levels - 1).astype(np.uint8)

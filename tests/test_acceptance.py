@@ -114,9 +114,9 @@ def test_criterion_03_delta_exactness_and_monotone():
 def test_criterion_04_gradient_and_v_drift():
     worst_g = 0.0
     for seed in range(5):
-        prob, q0 = random_problem(64, 2, seed=100 + seed)
-        codes, trace = cd_quantize(prob, q0, DescentConfig(early_stop=False))
-        assert len(trace.steps) == 64
+        prob, _ = random_problem(64, 2, seed=100 + seed)
+        codes, trace = cd_quantize(prob, np.zeros(64, dtype=np.uint8), DescentConfig())
+        assert len(trace.steps) == trace.accepted_steps == 64
         fresh = 2.0 * (prob.hessian @ (codes.astype(np.float64) - prob.target))
         worst_g = max(worst_g, float(np.abs(trace.final_gradient - fresh).max()))
 

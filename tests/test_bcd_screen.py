@@ -110,7 +110,7 @@ def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
                                          tuple(int(v) for v in best_values), best, loss, True))
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
-            if k == 1 and cfg.early_stop:
+            if k == 1:
                 break
     trace.final_loss = loss
     trace.final_gradient = state.gradient.copy()

@@ -15,6 +15,7 @@ import pytest
 import qdescent
 from qdescent import tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
+from qdescent.quantcore import load_layer
 
 
 def write_inputs(tmp_path, d_in=8, d_out=4, n=48, seed=0, exact_bits=None):
@@ -163,6 +164,13 @@ def test_quantize_non_finite_lambda_rel_exits_usage(tmp_path, capsys, value):
     assert code == EXIT_USAGE and "lambda_rel" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+def test_quantize_clip_fraction_out_of_range_exits_usage(tmp_path, capsys, value):
+    code, err = _quantize_error(tmp_path, capsys, ["--method", "cd", "--bits", "2",
+                                                   f"--clip-fraction={value}"])
+    assert code == EXIT_USAGE and "clip_fraction" in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", ["NaN", "1" + "0" * 400], ids=["nan", "int-1e400"])
 def test_quantize_config_non_finite_lambda_rel_exits_usage(tmp_path, capsys, value):
@@ -170,6 +178,15 @@ def test_quantize_config_non_finite_lambda_rel_exits_usage(tmp_path, capsys, val
     cfg.write_text(f'{{"method": "cd", "bits": 2, "lambda_rel": {value}}}')
     code, err = _quantize_error(tmp_path, capsys, ["--config", str(cfg)])
     assert code == EXIT_USAGE and "lambda_rel" in err
+
+
+def test_quantize_grid_too_large_to_allocate_exits_usage(tmp_path, capsys):
+    # 2^50 float64 grid values need 8 PiB, beyond the address space, so
+    # numpy refuses the allocation without touching memory.
+    code, err = _quantize_error(tmp_path, capsys, ["--method", "owc", "--bits", "2",
+                                                   "--grid-size", str(2 ** 50)])
+    assert code == EXIT_USAGE and "out of memory" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -415,6 +432,34 @@ def test_eval_flags_zero_columns(tmp_path, capsys):
     assert "column 1: zero denominator" in printed
 
 
+@pytest.mark.parametrize("extra", [
+    ["--method", "cd", "--group-size", "4"],
+    ["--method", "bcd", "--block-size", "2", "--group-size", "4", "--owc-cd"],
+    ["--method", "cd"],
+    ["--method", "owc"],
+    ["--method", "bcd", "--block-size", "2"],
+], ids=["grouped-cd", "grouped-bcd-owc-cd", "cd", "owc", "bcd"])
+def test_quantize_subnormal_span_gets_a_nonzero_scale(tmp_path, extra):
+    # Column 0 alternates 0 and the smallest f32 subnormal: its span is live
+    # but rounds to an f32 scale of 0, which used to divide by zero.
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((8, 2)).astype(np.float32)
+    w[:, 0] = np.array([0.0, 1e-45] * 4, dtype=np.float32)
+    wpath, xpath = tmp_path / "w.tc", tmp_path / "x.tc"
+    tensorio.write_container(wpath, w)
+    tensorio.write_container(xpath, rng.standard_normal((48, 8)).astype(np.float32))
+    out, report = tmp_path / "layer", tmp_path / "eval.csv"
+    assert main(["quantize", "--weights", str(wpath), "--calib", str(xpath), "--out", str(out),
+                 "--bits", "3"] + extra) == EXIT_OK
+    assert main(["eval", "--layer", str(out), "--calib", str(xpath),
+                 "--out", str(report)]) == EXIT_OK
+    layer = load_layer(out)
+    np.testing.assert_array_equal(layer.scales[0], np.float32(2.0 ** -149))
+    np.testing.assert_array_equal(layer.codes[0], [0, 1] * 4)
+    assert [r["objective"] for r in read_records(out / "records.csv")] \
+        == [r["objective"] for r in read_records(report)]
+
+
 def test_eval_per_channel_and_full_group_agree(tmp_path):
     w, x = write_inputs(tmp_path, d_in=8, d_out=4)
     rows = {}
@@ -583,7 +628,6 @@ def test_unpacked_codes_mode(tmp_path):
     base = ["quantize", "--weights", w, "--calib", x, "--method", "rtn", "--bits", "2"]
     assert main(base + ["--out", str(packed)]) == EXIT_OK
     assert main(base + ["--out", str(unpacked), "--unpacked-codes"]) == EXIT_OK
-    from qdescent.quantcore import load_layer
     np.testing.assert_array_equal(load_layer(packed).codes, load_layer(unpacked).codes)
 
 

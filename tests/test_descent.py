@@ -155,6 +155,20 @@ def test_cyclic_fixed_point_under_many_epochs():
     assert trace20.final_loss <= trace1.final_loss + 1e-12
 
 
+def test_cyclic_steps_is_the_per_epoch_budget():
+    prob, _ = random_problem(10, 3, seed=4)
+    q0 = np.zeros(10, dtype=np.uint8)
+    codes2, trace2 = cyclic_cd_quantize(prob, q0, DescentConfig(epochs=2))
+    codes, trace = cyclic_cd_quantize(prob, q0, DescentConfig(steps=20, epochs=1))
+    np.testing.assert_array_equal(codes, codes2)
+    assert trace.steps == trace2.steps and len(trace.steps) == 20
+    assert trace.final_loss == trace2.final_loss
+    np.testing.assert_array_equal(trace.final_gradient, trace2.final_gradient)
+    _, short = cyclic_cd_quantize(prob, q0, DescentConfig(steps=13))
+    assert short.steps == trace2.steps[:13]
+    assert short.steps[12].coords == (2,)  # step 12 visits coordinate 12 % 10
+
+
 def test_traces_verify_on_random_instances():
     for seed in range(10):
         prob, q0 = random_problem(16, 3, seed=seed)
@@ -169,9 +183,9 @@ def test_traces_verify_on_random_instances():
 
 
 def test_gradient_maintenance_drift():
-    prob, q0 = random_problem(32, 2, seed=13, scale=1.0)
-    cfg = DescentConfig(early_stop=False)  # force the full d_in steps
-    codes, trace = cd_quantize(prob, q0, cfg)
+    prob, _ = random_problem(32, 2, seed=13, scale=1.0)
+    codes, trace = cd_quantize(prob, np.zeros(32, dtype=np.uint8), DescentConfig())
+    assert trace.accepted_steps == 32
     fresh = 2.0 * (prob.hessian @ (codes.astype(np.float64) - prob.target))
     assert np.abs(trace.final_gradient - fresh).max() < 1e-6
 
