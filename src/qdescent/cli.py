@@ -11,12 +11,13 @@ Subcommands:
 Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure,
 4 shape mismatch, 5 enumeration guard exceeded.
 
-All flags are long-form. ``quantize`` optionally reads defaults from a flat
-JSON config file; explicit flags win over the file. Channels are quantized
-one after another; ``--threads`` and the ``threads`` config key are still
-accepted for old command lines and configs, and have no effect. Report
-files embed per-channel wall-clock times unless --no-timing is given,
-which zeroes them so reports are byte-stable too.
+All flags are long-form. ``quantize`` optionally reads a flat JSON config
+file whose values become the flags' defaults, so explicit flags win over
+it. Channels are quantized one after another; ``--threads`` and the
+``threads`` config key are still accepted for old command lines and
+configs, and have no effect. Report files embed per-channel wall-clock
+times unless --no-timing is given, which zeroes them so reports are
+byte-stable too.
 """
 
 from __future__ import annotations
@@ -104,13 +105,9 @@ def cmd_gen_calib(args) -> int:
 _CONFIG_TYPES = {"method": str, "bits": int, "group_size": int, "block_size": int, "epochs": int,
                  "steps": int, "grid_size": int, "lambda_rel": float, "clip_fraction": float,
                  "seed": int, "threads": int, "owc_cd": bool, "report_format": str}
-_CONFIG_KEYS = tuple(_CONFIG_TYPES)
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                     dict: "an object"}
-
-_CONFIG_DEFAULTS = {"group_size": 0, "epochs": 1, "steps": None, "grid_size": 50,
-                    "lambda_rel": 0.01, "clip_fraction": 0.0, "seed": 0, "owc_cd": False,
-                    "report_format": "csv"}
+_REPORT_FORMATS = ("csv", "jsonl")
 
 
 def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
@@ -133,63 +130,49 @@ def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
                              f"got {json.dumps(value)}")
 
 
-def _merge_config(args) -> dict:
-    """Flag > config-file > built-in default, per key."""
-    from_file = {}
-    if args.config:
-        with open(args.config) as f:
-            from_file = json.load(f)
-        if not isinstance(from_file, dict):
-            raise UsageError(f"config file {args.config} does not hold a JSON object")
-        # null stands for "not set" only where the built-in default is unset too.
-        _check_json_types("config", from_file, _CONFIG_TYPES,
-                          nullable=[k for k in _CONFIG_KEYS if _CONFIG_DEFAULTS.get(k) is None])
-    merged = {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in from_file:
-            merged[key] = from_file[key]
-        else:
-            merged[key] = _CONFIG_DEFAULTS.get(key)
-    return merged
+def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
+    """A quantize config file's settings, type-checked, to become the flags' defaults."""
+    with open(path) as f:
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path} does not hold a JSON object")
+    # null stands for "not set" only where the flag's own default is unset too.
+    _check_json_types("config", config, _CONFIG_TYPES,
+                      nullable=[k for k in _CONFIG_TYPES if quantize_parser.get_default(k) is None])
+    return config
 
 
 def cmd_quantize(args) -> int:
-    cfg_map = _merge_config(args)
-    method = cfg_map["method"]
-    if method is None or cfg_map["bits"] is None:
+    if args.method is None or args.bits is None:
         raise UsageError("--method and --bits are required (flag or config file)")
-    if method not in descent.METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    if cfg_map["block_size"] is not None and method != "bcd":
+    if args.method not in descent.METHODS:
+        raise UsageError(f"unknown method {args.method!r}")
+    if args.report_format not in _REPORT_FORMATS:
+        raise UsageError(f"unknown report format {args.report_format!r}")
+    if args.block_size is not None and args.method != "bcd":
         raise UsageError("--block-size only applies to --method bcd")
-    if cfg_map["owc_cd"] and not cfg_map["group_size"]:
+    if args.owc_cd and not args.group_size:
         raise UsageError("--owc-cd only applies with --group-size > 0")
-    block_size = cfg_map["block_size"] if cfg_map["block_size"] is not None else 2
 
-    weights, hessian = _read_inputs(args.weights, args.calib, cfg_map["lambda_rel"],
-                                    cfg_map["clip_fraction"])
-    if cfg_map["group_size"] and weights.shape[0] % cfg_map["group_size"]:
-        raise UsageError(f"group size {cfg_map['group_size']} does not divide "
-                         f"d_in={weights.shape[0]}")
+    weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel,
+                                    args.clip_fraction)
+    if args.group_size and weights.shape[0] % args.group_size:
+        raise UsageError(f"group size {args.group_size} does not divide d_in={weights.shape[0]}")
 
-    cfg = DescentConfig(steps=cfg_map["steps"], epochs=cfg_map["epochs"],
-                        block_size=block_size, seed=cfg_map["seed"])
+    cfg = DescentConfig(steps=args.steps, epochs=args.epochs,
+                        block_size=2 if args.block_size is None else args.block_size,
+                        seed=args.seed)
     layer, records = descent.quantize_matrix(
-        weights, hessian, method, bits=cfg_map["bits"], group_size=cfg_map["group_size"],
-        cfg=cfg, grid_size=cfg_map["grid_size"], owc_cd_refine=cfg_map["owc_cd"],
-        collect_timing=not args.no_timing,
-        extra_meta={"lambda_rel": cfg_map["lambda_rel"],
-                    "clip_fraction": cfg_map["clip_fraction"],
-                    "weights_path": args.weights, "calib_path": args.calib})
+        weights, hessian, args.method, bits=args.bits, group_size=args.group_size, cfg=cfg,
+        grid_size=args.grid_size, owc_cd_refine=args.owc_cd, collect_timing=not args.no_timing)
+    layer.meta.update(lambda_rel=args.lambda_rel, clip_fraction=args.clip_fraction,
+                      weights_path=args.weights, calib_path=args.calib)
 
     out_dir = Path(args.out)
     quantcore.save_layer(layer, out_dir, packed=not args.unpacked_codes)
-    report_path = out_dir / f"records.{cfg_map['report_format']}"
-    tensorio.emit_report(records, cfg_map["report_format"], report_path)
-    print(f"quantized {weights.shape[0]} x {weights.shape[1]} with {method}")
+    report_path = out_dir / f"records.{args.report_format}"
+    tensorio.emit_report(records, args.report_format, report_path)
+    print(f"quantized {weights.shape[0]} x {weights.shape[1]} with {args.method}")
     _print_summary(records, weights, hessian)
     print(f"layer -> {out_dir}, records -> {report_path}")
     return EXIT_OK
@@ -389,7 +372,9 @@ def cmd_oracle(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser and its ``quantize`` subparser, whose defaults a
+    ``--config`` file replaces."""
     parser = argparse.ArgumentParser(prog="qdescent",
                                      description="Low-bit weight quantization by coordinate descent")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -405,31 +390,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-out", default=None, help="also write the generator spec as JSON")
     p.set_defaults(func=cmd_gen_calib)
 
-    p = sub.add_parser("quantize", help="quantize a weight matrix")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--calib", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="flat JSON config; flags override it")
-    p.add_argument("--method", choices=descent.METHODS, default=None)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--group-size", type=int, default=None, dest="group_size")
-    p.add_argument("--block-size", type=int, default=None, dest="block_size")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=None, dest="grid_size")
-    p.add_argument("--lambda-rel", type=float, default=None, dest="lambda_rel")
-    p.add_argument("--clip-fraction", type=float, default=None, dest="clip_fraction")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-    p.add_argument("--owc-cd", action="store_const", const=True, default=None, dest="owc_cd",
+    q = sub.add_parser("quantize", help="quantize a weight matrix")
+    q.add_argument("--weights", required=True)
+    q.add_argument("--calib", required=True)
+    q.add_argument("--out", required=True)
+    q.add_argument("--config", default=None, help="flat JSON config of defaults; flags override it")
+    q.add_argument("--method", choices=descent.METHODS, default=None)
+    q.add_argument("--bits", type=int, default=None)
+    q.add_argument("--group-size", type=int, default=0, dest="group_size")
+    q.add_argument("--block-size", type=int, default=None, dest="block_size")
+    q.add_argument("--epochs", type=int, default=1)
+    q.add_argument("--steps", type=int, default=None)
+    q.add_argument("--grid-size", type=int, default=50, dest="grid_size")
+    q.add_argument("--lambda-rel", type=float, default=0.01, dest="lambda_rel")
+    q.add_argument("--clip-fraction", type=float, default=0.0, dest="clip_fraction")
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
+    q.add_argument("--owc-cd", action="store_true", dest="owc_cd",
                    help="refine group clip strengths by coordinate descent before the engines")
-    p.add_argument("--report-format", choices=("csv", "jsonl"), default=None,
+    q.add_argument("--report-format", choices=_REPORT_FORMATS, default="csv",
                    dest="report_format")
-    p.add_argument("--no-timing", action="store_true",
+    q.add_argument("--no-timing", action="store_true",
                    help="zero wall-clock fields so reports are byte-stable")
-    p.add_argument("--unpacked-codes", action="store_true",
+    q.add_argument("--unpacked-codes", action="store_true",
                    help="store codes as a u8 container instead of bit-packing (debug)")
-    p.set_defaults(func=cmd_quantize)
+    q.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="recompute objectives for a stored layer")
     p.add_argument("--layer", required=True)
@@ -437,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="original weights; defaults to the path recorded in layer metadata")
     p.add_argument("--out", default=None)
-    p.add_argument("--report-format", choices=("csv", "jsonl"), default="csv",
+    p.add_argument("--report-format", choices=_REPORT_FORMATS, default="csv",
                    dest="report_format")
     p.set_defaults(func=cmd_eval)
 
@@ -459,13 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, q
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, quantize_parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            quantize_parser.set_defaults(**_read_config(args.config, quantize_parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -576,8 +576,7 @@ def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int
 def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
                     bits: int, group_size: int = 0, cfg: Optional[DescentConfig] = None,
                     grid_size: int = 50, owc_cd_refine: bool = False,
-                    collect_timing: bool = True,
-                    extra_meta: Optional[dict] = None) -> tuple[QuantizedLayer, list[BenchRecord]]:
+                    collect_timing: bool = True) -> tuple[QuantizedLayer, list[BenchRecord]]:
     """Quantize a (d_in, d_out) weight matrix column by column.
 
     Channels are independent problems sharing the read-only Hessian; they
@@ -621,7 +620,7 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
         codes=np.empty((d_out, d_in), np.uint8),
         meta={"method": method, "grid_size": grid_size, "seed": cfg.seed,
               "epochs": cfg.epochs, "block_size": cfg.block_size,
-              "owc_cd_refine": bool(owc_cd_refine), **(extra_meta or {})},
+              "owc_cd_refine": bool(owc_cd_refine)},
     )
     steps, walls = [], []
     for j in range(d_out):

@@ -125,9 +125,7 @@ def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: in
     if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
-    hviews = [hessian[i * group_size:(i + 1) * group_size, i * group_size:(i + 1) * group_size]
-              for i in range(n_groups)]
-    best = _best_clips(table, _diag_blocks(hessian, n_groups, group_size), hviews)
+    best = _best_clips(table, _diag_blocks(hessian, n_groups, group_size))
     params = tuple(table.params(i, int(k)) for i, k in enumerate(best))
     return params, table.codes[np.arange(n_groups), best].ravel()
 

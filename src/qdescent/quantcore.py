@@ -198,18 +198,17 @@ def _loop_argmin(resid: np.ndarray, hmat: np.ndarray, ks: np.ndarray) -> int:
     return int(ks[np.flatnonzero(scores == scores.min()).max()])
 
 
-def _best_clips(table: AffineTable, blocks: np.ndarray, hviews: list[np.ndarray]) -> np.ndarray:
+def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
     """Each group's best clip strength: the index k minimizing ``e' H e`` over its
     candidate residuals ``e = table.resid[i][k]``, ties to the larger k; 0 for a
     constant group.
 
-    ``blocks`` is an (n, g, g) array holding each group's H block and
-    ``hviews[i]`` the array to be exact for: the result is, bit for bit, what a
-    loop of ``err @ (hviews[i] @ err)`` over all candidates picks. All
-    candidates of all groups are scored at once, s = rowsum((E B) * E), and a
-    rounding screen proves which ones the loop could pick. For one group with
-    H = H_i, u = 2^-53, gamma_g = g u / (1 - g u), and N = ||H||_F and
-    E_k = ||e_k||^2 as computed, the bound is
+    ``blocks`` is an (n, g, g) array holding each group's H block: the result
+    is, bit for bit, what a loop of ``err @ (blocks[i] @ err)`` over all
+    candidates picks. All candidates of all groups are scored at once,
+    s = rowsum((E B) * E), and a rounding screen proves which ones the loop
+    could pick. For one group with H = H_i, u = 2^-53, gamma_g = g u / (1 - g u),
+    and N = ||H||_F and E_k = ||e_k||^2 as computed, the bound is
 
         b_k = 6 gamma_g N E_k + tau_k,    tau_k = 2^-1000 g (1 + N) (2 + g E_k),
 
@@ -257,7 +256,7 @@ def _best_clips(table: AffineTable, blocks: np.ndarray, hviews: list[np.ndarray]
     picks = np.argmax(survive, axis=1)
     for j in np.flatnonzero(~in_range | (survive.sum(axis=1) != 1)):
         ks = np.flatnonzero(survive[j]) if in_range[j] else np.arange(resid.shape[1])
-        picks[j] = _loop_argmin(table.resid[rows[j]], hviews[rows[j]], ks)
+        picks[j] = _loop_argmin(resid[j], blocks[j], ks)
     best[rows] = picks
     return best
 
@@ -311,7 +310,7 @@ def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
     if w.size == 0:
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, grid)
-    best = int(_best_clips(table, hessian[None], [hessian])[0])
+    best = int(_best_clips(table, hessian[None])[0])
     return table.params(0, best), table.codes[0, best].copy()
 
 

@@ -215,13 +215,9 @@ def read_packed(path: str | Path) -> PackedCodes:
     if version != FORMAT_VERSION:
         raise MalformedHeaderError(f"unsupported packed-codes version {version}")
     bit_width, count = struct.unpack_from("<BQ", raw, 8)
-    payload = raw[17:]
-    expected = (count * bit_width + 7) // 8
-    if len(payload) != expected:
-        raise PayloadMismatchError(
-            f"payload length mismatch: header declares {expected} bytes, file has {len(payload)}"
-        )
-    return PackedCodes(bit_width=int(bit_width), count=int(count), payload=payload)
+    if not 1 <= bit_width <= 8:
+        raise MalformedHeaderError(f"packed bit width must be in 1..8, got {bit_width}")
+    return PackedCodes(bit_width=bit_width, count=count, payload=raw[17:])
 
 
 @dataclass(frozen=True)

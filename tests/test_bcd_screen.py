@@ -12,6 +12,7 @@ import pytest
 from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
                               TraceStep, _check_engine_inputs, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
+from qdescent.oracle import brute_force, verify_trace
 from qdescent.quantcore import ChannelProblem, owc_quantize
 
 from conftest import GradientState, grouped_problem, integer_problem, random_problem
@@ -164,6 +165,24 @@ def test_blocks_of_three_are_unchanged():
     for seed in range(4):
         prob, q0 = random_problem(12, 2, seed=seed)
         assert_same_run(prob, q0, DescentConfig(block_size=3, seed=seed))
+
+
+@pytest.mark.parametrize("k, bits", [(6, 3), (9, 2)])
+def test_whole_vector_block_uses_the_factored_score(k, bits):
+    # levels^k * k^2 > 2^22, so blocks are scored as (r - q)'H(r - q) + (r - q)'g,
+    # not by the expanded quadratic; one block of all k coordinates makes the
+    # first step an exhaustive search and the second a no-op. Codes, not losses,
+    # are compared with the oracle: the two sum the same loss in different orders.
+    assert (2 ** bits) ** k * k * k > 1 << 22
+    for seed in range(3):
+        prob, _ = random_problem(k, bits, seed=seed)
+        q0 = np.zeros(k, dtype=np.uint8)
+        cfg = DescentConfig(block_size=k, steps=2, seed=seed)
+        trace = assert_same_run(prob, q0, cfg)
+        assert [s.accepted for s in trace.steps] == [True, False]
+        codes, _ = bcd_quantize(prob, q0, cfg)
+        np.testing.assert_array_equal(codes, brute_force(prob).codes)
+        assert verify_trace(prob, q0, trace).ok
 
 
 def test_screen_is_empty_at_a_decoupled_fixed_point():

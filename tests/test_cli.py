@@ -285,6 +285,19 @@ def test_quantize_config_accepts_json_types(tmp_path):
     assert (out / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"method": "cd", "bits": 2, "report_format": "xml"},
+    {"method": "x", "bits": 2},
+])
+def test_quantize_config_bad_choice_exits_before_any_work(tmp_path, capsys, config):
+    # argparse checks choices only on the command line, not on defaults from a file.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, err = _quantize_error(tmp_path, capsys, ["--config", str(cfg)])
+    assert code == EXIT_USAGE and "unknown" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _eval_with_edited_meta(tmp_path, capsys, edit):
     """Quantize, apply ``edit`` to the stored meta.json, then run eval; returns
     eval's exit code and its one-line error."""
@@ -646,6 +659,22 @@ def _eval_with_rewritten_codes(tmp_path, capsys, rewrite, name="codes.tc"):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err
     return code, err
+
+
+@pytest.mark.parametrize("bit_width", [0, 9])
+def test_eval_packed_bit_width_out_of_range_exits_io(tmp_path, capsys, bit_width):
+    # The payload length matches the declared width, so only the width is wrong.
+    w, x = write_inputs(tmp_path, d_in=16, d_out=4)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "cd",
+                 "--bits", "3"]) == EXIT_OK
+    path = out / "codes.pc"
+    raw = path.read_bytes()
+    (count,) = struct.unpack_from("<Q", raw, 9)
+    path.write_bytes(raw[:8] + bytes([bit_width]) + raw[9:17] + bytes((count * bit_width + 7) // 8))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: packed bit width must be in 1..8, got {bit_width}\n"
 
 
 def test_eval_unpacked_codes_wrong_count_exits_io(tmp_path, capsys):

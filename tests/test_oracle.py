@@ -127,6 +127,41 @@ def test_verify_flags_tampered_delta():
     assert f"step {i}" in report.violations[0]
 
 
+@pytest.mark.parametrize("field, message", [("initial_loss", "initial loss "),
+                                            ("loss_after", "step 0: recorded loss "),
+                                            ("final_loss", "final loss ")])
+def test_verify_flags_tampered_loss(field, message):
+    prob, q0 = random_problem(10, 2, seed=4)
+    _, trace = cd_quantize(prob, q0, DescentConfig())
+    assert trace.steps[0].accepted
+    if field == "loss_after":
+        trace.steps[0] = replace(trace.steps[0], loss_after=trace.steps[0].loss_after * 1.5)
+    else:
+        setattr(trace, field, getattr(trace, field) * 1.5)
+    report = verify_trace(prob, q0, trace)
+    assert not report.ok and len(report.violations) == 1
+    assert report.violations[0].startswith(message)
+
+
+def test_verify_flags_loss_increase():
+    # One more step away from cd's fixed point, its delta and losses recorded
+    # truly: only the increase itself is wrong.
+    prob, q0 = random_problem(10, 2, seed=4)
+    codes, trace = cd_quantize(prob, q0, DescentConfig())
+    worse = codes.astype(np.float64)
+    worse[0] = 0.0 if codes[0] >= 2 else 3.0
+    loss, new_loss = (float((q - prob.target) @ (prob.hessian @ (q - prob.target)))
+                      for q in (codes.astype(np.float64), worse))
+    assert new_loss > loss * 1.01
+    n = len(trace.steps)
+    trace.steps.append(TraceStep(index=n, coords=(0,), values=(int(worse[0]),),
+                                 predicted_delta=new_loss - loss, loss_after=new_loss,
+                                 accepted=True))
+    trace.final_loss = new_loss
+    report = verify_trace(prob, q0, trace)
+    assert report.violations == [f"step {n}: loss increased by {new_loss - loss}"]
+
+
 def test_verify_bcd_noop_steps():
     prob, q0 = random_problem(8, 1, seed=6)
     _, trace = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=2, seed=0))

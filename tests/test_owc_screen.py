@@ -224,7 +224,7 @@ def test_duplicate_rows_tie_to_larger_gamma(loop_calls):
         resid = table.resid.copy()
         resid[0, other] = resid[0, best]
         forced = replace(table, resid=resid)
-        got = int(_best_clips(forced, hmat[None], [hmat])[0])
+        got = int(_best_clips(forced, hmat[None])[0])
         assert got == reference_best_clip(resid[0], hmat) == max(other, best)
     assert loop_calls and all(n >= 2 for n in loop_calls)
 
@@ -243,7 +243,7 @@ def test_exact_ties_in_different_order_are_rescored(loop_calls):
         j = (k + 1 + seed % 49) % 50
         resid[0, j] = resid[0, k][p]
         ref = reference_best_clip(resid[0], hmat)
-        got = int(_best_clips(replace(table, resid=resid), hmat[None], [hmat])[0])
+        got = int(_best_clips(replace(table, resid=resid), hmat[None])[0])
         assert got == ref
         picks.add(ref == max(j, k))
     assert picks == {True, False}  # the loop's rounding, not the index, decided some ties
@@ -260,7 +260,7 @@ def test_near_ties_are_rescored(loop_calls):
         resid[0, j] = resid[0, k]
         resid[0, j, seed % 96] = np.nextafter(resid[0, k, seed % 96], np.inf * (-1) ** seed)
         ref = reference_best_clip(resid[0], hmat)
-        got = int(_best_clips(replace(table, resid=resid), hmat[None], [hmat])[0])
+        got = int(_best_clips(replace(table, resid=resid), hmat[None])[0])
         assert got == ref
     assert len(loop_calls) == 40 and all(n >= 2 for n in loop_calls)
 
@@ -275,7 +275,7 @@ def test_forced_ties_per_group(loop_calls):
         k = reference_best_clip(resid[i], views[i])
         resid[i, (k + 1 + i) % 50] = resid[i, k]
     forced = replace(table, resid=resid)
-    got = _best_clips(forced, _diag_blocks(hmat, 4, 16), views)
+    got = _best_clips(forced, _diag_blocks(hmat, 4, 16))
     assert list(got) == [reference_best_clip(resid[i], views[i]) for i in range(4)]
     assert len(loop_calls) == 4
 
