@@ -55,10 +55,6 @@ class SynthSpec:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SynthSpec":
-        return cls(**obj)
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

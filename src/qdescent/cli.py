@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure,
 
 All flags are long-form. ``quantize`` optionally reads a flat JSON config
 file whose values become the flags' defaults, so explicit flags win over
-it. Channels are quantized one after another; ``--threads`` and the
+it; a ``bench`` suite's settings default to the same flags' defaults.
+Channels are quantized one after another; ``--threads`` and the
 ``threads`` config key are still accepted for old command lines and
 configs, and have no effect. Report files embed per-channel wall-clock
 times unless --no-timing is given, which zeroes them so reports are
@@ -40,10 +41,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_GUARD = 5
-
-
-class UsageError(ValueError):
-    """Invalid flag combination detected after parsing."""
 
 
 def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
@@ -101,10 +98,13 @@ def cmd_gen_calib(args) -> int:
 # ---------------------------------------------------------------------------
 # quantize
 
+#: The settings ``quantize`` and ``bench`` share, and the JSON type of each;
+#: their defaults are the quantize flags'.
+_SETTING_TYPES = {"group_size": int, "block_size": int, "epochs": int, "grid_size": int,
+                  "lambda_rel": float, "clip_fraction": float, "owc_cd": bool}
 #: Config-file keys and the JSON type each value must have.
-_CONFIG_TYPES = {"method": str, "bits": int, "group_size": int, "block_size": int, "epochs": int,
-                 "steps": int, "grid_size": int, "lambda_rel": float, "clip_fraction": float,
-                 "seed": int, "threads": int, "owc_cd": bool, "report_format": str}
+_CONFIG_TYPES = {"method": str, "bits": int, "steps": int, "seed": int, "threads": int,
+                 "report_format": str, **_SETTING_TYPES}
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                     dict: "an object"}
 _REPORT_FORMATS = ("csv", "jsonl")
@@ -115,7 +115,7 @@ def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
     stands for a list of kind, and keys in ``nullable`` may also hold null."""
     unknown = set(obj) - set(types)
     if unknown:
-        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     for key, value in obj.items():
         kind = types[key]
         if value is None and key in nullable:
@@ -123,10 +123,10 @@ def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
         if isinstance(kind, list):
             if not (isinstance(value, list)
                     and all(tensorio.json_value_is(v, kind[0]) for v in value)):
-                raise UsageError(f"{where} key {key!r} must be a list, each entry "
+                raise ValueError(f"{where} key {key!r} must be a list, each entry "
                                  f"{_JSON_TYPE_NAMES[kind[0]]}, got {json.dumps(value)}")
         elif not tensorio.json_value_is(value, kind):
-            raise UsageError(f"{where} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+            raise ValueError(f"{where} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
                              f"got {json.dumps(value)}")
 
 
@@ -135,36 +135,47 @@ def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
     with open(path) as f:
         config = json.load(f)
     if not isinstance(config, dict):
-        raise UsageError(f"config file {path} does not hold a JSON object")
+        raise ValueError(f"config file {path} does not hold a JSON object")
     # null stands for "not set" only where the flag's own default is unset too.
     _check_json_types("config", config, _CONFIG_TYPES,
                       nullable=[k for k in _CONFIG_TYPES if quantize_parser.get_default(k) is None])
     return config
 
 
+def _check_method(method: str, settings: dict) -> None:
+    """Reject an unknown method, and ``owc_cd`` without groups."""
+    if method not in descent.METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if settings["owc_cd"] and not settings["group_size"]:
+        raise ValueError("'owc_cd' only applies with 'group_size' > 0")
+
+
+def _quantize(weights: np.ndarray, hessian: np.ndarray, method: str, bits: int, seed: int,
+              settings: dict, *, timing: bool, steps=None):
+    """``descent.quantize_matrix`` under the shared settings of a quantize run or a
+    bench suite, where a block size of None (not set) means 2. The function is
+    looked up on the module at each call, so a wrapper rebound over it (the
+    benchmark's setup timer) sees every call."""
+    block_size = 2 if settings["block_size"] is None else settings["block_size"]
+    cfg = DescentConfig(steps=steps, epochs=settings["epochs"], block_size=block_size, seed=seed)
+    return descent.quantize_matrix(
+        weights, hessian, method, bits=bits, group_size=settings["group_size"], cfg=cfg,
+        grid_size=settings["grid_size"], owc_cd_refine=settings["owc_cd"], collect_timing=timing)
+
+
 def cmd_quantize(args) -> int:
     if args.method is None or args.bits is None:
-        raise UsageError("--method and --bits are required (flag or config file)")
-    if args.method not in descent.METHODS:
-        raise UsageError(f"unknown method {args.method!r}")
+        raise ValueError("--method and --bits are required (flag or config file)")
+    _check_method(args.method, vars(args))
     if args.report_format not in _REPORT_FORMATS:
-        raise UsageError(f"unknown report format {args.report_format!r}")
+        raise ValueError(f"unknown report format {args.report_format!r}")
     if args.block_size is not None and args.method != "bcd":
-        raise UsageError("--block-size only applies to --method bcd")
-    if args.owc_cd and not args.group_size:
-        raise UsageError("--owc-cd only applies with --group-size > 0")
+        raise ValueError("--block-size only applies to --method bcd")
 
     weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel,
                                     args.clip_fraction)
-    if args.group_size and weights.shape[0] % args.group_size:
-        raise UsageError(f"group size {args.group_size} does not divide d_in={weights.shape[0]}")
-
-    cfg = DescentConfig(steps=args.steps, epochs=args.epochs,
-                        block_size=2 if args.block_size is None else args.block_size,
-                        seed=args.seed)
-    layer, records = descent.quantize_matrix(
-        weights, hessian, args.method, bits=args.bits, group_size=args.group_size, cfg=cfg,
-        grid_size=args.grid_size, owc_cd_refine=args.owc_cd, collect_timing=not args.no_timing)
+    layer, records = _quantize(weights, hessian, args.method, args.bits, args.seed, vars(args),
+                               steps=args.steps, timing=not args.no_timing)
     layer.meta.update(lambda_rel=args.lambda_rel, clip_fraction=args.clip_fraction,
                       weights_path=args.weights, calib_path=args.calib)
 
@@ -187,9 +198,10 @@ def cmd_eval(args) -> int:
     meta = layer.meta
     weights_path = args.weights or meta.get("weights_path")
     if not weights_path:
-        raise UsageError("--weights required (layer metadata holds no weights path)")
-    weights, hessian = _read_inputs(weights_path, args.calib, meta.get("lambda_rel", 0.01),
-                                    meta.get("clip_fraction", 0.0))
+        raise ValueError("--weights required (layer metadata holds no weights path)")
+    weights, hessian = _read_inputs(weights_path, args.calib,
+                                    meta.get("lambda_rel", args.lambda_rel),
+                                    meta.get("clip_fraction", args.clip_fraction))
     if weights.shape != (layer.d_in, layer.d_out):
         raise ShapeMismatchError(f"weights shape {weights.shape} does not match layer "
                                  f"({layer.d_in}, {layer.d_out})")
@@ -205,25 +217,17 @@ def cmd_eval(args) -> int:
 
 
 def default_suite() -> dict:
+    """The built-in matrix; the settings a suite leaves out take the quantize flags' defaults."""
     return {
         "instances": [{"d_in": 128, "d_out": 64, "n": 512, "seed": seed}
                       for seed in range(10)],
         "methods": ["owc", "cyclic", "cd", "bcd"],
         "bits": [2, 3, 4],
-        "group_size": 0,
-        "block_size": 2,
-        "epochs": 1,
-        "grid_size": 50,
-        "lambda_rel": 0.01,
-        "clip_fraction": 0.0,
-        "owc_cd": False,
     }
 
 
 #: Bench-suite keys and the JSON type of each value; ``[kind]`` is a list of kind.
-_SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], "group_size": int,
-                "block_size": int, "epochs": int, "grid_size": int, "lambda_rel": float,
-                "clip_fraction": float, "owc_cd": bool}
+_SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], **_SETTING_TYPES}
 #: Bench-suite instance keys and the JSON type of each value.
 _INSTANCE_TYPES = {"d_in": int, "d_out": int, "n": int, "seed": int, "spectrum_exponent": float,
                    "outlier_directions": int, "outlier_gain": float}
@@ -231,22 +235,22 @@ _INSTANCE_REQUIRED = ("d_in", "d_out", "n", "seed")
 
 
 def _read_suite(path: str) -> dict:
-    """A suite file merged over :func:`default_suite`, each value type-checked."""
+    """A suite file's keys, each value type-checked."""
     with open(path) as f:
         suite = json.load(f)
     if not isinstance(suite, dict):
-        raise UsageError(f"suite file {path} does not hold a JSON object")
+        raise ValueError(f"suite file {path} does not hold a JSON object")
     _check_json_types("suite", suite, _SUITE_TYPES)
     for i, inst in enumerate(suite.get("instances", [])):
         missing = [key for key in _INSTANCE_REQUIRED if key not in inst]
         if missing:
-            raise UsageError(f"suite instance {i} lacks required keys {missing}")
+            raise ValueError(f"suite instance {i} lacks required keys {missing}")
         _check_json_types(f"suite instance {i}", inst, _INSTANCE_TYPES)
         for key in ("d_in", "d_out", "n"):
             if inst[key] < 1:
-                raise UsageError(f"suite instance {i} key {key!r} must be at least 1, "
+                raise ValueError(f"suite instance {i} key {key!r} must be at least 1, "
                                  f"got {inst[key]}")
-    return {**default_suite(), **suite}
+    return suite
 
 
 def _canonical_records() -> list[BenchRecord]:
@@ -268,19 +272,14 @@ def _canonical_records() -> list[BenchRecord]:
 
 
 def cmd_bench(args) -> int:
-    suite = _read_suite(args.suite) if args.suite else default_suite()
-    if not suite.get("methods"):
-        raise UsageError("bench suite has an empty method list")
-    if not suite.get("instances"):
-        raise UsageError("bench suite has no instances")
-    for m in suite["methods"]:
-        if m not in descent.METHODS:
-            raise UsageError(f"unknown method {m!r} in suite")
-    if suite["owc_cd"] and not suite["group_size"]:
-        raise UsageError("bench suite key 'owc_cd' only applies with 'group_size' > 0")
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    suite = {**default_suite(), **{key: getattr(args, key) for key in _SETTING_TYPES}}
+    if args.suite:
+        suite.update(_read_suite(args.suite))
+    for key in ("instances", "methods", "bits"):
+        if not suite[key]:
+            raise ValueError(f"bench suite key {key!r} holds an empty list")
+    for method in suite["methods"]:
+        _check_method(method, suite)
 
     records = _canonical_records()
     aggregates = []
@@ -294,24 +293,21 @@ def cmd_bench(args) -> int:
         hessian = _build_hessian_pipeline(calib, suite["lambda_rel"], suite["clip_fraction"])
         for bits in suite["bits"]:
             for method in suite["methods"]:
-                cfg = DescentConfig(epochs=suite["epochs"], block_size=suite["block_size"],
-                                    seed=inst["seed"])
-                _, recs = descent.quantize_matrix(
-                    weights, hessian, method, bits=bits, group_size=suite["group_size"],
-                    cfg=cfg, grid_size=suite["grid_size"], owc_cd_refine=suite["owc_cd"],
-                    collect_timing=not args.no_timing)
+                _, recs = _quantize(weights, hessian, method, bits, inst["seed"], suite,
+                                    timing=not args.no_timing)
                 records.extend(recs)
                 rels = [r.relative_objective for r in recs]
                 aggregates.append({
                     "method": method, "bits": bits, "seed": inst["seed"],
-                    "group_size": suite["group_size"],
-                    "block_size": suite["block_size"] if method == "bcd" else 0,
-                    "epochs": suite["epochs"],
+                    "group_size": recs[0].group_size, "block_size": recs[0].block_size,
+                    "epochs": recs[0].epochs,
                     "median_relative": statistics.median(rels),
                     "mean_relative": statistics.fmean(rels),
                     "wall_millis": sum(r.wall_millis for r in recs),
                 })
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tensorio.emit_report(records, "csv", out_dir / "records.csv")
     with open(out_dir / "aggregate.jsonl", "w") as f:
         for row in aggregates:
@@ -341,14 +337,14 @@ def cmd_oracle(args) -> int:
         prob, q0 = oracle.canonical_problem()
     else:
         if not (args.weights and args.calib) or args.bits is None:
-            raise UsageError("oracle needs --canonical, or --weights/--calib/--bits")
+            raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
         weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
         if not 0 <= args.channel < weights.shape[1]:
-            raise UsageError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
+            raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         w = weights.astype(np.float64)[:, args.channel]
         params, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
         if params.scale == 0.0:
-            raise UsageError(f"channel {args.channel} is constant; nothing to search")
+            raise ValueError(f"channel {args.channel} is constant; nothing to search")
         prob = quantcore.ChannelProblem.build(w, hessian, params)
 
     result = oracle.brute_force(prob)
@@ -424,14 +420,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--out", default=None)
     p.add_argument("--report-format", choices=_REPORT_FORMATS, default="csv",
                    dest="report_format")
-    p.set_defaults(func=cmd_eval)
+    # A layer without lambda_rel or clip_fraction in its metadata was made with these.
+    p.set_defaults(func=cmd_eval, lambda_rel=q.get_default("lambda_rel"),
+                   clip_fraction=q.get_default("clip_fraction"))
 
     p = sub.add_parser("bench", help="run a method x config experiment matrix")
     p.add_argument("--suite", default=None, help="suite JSON; defaults to the built-in matrix")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, **{key: q.get_default(key) for key in _SETTING_TYPES})
 
     p = sub.add_parser("oracle", help="exhaustive optimum vs greedy descent")
     p.add_argument("--canonical", action="store_true", help="run the fixed 2-d instance")
@@ -439,8 +437,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--calib", default=None)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=50, dest="grid_size")
-    p.add_argument("--lambda-rel", type=float, default=0.01, dest="lambda_rel")
+    p.add_argument("--grid-size", type=int, default=q.get_default("grid_size"), dest="grid_size")
+    p.add_argument("--lambda-rel", type=float, default=q.get_default("lambda_rel"),
+                   dest="lambda_rel")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 
@@ -455,9 +454,6 @@ def main(argv=None) -> int:
             quantize_parser.set_defaults(**_read_config(args.config, quantize_parser))
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -261,11 +261,13 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
     codes = np.array(q0, dtype=np.float64)
-    gradient = 2.0 * (hmat @ (codes - z))
+    err = codes - z
+    h_err = hmat @ err
+    gradient = 2.0 * h_err
     hdiag = np.diag(hmat).copy()
     levels = prob.params.levels
 
-    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     scores = None
     for step in range(cfg.total_steps(d)):
@@ -436,7 +438,9 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         return cd_quantize(prob, q0, cfg)
 
     codes = np.array(q0, dtype=np.float64)
-    gradient = 2.0 * (hmat @ (codes - z))
+    err = codes - z
+    h_err = hmat @ err
+    gradient = 2.0 * h_err
     levels = prob.params.levels
     r_grid = np.arange(levels, dtype=np.float64)
     combos = _value_combinations(levels, k)
@@ -450,7 +454,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     block_chunk = max(1, (1 << 22) // per_block)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
 
-    trace = DescentTrace(initial_loss=_loss(hmat, codes, z), loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.params.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
     total = cfg.total_steps(d)
@@ -601,7 +605,8 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
     if group_size:
         if group_size < 0 or d_in % group_size:
-            raise ValueError("group_size must divide d_in")
+            raise ValueError(f"group size {group_size} must be a positive divisor of "
+                             f"d_in={d_in}")
     elif owc_cd_refine:
         raise ValueError("owc_cd_refine refines group clip strengths; it needs group_size > 0")
     cfg = cfg or DescentConfig()

@@ -190,8 +190,9 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
 
     hblocks = _diag_blocks(hessian, n_groups, g)
     err = cur_resid.ravel()
-    v = -2.0 * (hessian @ err)
-    loss = float(err @ (hessian @ err))
+    h_err = hessian @ err
+    v = -2.0 * h_err
+    loss = float(err @ h_err)
     result = OwcCdResult(params=params, codes=cur_codes, initial_loss=loss)
 
     # The quadratic term d' H_ii d depends only on group i's own state, so it

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descent import DescentTrace, EnumerationGuardError
+from .descent import DescentTrace, EnumerationGuardError, _loss
 from .quantcore import ChannelProblem, DegenerateChannelError, QuantParams, channel_objective
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
@@ -82,11 +82,6 @@ class VerifyReport:
         self.violations.append(message)
 
 
-def _scaled_loss(hmat: np.ndarray, codes: np.ndarray, z: np.ndarray) -> float:
-    err = codes - z
-    return float(err @ (hmat @ err))
-
-
 def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
                  rel_tol: float = 1e-9) -> VerifyReport:
     """Replay a trace, recomputing the loss from scratch after every step."""
@@ -100,7 +95,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
         raise ValueError("trace/problem mismatch: initial codes have the wrong length")
 
     report = VerifyReport(n_steps=len(trace.steps))
-    loss = _scaled_loss(hmat, codes, z)
+    loss = _loss(hmat, codes, z)
     if abs(loss - trace.initial_loss) > rel_tol * max(abs(loss), 1e-30):
         report.flag(f"initial loss {trace.initial_loss} != recomputed {loss}")
 
@@ -112,7 +107,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
                 if not (0 <= i < codes.shape[0]) or not (0 <= r < levels):
                     raise ValueError(f"trace/problem mismatch at step {s.index}")
                 codes[i] = float(r)
-        new_loss = _scaled_loss(hmat, codes, z)
+        new_loss = _loss(hmat, codes, z)
         actual = new_loss - loss
         scale = max(abs(s.predicted_delta), abs(loss), 1.0e-30)
         if abs(actual - s.predicted_delta) > rel_tol * scale:

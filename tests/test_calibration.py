@@ -24,7 +24,7 @@ def test_spec_json_roundtrip():
     spec = SynthSpec(d_in=8, n=32, spectrum_exponent=1.5, outlier_directions=2,
                      outlier_gain=30.0, seed=42)
     blob = json.dumps(spec.to_json())
-    assert SynthSpec.from_json(json.loads(blob)) == spec
+    assert SynthSpec(**json.loads(blob)) == spec
 
 
 def test_gen_deterministic():

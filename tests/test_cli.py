@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qdescent
-from qdescent import tensorio
+from qdescent import calibration, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from qdescent.quantcore import load_layer
 
@@ -568,6 +568,40 @@ def test_bench_suite_owc_cd_without_groups(tmp_path, capsys):
 def test_bench_suite_methods_string(tmp_path, capsys):
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "methods": "cd"})
     assert code == EXIT_USAGE and "'methods'" in err and "'c'" not in err
+
+
+@pytest.mark.parametrize("bits", [[], [2, 0]], ids=["empty", "second-invalid"])
+def test_bench_bad_bits_list_leaves_no_output_dir(tmp_path, capsys, bits):
+    # An empty list must not exit 0 having measured nothing, and a width that
+    # fails after the first one must not leave an empty directory behind.
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "bits": bits})
+    assert code == EXIT_USAGE and ("'bits'" in err or "bits must be in 1..8" in err)
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("settings,flags", [
+    ({}, []),
+    ({"group_size": 4, "owc_cd": True, "block_size": 4, "epochs": 2, "grid_size": 10,
+      "lambda_rel": 0.1, "clip_fraction": 0.05},
+     ["--group-size", "4", "--owc-cd", "--block-size", "4", "--epochs", "2", "--grid-size", "10",
+      "--lambda-rel", "0.1", "--clip-fraction", "0.05"]),
+], ids=["defaults", "grouped"])
+def test_bench_rows_equal_quantize_records(tmp_path, settings, flags):
+    # bench and quantize share each setting's default and the engine call, so a
+    # suite instance gives quantize's records for the same inputs and seed.
+    inst = {"d_in": 16, "d_out": 4, "n": 64, "seed": 3}
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps({"instances": [inst], "methods": ["bcd"], "bits": [2],
+                                      **settings}))
+    assert main(["bench", "--suite", str(suite_path), "--out-dir", str(tmp_path / "b"),
+                 "--no-timing"]) == EXIT_OK
+    x, w = tmp_path / "x.tc", tmp_path / "w.tc"
+    assert main(["gen-calib", "--d-in", "16", "--n", "64", "--seed", "3", "--out", str(x)]) == 0
+    tensorio.write_container(w, calibration.gen_weights(16, 4, 3))
+    assert main(["quantize", "--weights", str(w), "--calib", str(x), "--out", str(tmp_path / "q"),
+                 "--method", "bcd", "--bits", "2", "--seed", "3", "--no-timing", *flags]) == 0
+    bench_rows = [r for r in read_records(tmp_path / "b/records.csv") if r["method"] == "bcd"]
+    assert bench_rows == read_records(tmp_path / "q/records.csv")
 
 
 def test_oracle_canonical(tmp_path, capsys):

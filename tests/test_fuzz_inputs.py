@@ -1,11 +1,13 @@
 """Corrupted inputs end in a documented exit code, never in a traceback.
 
 Each example corrupts one file of a valid set of inputs (weights,
-calibration, a packed and an unpacked layer, a config file), runs
-``cli.main`` in-process on it (``quantize`` for the weights, calibration and
-config, ``eval`` for the layer files) and restores the file. Every
-corruption below makes the input invalid, so the run must return 2, 3, 4 or
-5 with a one-line error; an exception escaping ``main`` fails the test.
+calibration, a packed and an unpacked layer, a config file, a bench suite),
+runs ``cli.main`` in-process on it (``quantize`` for the weights, calibration
+and config, ``eval`` for the layer files, ``bench`` for the suite) and
+restores the file. Every corruption below makes the input invalid, so the
+run must return 2, 3, 4 or 5 with a one-line error; an exception escaping
+``main`` fails the test. A failed ``bench`` must also leave no output
+directory.
 Pytest parameters pick what to corrupt, so that every field and key is
 covered, and hypothesis draws the new bytes and values. The runs are
 derandomized, so the examples are the same on every run.
@@ -66,6 +68,49 @@ OUT_OF_RANGE = {
                       | st.just(float("nan"))),
     "seed": st.integers(max_value=-1),
     "report_format": st.text(max_size=6).filter(lambda s: s not in ("csv", "jsonl")),
+}
+#: A valid grouped suite with ``owc_cd`` on one 4 x 2 instance, so that every
+#: suite and instance key is read and the valid runs take milliseconds.
+INSTANCE = {"d_in": 4, "d_out": 2, "n": 8, "seed": 0, "spectrum_exponent": 1.0,
+            "outlier_directions": 1, "outlier_gain": 10.0}
+SUITE = {"instances": [INSTANCE], "methods": list(METHODS), "bits": [2], "group_size": 2,
+         "block_size": 2, "epochs": 1, "grid_size": 8, "lambda_rel": 0.01, "clip_fraction": 0.0,
+         "owc_cd": True}
+SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], "group_size": int,
+               "block_size": int, "epochs": int, "grid_size": int, "lambda_rel": float,
+               "clip_fraction": float, "owc_cd": bool}
+INSTANCE_TYPES = {"d_in": int, "d_out": int, "n": int, "seed": int, "spectrum_exponent": float,
+                  "outlier_directions": int, "outlier_gain": float}
+INSTANCE_REQUIRED = ("d_in", "d_out", "n", "seed")
+
+
+def _with_one(valid, invalid):
+    """Lists of ``valid`` entries with one ``invalid`` entry inserted."""
+    return st.tuples(st.lists(valid, max_size=2), invalid, st.integers(0, 2)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+#: Values outside each suite key's range; an empty list is its own case below.
+#: ``owc_cd`` has none of its own: the suite turns it on, so group size 0 is out
+#: of range instead.
+SUITE_OUT_OF_RANGE = {
+    "methods": _with_one(st.sampled_from(METHODS), OUT_OF_RANGE["method"]),
+    "bits": _with_one(st.integers(1, 8), OUT_OF_RANGE["bits"]),
+    "group_size": st.integers(max_value=0) | st.integers(min_value=3).filter(lambda g: 4 % g),
+    "block_size": st.integers(max_value=0) | st.just(3) | st.integers(min_value=5),
+    **{key: OUT_OF_RANGE[key] for key in ("epochs", "grid_size", "lambda_rel", "clip_fraction")},
+}
+#: Values outside each instance key's range for a 4 x 2 instance; a spectrum
+#: exponent of -600 or below overflows (i+1)^-exponent at d_in 4.
+INSTANCE_OUT_OF_RANGE = {
+    "d_in": st.integers(max_value=0),
+    "d_out": st.integers(max_value=0),
+    "n": st.integers(max_value=0),
+    "seed": st.integers(max_value=-1),
+    "spectrum_exponent": st.floats(max_value=-600.0) | st.just(float("nan")),
+    "outlier_directions": st.integers(max_value=-1) | st.integers(min_value=5),
+    "outlier_gain": (st.floats(max_value=1.0, exclude_max=True)
+                     | st.sampled_from([float("nan"), float("inf")])),
 }
 #: Layer keys that ``eval`` reads, and the JSON type of each.
 LAYER_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int, "codes_packed": bool}
@@ -140,9 +185,16 @@ def test_corrupted_binary_header_exits_with_a_code(pristine, capsys, target, st_
     _run_corrupted(pristine, name, bytes(raw[:cut]), command, capsys)
 
 
+def _is_kind(value, kind) -> bool:
+    """Whether a JSON value has ``kind``; ``[kind]`` stands for a list of kind."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(tensorio.json_value_is(v, kind[0]) for v in value)
+    return tensorio.json_value_is(value, kind)
+
+
 def _wrong_type(st_data, kind, null_ok=False):
     return st_data.draw(json_values.filter(
-        lambda v: not tensorio.json_value_is(v, kind) and not (null_ok and v is None)))
+        lambda v: not _is_kind(v, kind) and not (null_ok and v is None)))
 
 
 @settings(max_examples=12, **FUZZ)
@@ -219,3 +271,97 @@ def test_corrupted_config_exits_with_a_code(pristine, capsys, how, st_data):
     else:
         data = json.dumps(st_data.draw(json_non_objects)).encode()
     _run_corrupted(pristine, "config.json", data, "quantize", capsys)
+
+
+@pytest.fixture(scope="module")
+def suite_root(tmp_path_factory):
+    """A directory holding the valid suite, which ``bench`` runs with exit 0."""
+    root = tmp_path_factory.mktemp("suite")
+    (root / "suite.json").write_text(json.dumps(SUITE))
+    assert main(["bench", "--suite", str(root / "suite.json"), "--out-dir", str(root / "valid"),
+                 "--no-timing"]) == EXIT_OK
+    return root
+
+
+def _run_bench_on(root: Path, data: bytes, capsys) -> None:
+    """Run ``bench`` on ``data`` as the suite file: it must fail with a code, one
+    line and no output directory."""
+    (root / "suite.json").write_bytes(data)
+    try:
+        capsys.readouterr()
+        code = main(["bench", "--suite", str(root / "suite.json"), "--out-dir", str(root / "out"),
+                     "--no-timing"])
+    finally:
+        (root / "suite.json").write_text(json.dumps(SUITE))
+    err = capsys.readouterr().err
+    assert code in ERROR_CODES, (data, code)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (root / "out").exists(), data
+
+
+def _suite_with_instance(**inst) -> dict:
+    return dict(SUITE, instances=[inst])
+
+
+@settings(max_examples=8, **FUZZ)
+@given(st_data=st.data())
+@pytest.mark.parametrize("key", sorted(SUITE_TYPES))
+def test_suite_wrong_type_exits_with_a_code(suite_root, capsys, key, st_data):
+    suite = dict(SUITE, **{key: _wrong_type(st_data, SUITE_TYPES[key])})
+    _run_bench_on(suite_root, json.dumps(suite).encode(), capsys)
+
+
+@settings(max_examples=8, **FUZZ)
+@given(st_data=st.data())
+@pytest.mark.parametrize("key", sorted(SUITE_OUT_OF_RANGE))
+def test_suite_out_of_range_exits_with_a_code(suite_root, capsys, key, st_data):
+    suite = dict(SUITE, **{key: st_data.draw(SUITE_OUT_OF_RANGE[key])})
+    _run_bench_on(suite_root, json.dumps(suite).encode(), capsys)
+
+
+@settings(max_examples=8, **FUZZ)
+@given(st_data=st.data())
+@pytest.mark.parametrize("key", sorted(INSTANCE_TYPES))
+def test_suite_instance_wrong_type_exits_with_a_code(suite_root, capsys, key, st_data):
+    suite = _suite_with_instance(**dict(INSTANCE, **{key: _wrong_type(st_data,
+                                                                      INSTANCE_TYPES[key])}))
+    _run_bench_on(suite_root, json.dumps(suite).encode(), capsys)
+
+
+@settings(max_examples=8, **FUZZ)
+@given(st_data=st.data())
+@pytest.mark.parametrize("key", sorted(INSTANCE_OUT_OF_RANGE))
+def test_suite_instance_out_of_range_exits_with_a_code(suite_root, capsys, key, st_data):
+    suite = _suite_with_instance(**dict(INSTANCE, **{key: st_data.draw(
+        INSTANCE_OUT_OF_RANGE[key])}))
+    _run_bench_on(suite_root, json.dumps(suite).encode(), capsys)
+
+
+@pytest.mark.parametrize("key", ["instances", "methods", "bits"])
+def test_suite_empty_list_exits_with_a_code(suite_root, capsys, key):
+    _run_bench_on(suite_root, json.dumps(dict(SUITE, **{key: []})).encode(), capsys)
+
+
+@pytest.mark.parametrize("key", INSTANCE_REQUIRED)
+def test_suite_instance_without_required_key_exits_with_a_code(suite_root, capsys, key):
+    inst = {k: v for k, v in INSTANCE.items() if k != key}
+    _run_bench_on(suite_root, json.dumps(_suite_with_instance(**inst)).encode(), capsys)
+
+
+@settings(max_examples=25, **FUZZ)
+@given(st_data=st.data())
+@pytest.mark.parametrize("how", ["truncate", "unknown", "instance-unknown", "not-dict"])
+def test_corrupted_suite_exits_with_a_code(suite_root, capsys, how, st_data):
+    text = json.dumps(SUITE)
+    if how == "truncate":
+        data = text.encode()[:st_data.draw(st.integers(0, len(text) - 1))]
+    elif how == "unknown":
+        key = st_data.draw(st.text(max_size=8).filter(lambda k: k not in SUITE))
+        data = json.dumps(dict(SUITE, **{key: st_data.draw(json_values)})).encode()
+    elif how == "instance-unknown":
+        key = st_data.draw(st.text(max_size=8).filter(lambda k: k not in INSTANCE))
+        inst = dict(INSTANCE, **{key: st_data.draw(json_values)})
+        data = json.dumps(_suite_with_instance(**inst)).encode()
+    else:
+        data = json.dumps(st_data.draw(json_non_objects)).encode()
+    _run_bench_on(suite_root, data, capsys)
