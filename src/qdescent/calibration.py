@@ -51,6 +51,17 @@ class SynthSpec:
             raise ValueError(f"outlier_gain must be finite and >= 1, got {self.outlier_gain!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.eigenvalues()
+
+    def eigenvalues(self) -> np.ndarray:
+        """``(i+1)^-spectrum_exponent``, the top ``outlier_directions`` times ``outlier_gain``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            eigvals = np.arange(1, self.d_in + 1, dtype=np.float64) ** (-self.spectrum_exponent)
+            eigvals[: self.outlier_directions] *= self.outlier_gain
+        if not np.isfinite(eigvals).all():
+            raise ValueError(f"spectrum_exponent={self.spectrum_exponent!r} and outlier_gain="
+                             f"{self.outlier_gain!r} give a non-finite eigenvalue spectrum")
+        return eigvals
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -61,28 +72,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def gen_calibration(spec: SynthSpec) -> np.ndarray:
-    """Generate an (n, d_in) float32 activation matrix from a SynthSpec.
-
-    Covariance eigenvalues decay as ``(i+1)^-spectrum_exponent`` with the top
-    ``outlier_directions`` eigenvalues multiplied by ``outlier_gain``.
-    """
+    """An (n, d_in) float32 activation matrix whose covariance has ``spec.eigenvalues()``."""
     rng = _rng(spec.seed)
     d = spec.d_in
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        eigvals = np.arange(1, d + 1, dtype=np.float64) ** (-spec.spectrum_exponent)
-        if spec.outlier_directions:
-            eigvals[: spec.outlier_directions] *= spec.outlier_gain
-    if not np.isfinite(eigvals).all():
-        raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
-                         f"{spec.outlier_gain!r} give a non-finite eigenvalue spectrum")
 
     basis_seed = rng.standard_normal((d, d))
     q, r = np.linalg.qr(basis_seed)
     q *= np.sign(np.diag(r))  # canonical sign; keeps the stream deterministic
 
     # M satisfies M'M = Q diag(eigvals) Q', so X = Z M has the target covariance.
-    mix = np.sqrt(eigvals)[:, None] * q.T
+    mix = np.sqrt(spec.eigenvalues())[:, None] * q.T
     samples = rng.standard_normal((spec.n, d)) @ mix
     limit = float(np.finfo(np.float32).max)
     if not (-limit <= samples.min() and samples.max() <= limit):  # NaN fails too
@@ -97,6 +96,14 @@ def gen_weights(d_in: int, d_out: int, seed: int) -> np.ndarray:
     return rng.standard_normal((d_in, d_out)).astype(np.float32)
 
 
+def check_hessian_settings(lambda_rel: float = 0.0, clip_fraction: float = 0.0) -> None:
+    """The ranges of ``build_hessian``'s lambda_rel and ``clip_hessian_eigenvalues``'s fraction."""
+    if not 0 <= lambda_rel <= sys.float_info.max:
+        raise ValueError(f"lambda_rel must be finite and nonnegative, got {lambda_rel!r}")
+    if not 0.0 <= clip_fraction < 1.0:
+        raise ValueError("clip_fraction must be in [0, 1)")
+
+
 def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     """The float64 matrix H = X'X + lambda*I with lambda = lambda_rel * mean(diag(X'X)).
 
@@ -108,8 +115,7 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
         raise ShapeMismatchError("calibration matrix must be 2-d with d_in >= 1")
     if x.size and not np.isfinite(x).all():
         raise ValueError("calibration matrix holds non-finite values")
-    if not 0 <= lambda_rel <= sys.float_info.max:
-        raise ValueError(f"lambda_rel must be finite and nonnegative, got {lambda_rel!r}")
+    check_hessian_settings(lambda_rel=lambda_rel)
 
     x64 = x.astype(np.float64, copy=False)
     gram = x64.T @ x64
@@ -131,8 +137,7 @@ def clip_hessian_eigenvalues(hessian: np.ndarray, clip_fraction: float) -> np.nd
     idempotent: the flattened eigenvalues tie with the threshold, so a second
     pass with the same fraction changes nothing.
     """
-    if not 0.0 <= clip_fraction < 1.0:
-        raise ValueError("clip_fraction must be in [0, 1)")
+    check_hessian_settings(clip_fraction=clip_fraction)
     d = hessian.shape[0]
     m = math.ceil(clip_fraction * d)
     if m == 0:

@@ -44,15 +44,14 @@ EXIT_GUARD = 5
 
 
 def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
-    hessian = calibration.build_hessian(calib, lambda_rel)
-    if clip_fraction != 0.0:  # so that a negative or NaN fraction is range-checked
-        hessian = calibration.clip_hessian_eigenvalues(hessian, clip_fraction)
-    return hessian
+    h = calibration.build_hessian(calib, lambda_rel)
+    return calibration.clip_hessian_eigenvalues(h, clip_fraction) if clip_fraction else h
 
 
 def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
                  clip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """The weights and the calibration Hessian, once both containers hold matrices of one d_in."""
+    calibration.check_hessian_settings(lambda_rel, clip_fraction)
     weights, calib = (tensorio.read_container(path).array for path in (weights_path, calib_path))
     for path, arr in ((weights_path, weights), (calib_path, calib)):
         if arr.ndim != 2:
@@ -142,40 +141,31 @@ def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
     return config
 
 
-def _check_method(method: str, settings: dict) -> None:
-    """Reject an unknown method, and ``owc_cd`` without groups."""
-    if method not in descent.METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if settings["owc_cd"] and not settings["group_size"]:
-        raise ValueError("'owc_cd' only applies with 'group_size' > 0")
-
-
-def _quantize(weights: np.ndarray, hessian: np.ndarray, method: str, bits: int, seed: int,
-              settings: dict, *, timing: bool, steps=None):
-    """``descent.quantize_matrix`` under the shared settings of a quantize run or a
-    bench suite, where a block size of None (not set) means 2. The function is
-    looked up on the module at each call, so a wrapper rebound over it (the
-    benchmark's setup timer) sees every call."""
+def _engine_settings(method: str, bits: int, seed: int, settings: dict, *, steps=None,
+                     d_in=None) -> dict:
+    """``descent.quantize_matrix``'s keywords from the shared settings of a quantize run or
+    a bench suite (a block size of None means 2), once ``descent.check_settings`` accepts them."""
     block_size = 2 if settings["block_size"] is None else settings["block_size"]
     cfg = DescentConfig(steps=steps, epochs=settings["epochs"], block_size=block_size, seed=seed)
-    return descent.quantize_matrix(
-        weights, hessian, method, bits=bits, group_size=settings["group_size"], cfg=cfg,
-        grid_size=settings["grid_size"], owc_cd_refine=settings["owc_cd"], collect_timing=timing)
+    kwargs = dict(bits=bits, group_size=settings["group_size"], cfg=cfg,
+                  grid_size=settings["grid_size"], owc_cd_refine=settings["owc_cd"])
+    descent.check_settings(method, **kwargs, d_in=d_in)
+    return kwargs
 
 
 def cmd_quantize(args) -> int:
     if args.method is None or args.bits is None:
         raise ValueError("--method and --bits are required (flag or config file)")
-    _check_method(args.method, vars(args))
+    kwargs = _engine_settings(args.method, args.bits, args.seed, vars(args), steps=args.steps)
     if args.report_format not in _REPORT_FORMATS:
         raise ValueError(f"unknown report format {args.report_format!r}")
     if args.block_size is not None and args.method != "bcd":
         raise ValueError("--block-size only applies to --method bcd")
 
-    weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel,
-                                    args.clip_fraction)
-    layer, records = _quantize(weights, hessian, args.method, args.bits, args.seed, vars(args),
-                               steps=args.steps, timing=not args.no_timing)
+    weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, args.clip_fraction)
+    # Called through the module, so a wrapper rebound over it (the benchmark's timer) sees it.
+    layer, records = descent.quantize_matrix(weights, hessian, args.method, **kwargs,
+                                             collect_timing=not args.no_timing)
     layer.meta.update(lambda_rel=args.lambda_rel, clip_fraction=args.clip_fraction,
                       weights_path=args.weights, calib_path=args.calib)
 
@@ -278,33 +268,32 @@ def cmd_bench(args) -> int:
     for key in ("instances", "methods", "bits"):
         if not suite[key]:
             raise ValueError(f"bench suite key {key!r} holds an empty list")
-    for method in suite["methods"]:
-        _check_method(method, suite)
+    # Every setting of every run is checked before the first instance is generated.
+    calibration.check_hessian_settings(suite["lambda_rel"], suite["clip_fraction"])
+    instances = [(inst, SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"}),
+                  [(b, m, _engine_settings(m, b, inst["seed"], suite, d_in=inst["d_in"]))
+                   for b in suite["bits"] for m in suite["methods"]])
+                 for inst in suite["instances"]]
 
     records = _canonical_records()
     aggregates = []
-    for inst in suite["instances"]:
-        spec = SynthSpec(d_in=inst["d_in"], n=inst["n"],
-                         spectrum_exponent=inst.get("spectrum_exponent", 0.0),
-                         outlier_directions=inst.get("outlier_directions", 0),
-                         outlier_gain=inst.get("outlier_gain", 1.0), seed=inst["seed"])
+    for inst, spec, runs in instances:
         calib = calibration.gen_calibration(spec)
         weights = calibration.gen_weights(inst["d_in"], inst["d_out"], inst["seed"])
         hessian = _build_hessian_pipeline(calib, suite["lambda_rel"], suite["clip_fraction"])
-        for bits in suite["bits"]:
-            for method in suite["methods"]:
-                _, recs = _quantize(weights, hessian, method, bits, inst["seed"], suite,
-                                    timing=not args.no_timing)
-                records.extend(recs)
-                rels = [r.relative_objective for r in recs]
-                aggregates.append({
-                    "method": method, "bits": bits, "seed": inst["seed"],
-                    "group_size": recs[0].group_size, "block_size": recs[0].block_size,
-                    "epochs": recs[0].epochs,
-                    "median_relative": statistics.median(rels),
-                    "mean_relative": statistics.fmean(rels),
-                    "wall_millis": sum(r.wall_millis for r in recs),
-                })
+        for bits, method, kwargs in runs:
+            _, recs = descent.quantize_matrix(weights, hessian, method, **kwargs,
+                                              collect_timing=not args.no_timing)
+            records.extend(recs)
+            rels = [r.relative_objective for r in recs]
+            aggregates.append({
+                "method": method, "bits": bits, "seed": inst["seed"],
+                "group_size": recs[0].group_size, "block_size": recs[0].block_size,
+                "epochs": recs[0].epochs,
+                "median_relative": statistics.median(rels),
+                "mean_relative": statistics.fmean(rels),
+                "wall_millis": sum(r.wall_millis for r in recs),
+            })
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,6 +327,8 @@ def cmd_oracle(args) -> int:
     else:
         if not (args.weights and args.calib) or args.bits is None:
             raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
+        descent.check_settings("cd", bits=args.bits, group_size=0, cfg=None,
+                               grid_size=args.grid_size, owc_cd_refine=False)
         weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
         if not 0 <= args.channel < weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")

@@ -68,7 +68,8 @@ import numpy as np
 
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
-                        layer_records, minmax_quantize, owc_quantize)
+                        _check_grouping, check_bits, default_gamma_grid, layer_records,
+                        minmax_quantize, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -396,6 +397,15 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
     return np.stack([cand_i[keep], cand_j[keep]], axis=1)
 
 
+def _check_block(k: int, bits: int, d_in: Optional[int], divide_error: type) -> None:
+    """2^(k*bits) block combinations within the guard, and k dividing d_in (when given)."""
+    if k * bits > MAX_BLOCK_BITS:
+        raise EnumerationGuardError(
+            f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
+    if d_in is not None and d_in % k:
+        raise divide_error(f"block size {k} does not divide d_in={d_in}")
+
+
 def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
                  cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
     """Block coordinate descent over fresh random partitions.
@@ -428,12 +438,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
     k = cfg.block_size
-    bits = prob.params.bits
-    if d % k:
-        raise EnumerationGuardError(f"block size {k} does not divide d_in={d}")
-    if k * bits > MAX_BLOCK_BITS:
-        raise EnumerationGuardError(
-            f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
+    _check_block(k, prob.params.bits, d, EnumerationGuardError)
     if k == 1:
         return cd_quantize(prob, q0, cfg)
 
@@ -561,6 +566,25 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
     return codes, steps
 
 
+def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[DescentConfig],
+                   grid_size: int, owc_cd_refine: bool, d_in: Optional[int] = None) -> None:
+    """Reject ``quantize_matrix`` settings that no input makes valid and, given d_in, a group
+    or block size that does not divide it. ``quantize_matrix`` calls it on entry."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    check_bits(bits)
+    if group_size < 0:
+        raise ValueError(f"group_size must be >= 0, got {group_size}")
+    if owc_cd_refine and not group_size:
+        raise ValueError("'owc_cd' only applies with 'group_size' > 0")
+    if method != "rtn":  # rtn never reads the clip-strength grid
+        default_gamma_grid(grid_size)
+    if method == "bcd":
+        _check_block((cfg or DescentConfig()).block_size, bits, d_in, ValueError)
+    if d_in is not None and group_size:
+        _check_grouping(d_in, group_size)
+
+
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
                       cfg: DescentConfig,
                       grid_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
@@ -592,26 +616,18 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     weights = np.asarray(weights)
     if weights.ndim != 2:
         raise ShapeMismatchError("weights must be a (d_in, d_out) matrix")
     d_in, d_out = weights.shape
+    check_settings(method, bits=bits, group_size=group_size, cfg=cfg, grid_size=grid_size,
+                   owc_cd_refine=owc_cd_refine, d_in=d_in)
     if d_in != hessian.shape[0]:
         raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
                                  f"{hessian.shape[0]}x{hessian.shape[0]}")
     if d_out == 0:
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
-    if group_size:
-        if group_size < 0 or d_in % group_size:
-            raise ValueError(f"group size {group_size} must be a positive divisor of "
-                             f"d_in={d_in}")
-    elif owc_cd_refine:
-        raise ValueError("owc_cd_refine refines group clip strengths; it needs group_size > 0")
     cfg = cfg or DescentConfig()
-    if method == "bcd" and d_in % cfg.block_size:
-        raise ValueError(f"block size {cfg.block_size} does not divide d_in={d_in}")
     if not np.isfinite(weights).all():
         raise ValueError("weights hold non-finite values")
 

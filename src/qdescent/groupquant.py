@@ -50,21 +50,17 @@ import numpy as np
 
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips,
-                        default_gamma_grid)
+                        _check_grouping, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
-def _check_grouping(d_in: int, group_size: int) -> int:
-    if group_size < 1 or d_in % group_size:
-        raise ValueError(f"group size {group_size} does not divide d_in={d_in}")
-    return d_in // group_size
-
-
-def _group_size(d_in: int, params: tuple[QuantParams, ...]) -> int:
-    """The size of each group when ``params`` holds one entry per group of d_in weights."""
-    if not params or d_in % len(params):
-        raise ShapeMismatchError(f"{len(params)} groups do not divide d_in={d_in}")
-    return d_in // len(params)
+def _check_shapes(w: np.ndarray, hessian: np.ndarray, n_groups: int) -> int:
+    """The size of each of ``n_groups`` groups of w, once they divide it and H matches w."""
+    if not n_groups or w.shape[0] % n_groups:
+        raise ShapeMismatchError(f"{n_groups} groups do not divide d_in={w.shape[0]}")
+    if hessian.shape[0] != w.shape[0]:
+        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    return w.shape[0] // n_groups
 
 
 def tilde_transform(w: np.ndarray, hessian: np.ndarray,
@@ -78,9 +74,7 @@ def tilde_transform(w: np.ndarray, hessian: np.ndarray,
     path); anything else means the params are inconsistent with the weights.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = _group_size(w.shape[0], params)
-    if hessian.shape[0] != w.shape[0]:
-        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    g = _check_shapes(w, hessian, len(params))
 
     avec = np.repeat(np.array([p.scale for p in params], dtype=np.float64), g)
     bvec = np.repeat(np.array([p.bias for p in params], dtype=np.float64), g)
@@ -122,8 +116,7 @@ def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: in
     """
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    if hessian.shape[0] != w.shape[0]:
-        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    _check_shapes(w, hessian, n_groups)
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
     best = _best_clips(table, _diag_blocks(hessian, n_groups, group_size))
     params = tuple(table.params(i, int(k)) for i, k in enumerate(best))
@@ -159,10 +152,8 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
     d_in / group_size, with group size ``len(w) // len(params)``.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = _group_size(w.shape[0], params)
     n_groups = len(params)
-    if hessian.shape[0] != w.shape[0]:
-        raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
+    g = _check_shapes(w, hessian, n_groups)
     gamma_grid = default_gamma_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=np.float64)
     if gamma_grid.size == 0:
         raise ValueError("empty clip-strength grid")

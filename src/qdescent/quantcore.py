@@ -46,6 +46,17 @@ class DegenerateChannelError(ValueError):
     """Scale is zero (constant weight vector), descent is undefined."""
 
 
+def check_bits(bits: int) -> None:
+    if not 1 <= bits <= 8:
+        raise ValueError(f"bits must be in 1..8, got {bits}")
+
+
+def _check_grouping(d_in: int, group_size: int) -> int:
+    if group_size < 1 or d_in % group_size:
+        raise ValueError(f"group size {group_size} does not divide d_in={d_in}")
+    return d_in // group_size
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Affine dequantization parameters for one channel or group."""
@@ -56,8 +67,7 @@ class QuantParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 8:
-            raise ValueError(f"bits must be in 1..8, got {self.bits}")
+        check_bits(self.bits)
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
 
@@ -157,8 +167,7 @@ def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTa
     ``gamma_grid``, one (v,) grid shared by all groups or an (n, v) grid per group,
     in one numpy pass. Every initializer fits through here, so ``bits`` is checked here.
     """
-    if not 1 <= bits <= 8:
-        raise ValueError(f"bits must be in 1..8, got {bits}")
+    check_bits(bits)
     wg = np.asarray(wg, dtype=np.float64)
     levels = 1 << bits
     wmin = wg.min(axis=1)

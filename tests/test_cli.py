@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qdescent
-from qdescent import calibration, tensorio
+from qdescent import calibration, descent, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from qdescent.quantcore import load_layer
 
@@ -571,11 +571,44 @@ def test_bench_suite_methods_string(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bits", [[], [2, 0]], ids=["empty", "second-invalid"])
-def test_bench_bad_bits_list_leaves_no_output_dir(tmp_path, capsys, bits):
+def test_bench_bad_bits_list_leaves_no_output_dir(tmp_path, capsys, monkeypatch, bits):
     # An empty list must not exit 0 having measured nothing, and a width that
     # fails after the first one must not leave an empty directory behind.
+    runs = _count_calls(monkeypatch, descent, "quantize_matrix")
+    gens = _count_calls(monkeypatch, calibration, "gen_calibration")
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "bits": bits})
     assert code == EXIT_USAGE and ("'bits'" in err or "bits must be in 1..8" in err)
+    assert not (tmp_path / "b").exists()
+    assert runs == [] and gens == []
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call of ``module.name`` from here on."""
+    calls, inner = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or inner(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("suite,code", [
+    ({"instances": [_INSTANCE, dict(_INSTANCE, seed=-1)]}, EXIT_USAGE),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, outlier_directions=5)]}, EXIT_USAGE),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, outlier_gain=0.5)]}, EXIT_USAGE),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, spectrum_exponent=-600.0)]}, EXIT_USAGE),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, d_in=6)], "methods": ["rtn", "bcd"],
+      "block_size": 4}, EXIT_USAGE),
+    ({"instances": [_INSTANCE], "methods": ["cd", "bcd"], "bits": [2, 8], "block_size": 4},
+     EXIT_GUARD),
+    ({"instances": [_INSTANCE], "methods": ["rtn", "cd"], "grid_size": 0}, EXIT_USAGE),
+    ({"instances": [_INSTANCE], "lambda_rel": -1.0}, EXIT_USAGE),
+    ({"instances": [_INSTANCE], "clip_fraction": 1.0}, EXIT_USAGE),
+], ids=["seed", "outlier-directions", "outlier-gain", "spectrum", "block-divisor", "block-guard",
+        "grid-size", "lambda-rel", "clip-fraction"])
+def test_bench_bad_setting_fails_before_any_instance(tmp_path, capsys, monkeypatch, suite, code):
+    # A setting that fails in the last instance or run must fail before the first one.
+    runs = _count_calls(monkeypatch, descent, "quantize_matrix")
+    gens = _count_calls(monkeypatch, calibration, "gen_calibration")
+    assert _run_suite(tmp_path, capsys, suite)[0] == code
+    assert runs == [] and gens == []
     assert not (tmp_path / "b").exists()
 
 
@@ -779,3 +812,60 @@ def test_bad_bits_or_seed_exits_usage(tmp_path, capsys, argv, suite, message):
     code = main(argv + files[argv[0]])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--bits", "0"], EXIT_USAGE),
+    (["--bits", "9"], EXIT_USAGE),
+    (["--bits", "2", "--grid-size", "0"], EXIT_USAGE),
+    (["--bits", "2", "--epochs", "0"], EXIT_USAGE),
+    (["--bits", "2", "--steps", "-1"], EXIT_USAGE),
+    (["--bits", "2", "--seed", "-1"], EXIT_USAGE),
+    (["--bits", "2", "--group-size", "-2"], EXIT_USAGE),
+    (["--bits", "2", "--lambda-rel", "-1"], EXIT_USAGE),
+    (["--bits", "2", "--clip-fraction", "1"], EXIT_USAGE),
+    (["--method", "bcd", "--bits", "8", "--block-size", "4"], EXIT_GUARD),
+], ids=["bits0", "bits9", "grid0", "epochs0", "steps-1", "seed-1", "group-2", "lambda-1",
+        "clip1", "bcd-guard"])
+def test_quantize_bad_setting_reads_no_input(tmp_path, capsys, monkeypatch, argv, code):
+    # Each setting is checked before either container is read.
+    reads = _count_calls(monkeypatch, tensorio, "read_container")
+    got, _ = _quantize_error(tmp_path, capsys, ["--method", "cd"] + argv)
+    assert got == code and reads == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--bits", "9"], ["--bits", "2", "--grid-size", "0"]],
+                         ids=["bits9", "grid0"])
+def test_oracle_bad_setting_reads_no_input(tmp_path, capsys, monkeypatch, argv):
+    w, x = write_inputs(tmp_path, d_in=6, d_out=2)
+    reads = _count_calls(monkeypatch, tensorio, "read_container")
+    capsys.readouterr()
+    assert main(["oracle", "--weights", w, "--calib", x] + argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reads == []
+
+
+@pytest.mark.parametrize("argv", [["--grid-size", "0"], ["--group-size", "4", "--owc-cd"]],
+                         ids=["grid0", "groups-owc-cd"])
+def test_quantize_rtn_ignores_grid_and_owc_cd(tmp_path, argv):
+    # rtn reads neither the clip-strength grid nor the clip-strength refinement.
+    w, x = write_inputs(tmp_path)
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                 "--method", "rtn", "--bits", "2"] + argv) == EXIT_OK
+
+
+def test_setting_errors_come_before_input_errors(tmp_path, capsys):
+    # A bad setting is reported ahead of a missing file, and the bcd guard
+    # ahead of the block divisor rule and of the layer's contents.
+    w, x = write_inputs(tmp_path, d_in=8)
+    base = ["quantize", "--calib", x, "--out", str(tmp_path / "o")]
+    assert main(base + ["--weights", str(tmp_path / "nope.tc"), "--method", "cd",
+                        "--bits", "9"]) == EXIT_USAGE
+    assert main(base + ["--weights", w, "--method", "bcd", "--bits", "3",
+                        "--block-size", "7"]) == EXIT_GUARD
+    tensorio.write_container(tmp_path / "c.tc", np.ones((8, 2), np.float32))
+    assert main(base + ["--weights", str(tmp_path / "c.tc"), "--method", "bcd", "--bits", "8",
+                        "--block-size", "4"]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and err.count("guard is 2^20") == 2

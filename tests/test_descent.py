@@ -1,13 +1,15 @@
 """Engine behavior: exact deltas, tie-breaking, reductions, and orchestration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import GradientState, objective, random_problem
 from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
-                              cd_quantize, cyclic_cd_quantize, descend, dump_trace,
-                              quantize_matrix)
+                              cd_quantize, check_settings, cyclic_cd_quantize, descend,
+                              dump_trace, quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantParams,
                                 minmax_quantize, owc_quantize)
@@ -210,6 +212,35 @@ def _layer_inputs(d_in=16, d_out=6, seed=0, n=64):
     x = rng.standard_normal((n, d_in)).astype(np.float32)
     w = rng.standard_normal((d_in, d_out)).astype(np.float32)
     return w, build_hessian(x, 0.01)
+
+
+def _raised(call):
+    """The type of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("method", ["rtn", "owc", "cyclic", "cd", "bcd", "gptq"])
+@pytest.mark.parametrize("d_in", [6, 8])
+def test_check_settings_raises_exactly_when_quantize_matrix_does(method, d_in):
+    # Every settings rule of a run is in check_settings: on valid data, quantize_matrix
+    # fails on a setting only where check_settings does, and with the same type.
+    rng = np.random.default_rng(d_in)
+    w = rng.standard_normal((d_in, 2))
+    h = build_hessian(rng.standard_normal((4 * d_in, d_in)))
+    seen = set()
+    for bits, group_size, block_size, grid_size, owc_cd in itertools.product(
+            (0, 2, 8, 9), (-1, 0, 2, 3, 4), (1, 3, 11), (0, 2), (False, True)):
+        kw = dict(bits=bits, group_size=group_size, grid_size=grid_size, owc_cd_refine=owc_cd,
+                  cfg=DescentConfig(steps=2, block_size=block_size))
+        expected = _raised(lambda: check_settings(method, **kw, d_in=d_in))
+        assert _raised(lambda: quantize_matrix(w, h, method, **kw)) is expected, kw
+        seen.add(expected)
+    assert None in seen or method == "gptq"
+    assert (EnumerationGuardError in seen) == (method == "bcd")
 
 
 def test_quantize_matrix_rtn_exact_weights():

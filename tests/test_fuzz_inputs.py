@@ -7,7 +7,7 @@ and config, ``eval`` for the layer files, ``bench`` for the suite) and
 restores the file. Every corruption below makes the input invalid, so the
 run must return 2, 3, 4 or 5 with a one-line error; an exception escaping
 ``main`` fails the test. A failed ``bench`` must also leave no output
-directory.
+directory, and must fail before it generates an instance or quantizes.
 Pytest parameters pick what to corrupt, so that every field and key is
 covered, and hypothesis draws the new bytes and values. The runs are
 derandomized, so the examples are the same on every run.
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from qdescent import tensorio
+from qdescent import calibration, descent, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from qdescent.descent import METHODS
 from qdescent.quantcore import LAYER_META_FILENAME
@@ -285,18 +285,24 @@ def suite_root(tmp_path_factory):
 
 def _run_bench_on(root: Path, data: bytes, capsys) -> None:
     """Run ``bench`` on ``data`` as the suite file: it must fail with a code, one
-    line and no output directory."""
+    line and no output directory, before any instance is generated or quantized."""
     (root / "suite.json").write_bytes(data)
+    calls = []
     try:
-        capsys.readouterr()
-        code = main(["bench", "--suite", str(root / "suite.json"), "--out-dir", str(root / "out"),
-                     "--no-timing"])
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((descent, "quantize_matrix"), (calibration, "gen_calibration")):
+                mp.setattr(module, name, lambda *a, _f=getattr(module, name), _name=name, **kw:
+                           calls.append(_name) or _f(*a, **kw))
+            capsys.readouterr()
+            code = main(["bench", "--suite", str(root / "suite.json"),
+                         "--out-dir", str(root / "out"), "--no-timing"])
     finally:
         (root / "suite.json").write_text(json.dumps(SUITE))
     err = capsys.readouterr().err
     assert code in ERROR_CODES, (data, code)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (root / "out").exists(), data
+    assert calls == [], (data, calls)
 
 
 def _suite_with_instance(**inst) -> dict:
