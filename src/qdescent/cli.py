@@ -329,8 +329,10 @@ def cmd_oracle(args) -> int:
             raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
         descent.check_settings("cd", bits=args.bits, group_size=0, cfg=None,
                                grid_size=args.grid_size, owc_cd_refine=False)
+        if args.channel < 0:
+            raise ValueError(f"--channel must be >= 0, got {args.channel}")
         weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
-        if not 0 <= args.channel < weights.shape[1]:
+        if args.channel >= weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         w = weights.astype(np.float64)[:, args.channel]
         params, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)

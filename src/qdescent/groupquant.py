@@ -36,9 +36,13 @@ of H in one batched product; ``quantcore._best_clips``'s rounding screen
 keeps each group's choice exactly that of a per-candidate loop. H~ is built
 with one d_in x d_in temporary, scaled in place.
 In the descent, d and the quadratic term d' H_ii d depend only on group i's
-own state, so they are kept across steps; a swap recomputes the swapped
-group's row alone (on a length-1 slice, which yields the same bits as the
-full einsum), and only the linear term v_i' d is recomputed in full.
+own state, so they are kept across steps and a swap renews the swapped
+group's row alone; only the linear term v_i' d is recomputed in full. The
+quadratic term is scored in BLAS, and ``_quad_screen``'s rounding bound keeps
+every candidate that could be the pick of the exact einsum. Only those are
+re-scored with the einsum, each on its own (1, 1, g) slice (for g = 2, on the
+whole table), which yields the full table's bits; so every swap and its
+recorded change are those of the einsum over the whole table at every step.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips,
-                        _check_grouping, default_gamma_grid)
+                        _check_grouping, _rowdot, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
@@ -139,6 +143,71 @@ class OwcCdResult:
     final_v: Optional[np.ndarray] = None
 
 
+#: Multiplier of ``owc_cd``'s rounding bound; ``_quad_screen`` proves it sound above 1.0004.
+QUAD_SCREEN_FACTOR = 1.01
+_U = 2.0 ** -53
+
+
+def _quad_screen(diff: np.ndarray, hblocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched quadratic terms f (n, v) of the (n, v, g) differences d against
+    the (n, g, g) blocks H, and the part of the rounding bound that does not
+    depend on the linear term.
+
+    ``owc_cd`` needs the candidate with the lowest change c = q - l, where
+    q = einsum("nvg,ngh,nvh->nv", d, H, d) (a naive loop, without BLAS) and l
+    the linear term, both as computed. It scores a = f - l instead, with
+    f = rowsum((d H) * d) in BLAS, and bounds |a - c| by
+
+        b = F (g+1)(g+2) u M + 4 F u (|f| + |l|) + tau,     F = 1.01,
+        M = rowsum((|d| |H|) * |d|),   tau = 2^-1000 g^2 (1 + eta)(1 + delta)
+
+    with u = 2^-53, delta = max |d|, eta = max |H|, and tau = 0 when d = 0.
+    The screen holds for a candidate when g^2 (1 + eta)(1 + delta)^2 <= 2^1000
+    and |l| <= 2^1000 (false for NaN); any other candidate gets b = inf.
+    Only candidates with a - b <= min_j (a_j + b_j) survive, and they are
+    re-scored with q itself. Proof, with A = |d|'|H||d| and Q = d'Hd exact:
+
+    1. Scores. q sums g^2 products of three factors: each is within a relative
+       gamma_2 of exact, and the sum within gamma_(g^2) of theirs, in any
+       order, association or use of fused multiply-adds; so
+       |q - Q| <= gamma_(g^2+2) A. f is two dot products of length g, so
+       |f - Q| <= (2 gamma_g + gamma_g^2) A, and M >= (1 - gamma_g)^2 A, all
+       nonnegative terms. With g <= 2^20 (one H block would need 8 TiB
+       beyond that), gamma_m <= 1.0002 m u for m <= g^2 + 2, so
+       (1 + u) |f - q| <= 1.0004 (g^2 + 2g + 2) u M before underflow.
+    2. Underflow. A product that underflows is off by at most 2^-1075, which
+       a later factor scales by at most delta + eta; sums of subnormals are
+       exact. So q, f and M each carry at most 1.01 g^2 2^-1075 (2 + delta +
+       eta) more, which tau exceeds more than 2^60-fold. When d = 0 every
+       product is an exact zero and nothing is lost.
+    3. Subtraction. Within range |q|, |f| <= 1.03 * 2^1000 and |l| <= 2^1000,
+       so c = (q - l)(1 + e1), a = (f - l)(1 + e2), |e1|, |e2| <= u, and
+       |a - c| + u (|a| + b) <= (1 + u) |f - q| + 3.0001 u (|f| + |l|) + u b,
+       which b (computed to a relative 8u) exceeds: |a - c| <= b - u (|a| + b).
+       (For d = 0, f and q are zeros and a = c, up to the sign of zero.)
+    4. Screen. Let k be the pick of argmin(c): the first minimum, or the
+       first NaN. Each rounded a_j + b_j is at least c_j >= c_k, or is inf or
+       NaN, which the threshold's fmin ignores; a rounded a_k - b_k is at most
+       c_k. So k, and every candidate tied with it, survives. A NaN c within
+       range comes from a NaN l, so a is NaN too and survives the comparison;
+       out of range, a - inf survives too. Re-scoring the survivors with q
+       and taking the first minimum in flat order returns k, bit for bit.
+       If every rounded a - b is >= 0, every c is >= 0 and none is NaN, so
+       the step that would find no negative change is skipped.
+    """
+    g = diff.shape[2]
+    with np.errstate(all="ignore"):
+        fast = _rowdot(np.matmul(diff, hblocks), diff)
+        absd, habs = np.abs(diff), np.abs(hblocks)
+        mag = _rowdot(np.matmul(absd, habs), absd)
+        delta = absd.max(axis=2)
+        scale = g * g * (1.0 + habs.max(axis=(1, 2))[:, None])
+        tau = 2.0 ** -1000 * scale * (1.0 + delta) * (delta > 0.0)
+        base = QUAD_SCREEN_FACTOR * _U * ((g + 1) * (g + 2) * mag + 4.0 * np.abs(fast)) + tau
+        base[~(scale * (1.0 + delta) ** 2 <= 2.0 ** 1000)] = np.inf
+    return fast, base
+
+
 def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
            gamma_grid: Optional[np.ndarray] = None,
            steps: Optional[int] = None) -> OwcCdResult:
@@ -149,7 +218,8 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
     exact loss change (ties to the smallest (group, grid index)) and stops
     early at a fixed point, which cannot change the outcome because the
     candidate table is static. Default step budget is one pass,
-    d_in / group_size, with group size ``len(w) // len(params)``.
+    d_in / group_size, with group size ``len(w) // len(params)``. Changes are
+    those of the einsum over the whole table, found by ``_quad_screen``.
     """
     w = np.asarray(w, dtype=np.float64)
     n_groups = len(params)
@@ -186,15 +256,37 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
     loss = float(err @ h_err)
     result = OwcCdResult(params=params, codes=cur_codes, initial_loss=loss)
 
-    # The quadratic term d' H_ii d depends only on group i's own state, so it
-    # is kept across steps and only the swapped group's row is recomputed.
+    # The quadratic term d' H_ii d depends only on group i's own state, so its
+    # batched score and bound are kept across steps, and so is the einsum value
+    # of every candidate the screen keeps; a swap renews the swapped group's.
     diff = resid_table - cur_resid[:, None, :]
-    quad = np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
+    fast, base = _quad_screen(diff, hblocks)
+    exact = np.empty((n_groups, n_grid))
+    known = np.zeros((n_groups, n_grid), dtype=bool)
     for _ in range(steps):
-        change = quad - np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g))
-        flat = int(np.argmin(change))
-        i_star, v_star = divmod(flat, n_grid)
-        best = float(change.flat[flat])
+        lin = np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g))
+        with np.errstate(all="ignore"):
+            approx = fast - lin
+            alin = np.abs(lin)
+            bound = base + QUAD_SCREEN_FACTOR * 4.0 * _U * alin
+            bound[alin > 2.0 ** 1000] = np.inf
+            lo = approx - bound
+            if lo.min() >= 0.0:
+                break
+            keep = np.flatnonzero(~(lo > np.fmin.reduce(approx + bound, axis=None)))
+        for k in keep:
+            if known.flat[k]:
+                continue
+            i, j = divmod(int(k), n_grid)
+            # numpy sums a lone 2 x 2 block in two pairs but most tables' blocks in
+            # one run, so for g = 2 the whole table is scored (see test_owc_cd_screen).
+            at = (slice(i, i + 1), slice(j, j + 1)) if g != 2 else (slice(None), slice(None))
+            exact[at] = np.einsum("nvg,ngh,nvh->nv", diff[at], hblocks[at[0]], diff[at])
+            known[at] = True
+        change = exact.flat[keep] - lin.flat[keep]
+        pick = int(np.argmin(change))
+        i_star, v_star = divmod(int(keep[pick]), n_grid)
+        best = float(change[pick])
         if best >= 0.0:
             break
         sl = slice(i_star * g, (i_star + 1) * g)
@@ -205,7 +297,8 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
         cur_codes[sl] = table.codes[i_star, v_star]
         cur_params[i_star] = table.params(i_star, v_star)
         diff[row] = resid_table[row] - cur_resid[row, None, :]
-        quad[row] = np.einsum("nvg,ngh,nvh->nv", diff[row], hblocks[row], diff[row])
+        fast[row], base[row] = _quad_screen(diff[row], hblocks[row])
+        known[row] = False
         loss += best
         result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))
 

@@ -674,6 +674,16 @@ def test_oracle_channel_out_of_range(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and channel in err
 
 
+def test_oracle_negative_channel_reads_no_input(tmp_path, capsys):
+    # A negative channel is out of range for any layer, so it is rejected
+    # before the inputs are read: these paths do not exist.
+    capsys.readouterr()
+    assert main(["oracle", "--weights", str(tmp_path / "none.tc"), "--calib",
+                 str(tmp_path / "none-calib.tc"), "--channel", "-1", "--bits", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--channel" in err
+
+
 def test_oracle_guard(tmp_path):
     w, x = write_inputs(tmp_path, d_in=30, d_out=2)
     assert main(["oracle", "--weights", w, "--calib", x, "--bits", "1"]) == EXIT_GUARD

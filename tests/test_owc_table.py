@@ -362,7 +362,7 @@ def test_owc_cd_matches_reference_default_grid_and_steps():
 @pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
                                    (7, 13, 24), (4, 256, 64)])
 def test_einsum_row_slice_equals_full_row(n, v, g):
-    """``owc_cd`` recomputes one row of the quadratic term on a length-1 slice.
+    """One row of the quadratic term, einsum'd on a length-1 slice.
 
     That row must be bit-identical to the same row of the full einsum, which
     depends on the einsum's iteration order; this pins that order down.
@@ -376,6 +376,30 @@ def test_einsum_row_slice_equals_full_row(n, v, g):
         row = slice(i, i + 1)
         part = np.einsum("nvg,ngh,nvh->nv", diff[row], hblocks[row], diff[row])
         np.testing.assert_array_equal(part[0], full[i])
+
+
+@pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 3), (8, 50, 16), (32, 50, 32),
+                                   (7, 13, 24), (4, 256, 64), (2, 3, 128)])
+def test_einsum_candidate_slice_equals_full_entry(n, v, g):
+    """``owc_cd`` re-scores a candidate the screen keeps on its own (1, 1, g) slice.
+
+    That value must be bit-identical to the candidate's entry of the full
+    einsum. The shapes are the row test's, with g = 3 for its g = 2 and one
+    block larger than numpy's 8192-element buffer. For g = 2 numpy sums a lone
+    2 x 2 block as two pairs but the blocks of most tables in one run of four,
+    so there ``owc_cd`` scores the whole table
+    (``test_owc_cd_screen.py::test_owc_cd_group_size_two_matches_reference``).
+    """
+    rng = np.random.default_rng(n * v * g)
+    hmat = rng.standard_normal((n * g, n * g))
+    hblocks = hmat.reshape(n, g, n, g)[np.arange(n), :, np.arange(n), :]
+    diff = rng.standard_normal((n, v, g)) * 10.0 ** rng.integers(-3, 4, size=(n, v, 1))
+    full = np.einsum("nvg,ngh,nvh->nv", diff, hblocks, diff)
+    for i in range(n):
+        for k in range(v):
+            one = diff[i:i + 1, k:k + 1]
+            part = np.einsum("nvg,ngh,nvh->nv", one, hblocks[i:i + 1], one)
+            assert part[0, 0] == full[i, k]
 
 
 @pytest.mark.parametrize("bits", [1, 3, 8])
