@@ -69,7 +69,7 @@ import numpy as np
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
                         _check_grouping, check_bits, default_gamma_grid, layer_records,
-                        minmax_quantize, owc_quantize)
+                        owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -577,7 +577,7 @@ def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[Des
         raise ValueError(f"group_size must be >= 0, got {group_size}")
     if owc_cd_refine and not group_size:
         raise ValueError("'owc_cd' only applies with 'group_size' > 0")
-    if method != "rtn":  # rtn never reads the clip-strength grid
+    if method != "rtn":  # rtn searches the one-point grid {1}, whatever grid_size says
         default_gamma_grid(grid_size)
     if method == "bcd":
         _check_block((cfg or DescentConfig()).block_size, bits, d_in, ValueError)
@@ -588,14 +588,12 @@ def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[Des
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
                       cfg: DescentConfig,
                       grid_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
-    """Per-channel pipeline: affine init, then :func:`descend` on the channel's
-    own problem. Returns ((params,), codes, steps_taken).
+    """Per-channel pipeline: the clip-strength grid search (on the one-point grid
+    {1} for rtn), then :func:`descend` on the channel's own problem. Returns
+    ((params,), codes, steps_taken).
     """
-    if method == "rtn":
-        params, codes = minmax_quantize(w, bits)
-        return (params,), codes, 0
-    params, codes = owc_quantize(w, hessian, bits, grid_size)
-    if method == "owc" or params.scale == 0.0:
+    params, codes = owc_quantize(w, hessian, bits, 1 if method == "rtn" else grid_size)
+    if method in ("rtn", "owc") or params.scale == 0.0:
         return (params,), codes, 0
     codes, steps = descend(ChannelProblem.build(w, hessian, params), codes, method, cfg)
     return (params,), codes, steps

@@ -27,10 +27,11 @@ swapping group i's strength to beta is
 
 Applying a swap updates v by the rank-g correction -2 H[:, group] d.
 
-Both clip-strength searches take their candidates from one table,
+Both clip-strength searches work on one table per channel,
 ``quantcore._affine_table``: the affine fit of every (group, grid value)
-pair in one vectorized pass; the descent's start state is one more table
-call, at each group's own clip strength.
+pair in one vectorized pass. The grid search picks one grid index per group,
+and the descent starts from those indices and moves them; ``rtn`` is the grid
+search on the one-point grid {1}.
 The grid search scores the whole table against the stacked diagonal blocks
 of H in one batched product; ``quantcore._best_clips``'s rounding screen
 keeps each group's choice exactly that of a per-candidate loop. H~ is built
@@ -53,18 +54,14 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, QuantParams, _affine_table, _best_clips,
+from .quantcore import (AffineTable, ChannelProblem, QuantParams, _affine_table, _best_clips,
                         _check_grouping, _rowdot, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
-def _check_shapes(w: np.ndarray, hessian: np.ndarray, n_groups: int) -> int:
-    """The size of each of ``n_groups`` groups of w, once they divide it and H matches w."""
-    if not n_groups or w.shape[0] % n_groups:
-        raise ShapeMismatchError(f"{n_groups} groups do not divide d_in={w.shape[0]}")
-    if hessian.shape[0] != w.shape[0]:
+def _check_hessian(hessian: np.ndarray, d_in: int) -> None:
+    if hessian.shape[0] != d_in:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
-    return w.shape[0] // n_groups
 
 
 def tilde_transform(w: np.ndarray, hessian: np.ndarray,
@@ -78,7 +75,10 @@ def tilde_transform(w: np.ndarray, hessian: np.ndarray,
     path); anything else means the params are inconsistent with the weights.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = _check_shapes(w, hessian, len(params))
+    if not params or w.shape[0] % len(params):
+        raise ShapeMismatchError(f"{len(params)} groups do not divide d_in={w.shape[0]}")
+    _check_hessian(hessian, w.shape[0])
+    g = w.shape[0] // len(params)
 
     avec = np.repeat(np.array([p.scale for p in params], dtype=np.float64), g)
     bvec = np.repeat(np.array([p.bias for p in params], dtype=np.float64), g)
@@ -101,42 +101,32 @@ def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
     return hmat.reshape(n_groups, g, n_groups, g)[np.arange(n_groups), :, np.arange(n_groups), :]
 
 
-def minmax_group_init(w: np.ndarray, bits: int,
-                      group_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray]:
-    """Independent per-group min-max fit (clip strength 1): (params per group, codes)."""
-    w = np.asarray(w, dtype=np.float64)
-    n_groups = _check_grouping(w.shape[0], group_size)
-    table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
-    return tuple(table.params(i, 0) for i in range(n_groups)), table.codes[:, 0].ravel()
-
-
 def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
-                   grid_size: int = 50) -> tuple[tuple[QuantParams, ...], np.ndarray]:
+                   grid_size: int = 50) -> tuple[AffineTable, np.ndarray]:
     """Per-group clip-strength grid search against the group's own H block:
-    (params per group, codes).
+    the channel's affine table and each group's best grid index in it, whose
+    params and codes ``table.pick(picks)`` gives.
 
     Cross-group coupling is ignored here (block-diagonal approximation);
     the clip-strength coordinate descent below is what accounts for it.
     """
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
-    _check_shapes(w, hessian, n_groups)
+    _check_hessian(hessian, w.shape[0])
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
-    best = _best_clips(table, _diag_blocks(hessian, n_groups, group_size))
-    params = tuple(table.params(i, int(k)) for i, k in enumerate(best))
-    return params, table.codes[np.arange(n_groups), best].ravel()
+    return table, _best_clips(table, _diag_blocks(hessian, n_groups, group_size))
 
 
 @dataclass
 class OwcCdResult:
     """Outcome of the clip-strength coordinate descent.
 
-    Each swap is (group, new clip strength, loss change, loss after it), the
-    loss accumulated from ``initial_loss``; ``final_loss`` is recomputed.
+    ``picks`` holds each group's final grid index in the table. Each swap is
+    (group, new clip strength, loss change, loss after it), the loss
+    accumulated from ``initial_loss``; ``final_loss`` is recomputed.
     """
 
-    params: tuple[QuantParams, ...]
-    codes: np.ndarray
+    picks: np.ndarray
     swaps: list[tuple[int, float, float, float]] = field(default_factory=list)
     initial_loss: float = 0.0
     final_loss: float = 0.0
@@ -208,58 +198,37 @@ def _quad_screen(diff: np.ndarray, hblocks: np.ndarray) -> tuple[np.ndarray, np.
     return fast, base
 
 
-def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
-           gamma_grid: Optional[np.ndarray] = None,
+def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
            steps: Optional[int] = None) -> OwcCdResult:
-    """Greedy coordinate descent over per-group clip strengths.
+    """Greedy coordinate descent over per-group clip strengths, from grid index
+    ``picks[i]`` of each group i of ``table`` (as ``owc_group_init`` returns them).
 
-    Residuals for every (group, grid value) pair come from one affine table,
-    built once; each step applies the single swap with the most negative
-    exact loss change (ties to the smallest (group, grid index)) and stops
-    early at a fixed point, which cannot change the outcome because the
-    candidate table is static. Default step budget is one pass,
-    d_in / group_size, with group size ``len(w) // len(params)``. Changes are
+    Each step applies the single swap with the most negative exact loss change
+    (ties to the smallest (group, grid index)) and stops early at a fixed
+    point, which cannot change the outcome because the candidate table is
+    static. Default step budget is one pass, one step per group. Changes are
     those of the einsum over the whole table, found by ``_quad_screen``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    n_groups = len(params)
-    g = _check_shapes(w, hessian, n_groups)
-    gamma_grid = default_gamma_grid() if gamma_grid is None else np.asarray(gamma_grid, dtype=np.float64)
-    if gamma_grid.size == 0:
-        raise ValueError("empty clip-strength grid")
+    n_groups, n_grid, g = table.resid.shape
+    _check_hessian(hessian, n_groups * g)
     if steps is None:
         steps = n_groups
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    bits = params[0].bits
-    n_grid = gamma_grid.shape[0]
-
-    # Every (group, grid value) fit, from one vectorized table.
-    wg = w.reshape(n_groups, g)
-    table = _affine_table(wg, bits, gamma_grid)
-    resid_table = table.resid
-
-    # Current state from the params as passed in: each group fit at its own
-    # gamma (which need not be on the grid), with codes 0 where its scale is 0.
-    cur_params = list(params)
-    scales = np.array([[p.scale] for p in params])
-    biases = np.array([[p.bias] for p in params])
-    start = _affine_table(wg, bits, np.array([[p.gamma] for p in params])).codes[:, 0]
-    start[scales[:, 0] == 0.0] = 0
-    cur_resid = wg - (scales * start.astype(np.float64) + biases)
-    cur_codes = start.ravel()
+    picks = np.array(picks, dtype=np.intp)
+    cur_resid = table.resid[np.arange(n_groups), picks]
 
     hblocks = _diag_blocks(hessian, n_groups, g)
     err = cur_resid.ravel()
     h_err = hessian @ err
     v = -2.0 * h_err
     loss = float(err @ h_err)
-    result = OwcCdResult(params=params, codes=cur_codes, initial_loss=loss)
+    result = OwcCdResult(picks=picks, initial_loss=loss)
 
     # The quadratic term d' H_ii d depends only on group i's own state, so its
     # batched score and bound are kept across steps, and so is the einsum value
     # of every candidate the screen keeps; a swap renews the swapped group's.
-    diff = resid_table - cur_resid[:, None, :]
+    diff = table.resid - cur_resid[:, None, :]
     fast, base = _quad_screen(diff, hblocks)
     exact = np.empty((n_groups, n_grid))
     known = np.zeros((n_groups, n_grid), dtype=bool)
@@ -291,20 +260,17 @@ def owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
             break
         sl = slice(i_star * g, (i_star + 1) * g)
         row = slice(i_star, i_star + 1)
-        delta = resid_table[i_star, v_star] - cur_resid[i_star]
+        delta = table.resid[i_star, v_star] - cur_resid[i_star]
         v -= 2.0 * (hessian[:, sl] @ delta)
-        cur_resid[i_star] = resid_table[i_star, v_star]
-        cur_codes[sl] = table.codes[i_star, v_star]
-        cur_params[i_star] = table.params(i_star, v_star)
-        diff[row] = resid_table[row] - cur_resid[row, None, :]
+        cur_resid[i_star] = table.resid[i_star, v_star]
+        picks[i_star] = v_star
+        diff[row] = table.resid[row] - cur_resid[row, None, :]
         fast[row], base[row] = _quad_screen(diff[row], hblocks[row])
         known[row] = False
         loss += best
-        result.swaps.append((i_star, float(gamma_grid[v_star]), best, loss))
+        result.swaps.append((i_star, float(table.gammas[i_star, v_star]), best, loss))
 
     err = cur_resid.ravel()
-    result.params = tuple(cur_params)
-    result.codes = cur_codes
     result.final_loss = float(err @ (hessian @ err))
     result.final_v = v.copy()
     return result
@@ -314,20 +280,19 @@ def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bi
                              group_size: int, cfg: DescentConfig, grid_size: int,
                              owc_cd_refine: bool) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
     """Grouped counterpart of the per-channel pipeline: the per-group grid
-    search (optionally refined by the clip-strength descent), then
-    ``descent.descend`` on the scaled problem. Returns (params, codes,
-    steps_taken), one params entry per group.
+    search (on the one-point grid {1} for rtn), optionally refined by the
+    clip-strength descent, then ``descent.descend`` on the scaled problem.
+    Returns (params, codes, steps_taken), one params entry per group.
     """
-    if method == "rtn":
-        params, codes = minmax_group_init(w, bits, group_size)
-        return params, codes, 0
-    params, codes = owc_group_init(w, hessian, bits, group_size, grid_size)
+    rtn = method == "rtn"
+    table, picks = owc_group_init(w, hessian, bits, group_size, 1 if rtn else grid_size)
     steps = 0
-    if owc_cd_refine:
-        refined = owc_cd(w, hessian, params, default_gamma_grid(grid_size))
-        params, codes = refined.params, refined.codes
+    if owc_cd_refine and not rtn:
+        refined = owc_cd(table, hessian, picks)
+        picks = refined.picks
         steps += len(refined.swaps)
-    if method != "owc":
+    params, codes = table.pick(picks)
+    if method not in ("rtn", "owc"):
         codes, engine_steps = descend(tilde_transform(w, hessian, params), codes, method, cfg)
         steps += engine_steps
     return params, codes, steps

@@ -161,6 +161,11 @@ class AffineTable:
         return QuantParams(scale=float(self.scales[i, k]), bias=float(self.biases[i]),
                            bits=self.bits, gamma=float(self.gammas[i, k]))
 
+    def pick(self, ks: np.ndarray) -> tuple[tuple[QuantParams, ...], np.ndarray]:
+        """The params of each group i at index ``ks[i]``, and their codes, concatenated."""
+        return (tuple(self.params(i, int(k)) for i, k in enumerate(ks)),
+                self.codes[np.arange(len(ks)), ks].ravel())
+
 
 def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTable:
     """The affine fit of each of the (n, g) groups ``wg`` at each clip strength of
@@ -210,7 +215,8 @@ def _loop_argmin(resid: np.ndarray, hmat: np.ndarray, ks: np.ndarray) -> int:
 def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
     """Each group's best clip strength: the index k minimizing ``e' H e`` over its
     candidate residuals ``e = table.resid[i][k]``, ties to the larger k; 0 for a
-    constant group.
+    constant group and for a one-column table, which leaves nothing to score and
+    so never reads ``blocks``.
 
     ``blocks`` is an (n, g, g) array holding each group's H block: the result
     is, bit for bit, what a loop of ``err @ (blocks[i] @ err)`` over all
@@ -254,7 +260,7 @@ def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
     """
     best = np.zeros(table.live.shape[0], dtype=np.intp)
     rows = np.flatnonzero(table.live)
-    if rows.size == 0:
+    if rows.size == 0 or table.resid.shape[1] == 1:
         return best
     resid = table.resid
     if rows.size < best.size:
@@ -296,31 +302,22 @@ def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
     return np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
 
 
-def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
-    """Min-max affine quantization (clip strength 1, i.e. no clipping)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("empty weight vector")
-    table = _affine_table(w[None, :], bits, np.ones(1))
-    return table.params(0, 0), table.codes[0, 0].copy()
-
-
 def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
                  grid_size: int = 50) -> tuple[QuantParams, CodeVector]:
     """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
     loss, ties toward larger gamma.
 
-    The grid always contains gamma = 1, so the returned objective is never
-    worse than :func:`minmax_quantize`, and grid_size = 1 reproduces it
-    bit for bit.
+    The grid always contains gamma = 1, the min-max fit, so the returned
+    objective is never worse than min-max; grid_size = 1 is that fit alone,
+    which reads no H (the ``rtn`` method).
     """
     grid = default_gamma_grid(grid_size)
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, grid)
-    best = int(_best_clips(table, hessian[None])[0])
-    return table.params(0, best), table.codes[0, best].copy()
+    (params,), codes = table.pick(_best_clips(table, hessian[None]))
+    return params, codes
 
 
 @dataclass

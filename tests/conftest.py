@@ -1,10 +1,12 @@
 """Shared instance factories and reference copies for the test suite.
 
-``_fit_affine``, ``objective`` (with ``dequantize``) and ``GradientState`` are
-verbatim copies of code the package no longer has: the scalar affine fit that
-``quantcore._affine_table`` must match bit for bit, the one-params objective
-that independent checks score with, and the engines' old state class, which
-the tests' reference engine copies still use.
+``_fit_affine``, ``objective`` (with ``dequantize``), ``GradientState``,
+``minmax_quantize`` and ``minmax_group_init`` are verbatim copies of code the
+package no longer has: the scalar affine fit that ``quantcore._affine_table``
+must match bit for bit, the one-params objective that independent checks score
+with, the engines' old state class, which the tests' reference engine copies
+still use, and the min-max fits that the grid searches on the one-point grid
+{1} (the ``rtn`` method) must reproduce.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,8 @@ import numpy as np
 
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize, round_half_away
+from qdescent.quantcore import (ChannelProblem, CodeVector, QuantParams, _affine_table,
+                                _check_grouping, owc_quantize, round_half_away)
 
 
 def _f32(value: float) -> float:
@@ -52,6 +55,24 @@ def objective(weights: np.ndarray, codes: np.ndarray, params: QuantParams,
         raise ShapeMismatchError("weights, codes and Hessian dimensions disagree")
     err = w - dequantize(codes, params)
     return float(err @ (h @ err))
+
+
+def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
+    """Min-max affine quantization (clip strength 1, i.e. no clipping)."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.size == 0:
+        raise ValueError("empty weight vector")
+    table = _affine_table(w[None, :], bits, np.ones(1))
+    return table.params(0, 0), table.codes[0, 0].copy()
+
+
+def minmax_group_init(w: np.ndarray, bits: int,
+                      group_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray]:
+    """Independent per-group min-max fit (clip strength 1): (params per group, codes)."""
+    w = np.asarray(w, dtype=np.float64)
+    n_groups = _check_grouping(w.shape[0], group_size)
+    table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
+    return tuple(table.params(i, 0) for i in range(n_groups)), table.codes[:, 0].ravel()
 
 
 @dataclass

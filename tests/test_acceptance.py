@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import expand_params, objective, random_problem
+from conftest import expand_params, minmax_quantize, objective, random_problem
 from qdescent import calibration, descent, groupquant, oracle, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, cyclic_cd_quantize
-from qdescent.quantcore import minmax_quantize, owc_quantize, zero_baseline
+from qdescent.quantcore import owc_quantize, zero_baseline
 
 
 def _report(num: int, desc: str, ok: bool, extra: str = "") -> None:
@@ -127,11 +127,11 @@ def test_criterion_04_gradient_and_v_drift():
         x = rng.standard_normal((4 * d, d))
         hessian = build_hessian(x, 0.01)
         w = rng.standard_normal(d)
-        params, _ = groupquant.owc_group_init(w, hessian, bits=2, group_size=g, grid_size=16)
-        result = groupquant.owc_cd(w, hessian, params, groupquant.default_gamma_grid(16),
-                                   steps=d // g)
-        avec, bvec = expand_params(result.params, d)
-        err = w - (avec * result.codes + bvec)
+        table, picks = groupquant.owc_group_init(w, hessian, bits=2, group_size=g, grid_size=16)
+        result = groupquant.owc_cd(table, hessian, picks, steps=d // g)
+        params, codes = table.pick(result.picks)
+        avec, bvec = expand_params(params, d)
+        err = w - (avec * codes + bvec)
         fresh_v = -2.0 * (hessian @ err)
         worst_v = max(worst_v, float(np.abs(result.final_v - fresh_v).max()))
 

@@ -5,14 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import GradientState, objective, random_problem
+from conftest import GradientState, minmax_quantize, objective, random_problem
 from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
                               cd_quantize, check_settings, cyclic_cd_quantize, descend,
                               dump_trace, quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
-from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantParams,
-                                minmax_quantize, owc_quantize)
+from qdescent.quantcore import ChannelProblem, DegenerateChannelError, QuantParams, owc_quantize
 
 
 def test_cd_canonical_trace():

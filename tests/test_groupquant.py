@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import _fit_affine, expand_params, random_problem
+from conftest import _fit_affine, expand_params, minmax_group_init, random_problem
+from qdescent import groupquant
 from qdescent.calibration import build_hessian
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
-from qdescent.groupquant import (default_gamma_grid, minmax_group_init, owc_cd, owc_group_init,
-                                 quantize_channel_grouped, tilde_transform)
-from qdescent.quantcore import QuantParams, owc_quantize
+from qdescent.groupquant import owc_cd, owc_group_init, quantize_channel_grouped, tilde_transform
+from qdescent.quantcore import QuantParams, _affine_table, owc_quantize
 
 
 def _rand_instance(d, seed, n=None):
@@ -21,6 +21,12 @@ def _rand_instance(d, seed, n=None):
 
 def _uniform_params(d, g, params):
     return tuple([params] * (d // g))
+
+
+def _group_init(w, h, bits, group_size, grid_size=50):
+    """``owc_group_init``'s (params per group, codes)."""
+    table, picks = owc_group_init(w, h, bits, group_size, grid_size)
+    return table.pick(picks)
 
 
 def test_tilde_identity_when_scales_one():
@@ -56,7 +62,7 @@ def test_tilde_rejects_inconsistent_zero_scale():
 def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
     w, h = _rand_instance(d, 4)
     w[g:2 * g] = 0.75  # a constant group: zero scale, zero rows and columns of H~
-    params, _ = owc_group_init(w, h, bits=3, group_size=g)
+    params, _ = _group_init(w, h, bits=3, group_size=g)
     assert params[1].scale == 0.0
     avec, _ = expand_params(params, d)
     expected = h * avec[:, None] * avec[None, :]
@@ -68,7 +74,7 @@ def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
 def test_tilde_degenerate_group_constant_weights():
     w, h = _rand_instance(6, 3)
     w[2:4] = 1.5  # middle group constant
-    params, codes = owc_group_init(w, h, bits=2, group_size=2)
+    params, codes = _group_init(w, h, bits=2, group_size=2)
     assert params[1].scale == 0.0
     np.testing.assert_array_equal(codes[2:4], [0, 0])
     # engines never touch the degenerate coordinates
@@ -81,7 +87,7 @@ def test_tilde_degenerate_group_constant_weights():
 def test_single_group_reduces_to_per_channel_bitwise():
     w, h = _rand_instance(10, 4)
     params_c, codes_c = owc_quantize(w, h, 3, 50)
-    params_g, codes_g = owc_group_init(w, h, bits=3, group_size=10)
+    params_g, codes_g = _group_init(w, h, bits=3, group_size=10)
     assert params_g[0] == params_c
     np.testing.assert_array_equal(codes_g, codes_c)
 
@@ -127,7 +133,7 @@ def test_block_diagonal_groups_decouple():
     h = _block_diag_hessian(d, g, 7)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(d)
-    params, q0 = owc_group_init(w, h, bits=2, group_size=g)
+    params, q0 = _group_init(w, h, bits=2, group_size=g)
     cfg = DescentConfig(steps=64)
     joint, _ = cd_quantize(tilde_transform(w, h, params), q0, cfg)
 
@@ -142,7 +148,7 @@ def test_block_diagonal_groups_decouple():
 
 def test_owc_group_init_grid_one_is_group_minmax():
     w, h = _rand_instance(8, 10)
-    a_params, a_codes = owc_group_init(w, h, bits=3, group_size=4, grid_size=1)
+    a_params, a_codes = _group_init(w, h, bits=3, group_size=4, grid_size=1)
     b_params, b_codes = minmax_group_init(w, 3, 4)
     assert a_params == b_params
     np.testing.assert_array_equal(a_codes, b_codes)
@@ -151,7 +157,7 @@ def test_owc_group_init_grid_one_is_group_minmax():
 def test_owc_group_init_local_objective_never_worse_than_minmax():
     for seed in range(10):
         w, h = _rand_instance(12, seed)
-        owc_params, owc_codes = owc_group_init(w, h, bits=2, group_size=4)
+        owc_params, owc_codes = _group_init(w, h, bits=2, group_size=4)
         mm_params, mm_codes = minmax_group_init(w, 2, 4)
         for i in range(3):
             sl = slice(i * 4, (i + 1) * 4)
@@ -173,11 +179,12 @@ def _joint_objective(w, hmat, g, gammas, bits):
 
 def test_owc_cd_single_group_matches_grid_search():
     w, h = _rand_instance(6, 11)
-    params, codes = owc_group_init(w, h, bits=2, group_size=6)
-    result = owc_cd(w, h, params, default_gamma_grid(50), steps=10)
+    table, picks = owc_group_init(w, h, bits=2, group_size=6)
+    result = owc_cd(table, h, picks, steps=10)
+    (params,), codes = table.pick(result.picks)
     ref_params, ref_codes = owc_quantize(w, h, 2, 50)
-    assert result.params[0].gamma == ref_params.gamma
-    np.testing.assert_array_equal(result.codes, ref_codes)
+    assert params.gamma == ref_params.gamma
+    np.testing.assert_array_equal(codes, ref_codes)
     assert result.swaps == []  # init already sits at the grid optimum
 
 
@@ -185,19 +192,31 @@ def test_owc_cd_block_diagonal_makes_no_move():
     d, g = 8, 2
     h = _block_diag_hessian(d, g, 12)
     w = np.random.default_rng(13).standard_normal(d)
-    params, _ = owc_group_init(w, h, bits=2, group_size=g)
-    result = owc_cd(w, h, params, default_gamma_grid(50), steps=20)
+    table, picks = owc_group_init(w, h, bits=2, group_size=g)
+    result = owc_cd(table, h, picks, steps=20)
     assert result.swaps == []
+
+
+def test_owc_cd_one_column_table_makes_no_swap():
+    # The one-point grid {1} leaves no other clip strength to swap to.
+    d, g = 16, 4
+    w, h = _rand_instance(d, 15)
+    table = _affine_table(w.reshape(d // g, g), 3, np.ones(1))
+    start = np.zeros(d // g, dtype=np.intp)
+    result = owc_cd(table, h, start)
+    assert result.swaps == [] and result.final_loss == result.initial_loss
+    np.testing.assert_array_equal(result.picks, start)
 
 
 def test_owc_cd_two_groups_vs_exhaustive_pairs():
     d, g, bits = 4, 2, 2
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     w, h = _rand_instance(d, 14)
-    params, _ = owc_group_init(w, h, bits=bits, group_size=g, grid_size=4)
-    init_pair = tuple(p.gamma for p in params)
-    result = owc_cd(w, h, params, grid, steps=20)
-    final_pair = tuple(p.gamma for p in result.params)
+    table, picks = owc_group_init(w, h, bits=bits, group_size=g, grid_size=4)
+    np.testing.assert_array_equal(table.gammas[0], grid)
+    init_pair = tuple(grid[picks])
+    result = owc_cd(table, h, picks, steps=20)
+    final_pair = tuple(grid[result.picks])
 
     table = {(g0, g1): _joint_objective(w, h, g, (g0, g1), bits)
              for g0, g1 in itertools.product(grid, repeat=2)}
@@ -214,15 +233,16 @@ def test_owc_cd_monotone_and_v_maintenance():
     for seed in range(10):
         d, g = 16, 4
         w, h = _rand_instance(d, seed)
-        params, _ = owc_group_init(w, h, bits=2, group_size=g, grid_size=8)
-        result = owc_cd(w, h, params, default_gamma_grid(8), steps=d // g)
+        table, picks = owc_group_init(w, h, bits=2, group_size=g, grid_size=8)
+        result = owc_cd(table, h, picks, steps=d // g)
         losses = [result.initial_loss] + [s[3] for s in result.swaps]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
         # the predicted change of every swap matches the realized change
         for (i, beta, predicted, after), before in zip(result.swaps, losses):
             assert after - before == pytest.approx(predicted, rel=1e-9, abs=1e-12)
-        avec, bvec = expand_params(result.params, d)
-        err = w - (avec * result.codes + bvec)
+        params, codes = table.pick(result.picks)
+        avec, bvec = expand_params(params, d)
+        err = w - (avec * codes + bvec)
         fresh_v = -2.0 * (h @ err)
         assert np.abs(result.final_v - fresh_v).max() < 1e-6
 
@@ -230,11 +250,12 @@ def test_owc_cd_monotone_and_v_maintenance():
 def test_owc_cd_final_never_worse_than_init():
     for seed in range(5):
         w, h = _rand_instance(12, 100 + seed)
-        params, codes = owc_group_init(w, h, bits=3, group_size=3)
+        table, picks = owc_group_init(w, h, bits=3, group_size=3)
+        params, codes = table.pick(picks)
         avec, bvec = expand_params(params, 12)
         err = w - (avec * codes + bvec)
         init_loss = float(err @ h @ err)
-        result = owc_cd(w, h, params)
+        result = owc_cd(table, h, picks)
         assert result.final_loss <= init_loss + 1e-12
         assert result.initial_loss == pytest.approx(init_loss, rel=1e-12)
 
@@ -264,3 +285,35 @@ def test_owc_cd_refine_improves_group_init():
             err = w - (avec * codes + bvec)
             return float(err @ h @ err)
         assert loss(refined_params, refined_codes) <= loss(plain_params, plain_codes) + 1e-12
+
+
+def test_grouped_channel_builds_one_table():
+    # The grid search's table is the descent's: one affine fit per channel.
+    w, h = _rand_instance(16, 40)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _affine_table(*args)
+
+    for method in ("owc", "cd"):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groupquant, "_affine_table", counted)
+            quantize_channel_grouped(w, h, method, 2, 4, DescentConfig(), 50, True)
+        assert len(calls) == 1, method
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("group_size,owc_cd_refine", [(0, False), (4, False), (4, True)])
+def test_rtn_does_not_read_the_hessian(group_size, owc_cd_refine):
+    rng = np.random.default_rng(41)
+    w = rng.standard_normal((16, 5)).astype(np.float32)
+    w[:, 2] = 0.5   # a constant column
+    h = build_hessian(rng.standard_normal((64, 16)).astype(np.float32), 0.01)
+    layers = [quantize_matrix(w, hmat, "rtn", bits=3, group_size=group_size,
+                              owc_cd_refine=owc_cd_refine)[0]
+              for hmat in (h, np.zeros_like(h), 1e300 * np.eye(16), np.full_like(h, np.nan))]
+    for layer in layers[1:]:
+        for name in ("codes", "scales", "biases", "gammas"):
+            assert getattr(layer, name).tobytes() == getattr(layers[0], name).tobytes(), name

@@ -15,10 +15,10 @@ import pytest
 
 from qdescent import groupquant
 from qdescent.calibration import build_hessian
-from qdescent.groupquant import _diag_blocks, _quad_screen, minmax_group_init, owc_cd
+from qdescent.groupquant import _diag_blocks, _quad_screen, owc_cd
 from qdescent.quantcore import default_gamma_grid
 
-from test_owc_table import _assert_same_result, _instance, _off_grid_params, reference_owc_cd
+from test_owc_table import _check_owc_cd, _instance, _start, reference_owc_cd
 
 U = 2.0 ** -53
 QUAD = "nvg,ngh,nvh->nv"
@@ -39,12 +39,12 @@ def quad_calls(monkeypatch):
     return calls
 
 
-def _first_step_survivors(quad_calls, w, h, params, grid):
+def _first_step_survivors(quad_calls, table, h, picks):
     """How many candidates the screen keeps at the first step: each is re-scored
     once there, as nothing is cached yet."""
     quad_calls["n"], quad_calls["on"] = 0, True
     try:
-        owc_cd(w, h, params, grid, steps=1)
+        owc_cd(table, h, picks, steps=1)
     finally:
         quad_calls["on"] = False
     return quad_calls["n"]
@@ -151,12 +151,10 @@ def test_forced_ties_go_to_the_smallest_flat_index(quad_calls):
     for seed in range(6):
         w = np.tile(np.random.default_rng(seed).standard_normal(g), n)
         h = np.diag(np.tile(np.random.default_rng(seed + 1).uniform(0.5, 2.0, g), n))
-        params = minmax_group_init(w, 2, g)[0]
-        grid = default_gamma_grid(50)
-        result = owc_cd(w, h, params, grid)
-        _assert_same_result(result, reference_owc_cd(w, h, params, grid))
+        table, picks, params = _start("minmax", w, h, 2, g, 50, seed)
+        result = _check_owc_cd(w, h, table, picks, params)
         assert [s[0] for s in result.swaps] == list(range(n))
-        assert _first_step_survivors(quad_calls, w, h, params, grid) == n
+        assert _first_step_survivors(quad_calls, table, h, picks) == n
 
 
 @pytest.mark.parametrize("how", ["ulp", "permuted"])
@@ -177,10 +175,9 @@ def test_near_ties_match_reference(how, quad_calls):
                 w[i * g + i] = np.nextafter(w[i * g + i], np.inf * (-1) ** (seed + i))
             elif i % 2:
                 w[i * g:(i + 1) * g] = w[i * g:(i + 1) * g][::-1]
-        params = minmax_group_init(w, 2 + seed % 2, g)[0]
-        grid = default_gamma_grid(50)
-        _assert_same_result(owc_cd(w, h, params, grid), reference_owc_cd(w, h, params, grid))
-        crowded += _first_step_survivors(quad_calls, w, h, params, grid) > 1
+        table, picks, params = _start("minmax", w, h, 2 + seed % 2, g, 50, seed)
+        _check_owc_cd(w, h, table, picks, params)
+        crowded += _first_step_survivors(quad_calls, table, h, picks) > 1
     assert crowded >= 6   # the screen could not separate the near-ties
 
 
@@ -190,14 +187,11 @@ def test_owc_cd_group_size_two_matches_reference(bits, grid_size):
     # Weights near 3e8 lie far from their float32 bias, so both coordinates of a
     # group's difference change with the clip strength. numpy sums a lone 2 x 2
     # block in another order than a table of them, so g = 2 needs the table.
+    # On the one-point grid neither descent has anywhere to move.
     for seed in range(6):
         _, h = _instance(100 + seed, 32, coupling=1.0)
         w = 3.0e8 + np.random.default_rng(seed).uniform(0.0, 60.0, 32)
-        # Off the grid, the descent moves even on a grid of one.
-        params = _off_grid_params(w, bits, 2, seed) if grid_size == 1 else \
-            minmax_group_init(w, bits, 2)[0]
-        grid = default_gamma_grid(grid_size)
-        _assert_same_result(owc_cd(w, h, params, grid), reference_owc_cd(w, h, params, grid))
+        _check_owc_cd(w, h, *_start("minmax", w, h, bits, 2, grid_size, seed))
 
 
 def _outcome(fn, *args):
@@ -208,17 +202,18 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _assert_same_outcome(got, ref):
+def _assert_same_outcome(table, got, ref):
     if isinstance(ref, type) or isinstance(got, type):
         assert got == ref
         return
+    params, codes = table.pick(got.picks)
     # The running loss of each swap is left out: owc_cd accumulates it while the
     # reference recomputes e'He (see test_owc_table), so at non-finite scale one
     # can be NaN where the other is inf.
     np.testing.assert_array_equal(np.array([s[:3] for s in got.swaps]).reshape(-1, 3),
                                   np.array([s[:3] for s in ref.swaps]).reshape(-1, 3))
-    np.testing.assert_array_equal(got.codes, ref.codes)
-    assert [p.gamma for p in got.params] == [p.gamma for p in ref.params]
+    np.testing.assert_array_equal(codes, ref.codes)
+    assert [p.gamma for p in params] == [p.gamma for p in ref.params]
     np.testing.assert_array_equal(
         np.array([(got.initial_loss, got.final_loss)]), np.array([(ref.initial_loss, ref.final_loss)]))
     np.testing.assert_array_equal(got.final_v, ref.final_v)
@@ -240,15 +235,12 @@ def test_out_of_range_and_non_finite_match_reference(case):
         h[3, 4] = np.nan
     else:
         h[20, 20] = np.inf
-    grid = default_gamma_grid(20)
     with np.errstate(all="ignore"):
-        params = minmax_group_init(w, 3, g)[0]
-        got = _outcome(owc_cd, w, h, params, grid)
-        ref = _outcome(reference_owc_cd, w, h, params, grid)
-        table = groupquant._affine_table(w.reshape(n, g), 3, grid)
-        start = groupquant._affine_table(w.reshape(n, g), 3, np.ones((n, 1))).resid[:, 0]
-        _, base = _quad_screen(table.resid - start[:, None, :], _diag_blocks(h, n, g))
-    _assert_same_outcome(got, ref)
+        table, picks, params = _start("minmax", w, h, 3, g, 20, 0)
+        got = _outcome(owc_cd, table, h, picks)
+        ref = _outcome(reference_owc_cd, w, h, params, default_gamma_grid(20))
+        _, base = _quad_screen(table.resid - table.resid[:, -1:], _diag_blocks(h, n, g))
+    _assert_same_outcome(table, got, ref)
     if case in ("huge-h", "huge-w"):
         assert np.isinf(base).all()
     elif case in ("nan-h", "inf-h"):

@@ -141,7 +141,8 @@ def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
         w[:g] = 0.5  # a constant group: scale 0, codes 0, never scored
         if d // g > 2:
             w[2 * g:3 * g] = -1.25
-        params, codes = owc_group_init(w, hessian, bits, g, grid_size)
+        table, picks = owc_group_init(w, hessian, bits, g, grid_size)
+        params, codes = table.pick(picks)
         ref_params, ref_codes = reference_owc_group_init(w, hessian, bits, g, grid_size)
         assert len(params) == len(ref_params) == d // g
         for p, ref_p in zip(params, ref_params, strict=True):
@@ -154,7 +155,8 @@ def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
 
 def test_all_groups_constant_returns_first_index():
     w = np.full(64, 0.75)
-    params, codes = owc_group_init(w, calib_hessian(64, 1), 3, 16)
+    table, picks = owc_group_init(w, calib_hessian(64, 1), 3, 16)
+    params, codes = table.pick(picks)
     ref_params, ref_codes = reference_owc_group_init(w, calib_hessian(64, 1), 3, 16)
     assert params == ref_params and np.array_equal(codes, ref_codes)
     assert all(p.scale == 0.0 and p.gamma == 1.0 for p in params)

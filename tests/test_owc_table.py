@@ -5,23 +5,27 @@ copy in ``conftest.py``) entry by entry, for one grid shared by all groups
 and for a grid per group, and the OWC searches and the clip-strength descent
 built on it must match verbatim copies of the code they replaced
 (``reference_*`` below): same swaps, losses, codes, parameters and final
-gradient, bit for bit. The one exception is the loss recorded with each swap:
+gradient, bit for bit. ``owc_cd`` moves grid indices in the grid search's
+table; its codes and parameters are those the table gives for its final
+indices, and the reference starts from the parameters of its start indices.
+The one exception is the loss recorded with each swap:
 ``owc_cd`` accumulates it as ``loss + change`` while the reference recomputes
 ``e' H e``. The changes are summed at the scale of the starting loss, so the
 two agree to 1e-12 of ``initial_loss``.
 """
 
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import pytest
 
 from qdescent.calibration import ShapeMismatchError, build_hessian
-from qdescent.groupquant import (OwcCdResult, _check_grouping, minmax_group_init, owc_cd,
-                                 owc_group_init)
+from qdescent.descent import DescentConfig
+from qdescent.groupquant import _check_grouping, owc_cd, owc_group_init, quantize_channel_grouped
 from qdescent.quantcore import QuantParams, _affine_table, default_gamma_grid, owc_quantize
 
-from conftest import _fit_affine
+from conftest import _fit_affine, minmax_group_init
 
 
 def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
@@ -60,6 +64,23 @@ def reference_owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, grou
         params.append(p)
         codes[sl] = q
     return tuple(params), codes
+
+
+@dataclass
+class OwcCdResult:
+    """``owc_cd``'s result as it was when it returned params and codes, not grid
+    indices: the result of ``reference_owc_cd``.
+
+    Each swap is (group, new clip strength, loss change, loss after it), the
+    loss accumulated from ``initial_loss``; ``final_loss`` is recomputed.
+    """
+
+    params: tuple[QuantParams, ...]
+    codes: np.ndarray
+    swaps: list[tuple[int, float, float, float]] = field(default_factory=list)
+    initial_loss: float = 0.0
+    final_loss: float = 0.0
+    final_v: Optional[np.ndarray] = None
 
 
 def reference_owc_cd(w: np.ndarray, hessian: np.ndarray, params: tuple[QuantParams, ...],
@@ -250,7 +271,8 @@ def test_owc_search_ties_go_to_larger_gamma():
     assert p == ref_p and p.gamma == 1.0
     np.testing.assert_array_equal(q, ref_q)
     # Zero H blocks tie the per-group searches too.
-    params, codes = owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
+    table, picks = owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
+    params, codes = table.pick(picks)
     ref_params, ref_codes = reference_owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
     assert params == ref_params and tuple(p.gamma for p in params) == (1.0,) * 4
     np.testing.assert_array_equal(codes, ref_codes)
@@ -261,54 +283,55 @@ def test_owc_search_ties_go_to_larger_gamma():
 def test_owc_group_init_matches_scalar_init(bits, d, g):
     w, h = _instance(bits + d, d)
     w[g:2 * g] = -1.5   # one constant group
-    params, codes = owc_group_init(w, h, bits, g)
+    table, picks = owc_group_init(w, h, bits, g)
+    params, codes = table.pick(picks)
     ref_params, ref_codes = reference_owc_group_init(w, h, bits, g)
     assert params == ref_params
     np.testing.assert_array_equal(codes, ref_codes)
 
 
-def _assert_same_result(result: OwcCdResult, ref: OwcCdResult):
+def _assert_same_result(table, result, ref: OwcCdResult):
+    params, codes = table.pick(result.picks)
     assert [s[:3] for s in result.swaps] == [s[:3] for s in ref.swaps]
     for s, ref_s in zip(result.swaps, ref.swaps):
         assert abs(s[3] - ref_s[3]) <= 1e-12 * ref.initial_loss
-    np.testing.assert_array_equal(result.codes, ref.codes)
-    assert result.params == ref.params
+    np.testing.assert_array_equal(codes, ref.codes)
+    assert params == ref.params
     assert result.initial_loss == ref.initial_loss
     assert result.final_loss == ref.final_loss
     np.testing.assert_array_equal(result.final_v, ref.final_v)
 
 
-def _off_grid_params(w, bits, g, seed):
-    """Each group fit at a random clip strength that is not on any default grid."""
-    rng = np.random.default_rng(seed)
-    params = []
-    for i in range(w.shape[0] // g):
-        p, _ = _fit_affine(w[i * g:(i + 1) * g], bits, gamma=float(rng.uniform(0.3, 0.99)))
-        params.append(p)
-    return tuple(params)
-
-
-def _start_params(start, w, h, bits, g, grid_size, seed):
+def _start(start, w, h, bits, g, grid_size, seed):
+    """The table of w on the default grid, the grid indices ``owc_cd`` starts
+    from, and the params ``reference_owc_cd`` starts from."""
     if start == "owc":
-        return owc_group_init(w, h, bits, g, grid_size)[0]
-    if start == "minmax":
-        return minmax_group_init(w, bits, g)[0]
-    return _off_grid_params(w, bits, g, seed)
+        table, picks = owc_group_init(w, h, bits, g, grid_size)
+        return table, picks, table.pick(picks)[0]
+    table = _affine_table(w.reshape(-1, g), bits, default_gamma_grid(grid_size))
+    if start == "minmax":   # gamma = 1 is the grid's last entry
+        return table, np.full(w.shape[0] // g, grid_size - 1), minmax_group_init(w, bits, g)[0]
+    picks = np.random.default_rng(seed).integers(0, grid_size, w.shape[0] // g)
+    return table, picks, table.pick(picks)[0]
 
 
-@pytest.mark.parametrize("start", ["owc", "minmax", "off-grid"])
+def _check_owc_cd(w, h, table, picks, params, steps=None):
+    """``owc_cd`` from ``picks`` equals ``reference_owc_cd`` from ``params``."""
+    result = owc_cd(table, h, picks, steps)
+    _assert_same_result(table, result, reference_owc_cd(w, h, params, table.gammas[0], steps))
+    return result
+
+
+@pytest.mark.parametrize("start", ["owc", "minmax", "random"])
 @pytest.mark.parametrize("bits,d,g,grid_size", [(1, 32, 4, 8), (2, 64, 8, 50), (3, 128, 32, 50),
                                                 (4, 96, 16, 20), (3, 64, 16, 1)])
 def test_owc_cd_matches_reference(start, bits, d, g, grid_size):
     swaps = 0
     for seed in range(3):
         w, h = _instance(10 * d + seed, d, coupling=float(seed))
-        params = _start_params(start, w, h, bits, g, grid_size, seed)
-        grid = default_gamma_grid(grid_size)
-        result = owc_cd(w, h, params, grid)
-        _assert_same_result(result, reference_owc_cd(w, h, params, grid))
+        result = _check_owc_cd(w, h, *_start(start, w, h, bits, g, grid_size, seed))
         swaps += len(result.swaps)
-    if grid_size > 1 or start == "off-grid":
+    if grid_size > 1:
         assert swaps > 0   # the descent moved, so the cached rows were exercised
 
 
@@ -317,46 +340,26 @@ def test_owc_cd_matches_reference_with_constant_groups():
     w, h = _instance(5, d, coupling=2.0)
     w[0:g] = 0.25
     w[5 * g:6 * g] = -2.0
-    for params in (owc_group_init(w, h, bits, g)[0], minmax_group_init(w, bits, g)[0],
-                   _off_grid_params(w, bits, g, 5)):
-        result = owc_cd(w, h, params, default_gamma_grid(50))
-        _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50)))
-        assert result.params[0].scale == 0.0 and result.params[5].scale == 0.0
+    for start in ("owc", "minmax"):
+        table, picks, params = _start(start, w, h, bits, g, 50, 5)
+        final, _ = table.pick(_check_owc_cd(w, h, table, picks, params).picks)
+        assert final[0].scale == 0.0 and final[5].scale == 0.0
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3, 40])
 def test_owc_cd_matches_reference_step_budgets(steps):
     d, g, bits = 64, 8, 2   # 8 groups: 40 steps exceeds the default single pass
     w, h = _instance(21, d, coupling=1.5)
-    params = minmax_group_init(w, bits, g)[0]
-    result = owc_cd(w, h, params, default_gamma_grid(50), steps=steps)
-    _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50),
-                                                 steps=steps))
+    result = _check_owc_cd(w, h, *_start("minmax", w, h, bits, g, 50, 0), steps=steps)
     if steps == 0:
         assert result.swaps == [] and result.final_loss == result.initial_loss
 
 
-@pytest.mark.parametrize("steps", [0, None])
-def test_owc_cd_zero_scale_start_matches_reference(steps):
-    # A zero scale passed for a non-constant group starts that group at codes 0,
-    # not at the codes of a fit at its gamma.
-    d, g, bits = 64, 16, 3
-    w, h = _instance(41, d, coupling=1.0)
-    params = list(owc_group_init(w, h, bits, g)[0])
-    assert np.ptp(w[2 * g:3 * g]) > 0.0 and params[2].gamma < 1.0
-    params[2] = QuantParams(scale=0.0, bias=params[2].bias, bits=bits, gamma=params[2].gamma)
-    params = tuple(params)
-    result = owc_cd(w, h, params, default_gamma_grid(50), steps=steps)
-    _assert_same_result(result, reference_owc_cd(w, h, params, default_gamma_grid(50),
-                                                 steps=steps))
-    if steps == 0:
-        assert not result.codes[2 * g:3 * g].any() and result.params == params
-
-
 def test_owc_cd_matches_reference_default_grid_and_steps():
     w, h = _instance(33, 64, coupling=1.0)
-    params = _off_grid_params(w, 3, 16, 33)
-    _assert_same_result(owc_cd(w, h, params), reference_owc_cd(w, h, params))
+    table, picks = owc_group_init(w, h, 3, 16)
+    _assert_same_result(table, owc_cd(table, h, picks),
+                        reference_owc_cd(w, h, table.pick(picks)[0]))
 
 
 @pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
@@ -404,9 +407,10 @@ def test_einsum_candidate_slice_equals_full_entry(n, v, g):
 
 @pytest.mark.parametrize("bits", [1, 3, 8])
 def test_minmax_group_init_matches_scalar_fits(bits):
-    w, _ = _instance(bits, 64)
+    # rtn's grouped path, the grid search on the one-point grid {1}, is the min-max fit.
+    w, h = _instance(bits, 64)
     w[16:32] = 0.625
-    params, codes = minmax_group_init(w, bits, 16)
+    params, codes, _ = quantize_channel_grouped(w, h, "rtn", bits, 16, DescentConfig(), 50, False)
     for i in range(4):
         sl = slice(i * 16, (i + 1) * 16)
         p, q = _fit_affine(w[sl], bits, gamma=1.0)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import objective
+from conftest import minmax_quantize, objective
 from qdescent.calibration import build_hessian
+from qdescent.descent import DescentConfig, _quantize_channel
 from qdescent.quantcore import (ChannelProblem, QuantizedLayer, _reconstruct, channel_objective,
-                                load_layer, minmax_quantize, owc_quantize, round_half_away,
-                                save_layer, zero_baseline)
+                                load_layer, owc_quantize, round_half_away, save_layer,
+                                zero_baseline)
 
 
 def hess(mat):
@@ -21,6 +22,14 @@ def test_round_half_away_from_zero():
 
 def _f32(*values):
     return np.array(values, dtype=np.float32)
+
+
+def _rtn(w, bits):
+    """(params, codes) of the ``rtn`` method's per-channel path: the min-max fit."""
+    w = np.asarray(w, dtype=np.float64)
+    (params,), codes, _ = _quantize_channel(w, np.eye(w.shape[0]), "rtn", bits,
+                                            DescentConfig(), 50)
+    return params, codes
 
 
 def _loss(w, codes, params, h):
@@ -67,7 +76,7 @@ def test_objective_strictly_positive_off_grid():
     h = build_hessian(rng.standard_normal((4, 8)), 0.01)  # PD only through damping
     for _ in range(20):
         w = rng.standard_normal(8)
-        params, q = minmax_quantize(w, 2)
+        params, q = _rtn(w, 2)
         err = w - _deq(q, params)
         got = _loss(w, q, params, h)
         assert got >= 0.0
@@ -81,7 +90,7 @@ def test_objective_vs_explicit_data_products():
         x = rng.standard_normal((40, 6))
         h = build_hessian(x, 0.01)
         w = rng.standard_normal(6)
-        params, q = minmax_quantize(w, 3)
+        params, q = _rtn(w, 3)
         err = w - _deq(q, params)
         lam = 0.01 * np.mean(np.diag(x.T @ x))
         direct = np.linalg.norm(x @ err) ** 2 + lam * np.linalg.norm(err) ** 2
@@ -90,15 +99,15 @@ def test_objective_vs_explicit_data_products():
 
 
 def test_minmax_examples():
-    params, q = minmax_quantize(np.array([0.0, 1.0, 2.0, 3.0]), 2)
+    params, q = _rtn(np.array([0.0, 1.0, 2.0, 3.0]), 2)
     assert (params.scale, params.bias) == (1.0, 0.0)
     np.testing.assert_array_equal(q, [0, 1, 2, 3])
 
-    params, q = minmax_quantize(np.array([-1.0, 0.0, 1.0]), 1)
+    params, q = _rtn(np.array([-1.0, 0.0, 1.0]), 1)
     assert (params.scale, params.bias) == (2.0, -1.0)
     np.testing.assert_array_equal(q, [0, 1, 1])  # midpoint rounds away from zero
 
-    params, q = minmax_quantize(np.array([5.0, 5.0]), 3)
+    params, q = _rtn(np.array([5.0, 5.0]), 3)
     assert params.scale == 0.0 and params.bias == 5.0
     np.testing.assert_array_equal(q, [0, 0])
     np.testing.assert_array_equal(_deq(q, params), [5.0, 5.0])
@@ -106,21 +115,21 @@ def test_minmax_examples():
 
 def test_minmax_empty():
     with pytest.raises(ValueError):
-        minmax_quantize(np.array([]), 2)
+        _rtn(np.array([]), 2)
 
 
 def test_requantize_idempotent():
     rng = np.random.default_rng(8)
     for _ in range(20):
         w = rng.standard_normal(16)
-        params, q = minmax_quantize(w, 3)
+        params, q = _rtn(w, 3)
         deq = _deq(q, params)
         # same params: rounding (deq - b) / a recovers the codes exactly
         again = np.clip(round_half_away((deq - params.bias) / params.scale),
                         0, params.levels - 1).astype(np.uint8)
         np.testing.assert_array_equal(again, q)
         # fresh min-max fit of the dequantized vector reproduces it bit for bit
-        params2, q2 = minmax_quantize(deq, 3)
+        params2, q2 = _rtn(deq, 3)
         np.testing.assert_array_equal(_deq(q2, params2), deq)
 
 
@@ -223,11 +232,11 @@ def test_channel_objective_groups_and_stored_params():
 def test_channel_problem_target_cache():
     h = hess(np.eye(3))
     w = np.array([0.1, 0.5, 0.9])
-    params, _ = minmax_quantize(w, 2)
+    params, _ = _rtn(w, 2)
     prob = ChannelProblem.build(w, h, params)
     np.testing.assert_allclose(prob.target, (w - params.bias) / params.scale, atol=1e-12)
 
-    pc, _ = minmax_quantize(np.array([1.0, 1.0, 1.0]), 2)
+    pc, _ = _rtn(np.array([1.0, 1.0, 1.0]), 2)
     degenerate = ChannelProblem.build(np.array([1.0, 1.0, 1.0]), h, pc)
     assert degenerate.target is None
 
