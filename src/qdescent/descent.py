@@ -43,10 +43,9 @@ Engines:
 
 Greedy and cyclic descent are one loop (``_single_moves``) that differs only
 in which coordinate a step takes; greedy stops at its first no-op, a fixed
-point. Every engine runs at most ``DescentConfig.total_steps(d_in)`` steps.
-Greedy and cyclic track the loss incrementally (``loss += delta``) in each
-step's ``loss_after``; block steps recompute it from scratch. Every engine
-computes ``final_loss`` from scratch on the final codes, and
+point. Every engine runs at most ``DescentConfig.total_steps(d_in)`` steps,
+tracks the loss incrementally (``loss += delta``) in each step's
+``loss_after`` and computes ``final_loss`` from scratch on the final codes;
 ``oracle.verify_trace`` is the from-scratch audit of every step.
 
 Determinism: argmin ties break to the lexicographically smallest
@@ -127,10 +126,9 @@ class TraceStep:
 class DescentTrace:
     """Step-by-step record of one engine run on one channel.
 
-    ``loss_after`` entries of the greedy and cyclic engines are accumulated
-    (the previous loss plus ``predicted_delta``); the block engine recomputes
-    them from scratch. ``final_loss`` is always recomputed from scratch on
-    the final codes. ``oracle.verify_trace`` replays a trace against
+    ``loss_after`` entries are accumulated (the previous loss plus
+    ``predicted_delta``); ``final_loss`` is recomputed from scratch on the
+    final codes. ``oracle.verify_trace`` replays a trace against
     from-scratch losses, so it checks both the predicted deltas and the
     accumulated losses. ``final_gradient`` is the incrementally maintained g
     at termination.
@@ -429,11 +427,6 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     Codes, traces and ``final_gradient`` are identical to scanning every
     step. For k >= 3 every step is scanned (a triple can improve even when
     no pair can).
-
-    Unlike the greedy and cyclic engines, an accepted block step recomputes
-    ``loss_after`` from scratch: accepted block steps are few, and
-    ``tests/test_bcd_screen.py`` compares the whole trace bit for bit with a
-    verbatim copy of the engine before the pair screen.
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -519,10 +512,9 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         best = float(dvec @ hwin @ dvec + dvec @ gradient[best_coords])
 
         if best < 0.0:
-            change = best_values - codes[best_coords]
-            gradient += 2.0 * (hmat[:, best_coords] @ change)
+            gradient += 2.0 * (hmat[:, best_coords] @ dvec)
             codes[best_coords] = best_values
-            loss = _loss(hmat, codes, z)
+            loss += best
             trace.steps.append(TraceStep(step, tuple(int(c) for c in best_coords),
                                          tuple(int(v) for v in best_values), best, loss, True))
             flagged, fresh = None, False
@@ -530,7 +522,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if use_screen and not fresh:
                 flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid), True
-    trace.final_loss = loss
+    trace.final_loss = _loss(hmat, codes, z)
     trace.final_gradient = gradient.copy()
     return codes.astype(np.uint8), trace
 

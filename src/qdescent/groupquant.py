@@ -40,10 +40,11 @@ In the descent, d and the quadratic term d' H_ii d depend only on group i's
 own state, so they are kept across steps and a swap renews the swapped
 group's row alone; only the linear term v_i' d is recomputed in full. The
 quadratic term is scored in BLAS, and ``_quad_screen``'s rounding bound keeps
-every candidate that could be the pick of the exact einsum. Only those are
-re-scored with the einsum, each on its own (1, 1, g) slice (for g = 2, on the
-whole table), which yields the full table's bits; so every swap and its
-recorded change are those of the einsum over the whole table at every step.
+every candidate that could be the pick of the exact einsum. At every step
+those are re-scored with the einsum, each on its own (1, 1, g) slice (for
+g = 2, on its group's (1, v, 2) row), which yields the full table's bits; so
+every swap and its recorded change are those of the einsum over the whole
+table at every step.
 """
 
 from __future__ import annotations
@@ -226,12 +227,10 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
     result = OwcCdResult(picks=picks, initial_loss=loss)
 
     # The quadratic term d' H_ii d depends only on group i's own state, so its
-    # batched score and bound are kept across steps, and so is the einsum value
-    # of every candidate the screen keeps; a swap renews the swapped group's.
+    # batched score and bound are kept across steps; a swap renews the swapped
+    # group's.
     diff = table.resid - cur_resid[:, None, :]
     fast, base = _quad_screen(diff, hblocks)
-    exact = np.empty((n_groups, n_grid))
-    known = np.zeros((n_groups, n_grid), dtype=bool)
     for _ in range(steps):
         lin = np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g))
         with np.errstate(all="ignore"):
@@ -243,16 +242,15 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
             if lo.min() >= 0.0:
                 break
             keep = np.flatnonzero(~(lo > np.fmin.reduce(approx + bound, axis=None)))
-        for k in keep:
-            if known.flat[k]:
-                continue
+        exact = np.empty(keep.size)
+        for t, k in enumerate(keep):
             i, j = divmod(int(k), n_grid)
-            # numpy sums a lone 2 x 2 block in two pairs but most tables' blocks in
-            # one run, so for g = 2 the whole table is scored (see test_owc_cd_screen).
-            at = (slice(i, i + 1), slice(j, j + 1)) if g != 2 else (slice(None), slice(None))
-            exact[at] = np.einsum("nvg,ngh,nvh->nv", diff[at], hblocks[at[0]], diff[at])
-            known[at] = True
-        change = exact.flat[keep] - lin.flat[keep]
+            # numpy sums a lone 2 x 2 block in two pairs but a row of them in one
+            # run, so for g = 2 the group's whole row is scored (see test_owc_cd_screen).
+            first, count = (j, 1) if g != 2 else (0, n_grid)
+            one = diff[i:i + 1, first:first + count]
+            exact[t] = np.einsum("nvg,ngh,nvh->nv", one, hblocks[i:i + 1], one)[0, j - first]
+        change = exact - lin.flat[keep]
         pick = int(np.argmin(change))
         i_star, v_star = divmod(int(keep[pick]), n_grid)
         best = float(change[pick])
@@ -266,7 +264,6 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
         picks[i_star] = v_star
         diff[row] = table.resid[row] - cur_resid[row, None, :]
         fast[row], base[row] = _quad_screen(diff[row], hblocks[row])
-        known[row] = False
         loss += best
         result.swaps.append((i_star, float(table.gammas[i_star, v_star]), best, loss))
 
@@ -292,7 +289,7 @@ def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bi
         picks = refined.picks
         steps += len(refined.swaps)
     params, codes = table.pick(picks)
-    if method not in ("rtn", "owc"):
+    if method not in ("rtn", "owc") and table.live.any():
         codes, engine_steps = descend(tilde_transform(w, hessian, params), codes, method, cfg)
         steps += engine_steps
     return params, codes, steps

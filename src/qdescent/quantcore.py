@@ -252,11 +252,13 @@ def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
        tied with k*, so re-scoring the survivors with the loop's own
        expression and taking the last minimum returns k*, and a single
        survivor is k*.
-    4. Range. The screen runs only when 2^-450 <= N and
+    4. Range. The bound holds only when 2^-450 <= N and
        N (1 + max_k E_k) <= 2^1000 (false for NaN); then no partial sum of
        either score exceeds 1.01 N (1 + E_k), so nothing overflows. A bound
-       that overflows to inf only lets more candidates survive. Groups out
-       of range run the whole loop.
+       that overflows to inf only lets more candidates survive. A group out
+       of range gets b = inf, so s - b is -inf or NaN, neither of which
+       exceeds the threshold (the fmin of the s + b, which ignores NaN):
+       every candidate survives and the loop scores all of them.
     """
     best = np.zeros(table.live.shape[0], dtype=np.intp)
     rows = np.flatnonzero(table.live)
@@ -265,22 +267,20 @@ def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
     resid = table.resid
     if rows.size < best.size:
         resid, blocks = resid[rows], blocks[rows]
-    scores, bounds, in_range = _clip_screen(resid, blocks)
+    scores, bounds = _clip_screen(resid, blocks)
     with np.errstate(invalid="ignore"):
-        survive = scores - bounds <= (scores + bounds).min(axis=1, keepdims=True)
+        survive = ~(scores - bounds > np.fmin.reduce(scores + bounds, axis=1, keepdims=True))
     picks = np.argmax(survive, axis=1)
-    for j in np.flatnonzero(~in_range | (survive.sum(axis=1) != 1)):
-        ks = np.flatnonzero(survive[j]) if in_range[j] else np.arange(resid.shape[1])
-        picks[j] = _loop_argmin(resid[j], blocks[j], ks)
+    for j in np.flatnonzero(survive.sum(axis=1) != 1):
+        picks[j] = _loop_argmin(resid[j], blocks[j], np.flatnonzero(survive[j]))
     best[rows] = picks
     return best
 
 
-def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                                  np.ndarray]:
+def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched scores s (n, v) of the (n, v, g) residuals against the (n, g, g)
-    blocks, their bounds b (n, v), and the (n,) mask of groups in the screen's
-    range; the formulas and their proof are in ``_best_clips``."""
+    blocks and their bounds b (n, v), inf for a group out of the screen's range;
+    the formulas and their proof are in ``_best_clips``."""
     g = resid.shape[2]
     gamma_g = g * 2.0 ** -53 / (1.0 - g * 2.0 ** -53)
     with np.errstate(all="ignore"):
@@ -292,7 +292,7 @@ def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.
                   + _CLIP_SCREEN_TINY * g * (1.0 + hnorm) * (2.0 + g * sq))
         in_range = ((hnorm >= 2.0 ** -450)
                     & (hnorm * (1.0 + sq.max(axis=1, keepdims=True)) <= 2.0 ** 1000))
-    return scores, bounds, in_range[:, 0]
+    return scores, np.where(in_range, bounds, np.inf)
 
 
 def default_gamma_grid(grid_size: int = 50) -> np.ndarray:

@@ -106,14 +106,14 @@ def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             change = best_values - state.codes[best_coords]
             state.gradient += 2.0 * (hmat[:, best_coords] @ change)
             state.codes[best_coords] = best_values
-            loss = state.loss(hmat, z)
+            loss += best
             trace.steps.append(TraceStep(step, tuple(int(c) for c in best_coords),
                                          tuple(int(v) for v in best_values), best, loss, True))
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if k == 1:
                 break
-    trace.final_loss = loss
+    trace.final_loss = state.loss(hmat, z)
     trace.final_gradient = state.gradient.copy()
     return state.codes.astype(np.uint8), trace
 

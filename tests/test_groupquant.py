@@ -317,3 +317,25 @@ def test_rtn_does_not_read_the_hessian(group_size, owc_cd_refine):
     for layer in layers[1:]:
         for name in ("codes", "scales", "biases", "gammas"):
             assert getattr(layer, name).tobytes() == getattr(layers[0], name).tobytes(), name
+
+
+@pytest.mark.parametrize("method", ["cd", "cyclic", "bcd"])
+def test_channel_without_live_group_runs_no_engine(method):
+    # Column 0 is constant; column 1 is constant within each group of 8, at a
+    # different value per group. Neither has a live group, so neither runs an
+    # engine: 0 steps, as a constant column reports per channel, and the layer
+    # of the grid search alone.
+    rng = np.random.default_rng(18)
+    w = rng.standard_normal((32, 3))
+    w[:, 0] = 0.75
+    w[:, 1] = np.repeat([-1.0, 0.5, 2.0, 3.25], 8)
+    h = build_hessian(rng.standard_normal((128, 32)), 0.01)
+    layer, records = quantize_matrix(w, h, method, bits=3, group_size=8,
+                                     cfg=DescentConfig(block_size=2), collect_timing=False)
+    owc_layer, owc_records = quantize_matrix(w, h, "owc", bits=3, group_size=8,
+                                             collect_timing=False)
+    assert [r.steps for r in records[:2]] == [0, 0]
+    assert records[2].steps > 0
+    for name in ("codes", "scales", "biases", "gammas"):
+        assert getattr(layer, name)[:2].tobytes() == getattr(owc_layer, name)[:2].tobytes(), name
+    assert [r.objective for r in records[:2]] == [r.objective for r in owc_records[:2]]

@@ -186,12 +186,16 @@ def test_near_ties_match_reference(how, quad_calls):
 def test_owc_cd_group_size_two_matches_reference(bits, grid_size):
     # Weights near 3e8 lie far from their float32 bias, so both coordinates of a
     # group's difference change with the clip strength. numpy sums a lone 2 x 2
-    # block in another order than a table of them, so g = 2 needs the table.
+    # block in another order than a row of them, so g = 2 needs the row.
     # On the one-point grid neither descent has anywhere to move.
     for seed in range(6):
         _, h = _instance(100 + seed, 32, coupling=1.0)
         w = 3.0e8 + np.random.default_rng(seed).uniform(0.0, 60.0, 32)
         _check_owc_cd(w, h, *_start("minmax", w, h, bits, 2, grid_size, seed))
+    if grid_size == 50:   # 128 groups, many of which swap
+        _, h = _instance(200 + bits, 256, coupling=1.0)
+        w = 3.0e8 + np.random.default_rng(bits).uniform(0.0, 60.0, 256)
+        assert len(_check_owc_cd(w, h, *_start("minmax", w, h, bits, 2, 50, 0)).swaps) >= 16
 
 
 def _outcome(fn, *args):

@@ -176,8 +176,8 @@ def test_screen_bound_holds(kind):
         hmat = HESSIANS[kind](d, seed)
         w = np.random.default_rng(seed).standard_normal(d)
         table = _affine_table(w[None, :], 3, default_gamma_grid(50))
-        scores, bounds, in_range = _clip_screen(table.resid, hmat[None])
-        assert in_range.all()
+        scores, bounds = _clip_screen(table.resid, hmat[None])
+        assert np.isfinite(bounds).all()
         assert (bounds > 0).all() and (bounds <= 1e-9 * np.abs(scores).max()).all()
         for k, err in enumerate(table.resid[0]):
             loop = err @ (hmat @ err)
@@ -192,8 +192,8 @@ def test_screen_bound_holds_per_group(h1024):
     w = np.random.default_rng(8).standard_normal(1024)
     table = _affine_table(w.reshape(32, 32), 4, default_gamma_grid(50))
     blocks = _diag_blocks(h1024, 32, 32)
-    scores, bounds, in_range = _clip_screen(table.resid, blocks)
-    assert in_range.all()
+    scores, bounds = _clip_screen(table.resid, blocks)
+    assert np.isfinite(bounds).all()
     for i in range(32):
         view = h1024[32 * i:32 * (i + 1), 32 * i:32 * (i + 1)]
         loop = np.array([err @ (view @ err) for err in table.resid[i]])
@@ -291,8 +291,8 @@ def test_out_of_range_hessian_runs_the_loop(factor, loop_calls):
     hmat = (np.diag(np.diag(hmat)) if factor > 1.0 else hmat) * factor
     w = np.random.default_rng(4).standard_normal(32)
     table = _affine_table(w[None, :], 3, default_gamma_grid(50))
-    _, _, in_range = _clip_screen(table.resid, hmat[None])
-    assert not in_range.any()
+    _, bounds = _clip_screen(table.resid, hmat[None])
+    assert np.isinf(bounds).all()
     p, q = owc_quantize(w, hmat, 3, 50)
     ref_p, ref_q = reference_owc_search(w, hmat, 3, 50)
     assert_same_params(p, ref_p)

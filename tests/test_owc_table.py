@@ -363,7 +363,7 @@ def test_owc_cd_matches_reference_default_grid_and_steps():
 
 
 @pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
-                                   (7, 13, 24), (4, 256, 64)])
+                                   (7, 13, 24), (4, 256, 64), (16, 50, 2), (512, 50, 2)])
 def test_einsum_row_slice_equals_full_row(n, v, g):
     """One row of the quadratic term, einsum'd on a length-1 slice.
 
@@ -390,7 +390,8 @@ def test_einsum_candidate_slice_equals_full_entry(n, v, g):
     einsum. The shapes are the row test's, with g = 3 for its g = 2 and one
     block larger than numpy's 8192-element buffer. For g = 2 numpy sums a lone
     2 x 2 block as two pairs but the blocks of most tables in one run of four,
-    so there ``owc_cd`` scores the whole table
+    so there ``owc_cd`` scores the candidate's whole row, which the row test
+    pins to the full einsum
     (``test_owc_cd_screen.py::test_owc_cd_group_size_two_matches_reference``).
     """
     rng = np.random.default_rng(n * v * g)
