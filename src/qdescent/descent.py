@@ -33,10 +33,14 @@ Engines:
   best joint update could come within a safety margin of 1e-9 times the sum
   of the absolute terms of the delta expansion above, a margin that
   dominates the rounding of the screen's and the engine's arithmetic by six
-  orders of magnitude. A step whose partition holds no listed pair is
-  recorded as a no-op without scanning, and once no pair is listed every
-  remaining step is a no-op, so the run stops drawing partitions. Codes and
-  traces are exactly those of scanning every step.
+  orders of magnitude. Partitions are drawn ``DRAW_ROWS`` at a time, the
+  same rows as one draw per step, and the listed pairs are checked against
+  all drawn partitions at once: the steps before the first partition that
+  holds a listed pair are recorded as no-ops without scanning. Once no pair
+  is listed every remaining step is a no-op, so the run stops drawing. The
+  screen compares against a coupling table of about d_in^2 / 2 floats that
+  depends on H alone and is built once per run. Codes and traces are
+  exactly those of scanning every step.
 * cyclic: coordinates visited in fixed order 0..d_in-1, one best value per
   visit, chosen by the same closed-form window; the classic one-sweep
   baseline.
@@ -310,14 +314,36 @@ def _value_combinations(levels: int, k: int) -> np.ndarray:
 
 #: Relative safety margin of the pair screen; see ``_pair_screen``.
 SCREEN_MARGIN = 1e-9
-#: Rows of H per chunk of the pair filter, so its temporaries stay O(chunk * d_in).
+#: Rows per chunk of the coupling table, so the filter's compare temporaries
+#: stay O(chunk * d_in).
 SCREEN_CHUNK_ROWS = 32
 #: Candidate pairs per chunk of the exact check, times levels^2 values each.
 SCREEN_CHECK_VALUES = 1 << 14
+#: Partitions the block engine draws per call of the Philox stream.
+DRAW_ROWS = 64
+#: Partitions times listed pairs per chunk of the block engine's partner check.
+PARTNER_CHECK_ENTRIES = 1 << 14
+
+
+def _pair_coupling(hmat: np.ndarray) -> list[np.ndarray]:
+    """The left side of ``_pair_screen``'s filter, which depends on H alone.
+
+    Chunk c covers rows lo = c * SCREEN_CHUNK_ROWS up to hi (at most d_in - 1)
+    and holds ``(1 + 4 margin) / 2 * (|H_ij| + |H_ji|)`` at (i - lo, j - lo - 1)
+    for j > lo. Together the chunks hold about d_in^2 / 2 floats (1 MiB at
+    d_in = 512), built once per block-engine run instead of once per screen.
+    """
+    d = hmat.shape[0]
+    half_factor = 0.5 * (1.0 + 4.0 * SCREEN_MARGIN)
+    tables = []
+    for lo in range(0, d - 1, SCREEN_CHUNK_ROWS):
+        hi = min(lo + SCREEN_CHUNK_ROWS, d - 1)
+        tables.append(half_factor * (np.abs(hmat[lo:hi, lo + 1:]) + np.abs(hmat[lo + 1:, lo:hi].T)))
+    return tables
 
 
 def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
-                 r_grid: np.ndarray) -> Optional[np.ndarray]:
+                 r_grid: np.ndarray, coupling: list[np.ndarray]) -> Optional[np.ndarray]:
     """Pairs (i, j), i < j, whose 2-block scan might accept a step; None if unscreenable.
 
     A 2-block update (D_i, D_j) changes the loss by exactly
@@ -346,9 +372,10 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
        ``rho_i = min over D != 0 of sigma_i(D) / D^2`` and ``mu_i = sqrt(rho_i)``.
     2. Filter. By AM-GM, ``rho_i D_i^2 + rho_j D_j^2 >= 2 mu_i mu_j |D_i D_j|``,
        so a pair cannot come within the margin unless
-       ``(1 + margin) (|H_ij| + |H_ji|) / 2 > mu_i mu_j``. The test runs over
-       row chunks of H with a slightly larger factor to absorb rounding; mu
-       below 1e-150 is taken as 0 so that mu_i mu_j never underflows.
+       ``(1 + margin) (|H_ij| + |H_ji|) / 2 > mu_i mu_j``. The left side,
+       with a slightly larger factor to absorb rounding, is ``coupling``
+       (``_pair_coupling(hmat)``), compared chunk by chunk; mu below 1e-150
+       is taken as 0 so that mu_i mu_j never underflows.
     3. Exact check of the pairs that pass the filter: all levels^2 value
        pairs of ``sigma_i + sigma_j + D_i D_j c - margin |D_i D_j| a`` with
        ``c = H_ij + H_ji`` and ``a = |H_ij| + |H_ji|``; a pair is returned
@@ -368,12 +395,9 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
     mu = np.sqrt(ratio.min(axis=1))
     mu[mu < 1e-150] = 0.0
 
-    half_factor = 0.5 * (1.0 + 4.0 * SCREEN_MARGIN)
     rows_i, cols_j = [], []
-    for lo in range(0, d - 1, SCREEN_CHUNK_ROWS):
-        hi = min(lo + SCREEN_CHUNK_ROWS, d - 1)
-        coupling = np.abs(hmat[lo:hi, lo + 1:]) + np.abs(hmat[lo + 1:, lo:hi].T)
-        hit = half_factor * coupling > mu[lo:hi, None] * mu[None, lo + 1:]
+    for lo, table in zip(range(0, d - 1, SCREEN_CHUNK_ROWS), coupling):
+        hit = table > mu[lo:lo + table.shape[0], None] * mu[None, lo + 1:]
         ii, jj = np.nonzero(hit)
         jj += 1
         upper = jj > ii
@@ -393,6 +417,18 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
                  - SCREEN_MARGIN * (np.abs(prod) * weight))
         keep[lo:lo + per_chunk] = (value < 0.0).any(axis=(1, 2))
     return np.stack([cand_i[keep], cand_j[keep]], axis=1)
+
+
+def _first_paired_row(block_of: np.ndarray, flagged: np.ndarray, start: int) -> int:
+    """The first row s >= start whose partition puts a flagged pair (i, j) in one block,
+    that is ``block_of[s, i] == block_of[s, j]``; the row count if there is none."""
+    rows = max(1, PARTNER_CHECK_ENTRIES // flagged.shape[0])
+    for lo in range(start, block_of.shape[0], rows):
+        chunk = block_of[lo:lo + rows]
+        paired = (chunk[:, flagged[:, 0]] == chunk[:, flagged[:, 1]]).any(axis=1)
+        if paired.any():
+            return lo + int(paired.argmax())
+    return block_of.shape[0]
 
 
 def _check_block(k: int, bits: int, d_in: Optional[int], divide_error: type) -> None:
@@ -416,17 +452,23 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     always the same, so the run is greedy descent (``cd_quantize``) step for
     step and stops at its first no-op.
 
+    Partitions are drawn ``DRAW_ROWS`` at a time (fewer for the last draw)
+    by one ``Generator.permuted`` call over rows of 0..d_in-1: the rows of as
+    many successive ``permutation(d_in)`` calls, leaving the Philox stream in
+    the same state.
+
     For k = 2 an exact pair screen (``_pair_screen``) lists the pairs whose
-    block might still improve the current state. A step whose partition
-    holds none of them is recorded as the same no-op the scan would have
-    produced, without scanning; the partition is still drawn, so the Philox
-    stream and every later step are unchanged. The screen is built at the
+    block might still improve the current state. While the list is current,
+    ``_first_paired_row`` finds the first drawn partition that blocks a
+    listed pair together; the steps before it are recorded as the no-ops the
+    scan would have produced, without scanning. The screen is built at the
     start and again at the first no-op step after an accepted one, since
-    only accepted steps change the state. When it lists no pair at all,
-    every remaining step is a no-op: they are recorded and drawing stops.
-    Codes, traces and ``final_gradient`` are identical to scanning every
-    step. For k >= 3 every step is scanned (a triple can improve even when
-    no pair can).
+    only accepted steps change the state, each time against the coupling
+    table built once per call (``_pair_coupling``). When it lists no pair at
+    all, every remaining step is a no-op: they are recorded and drawing
+    stops. Codes, traces and ``final_gradient`` are identical to scanning
+    every step with one draw per step. For k >= 3 every step is scanned (a
+    triple can improve even when no pair can).
     """
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -457,22 +499,36 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     n_blocks = d // k
     total = cfg.total_steps(d)
     use_screen = k == 2
-    flagged = _pair_screen(hmat, codes, gradient, r_grid) if use_screen else None
+    coupling = _pair_coupling(hmat) if use_screen else None
+    flagged = _pair_screen(hmat, codes, gradient, r_grid, coupling) if use_screen else None
     fresh = use_screen  # whether ``flagged`` was computed for the current state
-    partner = np.empty(d, dtype=np.intp)
-    for step in range(total):
+    perms = np.empty((0, d), dtype=np.intp)  # the drawn partitions; row ``row`` is next
+    row = 0
+    block_of = None  # block_of[s, i]: the block that partition ``perms[s]`` puts i in
+    step = 0
+    while step < total:
         if flagged is not None and not flagged.shape[0]:
             # No pair can improve and no-op steps leave the state as it is.
             trace.steps.extend(TraceStep(s, (), (), 0.0, loss, False) for s in range(step, total))
             break
-        perm = rng.permutation(d)
+        if row == perms.shape[0]:
+            # The rows of n successive ``rng.permutation(d)`` calls, in one call.
+            n = min(DRAW_ROWS, total - step)
+            perms = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            row, block_of = 0, None
         if flagged is not None:
-            # Block b of this partition is {perm[2b], perm[2b + 1]}.
-            partner[perm[0::2]] = perm[1::2]
-            partner[perm[1::2]] = perm[0::2]
-            if not (partner[flagged[:, 0]] == flagged[:, 1]).any():
-                trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
+            if block_of is None:
+                block_of = np.empty_like(perms)
+                np.put_along_axis(block_of, perms, np.arange(d) // k, axis=1)
+            paired = _first_paired_row(block_of, flagged, row)
+            trace.steps.extend(TraceStep(s, (), (), 0.0, loss, False)
+                               for s in range(step, step + paired - row))
+            step += paired - row
+            row = paired
+            if row == perms.shape[0]:
                 continue
+        perm = perms[row]
+        row += 1
         blocks = np.sort(perm.reshape(n_blocks, k), axis=1)
         blocks = blocks[np.argsort(blocks[:, 0])]
         # Blocks are scanned in canonical order and chunked to bound the
@@ -521,7 +577,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         else:
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if use_screen and not fresh:
-                flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid), True
+                flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid, coupling), True
+        step += 1
     trace.final_loss = _loss(hmat, codes, z)
     trace.final_gradient = gradient.copy()
     return codes.astype(np.uint8), trace
@@ -540,7 +597,8 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
             cfg: DescentConfig) -> tuple[np.ndarray, int]:
     """The code engines of ``method`` on ``prob``, shared by the per-channel and
     grouped pipelines: cd, cyclic, or cd then bcd warm-started from the greedy
-    result. Returns (codes, steps_taken).
+    result. Returns (codes, steps_taken). bcd with blocks of one coordinate is
+    greedy cd, already at its fixed point after the cd stage, so it is not run.
 
     The engines are looked up as module globals at each call, so a wrapper
     rebound over them (a tracer, a profiler) sees every call.
@@ -552,7 +610,7 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
         raise ValueError(f"unknown method {method!r}")
     codes, trace = cd_quantize(prob, codes, cfg)
     steps = len(trace.steps)
-    if method == "bcd":
+    if method == "bcd" and cfg.block_size >= 2:
         codes, trace = bcd_quantize(prob, codes, cfg)
         steps += len(trace.steps)
     return codes, steps

@@ -1,19 +1,23 @@
 """Shared instance factories and reference copies for the test suite.
 
 ``_fit_affine``, ``objective`` (with ``dequantize``), ``GradientState``,
-``minmax_quantize`` and ``minmax_group_init`` are verbatim copies of code the
-package no longer has: the scalar affine fit that ``quantcore._affine_table``
-must match bit for bit, the one-params objective that independent checks score
-with, the engines' old state class, which the tests' reference engine copies
-still use, and the min-max fits that the grid searches on the one-point grid
-{1} (the ``rtn`` method) must reproduce.
+``minmax_quantize``, ``minmax_group_init`` and ``reference_pair_screen`` are
+verbatim copies of code the package no longer has: the scalar affine fit that
+``quantcore._affine_table`` must match bit for bit, the one-params objective
+that independent checks score with, the engines' old state class, which the
+tests' reference engine copies still use, the min-max fits that the grid
+searches on the one-point grid {1} (the ``rtn`` method) must reproduce, and the
+bcd pair screen as it was before its coupling table was built once per run
+(renamed from ``descent._pair_screen``), whose pairs the new screen must match.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from qdescent.calibration import ShapeMismatchError, build_hessian
+from qdescent.descent import SCREEN_CHECK_VALUES, SCREEN_CHUNK_ROWS, SCREEN_MARGIN
 from qdescent.groupquant import tilde_transform
 from qdescent.quantcore import (ChannelProblem, CodeVector, QuantParams, _affine_table,
                                 _check_grouping, owc_quantize, round_half_away)
@@ -73,6 +77,85 @@ def minmax_group_init(w: np.ndarray, bits: int,
     n_groups = _check_grouping(w.shape[0], group_size)
     table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
     return tuple(table.params(i, 0) for i in range(n_groups)), table.codes[:, 0].ravel()
+
+
+def reference_pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
+                          r_grid: np.ndarray) -> Optional[np.ndarray]:
+    """Pairs (i, j), i < j, whose 2-block scan might accept a step; None if unscreenable.
+
+    A 2-block update (D_i, D_j) changes the loss by exactly
+
+        E = S_i(D_i) + S_j(D_j) + D_i D_j (H_ij + H_ji),   S_i(D) = D^2 H_ii + D g_i,
+
+    and the engine accepts it only if its own rounded evaluation of E is
+    negative. A pair is left out of the result only when, for every value
+    pair, ``E >= SCREEN_MARGIN * T`` where T is the sum of the absolute
+    values of the terms of E. That is a proof that the pair's scan is a
+    no-op: the engine's factored re-check ``dvec @ hwin @ dvec + dvec @ g``
+    is a handful of dot products over the same terms (the D are small exact
+    integers), so its rounding error is at most gamma_4 * T ~ 4.5e-16 * T,
+    and the screen's own arithmetic below (tables, products, square roots)
+    errs by a few more units of 2^-53 relative to T or to the compared
+    values. The margin of 1e-9 * T dominates both by six orders of
+    magnitude. Terms that are exactly zero (T = 0, as on the zero rows of
+    H~ for a constant group) are evaluated exactly by both sides.
+
+    Stages:
+
+    1. Single moves (D_j = 0). The slack is ``sigma_i(D) = S_i(D) -
+       SCREEN_MARGIN * (D^2 |H_ii| + |D g_i|)``. If any slack is negative,
+       a pair containing i could improve through its single move, so the
+       state has no screen and None is returned. Otherwise
+       ``rho_i = min over D != 0 of sigma_i(D) / D^2`` and ``mu_i = sqrt(rho_i)``.
+    2. Filter. By AM-GM, ``rho_i D_i^2 + rho_j D_j^2 >= 2 mu_i mu_j |D_i D_j|``,
+       so a pair cannot come within the margin unless
+       ``(1 + margin) (|H_ij| + |H_ji|) / 2 > mu_i mu_j``. The test runs over
+       row chunks of H with a slightly larger factor to absorb rounding; mu
+       below 1e-150 is taken as 0 so that mu_i mu_j never underflows.
+    3. Exact check of the pairs that pass the filter: all levels^2 value
+       pairs of ``sigma_i + sigma_j + D_i D_j c - margin |D_i D_j| a`` with
+       ``c = H_ij + H_ji`` and ``a = |H_ij| + |H_ji|``; a pair is returned
+       if any of them is negative.
+    """
+    d = hmat.shape[0]
+    hdiag = np.diag(hmat)
+    diff = r_grid[None, :] - codes[:, None]
+    sq = diff * diff
+    step = diff * gradient[:, None]
+    slack = (sq * hdiag[:, None] + step) - SCREEN_MARGIN * (sq * np.abs(hdiag)[:, None]
+                                                            + np.abs(step))
+    if (slack < 0.0).any():
+        return None
+    ratio = slack / np.maximum(sq, 1.0)
+    ratio[diff == 0.0] = np.inf
+    mu = np.sqrt(ratio.min(axis=1))
+    mu[mu < 1e-150] = 0.0
+
+    half_factor = 0.5 * (1.0 + 4.0 * SCREEN_MARGIN)
+    rows_i, cols_j = [], []
+    for lo in range(0, d - 1, SCREEN_CHUNK_ROWS):
+        hi = min(lo + SCREEN_CHUNK_ROWS, d - 1)
+        coupling = np.abs(hmat[lo:hi, lo + 1:]) + np.abs(hmat[lo + 1:, lo:hi].T)
+        hit = half_factor * coupling > mu[lo:hi, None] * mu[None, lo + 1:]
+        ii, jj = np.nonzero(hit)
+        jj += 1
+        upper = jj > ii
+        rows_i.append(ii[upper] + lo)
+        cols_j.append(jj[upper] + lo)
+    cand_i, cand_j = np.concatenate(rows_i), np.concatenate(cols_j)
+
+    keep = np.zeros(cand_i.shape[0], dtype=bool)
+    per_chunk = max(1, SCREEN_CHECK_VALUES // (r_grid.shape[0] ** 2))
+    for lo in range(0, cand_i.shape[0], per_chunk):
+        i, j = cand_i[lo:lo + per_chunk], cand_j[lo:lo + per_chunk]
+        h_ij, h_ji = hmat[i, j], hmat[j, i]
+        cross = (h_ij + h_ji)[:, None, None]
+        weight = (np.abs(h_ij) + np.abs(h_ji))[:, None, None]
+        prod = diff[i][:, :, None] * diff[j][:, None, :]
+        value = (slack[i][:, :, None] + slack[j][:, None, :] + prod * cross
+                 - SCREEN_MARGIN * (np.abs(prod) * weight))
+        keep[lo:lo + per_chunk] = (value < 0.0).any(axis=(1, 2))
+    return np.stack([cand_i[keep], cand_j[keep]], axis=1)
 
 
 @dataclass

@@ -1,21 +1,26 @@
 """Differential tests of the bcd pair screen against the engine it replaced.
 
 ``reference_bcd_quantize`` is a verbatim copy of ``bcd_quantize`` before the
-exact pair screen (k = 2) was added: it scans every block of every step.
-The screen claims to skip only scans that are provably no-ops, so codes,
-every trace step, the final loss and the final gradient must be identical.
+exact pair screen (k = 2) was added: it scans every block of every step and
+draws one partition per step. The screen claims to skip only scans that are
+provably no-ops, and the partitions drawn ``DRAW_ROWS`` at a time are the
+same rows, so codes, every trace step, the final loss and the final gradient
+must be identical. ``conftest.reference_pair_screen``, the screen before its
+coupling table was built once per run, must list the same pairs.
 """
 
 import numpy as np
 import pytest
 
+from qdescent import descent
 from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
-                              TraceStep, _check_engine_inputs, _pair_screen,
+                              TraceStep, _check_engine_inputs, _pair_coupling, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.oracle import brute_force, verify_trace
-from qdescent.quantcore import ChannelProblem, owc_quantize
+from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
 
-from conftest import GradientState, grouped_problem, integer_problem, random_problem
+from conftest import (GradientState, grouped_problem, integer_problem, random_problem,
+                      reference_pair_screen)
 
 
 def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -199,7 +204,8 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
     state = GradientState.init(h, cd_codes, prob.target)
-    flagged = _pair_screen(h, state.codes, state.gradient, np.arange(2 ** bits, dtype=np.float64))
+    flagged = _pair_screen(h, state.codes, state.gradient, np.arange(2 ** bits, dtype=np.float64),
+                           _pair_coupling(h))
     assert flagged is not None and flagged.shape == (0, 2)
     trace = assert_same_run(prob, cd_codes, cfg)
     assert len(trace.steps) == 2 * d and not any(s.accepted for s in trace.steps)
@@ -214,7 +220,8 @@ def test_screen_returns_none_when_a_single_move_improves():
     diff = levels[None, :] - state.codes[:, None]
     single = diff * diff * np.diag(prob.hessian)[:, None] + diff * state.gradient[:, None]
     assert single.min() < 0.0
-    assert _pair_screen(prob.hessian, state.codes, state.gradient, levels) is None
+    assert _pair_screen(prob.hessian, state.codes, state.gradient, levels,
+                        _pair_coupling(prob.hessian)) is None
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -229,7 +236,7 @@ def test_unflagged_pairs_cannot_improve(bits):
         hmat = prob.hessian
         codes, _ = cd_quantize(prob, q0, DescentConfig())
         state = GradientState.init(hmat, codes, prob.target)
-        flagged = _pair_screen(hmat, state.codes, state.gradient, levels)
+        flagged = _pair_screen(hmat, state.codes, state.gradient, levels, _pair_coupling(hmat))
         if flagged is None:
             continue
         flagged = {tuple(p) for p in flagged.tolist()}
@@ -245,3 +252,113 @@ def test_unflagged_pairs_cannot_improve(bits):
                         assert dvec @ hwin @ dvec + dvec @ state.gradient[coords] >= 0.0
                 checked += 1
     assert checked > 0
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return bool(np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("d, rows", [(2, 1), (64, 3), (64, 7), (512, 64), (512, 33)])
+def test_permuted_rows_are_successive_permutations(d, rows):
+    # The block engine draws its partitions ``rows`` at a time with one
+    # ``permuted`` call, the last draw shorter when ``rows`` does not divide
+    # the step count: that must give the rows, and leave the stream state, of
+    # one ``permutation(d)`` call per step.
+    steps = 100
+    one_by_one, by_rows = (np.random.Generator(np.random.Philox(np.random.SeedSequence(d + rows)))
+                           for _ in range(2))
+    expected = np.stack([one_by_one.permutation(d) for _ in range(steps)])
+    drawn = [by_rows.permuted(np.tile(np.arange(d), (min(rows, steps - s), 1)), axis=1)
+             for s in range(0, steps, rows)]
+    np.testing.assert_array_equal(np.concatenate(drawn), expected)
+    assert _same_state(by_rows.bit_generator.state, one_by_one.bit_generator.state)
+
+
+def _draw_rows_cases():
+    """k = 2 runs of 2 epochs of 37 steps, a budget that no tested DRAW_ROWS > 1 divides.
+    The random H are of rank d/2, whose strong coupling keeps pairs listed."""
+    cases = []
+    for seed in range(3):
+        for d, bits in ((16, 2), (34, 3), (70, 2)):
+            prob, owc_codes = random_problem(d, bits, seed=10 * seed + d, n=d // 2)
+            cfg = DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)
+            cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
+            cases += [(prob, owc_codes, cfg), (prob, cd_codes, cfg)]
+    for seed in range(8):
+        prob, q0 = integer_problem(8, 2, seed)
+        cases.append((prob, q0, DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)))
+    for seed in range(2):
+        prob, owc_codes = grouped_problem(64, 16, bits=3, seed=seed, constant_group=1 + seed)
+        cases.append((prob, owc_codes, DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)))
+    return cases
+
+
+@pytest.mark.parametrize("draw_rows", [1, 3, 64])
+def test_row_block_draws_match_reference(monkeypatch, draw_rows):
+    monkeypatch.setattr(descent, "DRAW_ROWS", draw_rows)
+    screens = []
+    screen = descent._pair_screen
+
+    def recorded_screen(*args):
+        screens.append(screen(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(descent, "_pair_screen", recorded_screen)
+    stops = []  # the first step of each run recorded after its screen emptied, with its budget
+    for prob, q0, cfg in _draw_rows_cases():
+        screens.clear()
+        trace = assert_same_run(prob, q0, cfg)
+        accepted = [s.index for s in trace.steps if s.accepted]
+        if accepted and screens[-1] is not None and not screens[-1].shape[0]:
+            # The no-op after the last accepted step rebuilt the screen, and it was empty.
+            stops.append((accepted[-1] + 2, cfg.total_steps(prob.hessian.shape[0])))
+    mid_block = [stop for stop, total in stops if stop < total and stop % draw_rows]
+    assert stops and (draw_rows == 1 or mid_block)
+
+
+def _screen_states():
+    """(H, codes, gradient, levels) at the start and at the cd fixed point of random,
+    near-tie, constant-group (zero rows of H~) and non-symmetric problems."""
+    problems = [random_problem(d, bits, seed=d + bits)
+                for d, bits in ((10, 3), (33, 2), (70, 3), (100, 1))]
+    problems += [integer_problem(8, bits, seed) for bits in (1, 2, 3) for seed in range(4)]
+    problems += [grouped_problem(64, 16, bits=2 + seed % 2, seed=seed, constant_group=seed % 4)
+                 for seed in range(4)]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for d, bits in ((12, 2), (40, 3)):
+            for lower in (False, True):
+                # A rank-d/2 symmetric part plus a strictly triangular one, so
+                # |H_ij| and |H_ji| differ and the filter must read both.
+                a = rng.standard_normal((d // 2, d))
+                tri = np.triu(rng.standard_normal((d, d)), 1)
+                h = a.T @ a / d + 0.5 * np.eye(d) + 0.5 * (tri.T if lower else tri)
+                z = rng.uniform(0.0, 2 ** bits - 1, size=d)
+                params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
+                prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
+                problems.append((prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)))
+    states = []
+    for prob, q0 in problems:
+        cd_codes, _ = cd_quantize(prob, q0, DescentConfig(epochs=20))
+        for codes in (q0, cd_codes):
+            state = GradientState.init(prob.hessian, codes, prob.target)
+            states.append((prob.hessian, state.codes, state.gradient,
+                           np.arange(prob.params.levels, dtype=np.float64)))
+    return states
+
+
+def test_screen_matches_reference_screen():
+    listed = screened = 0
+    for hmat, codes, gradient, levels in _screen_states():
+        pairs = _pair_screen(hmat, codes, gradient, levels, _pair_coupling(hmat))
+        ref = reference_pair_screen(hmat, codes, gradient, levels)
+        if ref is None:
+            assert pairs is None
+            continue
+        assert pairs.dtype == ref.dtype and pairs.shape == ref.shape
+        np.testing.assert_array_equal(pairs, ref)
+        listed += ref.shape[0]
+        screened += 1
+    assert listed > 0 and screened > 10

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import GradientState, minmax_quantize, objective, random_problem
+from qdescent import descent
 from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
                               cd_quantize, check_settings, cyclic_cd_quantize, descend,
@@ -318,3 +319,20 @@ def test_descend_chains_the_engines():
     for method in ("rtn", "owc", "gptq"):
         with pytest.raises(ValueError, match="unknown method"):
             descend(prob, q0, method, cfg)
+
+
+def test_bcd_with_blocks_of_one_is_cd(monkeypatch):
+    # With k = 1, bcd is greedy cd, and the cd stage has already run it to its
+    # fixed point: bcd gives the codes and steps of cd, from one cd run per channel.
+    w, h = _layer_inputs(d_in=16, d_out=4, seed=11)
+    runs = []
+    cd = descent.cd_quantize
+    monkeypatch.setattr(descent, "cd_quantize", lambda *args: runs.append(1) or cd(*args))
+    bcd_layer, bcd_records = quantize_matrix(w, h, "bcd", bits=3, cfg=DescentConfig(),
+                                             collect_timing=False)
+    assert len(runs) == 4
+    cd_layer, cd_records = quantize_matrix(w, h, "cd", bits=3, cfg=DescentConfig(),
+                                           collect_timing=False)
+    np.testing.assert_array_equal(bcd_layer.codes, cd_layer.codes)
+    assert [r.steps for r in bcd_records] == [r.steps for r in cd_records]
+    assert any(r.steps > 1 for r in cd_records)  # some channel accepted a step
