@@ -39,9 +39,10 @@ with one d_in x d_in temporary, scaled in place.
 In the descent, d and the quadratic term d' H_ii d depend only on group i's
 own state, so they are kept across steps and a swap renews the swapped
 group's row alone; only the linear term v_i' d is recomputed in full. The
-quadratic term is scored in BLAS, and ``_quad_screen``'s rounding bound keeps
-every candidate that could be the pick of the exact einsum. At every step
-those are re-scored with the einsum, each on its own (1, 1, g) slice (for
+quadratic term is scored by the grid search's batched product and screen,
+``quantcore._clip_screen``, whose bound ``owc_cd`` widens for the einsum; it
+keeps every candidate that could be the pick of the exact einsum. At every
+step those are re-scored with the einsum, each on its own (1, 1, g) slice (for
 g = 2, on its group's (1, v, 2) row), which yields the full table's bits; so
 every swap and its recorded change are those of the einsum over the whole
 table at every step.
@@ -56,7 +57,7 @@ import numpy as np
 
 from .calibration import ShapeMismatchError
 from .quantcore import (AffineTable, ChannelProblem, QuantParams, _affine_table, _best_clips,
-                        _check_grouping, _rowdot, default_gamma_grid)
+                        _check_grouping, _clip_screen, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
@@ -134,69 +135,15 @@ class OwcCdResult:
     final_v: Optional[np.ndarray] = None
 
 
-#: Multiplier of ``owc_cd``'s rounding bound; ``_quad_screen`` proves it sound above 1.0004.
-QUAD_SCREEN_FACTOR = 1.01
-_U = 2.0 ** -53
-
-
-def _quad_screen(diff: np.ndarray, hblocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched quadratic terms f (n, v) of the (n, v, g) differences d against
-    the (n, g, g) blocks H, and the part of the rounding bound that does not
-    depend on the linear term.
-
-    ``owc_cd`` needs the candidate with the lowest change c = q - l, where
-    q = einsum("nvg,ngh,nvh->nv", d, H, d) (a naive loop, without BLAS) and l
-    the linear term, both as computed. It scores a = f - l instead, with
-    f = rowsum((d H) * d) in BLAS, and bounds |a - c| by
-
-        b = F (g+1)(g+2) u M + 4 F u (|f| + |l|) + tau,     F = 1.01,
-        M = rowsum((|d| |H|) * |d|),   tau = 2^-1000 g^2 (1 + eta)(1 + delta)
-
-    with u = 2^-53, delta = max |d|, eta = max |H|, and tau = 0 when d = 0.
-    The screen holds for a candidate when g^2 (1 + eta)(1 + delta)^2 <= 2^1000
-    and |l| <= 2^1000 (false for NaN); any other candidate gets b = inf.
-    Only candidates with a - b <= min_j (a_j + b_j) survive, and they are
-    re-scored with q itself. Proof, with A = |d|'|H||d| and Q = d'Hd exact:
-
-    1. Scores. q sums g^2 products of three factors: each is within a relative
-       gamma_2 of exact, and the sum within gamma_(g^2) of theirs, in any
-       order, association or use of fused multiply-adds; so
-       |q - Q| <= gamma_(g^2+2) A. f is two dot products of length g, so
-       |f - Q| <= (2 gamma_g + gamma_g^2) A, and M >= (1 - gamma_g)^2 A, all
-       nonnegative terms. With g <= 2^20 (one H block would need 8 TiB
-       beyond that), gamma_m <= 1.0002 m u for m <= g^2 + 2, so
-       (1 + u) |f - q| <= 1.0004 (g^2 + 2g + 2) u M before underflow.
-    2. Underflow. A product that underflows is off by at most 2^-1075, which
-       a later factor scales by at most delta + eta; sums of subnormals are
-       exact. So q, f and M each carry at most 1.01 g^2 2^-1075 (2 + delta +
-       eta) more, which tau exceeds more than 2^60-fold. When d = 0 every
-       product is an exact zero and nothing is lost.
-    3. Subtraction. Within range |q|, |f| <= 1.03 * 2^1000 and |l| <= 2^1000,
-       so c = (q - l)(1 + e1), a = (f - l)(1 + e2), |e1|, |e2| <= u, and
-       |a - c| + u (|a| + b) <= (1 + u) |f - q| + 3.0001 u (|f| + |l|) + u b,
-       which b (computed to a relative 8u) exceeds: |a - c| <= b - u (|a| + b).
-       (For d = 0, f and q are zeros and a = c, up to the sign of zero.)
-    4. Screen. Let k be the pick of argmin(c): the first minimum, or the
-       first NaN. Each rounded a_j + b_j is at least c_j >= c_k, or is inf or
-       NaN, which the threshold's fmin ignores; a rounded a_k - b_k is at most
-       c_k. So k, and every candidate tied with it, survives. A NaN c within
-       range comes from a NaN l, so a is NaN too and survives the comparison;
-       out of range, a - inf survives too. Re-scoring the survivors with q
-       and taking the first minimum in flat order returns k, bit for bit.
-       If every rounded a - b is >= 0, every c is >= 0 and none is NaN, so
-       the step that would find no negative change is skipped.
-    """
-    g = diff.shape[2]
-    with np.errstate(all="ignore"):
-        fast = _rowdot(np.matmul(diff, hblocks), diff)
-        absd, habs = np.abs(diff), np.abs(hblocks)
-        mag = _rowdot(np.matmul(absd, habs), absd)
-        delta = absd.max(axis=2)
-        scale = g * g * (1.0 + habs.max(axis=(1, 2))[:, None])
-        tau = 2.0 ** -1000 * scale * (1.0 + delta) * (delta > 0.0)
-        base = QUAD_SCREEN_FACTOR * _U * ((g + 1) * (g + 2) * mag + 4.0 * np.abs(fast)) + tau
-        base[~(scale * (1.0 + delta) ** 2 <= 2.0 ** 1000)] = np.inf
-    return fast, base
+def _change_bound(scores: np.ndarray, bounds: np.ndarray, lin: np.ndarray,
+                  g: int) -> np.ndarray:
+    """``owc_cd``'s bound on how far a = s - l lies from the einsum's change, for the
+    ``_clip_screen`` ``scores`` s and ``bounds`` of groups of size ``g`` and the
+    linear terms ``lin`` l; ``owc_cd`` proves it."""
+    alin = np.abs(lin)
+    bound = bounds * ((g + 4) / 4) + 2.0 ** -51 * (np.abs(scores) + alin)
+    bound[alin > 2.0 ** 1000] = np.inf
+    return bound
 
 
 def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
@@ -207,8 +154,31 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
     Each step applies the single swap with the most negative exact loss change
     (ties to the smallest (group, grid index)) and stops early at a fixed
     point, which cannot change the outcome because the candidate table is
-    static. Default step budget is one pass, one step per group. Changes are
-    those of the einsum over the whole table, found by ``_quad_screen``.
+    static. Default step budget is one pass, one step per group.
+
+    A change is c = q - l as computed, q = einsum("nvg,ngh,nvh->nv", d, H, d)
+    over each candidate's difference d from its group's current residual and
+    l the linear term. ``quantcore._clip_screen`` scores d'Hd as s with bound
+    b, and only candidates with a - beta <= min_j (a_j + beta_j) are
+    re-scored with q, for a = s - l and beta = (g + 4) / 4 b + 4u (|s| + |l|),
+    inf where |l| > 2^1000 (``_change_bound``). Proof, on top of
+    ``_best_clips``' and under its range rule, with A = |d|'|H||d|:
+
+    1. Widening. q sums g^2 products of three factors in some order, so it is
+       within gamma_(g^2+2) A of d'Hd, plus at most 1.01 g^2 2^-1075
+       (1 + max(|d|, |H|)) of underflow, under 2^-70 of (g + 4) / 4 tau. As
+       2.01 gamma_g + gamma_(g^2+2) <= (g + 4) / 4 * 4.02 gamma_g for g <= 2^20,
+       step 2 there gives |s - q| <= 0.672 (g + 4) / 4 b. A row of exact zeros
+       has s = q = 0.
+    2. Subtraction. In range |s|, |q| <= 1.01 * 2^1000, so with |l| <= 2^1000,
+       |a - c| <= (1 + u) |s - q| + 2u (|s| + |l|), which beta, computed to a
+       relative 3u, exceeds.
+    3. Screen. Rounding is monotone, so a rounded a_j - beta_j <= c_j <= a
+       rounded a_j + beta_j, and the pick of argmin(c), the first minimum or
+       the first NaN, survives as in step 3 there. A NaN c comes from a NaN l,
+       which makes a NaN, or has beta = inf: a - beta is then NaN or -inf, so
+       it survives and the step is not skipped. A step is skipped only when
+       every rounded a - beta is >= 0, so every c is >= 0.
     """
     n_groups, n_grid, g = table.resid.shape
     _check_hessian(hessian, n_groups * g)
@@ -230,14 +200,12 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
     # batched score and bound are kept across steps; a swap renews the swapped
     # group's.
     diff = table.resid - cur_resid[:, None, :]
-    fast, base = _quad_screen(diff, hblocks)
+    scores, bounds = _clip_screen(diff, hblocks)
     for _ in range(steps):
         lin = np.einsum("nvg,ng->nv", diff, v.reshape(n_groups, g))
         with np.errstate(all="ignore"):
-            approx = fast - lin
-            alin = np.abs(lin)
-            bound = base + QUAD_SCREEN_FACTOR * 4.0 * _U * alin
-            bound[alin > 2.0 ** 1000] = np.inf
+            approx = scores - lin
+            bound = _change_bound(scores, bounds, lin, g)
             lo = approx - bound
             if lo.min() >= 0.0:
                 break
@@ -263,7 +231,7 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
         cur_resid[i_star] = table.resid[i_star, v_star]
         picks[i_star] = v_star
         diff[row] = table.resid[row] - cur_resid[row, None, :]
-        fast[row], base[row] = _quad_screen(diff[row], hblocks[row])
+        scores[row], bounds[row] = _clip_screen(diff[row], hblocks[row])
         loss += best
         result.swaps.append((i_star, float(table.gammas[i_star, v_star]), best, loss))
 

@@ -227,8 +227,9 @@ def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
 
         b_k = 6 gamma_g N E_k + tau_k,    tau_k = 2^-1000 g (1 + N) (2 + g E_k),
 
-    and only candidates with s_k - b_k <= min_j (s_j + b_j) survive. Proof,
-    with t_k the loop's score of candidate k:
+    with tau_k = 0 for a row e_k of exact zeros, and only candidates with
+    s_k - b_k <= min_j (s_j + b_j) survive. Proof, with t_k the loop's score
+    of candidate k:
 
     1. Scores. A dot product of length g, in any summation order and with or
        without fused multiply-adds, is within gamma_g sum_j |x_j y_j| of exact,
@@ -242,7 +243,8 @@ def _best_clips(table: AffineTable, blocks: np.ndarray) -> np.ndarray:
        most g^2 2^-1075 against N^2 >= 2^-900), and ||e||^2 <= E_k (1 + gamma_g)
        + g 2^-1075. So |s_k - t_k| <= 4.03 gamma_g N E_k plus underflow terms,
        which tau_k exceeds more than 2^60-fold, since 1 + ||e||_1 <= 1.5 +
-       g ||e||^2 / 2. Hence |s_k - t_k| <= 0.672 b_k.
+       g ||e||^2 / 2. Hence |s_k - t_k| <= 0.672 b_k. A row of exact zeros
+       has s_k = t_k = 0, as H is finite in range (step 4), so b_k = 0 holds.
     3. Screen. Let k* be the loop's pick, so t_k* <= t_j for every j. Then
        s_k* - b_k* <= t_k* - 0.328 b_k* and s_j + b_j >= t_j + 0.328 b_j. The
        two sums are rounded once each, by at most u (|s| + b); as
@@ -288,8 +290,8 @@ def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.
         sq = _rowdot(resid, resid)
         flat = blocks.reshape(blocks.shape[0], -1)
         hnorm = np.sqrt(_rowdot(flat, flat))[:, None]
-        bounds = (CLIP_SCREEN_FACTOR * gamma_g * hnorm * sq
-                  + _CLIP_SCREEN_TINY * g * (1.0 + hnorm) * (2.0 + g * sq))
+        tau = _CLIP_SCREEN_TINY * g * (1.0 + hnorm) * (2.0 + g * sq) * resid.any(axis=2)
+        bounds = CLIP_SCREEN_FACTOR * gamma_g * hnorm * sq + tau
         in_range = ((hnorm >= 2.0 ** -450)
                     & (hnorm * (1.0 + sq.max(axis=1, keepdims=True)) <= 2.0 ** 1000))
     return scores, np.where(in_range, bounds, np.inf)
@@ -416,8 +418,8 @@ class LayerMetaError(tensorio.TensorIOError):
     """A layer's meta.json lacks a required key or holds one of the wrong type or range."""
 
 
-_LAYER_META_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int,
-                     "codes_packed": bool}
+_LAYER_META_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int,
+                     "group_size": int, "codes_packed": bool}
 #: Optional run-provenance keys of the inner ``meta`` object that eval reads.
 _RUN_META_TYPES = {"weights_path": str, "method": str, "lambda_rel": float,
                    "clip_fraction": float, "block_size": int, "epochs": int}
@@ -443,7 +445,9 @@ def _read_layer_meta(path: Path) -> dict:
                                  f"{kind.__name__}, got {run[key]!r}")
     d_in, group_size = meta["d_in"], meta["group_size"]
     divides = group_size == 0 or (group_size > 0 and d_in % group_size == 0)
-    for key, ok, rule in (("bits", 1 <= meta["bits"] <= 8, "in 1..8"),
+    version = tensorio.FORMAT_VERSION
+    for key, ok, rule in (("format_version", meta["format_version"] == version, str(version)),
+                          ("bits", 1 <= meta["bits"] <= 8, "in 1..8"),
                           ("d_in", d_in >= 1, "at least 1"),
                           ("d_out", meta["d_out"] >= 1, "at least 1"),
                           ("group_size", divides, f"0 or a divisor of d_in={d_in}")):

@@ -315,7 +315,8 @@ def _eval_with_edited_meta(tmp_path, capsys, edit):
     return code, err
 
 
-@pytest.mark.parametrize("key", ["d_in", "d_out", "bits", "group_size", "codes_packed"])
+@pytest.mark.parametrize("key", ["format_version", "d_in", "d_out", "bits", "group_size",
+                                 "codes_packed"])
 def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
     code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.pop(key))
     assert code == EXIT_IO and repr(key) in err
@@ -325,7 +326,8 @@ def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
                                        ("group_size", None), ("meta", "x"),
                                        ("bits", 9), ("bits", 0), ("bits", -1), ("bits", 3),
                                        ("d_in", 0), ("d_out", 0), ("group_size", 3),
-                                       ("group_size", -4)])
+                                       ("group_size", -4), ("format_version", 99),
+                                       ("format_version", 0), ("format_version", 1.0)])
 def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
     code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.update({key: value}))
     assert code == EXIT_IO and repr(key) in err

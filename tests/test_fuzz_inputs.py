@@ -113,7 +113,8 @@ INSTANCE_OUT_OF_RANGE = {
                      | st.sampled_from([float("nan"), float("inf")])),
 }
 #: Layer keys that ``eval`` reads, and the JSON type of each.
-LAYER_TYPES = {"d_in": int, "d_out": int, "bits": int, "group_size": int, "codes_packed": bool}
+LAYER_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int, "group_size": int,
+               "codes_packed": bool}
 RUN_TYPES = {"weights_path": str, "method": str, "lambda_rel": float, "clip_fraction": float,
              "block_size": int, "epochs": int}
 

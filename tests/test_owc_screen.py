@@ -4,7 +4,8 @@
 one batched product and keeps the per-candidate loop's argmin exactly. The
 per-channel search and ``owc_group_init`` must match verbatim copies of the
 loops they replaced (``reference_*`` below) bit for bit; the screen's bound
-must hold against the loop's scores and the exact value; and candidates the
+must hold against the loop's scores and the exact value, and so must
+``owc_cd``'s widening of it against the einsum's; and candidates the
 screen cannot separate (duplicates, exact ties computed in different
 orders, near-ties) must be re-scored by the loop's own expression.
 """
@@ -17,7 +18,7 @@ import pytest
 
 from qdescent import quantcore
 from qdescent.calibration import ShapeMismatchError, build_hessian
-from qdescent.groupquant import _check_grouping, _diag_blocks, owc_group_init
+from qdescent.groupquant import _change_bound, _check_grouping, _diag_blocks, owc_group_init
 from qdescent.quantcore import (QuantParams, _affine_table, _best_clips, _clip_screen,
                                 default_gamma_grid, owc_quantize)
 
@@ -162,16 +163,48 @@ def test_all_groups_constant_returns_first_index():
     assert all(p.scale == 0.0 and p.gamma == 1.0 for p in params)
 
 
+def _fixed(x: float) -> int:
+    """x * 2^1074 as an exact integer: every finite double is a multiple of 2^-1074."""
+    num, den = float(x).as_integer_ratio()
+    return num * (2 ** 1074 // den)
+
+
 def exact_score(e: np.ndarray, h: np.ndarray) -> Fraction:
-    fe = [Fraction(x) for x in e]
-    return sum(fe[i] * sum(Fraction(h[i, j]) * fe[j] for j in range(len(fe)))
-               for i in range(len(fe)))
+    fe = [_fixed(x) for x in e]
+    fh = [[_fixed(x) for x in row] for row in h]
+    total = sum(fe[i] * sum(fh[i][j] * fe[j] for j in range(len(fe))) for i in range(len(fe)))
+    return Fraction(total, 2 ** (3 * 1074))
 
 
-@pytest.mark.parametrize("kind", sorted(HESSIANS))
-def test_screen_bound_holds(kind):
-    # Small g: both the batched score and the loop's are within half the bound
-    # of the exact value. Large g: they are within the bound of each other.
+def gamma(m: int) -> Fraction:
+    """gamma_m = m u / (1 - m u), u = 2^-53, exactly."""
+    mu = Fraction(m, 2 ** 53)
+    return mu / (1 - mu)
+
+
+#: The reference scores that the batched score is screened against: the grid
+#: search's loop and ``owc_cd``'s einsum, each with the bound it is screened by
+#: (``_clip_screen``'s b, or ``owc_cd``'s widened bound at a zero linear term)
+#: and its rounding error in any summation order, per unit of |e|'|H||e|.
+SCREEN_REFERENCES = {
+    "loop": (lambda e, h: e @ (h @ e), lambda s, b, g: b,
+             lambda g: Fraction(201, 100) * gamma(g)),
+    "einsum": (lambda e, h: np.einsum("nvg,ngh,nvh->nv", e[None, None], h[None],
+                                      e[None, None])[0, 0],
+               lambda s, b, g: _change_bound(s, b, np.zeros_like(s), g),
+               lambda g: gamma(g * g + 2)),
+}
+
+
+@pytest.mark.parametrize("reference,kind", [
+    pytest.param(ref, kind, id=kind if ref == "loop" else f"{ref}-{kind}")
+    for ref in sorted(SCREEN_REFERENCES) for kind in sorted(HESSIANS)])
+def test_screen_bound_holds(reference, kind):
+    # Small g: the batched score lies within half the bound of the exact value,
+    # the reference's score within the rest of it, and both scores' rounding in
+    # any summation order within 0.672 of it. Large g: the two scores are within
+    # the bound of each other.
+    score, bound_for, model = SCREEN_REFERENCES[reference]
     for d, seed, exact in ((12, 5, True), (24, 6, True), (1024, 7, False)):
         hmat = HESSIANS[kind](d, seed)
         w = np.random.default_rng(seed).standard_normal(d)
@@ -179,13 +212,35 @@ def test_screen_bound_holds(kind):
         scores, bounds = _clip_screen(table.resid, hmat[None])
         assert np.isfinite(bounds).all()
         assert (bounds > 0).all() and (bounds <= 1e-9 * np.abs(scores).max()).all()
+        allowed = bound_for(scores, bounds, d)
+        slack = [Fraction(x) for x in allowed[0]]
         for k, err in enumerate(table.resid[0]):
-            loop = err @ (hmat @ err)
-            assert abs(scores[0, k] - loop) <= bounds[0, k]
+            ref = score(err, hmat)
+            assert abs(scores[0, k] - ref) <= allowed[0, k]
             if exact:
                 true = exact_score(err, hmat)
                 assert abs(Fraction(scores[0, k]) - true) <= Fraction(bounds[0, k]) / 2
-                assert abs(Fraction(loop) - true) <= Fraction(bounds[0, k]) / 2
+                assert abs(Fraction(ref) - true) <= slack[k] - Fraction(bounds[0, k]) / 2
+                worst = (Fraction(201, 100) * gamma(d) + model(d)) * exact_score(np.abs(err),
+                                                                                 np.abs(hmat))
+                assert worst <= Fraction(672, 1000) * slack[k]
+
+
+def test_zero_residual_row_gets_no_slack(h1024):
+    # A row of exact zeros scores an exact 0 in every summation order, so its
+    # bound is 0; a nonzero row whose squares underflow keeps the underflow
+    # allowance, and a group out of range keeps inf for every row.
+    w = np.random.default_rng(9).standard_normal(1024)
+    resid = _affine_table(w.reshape(32, 32), 4, default_gamma_grid(50)).resid.copy()
+    resid[:, 3] = 0.0
+    resid[:, 5] = 0.0
+    resid[:, 5, 7] = 2.0 ** -600
+    blocks = _diag_blocks(h1024, 32, 32)
+    blocks[0] = 0.0
+    scores, bounds = _clip_screen(resid, blocks)
+    assert np.isinf(bounds[0]).all()
+    assert (scores[1:, 3] == 0.0).all() and (bounds[1:, 3] == 0.0).all()
+    assert (bounds[1:, 5] > 0.0).all() and np.isfinite(bounds[1:]).all()
 
 
 def test_screen_bound_holds_per_group(h1024):
