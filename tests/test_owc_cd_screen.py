@@ -3,11 +3,13 @@
 ``owc_cd`` scores each candidate's quadratic term d' H_ii d with
 ``quantcore._clip_screen`` and keeps only the candidates that the widened
 bound of ``groupquant._change_bound`` cannot rule out; those are re-scored
-with the reference einsum. The bound must hold against that einsum on hard
-instances (against the exact value in ``test_owc_screen``), and ties,
+with the reference einsum. The bound must hold against that einsum and the
+exact value on hard instances, and ties,
 near-ties, out-of-range and non-finite inputs must give what
 ``reference_owc_cd`` (the full einsum at every step) gives, bit for bit.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +111,26 @@ def test_quad_bound_holds_on_hard_instances(kind, scale):
         nonzero = live & (np.abs(diff).max(axis=2) > 0.0)
         mag = np.einsum(QUAD, np.abs(diff), np.abs(hblocks), np.abs(diff))
         assert (base[nonzero] <= 1e-9 * mag[nonzero]).all()   # tight enough to screen
+
+
+def _exact_quad(d, h):
+    fd = [Fraction(x) for x in d]
+    return sum(fd[a] * Fraction(h[a, b]) * fd[b] for a in range(len(d)) for b in range(len(d)))
+
+
+@pytest.mark.parametrize("g", [3, 4, 8])
+def test_quad_bound_holds_against_exact_value(g):
+    n, v = 3, 12
+    hblocks = _hard_blocks("indefinite", n, g, g)
+    diff = _hard_diff(n, v, g, g + 1)
+    fast, bounds = _clip_screen(diff, hblocks)
+    base = _change_bound(fast, bounds, np.zeros((n, v)), g)
+    quad = np.einsum(QUAD, diff, hblocks, diff)
+    for i in range(n):
+        for k in range(v):
+            exact = _exact_quad(diff[i, k], hblocks[i])
+            err = abs(Fraction(fast[i, k]) - exact) + abs(Fraction(quad[i, k]) - exact)
+            assert err <= Fraction(base[i, k])
 
 
 def _copies(seed, g, n, block):
