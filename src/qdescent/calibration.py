@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of the synthetic activation generator (flat-JSON serializable)."""
+    """Parameters of the synthetic activation generator."""
 
     d_in: int
     n: int
@@ -62,9 +62,6 @@ class SynthSpec:
             raise ValueError(f"spectrum_exponent={self.spectrum_exponent!r} and outlier_gain="
                              f"{self.outlier_gain!r} give a non-finite eigenvalue spectrum")
         return eigvals
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -16,9 +16,11 @@ file whose values become the flags' defaults, so explicit flags win over
 it; a ``bench`` suite's settings default to the same flags' defaults.
 Channels are quantized one after another; ``--threads`` and the
 ``threads`` config key are still accepted for old command lines and
-configs, and have no effect. Report files embed per-channel wall-clock
-times unless --no-timing is given, which zeroes them so reports are
-byte-stable too.
+configs, and have no effect. ``quantize`` writes a layer directory whose
+codes are always bit-packed (``codes.pc``) and a ``records.csv`` report;
+``eval --out`` and ``bench`` write the same CSV columns. Report files embed
+per-channel wall-clock times unless --no-timing is given, which zeroes them
+so reports are byte-stable too.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ def cmd_gen_calib(args) -> int:
                      seed=args.seed)
     x = calibration.gen_calibration(spec)
     tensorio.write_container(args.out, x)
-    if args.spec_out:
-        with open(args.spec_out, "w") as f:
-            json.dump(spec.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
     print(f"wrote {args.out}: {x.shape[0]} x {x.shape[1]} f32 calibration matrix")
     return EXIT_OK
 
@@ -103,10 +101,9 @@ _SETTING_TYPES = {"group_size": int, "block_size": int, "epochs": int, "grid_siz
                   "lambda_rel": float, "clip_fraction": float, "owc_cd": bool}
 #: Config-file keys and the JSON type each value must have.
 _CONFIG_TYPES = {"method": str, "bits": int, "steps": int, "seed": int, "threads": int,
-                 "report_format": str, **_SETTING_TYPES}
+                 **_SETTING_TYPES}
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                     dict: "an object"}
-_REPORT_FORMATS = ("csv", "jsonl")
 
 
 def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
@@ -157,8 +154,6 @@ def cmd_quantize(args) -> int:
     if args.method is None or args.bits is None:
         raise ValueError("--method and --bits are required (flag or config file)")
     kwargs = _engine_settings(args.method, args.bits, args.seed, vars(args), steps=args.steps)
-    if args.report_format not in _REPORT_FORMATS:
-        raise ValueError(f"unknown report format {args.report_format!r}")
     if args.block_size is not None and args.method != "bcd":
         raise ValueError("--block-size only applies to --method bcd")
 
@@ -170,9 +165,9 @@ def cmd_quantize(args) -> int:
                       weights_path=args.weights, calib_path=args.calib)
 
     out_dir = Path(args.out)
-    quantcore.save_layer(layer, out_dir, packed=not args.unpacked_codes)
-    report_path = out_dir / f"records.{args.report_format}"
-    tensorio.emit_report(records, args.report_format, report_path)
+    quantcore.save_layer(layer, out_dir)
+    report_path = out_dir / "records.csv"
+    tensorio.emit_report(records, report_path)
     print(f"quantized {weights.shape[0]} x {weights.shape[1]} with {args.method}")
     _print_summary(records, weights, hessian)
     print(f"layer -> {out_dir}, records -> {report_path}")
@@ -197,7 +192,7 @@ def cmd_eval(args) -> int:
                                  f"({layer.d_in}, {layer.d_out})")
     records = quantcore.layer_records(layer, weights, hessian)
     if args.out:
-        tensorio.emit_report(records, args.report_format, args.out)
+        tensorio.emit_report(records, args.out)
     _print_summary(records, weights, hessian)
     return EXIT_OK
 
@@ -297,7 +292,7 @@ def cmd_bench(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tensorio.emit_report(records, "csv", out_dir / "records.csv")
+    tensorio.emit_report(records, out_dir / "records.csv")
     with open(out_dir / "aggregate.jsonl", "w") as f:
         for row in aggregates:
             f.write(json.dumps(row) + "\n")
@@ -376,7 +371,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--outlier-gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--spec-out", default=None, help="also write the generator spec as JSON")
     p.set_defaults(func=cmd_gen_calib)
 
     q = sub.add_parser("quantize", help="quantize a weight matrix")
@@ -397,12 +391,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     q.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     q.add_argument("--owc-cd", action="store_true", dest="owc_cd",
                    help="refine group clip strengths by coordinate descent before the engines")
-    q.add_argument("--report-format", choices=_REPORT_FORMATS, default="csv",
-                   dest="report_format")
     q.add_argument("--no-timing", action="store_true",
                    help="zero wall-clock fields so reports are byte-stable")
-    q.add_argument("--unpacked-codes", action="store_true",
-                   help="store codes as a u8 container instead of bit-packing (debug)")
     q.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="recompute objectives for a stored layer")
@@ -411,8 +401,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--weights", default=None,
                    help="original weights; defaults to the path recorded in layer metadata")
     p.add_argument("--out", default=None)
-    p.add_argument("--report-format", choices=_REPORT_FORMATS, default="csv",
-                   dest="report_format")
     # A layer without lambda_rel or clip_fraction in its metadata was made with these.
     p.set_defaults(func=cmd_eval, lambda_rel=q.get_default("lambda_rel"),
                    clip_fraction=q.get_default("clip_fraction"))
@@ -453,7 +441,7 @@ def main(argv=None) -> int:
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (TensorIOError, OSError, json.JSONDecodeError) as exc:
+    except (TensorIOError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

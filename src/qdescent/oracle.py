@@ -7,10 +7,12 @@ same quantity the engines descend on, and ties break to the code vector
 that is lexicographically smallest (which is also the enumeration order).
 
 ``verify_trace`` replays an engine trace against a from-scratch loss
-recomputation after every step, flagging any step whose actual loss change
-disagrees with the predicted delta and any loss increase. It shares no
-incremental state with the engines, so it catches bookkeeping bugs in the
-gradient updates.
+recomputation after every accepted step, flagging any step whose actual loss
+change disagrees with the predicted delta and any loss increase. A no-op
+step leaves the codes unchanged, so its actual loss is the previous
+from-scratch one, bit for bit, and is reused rather than recomputed. It
+shares no incremental state with the engines, so it catches bookkeeping bugs
+in the gradient updates.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class VerifyReport:
 
 def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
                  rel_tol: float = 1e-9) -> VerifyReport:
-    """Replay a trace, recomputing the loss from scratch after every step."""
+    """Replay a trace, recomputing the loss from scratch after every accepted step."""
     if prob.target is None:
         raise DegenerateChannelError("cannot verify a trace on a degenerate channel")
     hmat = prob.hessian
@@ -100,6 +102,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
         report.flag(f"initial loss {trace.initial_loss} != recomputed {loss}")
 
     for s in trace.steps:
+        new_loss = loss
         if s.accepted:
             if len(s.coords) != len(s.values):
                 raise ValueError(f"trace/problem mismatch at step {s.index}")
@@ -107,7 +110,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
                 if not (0 <= i < codes.shape[0]) or not (0 <= r < levels):
                     raise ValueError(f"trace/problem mismatch at step {s.index}")
                 codes[i] = float(r)
-        new_loss = _loss(hmat, codes, z)
+            new_loss = _loss(hmat, codes, z)
         actual = new_loss - loss
         scale = max(abs(s.predicted_delta), abs(loss), 1.0e-30)
         if abs(actual - s.predicted_delta) > rel_tol * scale:

@@ -363,9 +363,9 @@ class QuantizedLayer:
         return _reconstruct(self.scales, self.biases, self.codes).T
 
 
-def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True) -> None:
+def save_layer(layer: QuantizedLayer, directory: str | Path) -> None:
     """Serialize a layer to a directory: JSON metadata, f32 param containers,
-    and the code matrix packed row-major (or a u8 container in debug mode)."""
+    and the code matrix packed row-major."""
     layer.validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -376,7 +376,6 @@ def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True
         "d_out": layer.d_out,
         "bits": layer.bits,
         "group_size": layer.group_size,
-        "codes_packed": bool(packed),
         "meta": layer.meta,
     }
     with open(directory / LAYER_META_FILENAME, "w") as f:
@@ -386,11 +385,8 @@ def save_layer(layer: QuantizedLayer, directory: str | Path, packed: bool = True
     tensorio.write_container(directory / "scales.tc", layer.scales.astype(np.float32))
     tensorio.write_container(directory / "biases.tc", layer.biases.astype(np.float32))
     tensorio.write_container(directory / "gammas.tc", layer.gammas.astype(np.float32))
-    if packed:
-        tensorio.write_packed(directory / "codes.pc",
-                              tensorio.pack_codes(layer.codes.ravel(), layer.bits))
-    else:
-        tensorio.write_container(directory / "codes.tc", layer.codes.astype(np.uint8))
+    tensorio.write_packed(directory / "codes.pc",
+                          tensorio.pack_codes(layer.codes.ravel(), layer.bits))
 
 
 def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: np.ndarray,
@@ -419,7 +415,7 @@ class LayerMetaError(tensorio.TensorIOError):
 
 
 _LAYER_META_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int,
-                     "group_size": int, "codes_packed": bool}
+                     "group_size": int}
 #: Optional run-provenance keys of the inner ``meta`` object that eval reads.
 _RUN_META_TYPES = {"weights_path": str, "method": str, "lambda_rel": float,
                    "clip_fraction": float, "block_size": int, "epochs": int}
@@ -468,35 +464,29 @@ def load_layer(directory: str | Path) -> QuantizedLayer:
     directory = Path(directory)
     meta = _read_layer_meta(directory / LAYER_META_FILENAME)
     d_in, d_out, bits = int(meta["d_in"]), int(meta["d_out"]), int(meta["bits"])
-    if meta["codes_packed"]:
-        path = directory / "codes.pc"
-        packed = tensorio.read_packed(path)
-        if packed.bit_width != bits:
-            raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
-                                 f"is {bits}, but codes.pc holds {packed.bit_width}-bit codes")
-        codes = tensorio.unpack_codes(packed)
-    else:
-        path = directory / "codes.tc"
-        codes = tensorio.read_container(path).array
-        if codes.dtype != np.uint8:
-            raise tensorio.PayloadMismatchError(f"{path}: codes must be u8, got {codes.dtype}")
-        if codes.size and int(codes.max()) >= 1 << bits:
-            raise tensorio.PayloadMismatchError(f"{path}: code {int(codes.max())} is out of "
-                                                f"range for {bits}-bit codes")
+    group_size = int(meta["group_size"])
+    path = directory / "codes.pc"
+    packed = tensorio.read_packed(path)
+    if packed.bit_width != bits:
+        raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
+                             f"is {bits}, but codes.pc holds {packed.bit_width}-bit codes")
+    codes = tensorio.unpack_codes(packed)
     if codes.size != d_in * d_out:
         raise tensorio.PayloadMismatchError(f"{path}: holds {codes.size} codes, a {d_in} x "
                                             f"{d_out} layer needs {d_in * d_out}")
+    shape = (d_out, d_in // group_size if group_size else 1)
     params = {}
     for name in ("scales", "biases", "gammas"):
         path = directory / f"{name}.tc"
         params[name] = tensorio.read_container(path).array
-        if params[name].dtype != np.float32:
-            raise tensorio.PayloadMismatchError(f"{path}: {name} must be f32, "
-                                                f"got {params[name].dtype}")
+        if params[name].dtype != np.float32 or params[name].shape != shape:
+            raise tensorio.PayloadMismatchError(
+                f"{path}: {name} must be f32 of shape {shape}, got {params[name].dtype} "
+                f"of shape {params[name].shape}")
     if params["scales"].size and params["scales"].min() < 0.0:
         raise tensorio.PayloadMismatchError(f"{directory / 'scales.tc'}: scales must be >= 0, "
                                             f"got {params['scales'].min()}")
-    layer = QuantizedLayer(d_in=d_in, d_out=d_out, bits=bits, group_size=int(meta["group_size"]),
+    layer = QuantizedLayer(d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
                            codes=codes.reshape(d_out, d_in), meta=meta.get("meta", {}), **params)
     layer.validate()
     return layer

@@ -33,11 +33,10 @@ optimization pipeline.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import struct
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -239,21 +238,14 @@ class BenchRecord:
 REPORT_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
-def emit_report(records: Iterable[BenchRecord], fmt: str, path: str | Path) -> None:
-    """Write records as CSV (with header row) or JSON lines, in input order."""
+def emit_report(records: Iterable[BenchRecord], path: str | Path) -> None:
+    """Write records as CSV with a header row of ``REPORT_COLUMNS``, in input order."""
     rows = list(records)
     if not rows:
         raise ValueError("empty report")
-    if fmt == "csv":
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(REPORT_COLUMNS)
-            for rec in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
-                                 for v in (getattr(rec, col) for col in REPORT_COLUMNS)])
-    elif fmt == "jsonl":
-        with open(path, "w") as f:
-            for rec in rows:
-                f.write(json.dumps(asdict(rec)) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r} (use csv or jsonl)")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(REPORT_COLUMNS)
+        for rec in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in (getattr(rec, col) for col in REPORT_COLUMNS)])

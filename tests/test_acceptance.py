@@ -183,7 +183,8 @@ def test_criterion_05_exact_equivalences():
 
     ok = owc_is_minmax and owc_not_worse and traces_equal and pipelines_equal
     _report(5, "grid-1 search == min-max bitwise; BCD(k=1) == CD traces; "
-               "full-group pipeline == per-channel; search never worse than min-max", ok,
+               "full-group pipeline == per-channel; per-channel search never worse than "
+               "min-max", ok,
             f"minmax {owc_is_minmax}, <= {owc_not_worse}, traces {traces_equal}, "
             f"pipeline {pipelines_equal}")
 

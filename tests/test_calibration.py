@@ -1,7 +1,5 @@
 """Synthetic generator, Hessian accumulation, and eigenvalue clipping."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -18,13 +16,6 @@ def test_spec_validation():
         SynthSpec(d_in=4, n=10, outlier_directions=5)
     with pytest.raises(ValueError):
         SynthSpec(d_in=4, n=10, outlier_gain=0.5)
-
-
-def test_spec_json_roundtrip():
-    spec = SynthSpec(d_in=8, n=32, spectrum_exponent=1.5, outlier_directions=2,
-                     outlier_gain=30.0, seed=42)
-    blob = json.dumps(spec.to_json())
-    assert SynthSpec(**json.loads(blob)) == spec
 
 
 def test_gen_deterministic():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 
+import argparse
 import csv
 import json
 import filecmp
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import qdescent
-from qdescent import calibration, descent, tensorio
+from qdescent import calibration, cli, descent, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from qdescent.quantcore import load_layer
 
@@ -277,12 +278,11 @@ def test_quantize_config_accepts_json_types(tmp_path):
     w, x = write_inputs(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "cd", "bits": 2, "lambda_rel": 1, "clip_fraction": 0.0,
-                               "owc_cd": False, "steps": None, "threads": None,
-                               "report_format": "jsonl"}))
+                               "owc_cd": False, "steps": None, "threads": None}))
     out = tmp_path / "layer"
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
                  "--config", str(cfg)]) == EXIT_OK
-    assert (out / "records.jsonl").exists()
+    assert (out / "records.csv").exists()
 
 
 @pytest.mark.parametrize("config", [
@@ -291,6 +291,7 @@ def test_quantize_config_accepts_json_types(tmp_path):
 ])
 def test_quantize_config_bad_choice_exits_before_any_work(tmp_path, capsys, config):
     # argparse checks choices only on the command line, not on defaults from a file.
+    # report_format is not a config key, so the first config exits 2 as an unknown key.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, err = _quantize_error(tmp_path, capsys, ["--config", str(cfg)])
@@ -315,14 +316,13 @@ def _eval_with_edited_meta(tmp_path, capsys, edit):
     return code, err
 
 
-@pytest.mark.parametrize("key", ["format_version", "d_in", "d_out", "bits", "group_size",
-                                 "codes_packed"])
+@pytest.mark.parametrize("key", ["format_version", "d_in", "d_out", "bits", "group_size"])
 def test_eval_layer_meta_missing_key_exits_io(tmp_path, capsys, key):
     code, err = _eval_with_edited_meta(tmp_path, capsys, lambda meta: meta.pop(key))
     assert code == EXIT_IO and repr(key) in err
 
 
-@pytest.mark.parametrize("key,value", [("d_in", "8"), ("bits", 2.0), ("codes_packed", 1),
+@pytest.mark.parametrize("key,value", [("d_in", "8"), ("bits", 2.0),
                                        ("group_size", None), ("meta", "x"),
                                        ("bits", 9), ("bits", 0), ("bits", -1), ("bits", 3),
                                        ("d_in", 0), ("d_out", 0), ("group_size", 3),
@@ -345,6 +345,30 @@ def test_eval_run_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
     code, err = _eval_with_edited_meta(tmp_path, capsys,
                                        lambda meta: meta["meta"].update({key: value}))
     assert code == EXIT_IO and repr(key) in err
+
+
+@pytest.mark.parametrize("target", ["meta.json", "config", "suite"])
+def test_non_utf8_json_file_exits_io(tmp_path, capsys, target):
+    # Bytes that do not decode as UTF-8 are a file-format failure, as bad JSON is.
+    w, x = write_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"method": "\xff"}')
+    if target == "meta.json":
+        out = tmp_path / "layer"
+        assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                     "--method", "rtn", "--bits", "2"]) == EXIT_OK
+        (out / "meta.json").write_bytes(b"\xff" + (out / "meta.json").read_bytes())
+        argv = ["eval", "--layer", str(out), "--calib", x]
+    elif target == "config":
+        argv = ["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                "--config", str(bad)]
+    else:
+        argv = ["bench", "--suite", str(bad), "--out-dir", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_quantize_zero_output_channels_exits_shape(tmp_path, capsys):
@@ -714,25 +738,38 @@ def test_threads_env_default(tmp_path, monkeypatch):
     assert dir_bytes(tmp_path / "env") == dir_bytes(ref)
 
 
-def test_unpacked_codes_mode(tmp_path):
+def test_eval_old_unpacked_layer_exits_io(tmp_path, capsys):
+    # Layers once could store their codes as a u8 container, codes.tc; eval now
+    # reads codes.pc only, so such a layer fails at the missing file.
     w, x = write_inputs(tmp_path)
-    packed, unpacked = tmp_path / "p", tmp_path / "u"
-    base = ["quantize", "--weights", w, "--calib", x, "--method", "rtn", "--bits", "2"]
-    assert main(base + ["--out", str(packed)]) == EXIT_OK
-    assert main(base + ["--out", str(unpacked), "--unpacked-codes"]) == EXIT_OK
-    np.testing.assert_array_equal(load_layer(packed).codes, load_layer(unpacked).codes)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "rtn",
+                 "--bits", "2"]) == EXIT_OK
+    tensorio.write_container(out / "codes.tc", load_layer(out).codes)
+    (out / "codes.pc").unlink()
+    meta = json.loads((out / "meta.json").read_text())
+    (out / "meta.json").write_text(json.dumps(dict(meta, codes_packed=False)))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "codes.pc" in err
 
 
-def _eval_with_rewritten_codes(tmp_path, capsys, rewrite, name="codes.tc"):
-    """Quantize a 16 x 4 layer with unpacked codes, replace its ``name`` container
-    (codes.tc by default) by ``rewrite(array)``, then run eval; returns eval's exit
-    code and its one-line error, which must name the file."""
+def _eval_with_rewritten_codes(tmp_path, capsys, rewrite, name="codes.pc"):
+    """Quantize a 16 x 4 layer with 3-bit codes, replace the array held by its
+    ``name`` file (the codes by default, re-packed at 3 bits) by ``rewrite(array)``,
+    then run eval; returns eval's exit code and its one-line error, which must
+    name the file."""
     w, x = write_inputs(tmp_path, d_in=16, d_out=4)
     out = tmp_path / "layer"
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "cd",
-                 "--bits", "3", "--unpacked-codes"]) == EXIT_OK
-    array = tensorio.read_container(out / name).array
-    tensorio.write_container(out / name, rewrite(array))
+                 "--bits", "3"]) == EXIT_OK
+    if name == "codes.pc":
+        codes = tensorio.unpack_codes(tensorio.read_packed(out / name))
+        tensorio.write_packed(out / name, tensorio.pack_codes(rewrite(codes), 3))
+    else:
+        array = tensorio.read_container(out / name).array
+        tensorio.write_container(out / name, rewrite(array))
     capsys.readouterr()
     code = main(["eval", "--layer", str(out), "--calib", x])
     err = capsys.readouterr().err
@@ -756,25 +793,9 @@ def test_eval_packed_bit_width_out_of_range_exits_io(tmp_path, capsys, bit_width
     assert capsys.readouterr().err == f"error: packed bit width must be in 1..8, got {bit_width}\n"
 
 
-def test_eval_unpacked_codes_wrong_count_exits_io(tmp_path, capsys):
-    code, err = _eval_with_rewritten_codes(tmp_path, capsys, lambda codes: codes[:3])
-    assert code == EXIT_IO and "48" in err
-
-
-@pytest.mark.parametrize("offset", [0.0, 0.5, -5.0])
-def test_eval_unpacked_codes_not_u8_exits_io(tmp_path, capsys, offset):
-    code, err = _eval_with_rewritten_codes(
-        tmp_path, capsys, lambda codes: codes.astype(np.float32) + np.float32(offset))
-    assert code == EXIT_IO and "u8" in err
-
-
-def test_eval_unpacked_code_out_of_range_exits_io(tmp_path, capsys):
-    def rewrite(codes):
-        codes = codes.copy()
-        codes.flat[5] = 9   # beyond the 3-bit range
-        return codes
-    code, err = _eval_with_rewritten_codes(tmp_path, capsys, rewrite)
-    assert code == EXIT_IO and "9" in err and "3-bit" in err
+def test_eval_codes_wrong_count_exits_io(tmp_path, capsys):
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys, lambda codes: codes[:48])
+    assert code == EXIT_IO and "holds 48 codes" in err and "needs 64" in err
 
 
 @pytest.mark.parametrize("name", ["scales.tc", "biases.tc", "gammas.tc"])
@@ -782,6 +803,16 @@ def test_eval_params_not_f32_exits_io(tmp_path, capsys, name):
     code, err = _eval_with_rewritten_codes(tmp_path, capsys,
                                            lambda params: params.astype(np.float64), name)
     assert code == EXIT_IO and "f32" in err
+
+
+@pytest.mark.parametrize("name", ["scales.tc", "biases.tc", "gammas.tc"])
+@pytest.mark.parametrize("rewrite", [lambda p: np.concatenate([p, p], axis=1),
+                                     lambda p: p[:3], lambda p: p.ravel()],
+                         ids=["columns", "rows", "flat"])
+def test_eval_params_wrong_shape_exits_io(tmp_path, capsys, name, rewrite):
+    # A per-channel 16 x 4 layer stores (4, 1) params.
+    code, err = _eval_with_rewritten_codes(tmp_path, capsys, rewrite, name)
+    assert code == EXIT_IO and "(4, 1)" in err
 
 
 def test_eval_negative_scale_exits_io(tmp_path, capsys):
@@ -881,3 +912,47 @@ def test_setting_errors_come_before_input_errors(tmp_path, capsys):
                         "--block-size", "4"]) == EXIT_GUARD
     err = capsys.readouterr().err
     assert err.count("\n") == 3 and err.count("guard is 2^20") == 2
+
+
+def test_option_surface():
+    # Every long flag of every subcommand and every config key: an option is
+    # added or removed only together with an edit here.
+    parser, _ = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [opt for a in p._actions for opt in a.option_strings
+                    if opt.startswith("--") and opt != "--help"]
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "gen-calib": ["--d-in", "--n", "--spectrum-exponent", "--outlier-directions",
+                      "--outlier-gain", "--seed", "--out"],
+        "quantize": ["--weights", "--calib", "--out", "--config", "--method", "--bits",
+                     "--group-size", "--block-size", "--epochs", "--steps", "--grid-size",
+                     "--lambda-rel", "--clip-fraction", "--seed", "--threads", "--owc-cd",
+                     "--no-timing"],
+        "eval": ["--layer", "--calib", "--weights", "--out"],
+        "bench": ["--suite", "--out-dir", "--threads", "--no-timing"],
+        "oracle": ["--canonical", "--weights", "--calib", "--channel", "--bits", "--grid-size",
+                   "--lambda-rel", "--out"],
+    }
+    assert sorted(cli._CONFIG_TYPES) == ["bits", "block_size", "clip_fraction", "epochs",
+                                         "grid_size", "group_size", "lambda_rel", "method",
+                                         "owc_cd", "seed", "steps", "threads"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--unpacked-codes"],
+    ["quantize", "--report-format", "csv"],
+    ["eval", "--report-format", "csv"],
+    ["gen-calib", "--spec-out", "spec.json"],
+], ids=["unpacked-codes", "quantize-report-format", "eval-report-format", "spec-out"])
+def test_removed_options_exit_usage(tmp_path, argv):
+    # Each removed option is now an unknown argument, which argparse rejects with exit 2.
+    w, x = write_inputs(tmp_path)
+    required = {"quantize": ["--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                             "--method", "rtn", "--bits", "2"],
+                "eval": ["--layer", str(tmp_path / "o"), "--calib", x],
+                "gen-calib": ["--d-in", "4", "--n", "8", "--out", str(tmp_path / "g.tc")]}
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + required[argv[0]] + argv[1:])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "o").exists() and not (tmp_path / "g.tc").exists()

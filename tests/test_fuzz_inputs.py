@@ -1,7 +1,7 @@
 """Corrupted inputs end in a documented exit code, never in a traceback.
 
 Each example corrupts one file of a valid set of inputs (weights,
-calibration, a packed and an unpacked layer, a config file, a bench suite),
+calibration, a grouped and a per-channel layer, a config file, a bench suite),
 runs ``cli.main`` in-process on it (``quantize`` for the weights, calibration
 and config, ``eval`` for the layer files, ``bench`` for the suite) and
 restores the file. Every corruption below makes the input invalid, so the
@@ -41,16 +41,14 @@ BINARY_TARGETS = {
     "scales": ("packed/scales.tc", TC_FIELDS, "eval-packed"),
     "biases": ("packed/biases.tc", TC_FIELDS, "eval-packed"),
     "gammas": ("packed/gammas.tc", TC_FIELDS, "eval-packed"),
-    "codes.tc": ("unpacked/codes.tc", TC_FIELDS, "eval-unpacked"),
 }
 #: A valid grouped bcd run with ``--owc-cd``, so that every config key is read.
 CONFIG = {"method": "bcd", "bits": 3, "group_size": 4, "block_size": 2, "epochs": 1,
           "steps": 4, "grid_size": 8, "lambda_rel": 0.01, "clip_fraction": 0.0, "seed": 1,
-          "threads": 1, "owc_cd": True, "report_format": "csv"}
+          "threads": 1, "owc_cd": True}
 CONFIG_TYPES = {"method": str, "bits": int, "group_size": int, "block_size": int,
                 "epochs": int, "steps": int, "grid_size": int, "lambda_rel": float,
-                "clip_fraction": float, "seed": int, "threads": int, "owc_cd": bool,
-                "report_format": str}
+                "clip_fraction": float, "seed": int, "threads": int, "owc_cd": bool}
 #: Config keys where null means "use the default"; for these, null is valid.
 CONFIG_NULL_OK = ("block_size", "steps", "threads")
 #: Values outside each config key's range. Only invalid directions: a large
@@ -67,7 +65,6 @@ OUT_OF_RANGE = {
     "clip_fraction": (st.floats(max_value=-1e-300) | st.floats(min_value=1.0)
                       | st.just(float("nan"))),
     "seed": st.integers(max_value=-1),
-    "report_format": st.text(max_size=6).filter(lambda s: s not in ("csv", "jsonl")),
 }
 #: A valid grouped suite with ``owc_cd`` on one 4 x 2 instance, so that every
 #: suite and instance key is read and the valid runs take milliseconds.
@@ -113,8 +110,7 @@ INSTANCE_OUT_OF_RANGE = {
                      | st.sampled_from([float("nan"), float("inf")])),
 }
 #: Layer keys that ``eval`` reads, and the JSON type of each.
-LAYER_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int, "group_size": int,
-               "codes_packed": bool}
+LAYER_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int, "group_size": int}
 RUN_TYPES = {"weights_path": str, "method": str, "lambda_rel": float, "clip_fraction": float,
              "block_size": int, "epochs": int}
 
@@ -129,17 +125,18 @@ json_non_objects = json_leaves | st.lists(json_values, max_size=3)
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """Valid inputs: 8 x 2 weights, calibration, a packed and an unpacked grouped layer."""
+    """Valid inputs: 8 x 2 weights, calibration, a grouped layer (in ``packed``) and a
+    per-channel one (in ``channel``)."""
     root = tmp_path_factory.mktemp("pristine")
     rng = np.random.default_rng(0)
     tensorio.write_container(root / "w.tc", rng.standard_normal((8, 2)).astype(np.float32))
     tensorio.write_container(root / "x.tc", rng.standard_normal((32, 8)).astype(np.float32))
     (root / "config.json").write_text(json.dumps(CONFIG))
-    for name, extra in (("packed", []), ("unpacked", ["--unpacked-codes"])):
+    for name, extra in (("packed", ["--group-size", "4"]), ("channel", [])):
         assert main(["quantize", "--weights", str(root / "w.tc"), "--calib", str(root / "x.tc"),
                      "--out", str(root / name), "--method", "cd", "--bits", "3",
-                     "--group-size", "4", "--no-timing"] + extra) == EXIT_OK
-    for command in ("quantize", "eval-packed", "eval-unpacked"):
+                     "--no-timing"] + extra) == EXIT_OK
+    for command in ("quantize", "eval-packed", "eval-channel"):
         assert _run(root, command) == EXIT_OK
     return root
 
@@ -201,20 +198,13 @@ def _wrong_type(st_data, kind, null_ok=False):
 @settings(max_examples=12, **FUZZ)
 @given(st_data=st.data())
 @pytest.mark.parametrize("key", sorted(LAYER_TYPES))
-@pytest.mark.parametrize("layer", ["packed", "unpacked"])
+@pytest.mark.parametrize("layer", ["packed", "channel"])
 def test_layer_meta_other_value_exits_with_a_code(pristine, capsys, layer, key, st_data):
-    # With 2 groups of 4 and 3-bit packed codes, any other value of a single
-    # layer key disagrees with the stored files. Unpacked codes are also valid
-    # at any width that holds the largest one.
+    # With 3-bit codes and 2 groups of 4 (or one group of 8), any other value of
+    # a single layer key disagrees with the stored files.
     meta = json.loads((pristine / layer / LAYER_META_FILENAME).read_text())
     stored = meta[key]
-    if key == "codes_packed":
-        meta[key] = not stored
-    else:
-        widest = int(tensorio.read_container(pristine / "unpacked/codes.tc").array.max())
-        meta[key] = st_data.draw(st.integers(-2, 2 * stored + 2).filter(
-            lambda v: v != stored and not (layer == "unpacked" and key == "bits"
-                                           and widest.bit_length() <= v <= 8)))
+    meta[key] = st_data.draw(st.integers(-2, 2 * stored + 2).filter(lambda v: v != stored))
     _run_corrupted(pristine, f"{layer}/{LAYER_META_FILENAME}", json.dumps(meta).encode(),
                    f"eval-{layer}", capsys)
 
@@ -223,7 +213,7 @@ def test_layer_meta_other_value_exits_with_a_code(pristine, capsys, layer, key, 
 @given(st_data=st.data())
 @pytest.mark.parametrize("how", ["truncate", "drop", "type", "run-type", "not-dict"])
 def test_corrupted_layer_meta_exits_with_a_code(pristine, capsys, how, st_data):
-    layer = st_data.draw(st.sampled_from(["packed", "unpacked"]))
+    layer = st_data.draw(st.sampled_from(["packed", "channel"]))
     text = (pristine / layer / LAYER_META_FILENAME).read_text()
     meta = json.loads(text)
     if how == "truncate":

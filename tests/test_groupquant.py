@@ -7,10 +7,10 @@ import pytest
 
 from conftest import _fit_affine, expand_params, minmax_group_init, random_problem
 from qdescent import groupquant
-from qdescent.calibration import build_hessian
+from qdescent.calibration import SynthSpec, build_hessian, gen_calibration, gen_weights
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
 from qdescent.groupquant import owc_cd, owc_group_init, quantize_channel_grouped, tilde_transform
-from qdescent.quantcore import QuantParams, _affine_table, owc_quantize
+from qdescent.quantcore import QuantParams, _affine_table, channel_objective, owc_quantize
 
 
 def _rand_instance(d, seed, n=None):
@@ -165,6 +165,38 @@ def test_owc_group_init_local_objective_never_worse_than_minmax():
             e_owc = w[sl] - (owc_params[i].scale * owc_codes[sl] + owc_params[i].bias)
             e_mm = w[sl] - (mm_params[i].scale * mm_codes[sl] + mm_params[i].bias)
             assert e_owc @ hblk @ e_owc <= e_mm @ hblk @ e_mm + 1e-12
+
+
+def test_grouped_owc_promise_is_per_group_block():
+    # What "never worse than min-max" promises for grouped owc: each group's
+    # stored pick scores, exactly as the grid search scores it, no worse on its
+    # own diagonal block of H than the gamma = 1 fit that rtn stores. It ignores
+    # cross-group coupling, so the whole channel's loss can be worse than rtn's;
+    # these instances, with outlier directions, hold such channels.
+    worse = 0
+    for seed, outliers in itertools.product(range(3), (0, 2)):
+        x = gen_calibration(SynthSpec(d_in=64, n=256, spectrum_exponent=1.0,
+                                      outlier_directions=outliers, outlier_gain=30.0, seed=seed))
+        w = gen_weights(64, 16, seed).astype(np.float64)
+        h = build_hessian(x, 0.01)
+        for g, bits in itertools.product((8, 16), (2, 3)):
+            owc, _ = quantize_matrix(w, h, "owc", bits=bits, group_size=g)
+            rtn, _ = quantize_matrix(w, h, "rtn", bits=bits, group_size=g)
+            for j, i in itertools.product(range(16), range(64 // g)):
+                sl = slice(i * g, (i + 1) * g)
+                block = np.ascontiguousarray(h[sl, sl])
+                scores = []
+                for layer in (owc, rtn):
+                    e = w[sl, j] - (np.float64(layer.scales[j, i]) * layer.codes[j, sl]
+                                    + np.float64(layer.biases[j, i]))
+                    scores.append(e @ (block @ e))
+                assert scores[0] <= scores[1], (seed, outliers, g, bits, j, i)
+            for j in range(16):
+                owc_loss, rtn_loss = (channel_objective(w[:, j], layer.scales[j], layer.biases[j],
+                                                        layer.codes[j], h)[0]
+                                      for layer in (owc, rtn))
+                worse += owc_loss > rtn_loss
+    assert worse > 0
 
 
 def _joint_objective(w, hmat, g, gammas, bits):

@@ -170,6 +170,26 @@ def test_verify_bcd_noop_steps():
     assert report.ok, report.violations
 
 
+@pytest.mark.parametrize("field", ["loss_after", "predicted_delta"])
+def test_verify_flags_tampered_noop_step(field):
+    # verify_trace reuses the previous from-scratch loss on a no-op step; a
+    # recorded loss off by 1e-6 relative, or a nonzero predicted delta, on such
+    # a step must still be flagged, and only there.
+    prob, q0 = random_problem(8, 1, seed=6)
+    _, trace = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=2, seed=0))
+    i = next(i for i, s in enumerate(trace.steps) if not s.accepted)
+    step = trace.steps[i]
+    if field == "loss_after":
+        trace.steps[i] = replace(step, loss_after=step.loss_after * (1 + 1e-6))
+        message = f"step {i}: recorded loss "
+    else:
+        trace.steps[i] = replace(step, predicted_delta=-1e-6 * step.loss_after)
+        message = f"step {i}: predicted delta "
+    report = verify_trace(prob, q0, trace)
+    assert not report.ok and len(report.violations) == 1
+    assert report.violations[0].startswith(message)
+
+
 def test_verify_mismatched_trace_rejected():
     prob, q0 = random_problem(6, 1, seed=7)
     _, trace = cd_quantize(prob, q0, DescentConfig())

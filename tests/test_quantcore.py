@@ -267,14 +267,6 @@ def test_layer_roundtrip_packed(tmp_path):
     np.testing.assert_array_equal(back.dequantize(), layer.dequantize())
 
 
-def test_layer_roundtrip_unpacked(tmp_path):
-    layer = _toy_layer()
-    save_layer(layer, tmp_path / "layer", packed=False)
-    assert (tmp_path / "layer" / "codes.tc").exists()
-    back = load_layer(tmp_path / "layer")
-    np.testing.assert_array_equal(back.codes, layer.codes)
-
-
 def test_layer_validation_errors():
     layer = _toy_layer()
     layer.codes = layer.codes[:, :3]

@@ -1,6 +1,5 @@
 """Container round-trips, bit packing, and report emission."""
 
-import json
 import struct
 
 import numpy as np
@@ -211,30 +210,19 @@ def _records(n):
 
 def test_emit_csv(tmp_path):
     path = tmp_path / "r.csv"
-    emit_report(_records(1), "csv", path)
+    emit_report(_records(1), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("method,bits,group_size,block_size,epochs,column,objective")
 
 
-def test_emit_jsonl(tmp_path):
-    path = tmp_path / "r.jsonl"
-    emit_report(_records(2), "jsonl", path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        obj = json.loads(line)
-        assert obj["method"] == "cd"
-        assert not any(isinstance(v, (dict, list)) for v in obj.values())
-
-
 def test_emit_empty_rejected(tmp_path):
     with pytest.raises(ValueError, match="empty report"):
-        emit_report([], "csv", tmp_path / "never.csv")
+        emit_report([], tmp_path / "never.csv")
 
 
 def test_emit_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(_records(5), "csv", a)
-    emit_report(_records(5), "csv", b)
+    emit_report(_records(5), a)
+    emit_report(_records(5), b)
     assert a.read_bytes() == b.read_bytes()
