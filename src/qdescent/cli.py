@@ -8,19 +8,19 @@ Subcommands:
 * ``bench``      run a method x config experiment matrix
 * ``oracle``     exhaustive optimum vs the greedy engine on a tiny instance
 
-Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure,
-4 shape mismatch, 5 enumeration guard exceeded.
+Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure
+(the message names the file), 4 shape mismatch, 5 enumeration guard exceeded.
 
 All flags are long-form. ``quantize`` optionally reads a flat JSON config
-file whose values become the flags' defaults, so explicit flags win over
-it; a ``bench`` suite's settings default to the same flags' defaults.
-Channels are quantized one after another; ``--threads`` and the
-``threads`` config key are still accepted for old command lines and
-configs, and have no effect. ``quantize`` writes a layer directory whose
-codes are always bit-packed (``codes.pc``) and a ``records.csv`` report;
-``eval --out`` and ``bench`` write the same CSV columns. Report files embed
-per-channel wall-clock times unless --no-timing is given, which zeroes them
-so reports are byte-stable too.
+file whose values become the flags' defaults, so flags win over it; a
+``bench`` suite's settings default to the same flags' defaults. Both files,
+like a layer's ``meta.json``, go through ``tensorio.read_json``. Channels
+are quantized one after another; ``--threads`` and the ``threads`` config
+key are accepted for old command lines and configs, and have no effect.
+``quantize`` writes a layer directory whose codes are always bit-packed
+(``codes.pc``) and a ``records.csv`` report; ``eval --out`` and ``bench``
+write the same CSV columns. Report files embed per-channel wall-clock times
+unless --no-timing is given, which zeroes them so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_GUARD = 5
+#: The exit code of each error kind main() reports; the first match wins.
+_EXIT_CODES = {EnumerationGuardError: EXIT_GUARD, ShapeMismatchError: EXIT_SHAPE,
+               TensorIOError: EXIT_IO, OSError: EXIT_IO, ValueError: EXIT_USAGE,
+               MemoryError: EXIT_USAGE}
 
 
 def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
@@ -102,40 +106,13 @@ _SETTING_TYPES = {"group_size": int, "block_size": int, "epochs": int, "grid_siz
 #: Config-file keys and the JSON type each value must have.
 _CONFIG_TYPES = {"method": str, "bits": int, "steps": int, "seed": int, "threads": int,
                  **_SETTING_TYPES}
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
-                    dict: "an object"}
-
-
-def _check_json_types(where: str, obj: dict, types: dict, nullable=()) -> None:
-    """Reject keys outside ``types`` and values of another JSON type; ``[kind]``
-    stands for a list of kind, and keys in ``nullable`` may also hold null."""
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    for key, value in obj.items():
-        kind = types[key]
-        if value is None and key in nullable:
-            continue
-        if isinstance(kind, list):
-            if not (isinstance(value, list)
-                    and all(tensorio.json_value_is(v, kind[0]) for v in value)):
-                raise ValueError(f"{where} key {key!r} must be a list, each entry "
-                                 f"{_JSON_TYPE_NAMES[kind[0]]}, got {json.dumps(value)}")
-        elif not tensorio.json_value_is(value, kind):
-            raise ValueError(f"{where} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
-                             f"got {json.dumps(value)}")
 
 
 def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
     """A quantize config file's settings, type-checked, to become the flags' defaults."""
-    with open(path) as f:
-        config = json.load(f)
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} does not hold a JSON object")
     # null stands for "not set" only where the flag's own default is unset too.
-    _check_json_types("config", config, _CONFIG_TYPES,
-                      nullable=[k for k in _CONFIG_TYPES if quantize_parser.get_default(k) is None])
-    return config
+    return tensorio.read_json(path, "config", _CONFIG_TYPES, nullable=[
+        k for k in _CONFIG_TYPES if quantize_parser.get_default(k) is None])
 
 
 def _engine_settings(method: str, bits: int, seed: int, settings: dict, *, steps=None,
@@ -213,28 +190,20 @@ def default_suite() -> dict:
 
 #: Bench-suite keys and the JSON type of each value; ``[kind]`` is a list of kind.
 _SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], **_SETTING_TYPES}
+#: Only a suite can empty a list: the built-in matrix's are non-empty.
+_SUITE_RULES = {key: (bool, "a non-empty list") for key in ("instances", "methods", "bits")}
 #: Bench-suite instance keys and the JSON type of each value.
 _INSTANCE_TYPES = {"d_in": int, "d_out": int, "n": int, "seed": int, "spectrum_exponent": float,
                    "outlier_directions": int, "outlier_gain": float}
-_INSTANCE_REQUIRED = ("d_in", "d_out", "n", "seed")
+_INSTANCE_RULES = {key: (lambda v: v >= 1, "at least 1") for key in ("d_in", "d_out", "n")}
 
 
 def _read_suite(path: str) -> dict:
     """A suite file's keys, each value type-checked."""
-    with open(path) as f:
-        suite = json.load(f)
-    if not isinstance(suite, dict):
-        raise ValueError(f"suite file {path} does not hold a JSON object")
-    _check_json_types("suite", suite, _SUITE_TYPES)
+    suite = tensorio.read_json(path, "suite", _SUITE_TYPES, rules=_SUITE_RULES)
     for i, inst in enumerate(suite.get("instances", [])):
-        missing = [key for key in _INSTANCE_REQUIRED if key not in inst]
-        if missing:
-            raise ValueError(f"suite instance {i} lacks required keys {missing}")
-        _check_json_types(f"suite instance {i}", inst, _INSTANCE_TYPES)
-        for key in ("d_in", "d_out", "n"):
-            if inst[key] < 1:
-                raise ValueError(f"suite instance {i} key {key!r} must be at least 1, "
-                                 f"got {inst[key]}")
+        tensorio.check_json(f"{path}: suite instance {i}", inst, _INSTANCE_TYPES,
+                            required=("d_in", "d_out", "n", "seed"), rules=_INSTANCE_RULES)
     return suite
 
 
@@ -260,9 +229,6 @@ def cmd_bench(args) -> int:
     suite = {**default_suite(), **{key: getattr(args, key) for key in _SETTING_TYPES}}
     if args.suite:
         suite.update(_read_suite(args.suite))
-    for key in ("instances", "methods", "bits"):
-        if not suite[key]:
-            raise ValueError(f"bench suite key {key!r} holds an empty list")
     # Every setting of every run is checked before the first instance is generated.
     calibration.check_hessian_settings(suite["lambda_rel"], suite["clip_fraction"])
     instances = [(inst, SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"}),
@@ -435,21 +401,11 @@ def main(argv=None) -> int:
             quantize_parser.set_defaults(**_read_config(args.config, quantize_parser))
             args = parser.parse_args(argv)
         return args.func(args)
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except (TensorIOError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:  # a size argument too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+        note = "out of memory: " if isinstance(exc, MemoryError) else ""  # a size too large
+        print(f"error: {note}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -71,8 +71,8 @@ import numpy as np
 
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
-                        _check_grouping, check_bits, default_gamma_grid, layer_records,
-                        owc_quantize)
+                        _check_grouping, check_bits, default_gamma_grid, group_count,
+                        layer_records, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -680,12 +680,10 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
         raise ValueError("weights hold non-finite values")
 
     w64 = weights.astype(np.float64)
-    n_groups = 1 if group_size == 0 else d_in // group_size
+    params_shape = (d_out, group_count(d_in, group_size))
     layer = QuantizedLayer(
         d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
-        scales=np.empty((d_out, n_groups), np.float32),
-        biases=np.empty((d_out, n_groups), np.float32),
-        gammas=np.empty((d_out, n_groups), np.float32),
+        **{name: np.empty(params_shape, np.float32) for name in ("scales", "biases", "gammas")},
         codes=np.empty((d_out, d_in), np.uint8),
         meta={"method": method, "grid_size": grid_size, "seed": cfg.seed,
               "epochs": cfg.epochs, "block_size": cfg.block_size,

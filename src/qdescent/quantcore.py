@@ -322,6 +322,11 @@ def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
     return params, codes
 
 
+def group_count(d_in: int, group_size: int) -> int:
+    """Groups per channel: one for per-channel quantization (group size 0)."""
+    return 1 if group_size == 0 else d_in // group_size
+
+
 @dataclass
 class QuantizedLayer:
     """A quantized d_in x d_out weight matrix with per-(channel, group) params.
@@ -342,14 +347,10 @@ class QuantizedLayer:
     codes: np.ndarray             # (d_out, d_in) uint8
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_groups(self) -> int:
-        return 1 if self.group_size == 0 else self.d_in // self.group_size
-
     def validate(self) -> None:
         if self.group_size and self.d_in % self.group_size:
             raise ValueError("group_size must divide d_in")
-        expected = (self.d_out, self.n_groups)
+        expected = (self.d_out, group_count(self.d_in, self.group_size))
         for name in ("scales", "biases", "gammas"):
             if getattr(self, name).shape != expected:
                 raise ShapeMismatchError(f"{name} must have shape {expected}")
@@ -414,67 +415,49 @@ class LayerMetaError(tensorio.TensorIOError):
     """A layer's meta.json lacks a required key or holds one of the wrong type or range."""
 
 
-_LAYER_META_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int,
-                     "group_size": int}
+_LAYER_META_REQUIRED = ("format_version", "d_in", "d_out", "bits", "group_size")
+_LAYER_META_TYPES = {**dict.fromkeys(_LAYER_META_REQUIRED, int), "meta": dict}
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_LAYER_META_RULES = {"format_version": (lambda v: v == tensorio.FORMAT_VERSION,
+                                        str(tensorio.FORMAT_VERSION)),
+                     "bits": (lambda v: 1 <= v <= 8, "in 1..8"), "d_in": _AT_LEAST_1,
+                     "d_out": _AT_LEAST_1}
 #: Optional run-provenance keys of the inner ``meta`` object that eval reads.
 _RUN_META_TYPES = {"weights_path": str, "method": str, "lambda_rel": float,
                    "clip_fraction": float, "block_size": int, "epochs": int}
+_RUN_META_RULES = {"lambda_rel": (lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"),
+                   "clip_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+                   "block_size": _AT_LEAST_1, "epochs": _AT_LEAST_1}
 
 
 def _read_layer_meta(path: Path) -> dict:
-    with open(path) as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise LayerMetaError(f"{path}: layer metadata is not a JSON object")
-    for key, kind in _LAYER_META_TYPES.items():
-        if key not in meta:
-            raise LayerMetaError(f"{path}: layer metadata lacks required key {key!r}")
-        if not tensorio.json_value_is(meta[key], kind):
-            raise LayerMetaError(f"{path}: layer metadata key {key!r} must be "
-                                 f"{kind.__name__}, got {meta[key]!r}")
-    run = meta.get("meta", {})
-    if not isinstance(run, dict):
-        raise LayerMetaError(f"{path}: layer metadata key 'meta' must be an object, got {run!r}")
-    for key, kind in _RUN_META_TYPES.items():
-        if key in run and not tensorio.json_value_is(run[key], kind):
-            raise LayerMetaError(f"{path}: run metadata key {key!r} must be "
-                                 f"{kind.__name__}, got {run[key]!r}")
-    d_in, group_size = meta["d_in"], meta["group_size"]
-    divides = group_size == 0 or (group_size > 0 and d_in % group_size == 0)
-    version = tensorio.FORMAT_VERSION
-    for key, ok, rule in (("format_version", meta["format_version"] == version, str(version)),
-                          ("bits", 1 <= meta["bits"] <= 8, "in 1..8"),
-                          ("d_in", d_in >= 1, "at least 1"),
-                          ("d_out", meta["d_out"] >= 1, "at least 1"),
-                          ("group_size", divides, f"0 or a divisor of d_in={d_in}")):
-        if not ok:
-            raise LayerMetaError(f"{path}: layer metadata key {key!r} must be {rule}, "
-                                 f"got {meta[key]!r}")
-    for key, ok, rule in (("lambda_rel", lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"),
-                          ("clip_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
-                          ("block_size", lambda v: v >= 1, "at least 1"),
-                          ("epochs", lambda v: v >= 1, "at least 1")):
-        if key in run and not ok(run[key]):
-            raise LayerMetaError(f"{path}: run metadata key {key!r} must be {rule}, "
-                                 f"got {run[key]!r}")
+    # Not strict: a layer from an older version also holds ``codes_packed``.
+    meta = tensorio.read_json(path, "layer metadata", _LAYER_META_TYPES, strict=False,
+                              required=_LAYER_META_REQUIRED, rules=_LAYER_META_RULES,
+                              error=LayerMetaError)
+    tensorio.check_json(f"{path}: run metadata", meta.get("meta", {}), _RUN_META_TYPES,
+                        strict=False, rules=_RUN_META_RULES, error=LayerMetaError)
+    if meta["group_size"] < 0 or meta["group_size"] and meta["d_in"] % meta["group_size"]:
+        raise LayerMetaError(f"{path}: layer metadata key 'group_size' must be 0 or a divisor "
+                             f"of d_in={meta['d_in']}, got {meta['group_size']}")
     return meta
 
 
 def load_layer(directory: str | Path) -> QuantizedLayer:
     directory = Path(directory)
     meta = _read_layer_meta(directory / LAYER_META_FILENAME)
-    d_in, d_out, bits = int(meta["d_in"]), int(meta["d_out"]), int(meta["bits"])
-    group_size = int(meta["group_size"])
+    d_in, d_out, bits, group_size = (meta[key] for key in ("d_in", "d_out", "bits", "group_size"))
     path = directory / "codes.pc"
     packed = tensorio.read_packed(path)
     if packed.bit_width != bits:
         raise LayerMetaError(f"{directory / LAYER_META_FILENAME}: layer metadata key 'bits' "
                              f"is {bits}, but codes.pc holds {packed.bit_width}-bit codes")
-    codes = tensorio.unpack_codes(packed)
+    with tensorio.naming(path):
+        codes = tensorio.unpack_codes(packed)
     if codes.size != d_in * d_out:
         raise tensorio.PayloadMismatchError(f"{path}: holds {codes.size} codes, a {d_in} x "
                                             f"{d_out} layer needs {d_in * d_out}")
-    shape = (d_out, d_in // group_size if group_size else 1)
+    shape = (d_out, group_count(d_in, group_size))
     params = {}
     for name in ("scales", "biases", "gammas"):
         path = directory / f"{name}.tc"
@@ -486,7 +469,6 @@ def load_layer(directory: str | Path) -> QuantizedLayer:
     if params["scales"].size and params["scales"].min() < 0.0:
         raise tensorio.PayloadMismatchError(f"{directory / 'scales.tc'}: scales must be >= 0, "
                                             f"got {params['scales'].min()}")
-    layer = QuantizedLayer(d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
-                           codes=codes.reshape(d_out, d_in), meta=meta.get("meta", {}), **params)
-    layer.validate()
-    return layer
+    # Every rule of QuantizedLayer.validate is checked above, each naming its file.
+    return QuantizedLayer(d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
+                          codes=codes.reshape(d_out, d_in), meta=meta.get("meta", {}), **params)

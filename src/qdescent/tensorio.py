@@ -27,15 +27,18 @@ single byte 0x21 (code 0 in the low nibble).
 
 Floating-point payloads must be finite: NaN/Inf is rejected at write time
 and again at read time, so corrupt or undefined data never enters the
-optimization pipeline.
+optimization pipeline. JSON inputs are decoded as UTF-8 whatever the locale
+and checked by :func:`check_json`, and every read error names its file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,13 +69,72 @@ class NonFiniteDataError(TensorIOError):
     """Floating-point payload contains NaN or Inf."""
 
 
-def json_value_is(value, kind: type) -> bool:
-    """Type check of a decoded JSON value: a bool is not an int, an int is a float."""
+class MalformedJSONError(TensorIOError):
+    """A JSON input file is not valid UTF-8 JSON."""
+
+
+@contextmanager
+def naming(path: str | Path):
+    """Prefix ``path`` to the message of a TensorIOError raised in the block."""
+    try:
+        yield
+    except TensorIOError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+                    dict: "an object"}
+
+
+def json_value_is(value, kind) -> bool:
+    """Type check of a decoded JSON value: a bool is not an int, an int is a float,
+    and ``[kind]`` stands for a list of kind."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(json_value_is(v, kind[0]) for v in value)
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
         return isinstance(value, (int, float))
     return isinstance(value, kind)
+
+
+def check_json(where: str, obj, types: dict, *, required=(), nullable=(), strict=True,
+               rules=None, error: type[Exception] = ValueError) -> dict:
+    """``obj`` once it is a JSON object holding the ``required`` keys, no other key
+    than ``types``' unless not ``strict``, and each key of its type in ``types`` (or
+    null where ``nullable``) that passes its ``(test, text)`` rule; else ``error``."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where} lacks required key {key!r}")
+    unknown = sorted(set(obj) - set(types))
+    if strict and unknown:
+        raise error(f"{where} holds unknown keys {unknown}")
+    rules = rules or {}
+    for key, kind in types.items():
+        value = obj.get(key)
+        if key not in obj or value is None and key in nullable:
+            continue
+        if not json_value_is(value, kind):
+            text = (f"a list, each entry {_JSON_TYPE_NAMES[kind[0]]}" if isinstance(kind, list)
+                    else _JSON_TYPE_NAMES[kind])
+        elif key in rules and not rules[key][0](value):
+            text = rules[key][1]
+        else:
+            continue
+        raise error(f"{where} key {key!r} must be {text}, got {json.dumps(value)}")
+    return obj
+
+
+def read_json(path: str | Path, what: str, types: dict, **checks) -> dict:
+    """The UTF-8 JSON object in the file at ``path``, checked by :func:`check_json` as
+    ``"<path>: <what>"``; MalformedJSONError names the path if the file is not JSON."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also too deep a nesting, too long an int
+        raise MalformedJSONError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+    return check_json(f"{path}: {what}", obj, types, **checks)
 
 
 @dataclass(frozen=True)
@@ -113,7 +175,7 @@ def read_container(path: str | Path) -> TensorContainer:
     size before the payload is read straight into the returned array, so
     the file's bytes are held in memory once.
     """
-    with open(path, "rb") as f:
+    with naming(path), open(path, "rb") as f:
         head = f.read(14)
         if len(head) < 14 or head[:4] != CONTAINER_MAGIC:
             raise MalformedHeaderError("bad magic: not a tensor container")
@@ -147,9 +209,9 @@ def read_container(path: str | Path) -> TensorContainer:
             raise PayloadMismatchError(
                 f"payload length mismatch: header declares {expected} bytes, file has {got}"
             )
-    arr = arr.astype(dtype, copy=False)
-    if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
-        raise NonFiniteDataError("container holds non-finite values")
+        arr = arr.astype(dtype, copy=False)
+        if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
+            raise NonFiniteDataError("container holds non-finite values")
     return TensorContainer(array=arr)
 
 
@@ -206,17 +268,17 @@ def write_packed(path: str | Path, packed: PackedCodes) -> None:
 
 
 def read_packed(path: str | Path) -> PackedCodes:
-    with open(path, "rb") as f:
+    with naming(path), open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 17 or raw[:4] != PACKED_MAGIC:
-        raise MalformedHeaderError("bad magic: not a packed code stream")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise MalformedHeaderError(f"unsupported packed-codes version {version}")
-    bit_width, count = struct.unpack_from("<BQ", raw, 8)
-    if not 1 <= bit_width <= 8:
-        raise MalformedHeaderError(f"packed bit width must be in 1..8, got {bit_width}")
-    return PackedCodes(bit_width=bit_width, count=count, payload=raw[17:])
+        if len(raw) < 17 or raw[:4] != PACKED_MAGIC:
+            raise MalformedHeaderError("bad magic: not a packed code stream")
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version != FORMAT_VERSION:
+            raise MalformedHeaderError(f"unsupported packed-codes version {version}")
+        bit_width, count = struct.unpack_from("<BQ", raw, 8)
+        if not 1 <= bit_width <= 8:
+            raise MalformedHeaderError(f"packed bit width must be in 1..8, got {bit_width}")
+        return PackedCodes(bit_width=bit_width, count=count, payload=raw[17:])
 
 
 @dataclass(frozen=True)

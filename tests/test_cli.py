@@ -230,7 +230,7 @@ def test_quantize_huge_container_dims_exit_io(tmp_path, capsys, dims):
     assert code == EXIT_IO
     err = capsys.readouterr().err
     declared = 8 * dims[0] * (dims[1] if len(dims) > 1 else 1)
-    assert err == (f"error: payload length mismatch: header declares {declared} bytes, "
+    assert err == (f"error: {w}: payload length mismatch: header declares {declared} bytes, "
                    f"file has 8\n")
 
 
@@ -369,6 +369,72 @@ def test_non_utf8_json_file_exits_io(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data", [b'{"bits": ', b'{"method": "\xff"}', b"[" * 100_000,
+                                  b'{"bits": ' + b"1" * 5000 + b"}"],
+                         ids=["truncated", "not-utf8", "too-deep", "too-long-int"])
+@pytest.mark.parametrize("target", ["meta.json", "config", "suite"])
+def test_malformed_json_file_exits_io_naming_it(tmp_path, capsys, target, data):
+    # Whatever makes the file unreadable as JSON, the one-line error starts with its path.
+    w, x = write_inputs(tmp_path)
+    if target == "meta.json":
+        out = tmp_path / "layer"
+        assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                     "--method", "rtn", "--bits", "2"]) == EXIT_OK
+        path, argv = out / "meta.json", ["eval", "--layer", str(out), "--calib", x]
+    elif target == "config":
+        path = tmp_path / "cfg.json"
+        argv = ["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
+                "--config", str(path)]
+    else:
+        path = tmp_path / "suite.json"
+        argv = ["bench", "--suite", str(path), "--out-dir", str(tmp_path / "o")]
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a UTF-8 JSON file: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_meta_json_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # A text-mode open would decode meta.json with the locale's codec, ASCII here.
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                 "--method", "rtn", "--bits", "2"]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    meta["meta"]["note"] = "été"
+    (out / "meta.json").write_text(json.dumps(meta, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(qdescent.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), "LC_ALL": "C",
+           "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "qdescent.cli", "eval",
+                           "--layer", str(out), "--calib", x], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+@pytest.mark.parametrize("offset", [0, 4], ids=["magic", "version"])
+@pytest.mark.parametrize("name", ["scales.tc", "biases.tc", "gammas.tc", "codes.pc", "weights",
+                                  "calib"])
+def test_eval_corrupted_header_exits_io_naming_the_file(tmp_path, capsys, name, offset):
+    # eval reads seven files; a bad header in any of the six binary ones names that file.
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out),
+                 "--method", "cd", "--bits", "3"]) == EXIT_OK
+    path = {"weights": w, "calib": x}.get(name, out / name)
+    raw = bytearray(Path(path).read_bytes())
+    raw[offset] ^= 0xFF
+    Path(path).write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert ("bad magic" if offset == 0 else "version") in err
 
 
 def test_quantize_zero_output_channels_exits_shape(tmp_path, capsys):
@@ -790,7 +856,22 @@ def test_eval_packed_bit_width_out_of_range_exits_io(tmp_path, capsys, bit_width
     path.write_bytes(raw[:8] + bytes([bit_width]) + raw[9:17] + bytes((count * bit_width + 7) // 8))
     capsys.readouterr()
     assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
-    assert capsys.readouterr().err == f"error: packed bit width must be in 1..8, got {bit_width}\n"
+    assert (capsys.readouterr().err
+            == f"error: {path}: packed bit width must be in 1..8, got {bit_width}\n")
+
+
+def test_eval_packed_nonzero_padding_exits_io_naming_the_file(tmp_path, capsys):
+    w, x = write_inputs(tmp_path, d_in=6, d_out=3)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--method", "cd",
+                 "--bits", "3"]) == EXIT_OK
+    path = out / "codes.pc"
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= 0x80  # 18 codes of 3 bits fill 54 of the last byte's 56 bits
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(out), "--calib", x]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {path}: nonzero padding bits in packed stream\n"
 
 
 def test_eval_codes_wrong_count_exits_io(tmp_path, capsys):

@@ -150,7 +150,7 @@ def _run(root: Path, command: str) -> int:
     return main(["eval", "--layer", str(layer), *inputs, "--out", str(root / "eval.csv")])
 
 
-def _run_corrupted(pristine: Path, name: str, data: bytes, command: str, capsys) -> None:
+def _run_corrupted(pristine: Path, name: str, data: bytes, command: str, capsys) -> tuple:
     original = (pristine / name).read_bytes()
     assume(data != original)
     (pristine / name).write_bytes(data)
@@ -162,6 +162,7 @@ def _run_corrupted(pristine: Path, name: str, data: bytes, command: str, capsys)
     err = capsys.readouterr().err
     assert code in ERROR_CODES, (name, data, code)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
 
 
 @settings(max_examples=30, **FUZZ)
@@ -180,7 +181,9 @@ def test_corrupted_binary_header_exits_with_a_code(pristine, capsys, target, st_
                                                         st.integers(0, 255)), max_size=3)):
         raw[offset] = byte
     cut = st_data.draw(st.none() | st.integers(0, len(raw) - 1))
-    _run_corrupted(pristine, name, bytes(raw[:cut]), command, capsys)
+    code, err = _run_corrupted(pristine, name, bytes(raw[:cut]), command, capsys)
+    # A file-format failure names the corrupted file.
+    assert code != EXIT_IO or Path(name).name in err, err
 
 
 def _is_kind(value, kind) -> bool:

@@ -1,14 +1,16 @@
 """Container round-trips, bit packing, and report emission."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdescent.tensorio import (BenchRecord, MalformedHeaderError, NonFiniteDataError,
-                               PackedCodes, PayloadMismatchError, TensorContainer, emit_report,
-                               pack_codes, read_container, read_packed, unpack_codes,
+from qdescent.tensorio import (BenchRecord, MalformedHeaderError, MalformedJSONError,
+                               NonFiniteDataError, PackedCodes, PayloadMismatchError,
+                               TensorContainer, check_json, emit_report, pack_codes,
+                               read_container, read_json, read_packed, unpack_codes,
                                write_container, write_packed)
 
 
@@ -102,7 +104,7 @@ def test_container_malformed_header_messages(tmp_path, offset, value, message):
     raw = bytearray(path.read_bytes())
     raw[offset:offset + len(value)] = value
     path.write_bytes(bytes(raw))
-    with pytest.raises(MalformedHeaderError, match=f"^{message}$"):
+    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(str(path))}: {message}$"):
         read_container(path)
 
 
@@ -226,3 +228,54 @@ def test_emit_deterministic(tmp_path):
     emit_report(_records(5), a)
     emit_report(_records(5), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs
+
+_TYPES = {"n": int, "x": float, "names": [str], "flag": bool}
+
+
+@pytest.mark.parametrize("obj, checks, message", [
+    ([1], {}, "where is not a JSON object"),
+    ({"x": 1}, {"required": ("n",)}, "where lacks required key 'n'"),
+    ({"n": 1, "z": 0, "a": 0}, {}, "where holds unknown keys ['a', 'z']"),
+    ({"n": True}, {}, "where key 'n' must be an integer, got true"),
+    ({"n": None}, {"nullable": ("x",)}, "where key 'n' must be an integer, got null"),
+    ({"x": "1"}, {}, "where key 'x' must be a number, got \"1\""),
+    ({"names": ["a", 1]}, {}, "where key 'names' must be a list, each entry a string, "
+                              "got [\"a\", 1]"),
+    ({"n": 0}, {"rules": {"n": (lambda v: v >= 1, "at least 1")}},
+     "where key 'n' must be at least 1, got 0"),
+])
+def test_check_json_names_where_and_key(obj, checks, message):
+    with pytest.raises(ValueError) as info:
+        check_json("where", obj, _TYPES, **checks)
+    assert str(info.value) == message
+
+
+def test_check_json_accepts_a_valid_object():
+    obj = {"n": None, "x": 1, "names": [], "flag": False, "other": [1]}
+    rules = {"n": (lambda v: v >= 1, "at least 1"), "names": (lambda v: v == [], "empty")}
+    assert check_json("where", obj, _TYPES, required=("x",), nullable=("n",), strict=False,
+                      rules=rules) is obj
+
+    class Custom(Exception):
+        pass
+
+    with pytest.raises(Custom, match="^where holds unknown keys \\['other'\\]$"):
+        check_json("where", obj, _TYPES, nullable=("n",), error=Custom)
+
+
+def test_read_json_decodes_utf8_and_names_the_file(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_bytes('{"name": "é"}'.encode("utf-8"))
+    assert read_json(path, "input", {"name": str}) == {"name": "é"}
+    path.write_bytes('{"name": "é"}'.encode("latin-1"))
+    with pytest.raises(MalformedJSONError,
+                       match=f"^{re.escape(str(path))}: not a UTF-8 JSON file: .*utf-8"):
+        read_json(path, "input", {"name": str})
+    path.write_bytes(b'{"name": 1}')
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: input key 'name' must be a string, got 1$"):
+        read_json(path, "input", {"name": str})
