@@ -63,8 +63,8 @@ def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
         if arr.ndim != 2:
             raise ShapeMismatchError(f"{path}: expected a 2-d tensor, got shape {arr.shape}")
     if calib.shape[1] != weights.shape[0]:
-        raise ShapeMismatchError(
-            f"calibration d_in={calib.shape[1]} but weights d_in={weights.shape[0]}")
+        raise ShapeMismatchError(f"calibration {calib_path} has d_in={calib.shape[1]} but "
+                                 f"weights {weights_path} have d_in={weights.shape[0]}")
     return weights, _build_hessian_pipeline(calib, lambda_rel, clip_fraction)
 
 
@@ -165,8 +165,8 @@ def cmd_eval(args) -> int:
                                     meta.get("lambda_rel", args.lambda_rel),
                                     meta.get("clip_fraction", args.clip_fraction))
     if weights.shape != (layer.d_in, layer.d_out):
-        raise ShapeMismatchError(f"weights shape {weights.shape} does not match layer "
-                                 f"({layer.d_in}, {layer.d_out})")
+        raise ShapeMismatchError(f"weights {weights_path} have shape {weights.shape}, which does "
+                                 f"not match layer {args.layer} ({layer.d_in}, {layer.d_out})")
     records = quantcore.layer_records(layer, weights, hessian)
     if args.out:
         tensorio.emit_report(records, args.out)
@@ -296,10 +296,10 @@ def cmd_oracle(args) -> int:
         if args.channel >= weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         w = weights.astype(np.float64)[:, args.channel]
-        params, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
-        if params.scale == 0.0:
+        scales, biases, _, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
+        if scales[0] == 0.0:
             raise ValueError(f"channel {args.channel} is constant; nothing to search")
-        prob = quantcore.ChannelProblem.build(w, hessian, params)
+        prob = quantcore.ChannelProblem.build(w, hessian, scales[0], biases[0], args.bits)
 
     result = oracle.brute_force(prob)
     codes, trace = descent.cd_quantize(prob, q0, DescentConfig())

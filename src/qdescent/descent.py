@@ -70,9 +70,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, DegenerateChannelError, QuantParams, QuantizedLayer,
-                        _check_grouping, check_bits, default_gamma_grid, group_count,
-                        layer_records, owc_quantize)
+from .quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer, _check_grouping,
+                        check_bits, default_gamma_grid, group_count, layer_records, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -173,13 +172,13 @@ def _loss(hmat: np.ndarray, codes: np.ndarray, z: np.ndarray) -> float:
 
 
 def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if prob.params.scale == 0.0 or prob.target is None:
+    if prob.scale == 0.0 or prob.target is None:
         raise DegenerateChannelError("constant weight vector: run the degenerate path, not descent")
     hmat = prob.hessian
     q0 = np.asarray(q0)
     if q0.shape[0] != hmat.shape[0]:
         raise ShapeMismatchError("initial codes do not match the Hessian dimension")
-    if q0.size and int(q0.max(initial=0)) >= prob.params.levels:
+    if q0.size and int(q0.max(initial=0)) >= prob.levels:
         raise ValueError("initial code out of range for the configured bit width")
     return hmat, prob.target
 
@@ -268,9 +267,9 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     h_err = hmat @ err
     gradient = 2.0 * h_err
     hdiag = np.diag(hmat).copy()
-    levels = prob.params.levels
+    levels = prob.levels
 
-    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     scores = None
     for step in range(cfg.total_steps(d)):
@@ -473,7 +472,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
     k = cfg.block_size
-    _check_block(k, prob.params.bits, d, EnumerationGuardError)
+    _check_block(k, prob.bits, d, EnumerationGuardError)
     if k == 1:
         return cd_quantize(prob, q0, cfg)
 
@@ -481,7 +480,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     err = codes - z
     h_err = hmat @ err
     gradient = 2.0 * h_err
-    levels = prob.params.levels
+    levels = prob.levels
     r_grid = np.arange(levels, dtype=np.float64)
     combos = _value_combinations(levels, k)
     # Scores come from the expanded quadratic r'Hr - 2r'Hq + q'Hq + (r-q)'g,
@@ -494,7 +493,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     block_chunk = max(1, (1 << 22) // per_block)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
 
-    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.params.scale ** 2)
+    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
     total = cfg.total_steps(d)
@@ -636,17 +635,17 @@ def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[Des
 
 
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
-                      cfg: DescentConfig,
-                      grid_size: int) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
+                      cfg: DescentConfig, grid_size: int) -> tuple:
     """Per-channel pipeline: the clip-strength grid search (on the one-point grid
     {1} for rtn), then :func:`descend` on the channel's own problem. Returns
-    ((params,), codes, steps_taken).
+    (scales, biases, gammas, codes, steps_taken), one entry each in the first three.
     """
-    params, codes = owc_quantize(w, hessian, bits, 1 if method == "rtn" else grid_size)
-    if method in ("rtn", "owc") or params.scale == 0.0:
-        return (params,), codes, 0
-    codes, steps = descend(ChannelProblem.build(w, hessian, params), codes, method, cfg)
-    return (params,), codes, steps
+    scales, biases, gammas, codes = owc_quantize(w, hessian, bits,
+                                                 1 if method == "rtn" else grid_size)
+    if method in ("rtn", "owc") or scales[0] == 0.0:
+        return scales, biases, gammas, codes, 0
+    prob = ChannelProblem.build(w, hessian, scales[0], biases[0], bits)
+    return (scales, biases, gammas, *descend(prob, codes, method, cfg))
 
 
 def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
@@ -695,14 +694,11 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
         ccfg = replace(cfg, seed=channel_seed(cfg.seed, j))
         w = w64[:, j]
         if group_size == 0:
-            params, codes, n_steps = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
+            fit = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
         else:
-            params, codes, n_steps = groupquant.quantize_channel_grouped(
-                w, hessian, method, bits, group_size, ccfg, grid_size, owc_cd_refine)
-        layer.scales[j] = [p.scale for p in params]
-        layer.biases[j] = [p.bias for p in params]
-        layer.gammas[j] = [p.gamma for p in params]
-        layer.codes[j] = codes
+            fit = groupquant.quantize_channel_grouped(w, hessian, method, bits, group_size, ccfg,
+                                                      grid_size, owc_cd_refine)
+        layer.scales[j], layer.biases[j], layer.gammas[j], layer.codes[j], n_steps = fit
         steps.append(n_steps)
         walls.append((time.perf_counter() - start) * 1e3 if collect_timing else 0.0)
     layer.validate()

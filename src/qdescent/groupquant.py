@@ -31,7 +31,7 @@ Both clip-strength searches work on one table per channel,
 ``quantcore._affine_table``: the affine fit of every (group, grid value)
 pair in one vectorized pass. The grid search picks one grid index per group,
 and the descent starts from those indices and moves them; ``rtn`` is the grid
-search on the one-point grid {1}.
+search on the one-point grid {1}; ``AffineTable.pick`` gives the fit as arrays.
 The grid search scores the whole table against the stacked diagonal blocks
 of H in one batched product; ``quantcore._best_clips``'s rounding screen
 keeps each group's choice exactly that of a per-candidate loop. H~ is built
@@ -56,8 +56,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (AffineTable, ChannelProblem, QuantParams, _affine_table, _best_clips,
-                        _check_grouping, _clip_screen, default_gamma_grid)
+from .quantcore import (AffineTable, ChannelProblem, _affine_table, _best_clips, _check_grouping,
+                        _clip_screen, check_scales, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
@@ -66,36 +66,38 @@ def _check_hessian(hessian: np.ndarray, d_in: int) -> None:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
 
 
-def tilde_transform(w: np.ndarray, hessian: np.ndarray,
-                    params: tuple[QuantParams, ...]) -> ChannelProblem:
+def tilde_transform(w: np.ndarray, hessian: np.ndarray, scales: np.ndarray,
+                    biases: np.ndarray, bits: int) -> ChannelProblem:
     """The grouped problem in per-channel form: H~ = D H D (row/column scaling
     of H, no activation matrix needed) and target z~ = (w - b) / a, at unit
     scale and zero bias, so the engines' scaled loss is the true loss.
 
-    ``params`` holds one entry per group, of size ``len(w) // len(params)``.
-    A zero group scale is only legal for a constant group (the degenerate
-    path); anything else means the params are inconsistent with the weights.
+    ``scales`` and ``biases`` hold one entry per group, of size
+    ``len(w) // len(scales)``; each scale must be finite and >= 0. A zero group
+    scale is only legal for a constant group (the degenerate path); anything
+    else means the scales are inconsistent with the weights.
     """
     w = np.asarray(w, dtype=np.float64)
-    if not params or w.shape[0] % len(params):
-        raise ShapeMismatchError(f"{len(params)} groups do not divide d_in={w.shape[0]}")
+    scales = check_scales(scales)
+    n_groups = len(scales)
+    if not n_groups or w.shape[0] % n_groups:
+        raise ShapeMismatchError(f"{n_groups} groups do not divide d_in={w.shape[0]}")
     _check_hessian(hessian, w.shape[0])
-    g = w.shape[0] // len(params)
+    g = w.shape[0] // n_groups
+    wg = w.reshape(n_groups, g)
+    bad = np.flatnonzero((scales == 0.0) & (wg.max(axis=1) - wg.min(axis=1) != 0.0))
+    if bad.size:
+        raise ValueError(f"zero scale for non-constant group {bad[0]}")
 
-    avec = np.repeat(np.array([p.scale for p in params], dtype=np.float64), g)
-    bvec = np.repeat(np.array([p.bias for p in params], dtype=np.float64), g)
-    for i, p in enumerate(params):
-        grp = w[i * g:(i + 1) * g]
-        if p.scale == 0.0 and float(grp.max() - grp.min()) != 0.0:
-            raise ValueError(f"zero scale for non-constant group {i}")
-
+    avec = np.repeat(scales, g)
+    bvec = np.repeat(np.asarray(biases, dtype=np.float64), g)
     h_tilde = hessian * avec[:, None]
     h_tilde *= avec[None, :]  # in place: one d_in x d_in temporary, same two products
     active = avec > 0.0
     z_tilde = np.zeros_like(w)
     z_tilde[active] = (w[active] - bvec[active]) / avec[active]
-    unit = QuantParams(scale=1.0, bias=0.0, bits=params[0].bits, gamma=1.0)
-    return ChannelProblem(weights=z_tilde, hessian=h_tilde, params=unit, target=z_tilde)
+    return ChannelProblem(weights=z_tilde, hessian=h_tilde, scale=1.0, bias=0.0, bits=bits,
+                          target=z_tilde)
 
 
 def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
@@ -107,7 +109,7 @@ def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: in
                    grid_size: int = 50) -> tuple[AffineTable, np.ndarray]:
     """Per-group clip-strength grid search against the group's own H block:
     the channel's affine table and each group's best grid index in it, whose
-    params and codes ``table.pick(picks)`` gives.
+    scales, biases, clip strengths and codes ``table.pick(picks)`` gives.
 
     Cross-group coupling is ignored here (block-diagonal approximation);
     the clip-strength coordinate descent below is what accounts for it.
@@ -243,11 +245,12 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
 
 def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
                              group_size: int, cfg: DescentConfig, grid_size: int,
-                             owc_cd_refine: bool) -> tuple[tuple[QuantParams, ...], np.ndarray, int]:
+                             owc_cd_refine: bool) -> tuple:
     """Grouped counterpart of the per-channel pipeline: the per-group grid
     search (on the one-point grid {1} for rtn), optionally refined by the
     clip-strength descent, then ``descent.descend`` on the scaled problem.
-    Returns (params, codes, steps_taken), one params entry per group.
+    Returns (scales, biases, gammas, codes, steps_taken), one entry per group
+    in the first three.
     """
     rtn = method == "rtn"
     table, picks = owc_group_init(w, hessian, bits, group_size, 1 if rtn else grid_size)
@@ -256,8 +259,9 @@ def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bi
         refined = owc_cd(table, hessian, picks)
         picks = refined.picks
         steps += len(refined.swaps)
-    params, codes = table.pick(picks)
+    scales, biases, gammas, codes = table.pick(picks)
     if method not in ("rtn", "owc") and table.live.any():
-        codes, engine_steps = descend(tilde_transform(w, hessian, params), codes, method, cfg)
+        prob = tilde_transform(w, hessian, scales, biases, bits)
+        codes, engine_steps = descend(prob, codes, method, cfg)
         steps += engine_steps
-    return params, codes, steps
+    return scales, biases, gammas, codes, steps

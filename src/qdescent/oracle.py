@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descent import DescentTrace, EnumerationGuardError, _loss
-from .quantcore import ChannelProblem, DegenerateChannelError, QuantParams, channel_objective
+from .quantcore import ChannelProblem, DegenerateChannelError, channel_objective
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
 MAX_SEARCH_BITS = 24
@@ -40,12 +40,12 @@ class OracleResult:
 
 def brute_force(prob: ChannelProblem) -> OracleResult:
     """Enumerate every code vector and return the scaled-loss minimizer."""
-    if prob.params.scale == 0.0 or prob.target is None:
+    if prob.scale == 0.0 or prob.target is None:
         raise DegenerateChannelError("constant weight vector has the trivial all-zero optimum")
     hmat = prob.hessian
     z = prob.target
     d = hmat.shape[0]
-    c = prob.params.bits
+    c = prob.bits
     if c * d > MAX_SEARCH_BITS:
         raise EnumerationGuardError(
             f"search space is 2^{c * d} code vectors; guard is 2^{MAX_SEARCH_BITS}")
@@ -67,8 +67,8 @@ def brute_force(prob: ChannelProblem) -> OracleResult:
             best_index = int(idx[j])
 
     best_codes = ((best_index // place) % levels).astype(np.uint8)
-    true_objective, _, _ = channel_objective(prob.weights, np.array([prob.params.scale]),
-                                             np.array([prob.params.bias]), best_codes, hmat)
+    true_objective, _, _ = channel_objective(prob.weights, np.array([prob.scale]),
+                                             np.array([prob.bias]), best_codes, hmat)
     return OracleResult(codes=best_codes, scaled_objective=best_loss,
                         true_objective=true_objective, enumeration_count=total)
 
@@ -91,7 +91,7 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
         raise DegenerateChannelError("cannot verify a trace on a degenerate channel")
     hmat = prob.hessian
     z = prob.target
-    levels = prob.params.levels
+    levels = prob.levels
     codes = np.asarray(q0, dtype=np.float64).copy()
     if codes.shape[0] != hmat.shape[0]:
         raise ValueError("trace/problem mismatch: initial codes have the wrong length")
@@ -136,7 +136,6 @@ def canonical_problem() -> tuple[ChannelProblem, np.ndarray]:
     to coordinate 0 first and lands on q = (1, 0) at 0.72.
     """
     hessian = np.array([[2.0, 1.0], [1.0, 2.0]])
-    params = QuantParams(scale=1.0, bias=0.0, bits=1, gamma=1.0)
     weights = np.array([0.4, 0.6])
-    prob = ChannelProblem.build(weights, hessian, params)
+    prob = ChannelProblem.build(weights, hessian, 1.0, 0.0, 1)
     return prob, np.zeros(2, dtype=np.uint8)

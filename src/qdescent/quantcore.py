@@ -51,6 +51,15 @@ def check_bits(bits: int) -> None:
         raise ValueError(f"bits must be in 1..8, got {bits}")
 
 
+def check_scales(scales) -> np.ndarray:
+    """``scales``, one or an array of them, as float64 once each is finite and >= 0."""
+    a = np.asarray(scales, dtype=np.float64)
+    bad = ~((0.0 <= a) & (a < np.inf))
+    if bad.any():
+        raise ValueError(f"scale must be finite and >= 0, got {a[bad].flat[0]}")
+    return a
+
+
 def _check_grouping(d_in: int, group_size: int) -> int:
     if group_size < 1 or d_in % group_size:
         raise ValueError(f"group size {group_size} does not divide d_in={d_in}")
@@ -58,27 +67,8 @@ def _check_grouping(d_in: int, group_size: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuantParams:
-    """Affine dequantization parameters for one channel or group."""
-
-    scale: float
-    bias: float
-    bits: int
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        check_bits(self.bits)
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
-
-    @property
-    def levels(self) -> int:
-        return 1 << self.bits
-
-
-@dataclass(frozen=True)
 class ChannelProblem:
-    """One output channel's quantization problem.
+    """One output channel's quantization problem under the affine map a*q + b.
 
     ``target`` caches z = (w - b) / a, the real-valued point the integer
     codes chase; it is None for degenerate (constant-weight) channels.
@@ -86,18 +76,28 @@ class ChannelProblem:
 
     weights: np.ndarray
     hessian: np.ndarray
-    params: QuantParams
+    scale: float
+    bias: float
+    bits: int
     target: Optional[np.ndarray]
 
+    def __post_init__(self):
+        check_bits(self.bits)
+        check_scales(self.scale)
+
+    @property
+    def levels(self) -> int:
+        return 1 << self.bits
+
     @classmethod
-    def build(cls, weights: np.ndarray, hessian: np.ndarray,
-              params: QuantParams) -> "ChannelProblem":
+    def build(cls, weights: np.ndarray, hessian: np.ndarray, scale: float, bias: float,
+              bits: int) -> "ChannelProblem":
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] != hessian.shape[0]:
             raise ShapeMismatchError(
                 f"weights have shape {w.shape}, Hessian is {hessian.shape[0]}x{hessian.shape[0]}")
-        target = (w - params.bias) / params.scale if params.scale > 0 else None
-        return cls(weights=w, hessian=hessian, params=params, target=target)
+        target = (w - bias) / scale if scale > 0 else None
+        return cls(weights=w, hessian=hessian, scale=scale, bias=bias, bits=bits, target=target)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -155,16 +155,12 @@ class AffineTable:
     resid: np.ndarray     # (n, v, g) float64, w - (scale * q + bias)
     live: np.ndarray      # (n,) bool, the group is not constant
 
-    def params(self, i: int, k: int) -> QuantParams:
-        if not self.live[i]:
-            return QuantParams(scale=0.0, bias=float(self.biases[i]), bits=self.bits, gamma=1.0)
-        return QuantParams(scale=float(self.scales[i, k]), bias=float(self.biases[i]),
-                           bits=self.bits, gamma=float(self.gammas[i, k]))
-
-    def pick(self, ks: np.ndarray) -> tuple[tuple[QuantParams, ...], np.ndarray]:
-        """The params of each group i at index ``ks[i]``, and their codes, concatenated."""
-        return (tuple(self.params(i, int(k)) for i, k in enumerate(ks)),
-                self.codes[np.arange(len(ks)), ks].ravel())
+    def pick(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(scales, biases, gammas, codes): each group i's fit at index ``ks[i]``, with
+        clip strength 1 for a constant group, and their codes, concatenated."""
+        rows = np.arange(len(ks))
+        gammas = np.where(self.live, self.gammas[rows, ks], 1.0)
+        return self.scales[rows, ks], self.biases.copy(), gammas, self.codes[rows, ks].ravel()
 
 
 def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTable:
@@ -304,10 +300,11 @@ def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
     return np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
 
 
-def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
-                 grid_size: int = 50) -> tuple[QuantParams, CodeVector]:
+def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int, grid_size: int = 50
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CodeVector]:
     """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
-    loss, ties toward larger gamma.
+    loss, ties toward larger gamma. Returns the one-group ``AffineTable.pick``:
+    (scales, biases, gammas), one entry each, and the codes.
 
     The grid always contains gamma = 1, the min-max fit, so the returned
     objective is never worse than min-max; grid_size = 1 is that fit alone,
@@ -318,8 +315,7 @@ def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
     if w.size == 0:
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, grid)
-    (params,), codes = table.pick(_best_clips(table, hessian[None]))
-    return params, codes
+    return table.pick(_best_clips(table, hessian[None]))
 
 
 def group_count(d_in: int, group_size: int) -> int:

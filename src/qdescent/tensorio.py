@@ -123,7 +123,9 @@ def check_json(where: str, obj, types: dict, *, required=(), nullable=(), strict
             text = rules[key][1]
         else:
             continue
-        raise error(f"{where} key {key!r} must be {text}, got {json.dumps(value)}")
+        got = json.dumps(value)
+        got = got if len(got) <= 60 else got[:60] + "…"  # one short line, however long or deep
+        raise error(f"{where} key {key!r} must be {text}, got {got}")
     return obj
 
 

@@ -1,8 +1,11 @@
 """Shared instance factories and reference copies for the test suite.
 
-``_fit_affine``, ``objective`` (with ``dequantize``), ``GradientState``,
-``minmax_quantize``, ``minmax_group_init`` and ``reference_pair_screen`` are
-verbatim copies of code the package no longer has: the scalar affine fit that
+``QuantParams``, ``_fit_affine``, ``objective`` (with ``dequantize``),
+``GradientState``, ``minmax_quantize``, ``minmax_group_init`` and
+``reference_pair_screen`` are verbatim copies of code the package no longer
+has: the one-group params class that the references build and return (the
+package keeps a fit as plain scale, bias and clip-strength arrays, which
+``as_params`` turns into these for comparison), the scalar affine fit that
 ``quantcore._affine_table`` must match bit for bit, the one-params objective
 that independent checks score with, the engines' old state class, which the
 tests' reference engine copies still use, the min-max fits that the grid
@@ -19,8 +22,34 @@ import numpy as np
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.descent import SCREEN_CHECK_VALUES, SCREEN_CHUNK_ROWS, SCREEN_MARGIN
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import (ChannelProblem, CodeVector, QuantParams, _affine_table,
-                                _check_grouping, owc_quantize, round_half_away)
+from qdescent.quantcore import (ChannelProblem, CodeVector, _affine_table, _check_grouping,
+                                check_bits, owc_quantize, round_half_away)
+
+
+@dataclass(frozen=True)
+class QuantParams:
+    """Affine dequantization parameters for one channel or group."""
+
+    scale: float
+    bias: float
+    bits: int
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        check_bits(self.bits)
+        if self.scale < 0:
+            raise ValueError("scale must be nonnegative")
+
+    @property
+    def levels(self) -> int:
+        return 1 << self.bits
+
+
+def as_params(fit, bits: int) -> tuple[QuantParams, ...]:
+    """One ``QuantParams`` per group of a fit's leading (scales, biases, gammas) arrays."""
+    scales, biases, gammas = fit[:3]
+    return tuple(QuantParams(scale=float(a), bias=float(b), bits=bits, gamma=float(c))
+                 for a, b, c in zip(scales, biases, gammas))
 
 
 def _f32(value: float) -> float:
@@ -67,7 +96,7 @@ def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
     if w.size == 0:
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, np.ones(1))
-    return table.params(0, 0), table.codes[0, 0].copy()
+    return as_params(table.pick(np.zeros(1, dtype=np.intp)), bits)[0], table.codes[0, 0].copy()
 
 
 def minmax_group_init(w: np.ndarray, bits: int,
@@ -76,7 +105,7 @@ def minmax_group_init(w: np.ndarray, bits: int,
     w = np.asarray(w, dtype=np.float64)
     n_groups = _check_grouping(w.shape[0], group_size)
     table = _affine_table(w.reshape(n_groups, group_size), bits, np.ones(1))
-    return tuple(table.params(i, 0) for i in range(n_groups)), table.codes[:, 0].ravel()
+    return as_params(table.pick(np.zeros(n_groups, dtype=np.intp)), bits), table.codes[:, 0].ravel()
 
 
 def reference_pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
@@ -191,8 +220,8 @@ def random_problem(d_in, bits, seed, n=None, lambda_rel=0.01, grid_size=50, scal
     x = rng.standard_normal((n, d_in))
     hessian = build_hessian(x, lambda_rel)
     w = rng.standard_normal(d_in) * scale
-    params, q0 = owc_quantize(w, hessian, bits, grid_size)
-    prob = ChannelProblem.build(w, hessian, params)
+    scales, biases, _, q0 = owc_quantize(w, hessian, bits, grid_size)
+    prob = ChannelProblem.build(w, hessian, scales[0], biases[0], bits)
     return prob, q0
 
 
@@ -203,17 +232,16 @@ def integer_problem(d, bits, seed):
     h = a.T @ a + np.diag(rng.integers(0, 2, size=d).astype(np.float64))
     levels = 2 ** bits
     z = rng.integers(0, 2 * levels - 1, size=d) / 2.0
-    params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
     q0 = rng.integers(0, levels, size=d).astype(np.uint8)
     return prob, q0
 
 
-def expand_params(params, d):
-    """Per-coordinate (scale, bias) float64 vectors of one params entry per group of d weights."""
-    g = d // len(params)
-    return (np.repeat(np.array([p.scale for p in params], dtype=np.float64), g),
-            np.repeat(np.array([p.bias for p in params], dtype=np.float64), g))
+def expand_params(scales, biases, d):
+    """Per-coordinate (scale, bias) float64 vectors of one scale and bias per group of d weights."""
+    g = d // len(scales)
+    return (np.repeat(np.asarray(scales, dtype=np.float64), g),
+            np.repeat(np.asarray(biases, dtype=np.float64), g))
 
 
 def grouped_problem(d, group_size, bits, seed, constant_group):
@@ -222,12 +250,12 @@ def grouped_problem(d, group_size, bits, seed, constant_group):
     w = prob.weights.copy()
     sl = slice(constant_group * group_size, (constant_group + 1) * group_size)
     w[sl] = 0.25
-    params, codes = [], np.empty(d, dtype=np.uint8)
-    for g in range(d // group_size):
+    n_groups = d // group_size
+    scales, biases, codes = np.empty(n_groups), np.empty(n_groups), np.empty(d, dtype=np.uint8)
+    for g in range(n_groups):
         gsl = slice(g * group_size, (g + 1) * group_size)
-        p, q = owc_quantize(w[gsl], prob.hessian[gsl, gsl], bits, 20)
-        params.append(p)
-        codes[gsl] = q
-    tilde = tilde_transform(w, prob.hessian, tuple(params))
+        scales[g:g + 1], biases[g:g + 1], _, codes[gsl] = owc_quantize(
+            w[gsl], prob.hessian[gsl, gsl], bits, 20)
+    tilde = tilde_transform(w, prob.hessian, scales, biases, bits)
     assert not tilde.hessian[sl].any()  # the constant group's rows of H~ are zero
     return tilde, codes

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import expand_params, minmax_quantize, objective, random_problem
+from conftest import as_params, expand_params, minmax_quantize, objective, random_problem
 from qdescent import calibration, descent, groupquant, oracle, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
@@ -129,8 +129,8 @@ def test_criterion_04_gradient_and_v_drift():
         w = rng.standard_normal(d)
         table, picks = groupquant.owc_group_init(w, hessian, bits=2, group_size=g, grid_size=16)
         result = groupquant.owc_cd(table, hessian, picks, steps=d // g)
-        params, codes = table.pick(result.picks)
-        avec, bvec = expand_params(params, d)
+        scales, biases, _, codes = table.pick(result.picks)
+        avec, bvec = expand_params(scales, biases, d)
         err = w - (avec * codes + bvec)
         fresh_v = -2.0 * (hessian @ err)
         worst_v = max(worst_v, float(np.abs(result.final_v - fresh_v).max()))
@@ -149,10 +149,12 @@ def test_criterion_05_exact_equivalences():
     for _ in range(100):
         w = rng.standard_normal(12) * rng.uniform(0.2, 5.0)
         pm, qm = minmax_quantize(w, 3)
-        p1, q1 = owc_quantize(w, hessian, 3, grid_size=1)
+        fit1 = owc_quantize(w, hessian, 3, grid_size=1)
+        (p1,), q1 = as_params(fit1, 3), fit1[3]
         if (p1, list(q1)) != (pm, list(qm)):
             owc_is_minmax = False
-        p50, q50 = owc_quantize(w, hessian, 3, grid_size=50)
+        fit50 = owc_quantize(w, hessian, 3, grid_size=50)
+        (p50,), q50 = as_params(fit50, 3), fit50[3]
         if objective(w, q50, p50, hessian) > objective(w, qm, pm, hessian):
             owc_not_worse = False
 

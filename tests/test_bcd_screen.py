@@ -17,7 +17,7 @@ from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, Enume
                               TraceStep, _check_engine_inputs, _pair_coupling, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.oracle import brute_force, verify_trace
-from qdescent.quantcore import ChannelProblem, QuantParams, owc_quantize
+from qdescent.quantcore import ChannelProblem, owc_quantize
 
 from conftest import (GradientState, grouped_problem, integer_problem, random_problem,
                       reference_pair_screen)
@@ -29,7 +29,7 @@ def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
     k = cfg.block_size
-    bits = prob.params.bits
+    bits = prob.bits
     if d % k:
         raise EnumerationGuardError(f"block size {k} does not divide d_in={d}")
     if k * bits > MAX_BLOCK_BITS:
@@ -37,7 +37,7 @@ def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
 
     state = GradientState.init(hmat, q0, z)
-    levels = prob.params.levels
+    levels = prob.levels
     r_grid = np.arange(levels, dtype=np.float64)
     hdiag = np.diag(hmat).copy()
     if k > 1:
@@ -53,7 +53,7 @@ def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+                         loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
     for step in range(cfg.total_steps(d)):
@@ -198,8 +198,8 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     a = rng.standard_normal((4 * d, d))
     h = np.diag(rng.uniform(1.0, 2.0, size=d)) + 1e-3 * (a.T @ a) / (4 * d)
     w = rng.standard_normal(d)
-    params, q0 = owc_quantize(w, h, bits, 50)
-    prob = ChannelProblem.build(w, h, params)
+    scales, biases, _, q0 = owc_quantize(w, h, bits, 50)
+    prob = ChannelProblem.build(w, h, scales[0], biases[0], bits)
     cfg = DescentConfig(block_size=2, epochs=2, seed=3)
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
@@ -336,8 +336,8 @@ def _screen_states():
                 tri = np.triu(rng.standard_normal((d, d)), 1)
                 h = a.T @ a / d + 0.5 * np.eye(d) + 0.5 * (tri.T if lower else tri)
                 z = rng.uniform(0.0, 2 ** bits - 1, size=d)
-                params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-                prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
+                prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits,
+                                      target=z)
                 problems.append((prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)))
     states = []
     for prob, q0 in problems:
@@ -345,7 +345,7 @@ def _screen_states():
         for codes in (q0, cd_codes):
             state = GradientState.init(prob.hessian, codes, prob.target)
             states.append((prob.hessian, state.codes, state.gradient,
-                           np.arange(prob.params.levels, dtype=np.float64)))
+                           np.arange(prob.levels, dtype=np.float64)))
     return states
 
 

@@ -15,7 +15,7 @@ import pytest
 from qdescent.descent import (DescentConfig, DescentTrace, TraceStep,
                               _best_moves, _check_engine_inputs, cd_quantize, cyclic_cd_quantize)
 from qdescent.oracle import verify_trace
-from qdescent.quantcore import ChannelProblem, QuantParams
+from qdescent.quantcore import ChannelProblem
 
 from conftest import GradientState, grouped_problem, integer_problem, random_problem
 
@@ -26,10 +26,10 @@ def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     hmat, z = _check_engine_inputs(prob, q0)
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
-    r_grid = np.arange(prob.params.levels, dtype=np.float64)
+    r_grid = np.arange(prob.levels, dtype=np.float64)
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+                         loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     for step in range(cfg.total_steps(hmat.shape[0])):
         diff = r_grid[None, :] - state.codes[:, None]
@@ -58,10 +58,10 @@ def reference_cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     d = hmat.shape[0]
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
-    r_grid = np.arange(prob.params.levels, dtype=np.float64)
+    r_grid = np.arange(prob.levels, dtype=np.float64)
 
     trace = DescentTrace(initial_loss=state.loss(hmat, z),
-                         loss_scale=prob.params.scale ** 2)
+                         loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     step = 0
     for _ in range(cfg.epochs):
@@ -157,8 +157,7 @@ def scaled_problem(d, bits, seed, tiny, tiny_rows):
     scale[tiny_rows] = tiny
     h = scale[:, None] * (a.T @ a) * scale[None, :] + 1e-3 * np.diag(scale * scale)
     z = rng.uniform(0.0, 2 ** bits - 1, size=d)
-    params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
     return prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)
 
 
@@ -182,8 +181,7 @@ def test_scan_matches_reference_on_indefinite_and_overflowing_rows():
     h[2, 2] = -0.5
     h[7, 7] = 5e-324
     z = rng.uniform(0.0, 15.0, size=d)
-    params = QuantParams(scale=1.0, bias=0.0, bits=bits, gamma=1.0)
-    prob = ChannelProblem(weights=z, hessian=h, params=params, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
     q0 = rng.integers(0, 16, size=d).astype(np.uint8)
     state = GradientState.init(h, q0, z)
     with np.errstate(over="ignore"):

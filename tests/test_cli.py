@@ -203,13 +203,24 @@ def test_quantize_owc_cd_without_groups_exits_usage(tmp_path, capsys, argv, conf
     assert not (tmp_path / "o").exists()
 
 
-def test_quantize_shape_mismatch(tmp_path):
-    w, _ = write_inputs(tmp_path, d_in=8)
+def test_quantize_shape_mismatch(tmp_path, capsys):
+    # quantize, oracle and eval each name both files whose shapes disagree.
+    w, x8 = write_inputs(tmp_path, d_in=8)
     (tmp_path / "sub").mkdir(exist_ok=True)
-    _, x = write_inputs(tmp_path / "sub", d_in=6)
-    code = main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
-                 "--method", "cd", "--bits", "2"])
-    assert code == EXIT_SHAPE
+    w6, x = write_inputs(tmp_path / "sub", d_in=6)
+    for argv in (["quantize", "--out", str(tmp_path / "o"), "--method", "cd", "--bits", "2"],
+                 ["oracle", "--bits", "2"]):
+        capsys.readouterr()
+        assert main(argv + ["--weights", w, "--calib", x]) == EXIT_SHAPE
+        assert capsys.readouterr().err == (f"error: calibration {x} has d_in=6 but weights {w} "
+                                           f"have d_in=8\n")
+    layer = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x8, "--out", str(layer),
+                 "--method", "rtn", "--bits", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--layer", str(layer), "--weights", w6, "--calib", x]) == EXIT_SHAPE
+    assert capsys.readouterr().err == (f"error: weights {w6} have shape (6, 4), which does not "
+                                       f"match layer {layer} (8, 4)\n")
 
 
 def test_quantize_missing_file(tmp_path):
@@ -262,6 +273,8 @@ def test_quantize_config_file_precedence(tmp_path):
     {"bits": 3, "method": "rtn", "grid_size": None},
     {"bits": 3, "method": ["rtn"]},
     ["bits", 3],
+    {"bits": "x" * 5000, "method": "rtn"},
+    {"bits": json.loads("[" * 300 + "3" + "]" * 300), "method": "rtn"},
 ])
 def test_quantize_config_type_mismatch_exits_usage(tmp_path, capsys, config):
     w, x = write_inputs(tmp_path)
@@ -271,7 +284,9 @@ def test_quantize_config_type_mismatch_exits_usage(tmp_path, capsys, config):
                  "--config", str(cfg)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    # A long or deep value is echoed as a prefix, so the line stays short.
+    assert len(err) < len(str(cfg)) + 150
 
 
 def test_quantize_config_accepts_json_types(tmp_path):

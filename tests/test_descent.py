@@ -1,18 +1,19 @@
 """Engine behavior: exact deltas, tie-breaking, reductions, and orchestration."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import GradientState, minmax_quantize, objective, random_problem
+from conftest import GradientState, as_params, minmax_quantize, objective, random_problem
 from qdescent import descent
 from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
                               cd_quantize, check_settings, cyclic_cd_quantize, descend,
                               dump_trace, quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem, DegenerateChannelError, QuantParams, owc_quantize
+from qdescent.quantcore import ChannelProblem, DegenerateChannelError, owc_quantize
 
 
 def test_cd_canonical_trace():
@@ -37,7 +38,7 @@ def test_cd_diagonal_h_rtn_init_is_fixed_point():
         w = rng.standard_normal(8)
         h = np.diag(rng.uniform(0.5, 3.0, size=8))
         params, q0 = minmax_quantize(w, 2)
-        prob = ChannelProblem.build(w, h, params)
+        prob = ChannelProblem.build(w, h, params.scale, params.bias, params.bits)
         codes, trace = cd_quantize(prob, q0, DescentConfig())
         np.testing.assert_array_equal(codes, q0)
         assert trace.accepted_steps == 0
@@ -48,7 +49,8 @@ def test_cd_scale_invariance_power_of_two():
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
                             hessian=4.0 * prob.hessian,
-                            params=prob.params, target=prob.target)
+                            scale=prob.scale, bias=prob.bias, bits=prob.bits,
+                            target=prob.target)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
     assert [(s.coords, s.values) for s in trace_a.steps] == \
@@ -62,15 +64,15 @@ def test_cd_scale_invariance_generic_factor():
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
                             hessian=3.7 * prob.hessian,
-                            params=prob.params, target=prob.target)
+                            scale=prob.scale, bias=prob.bias, bits=prob.bits,
+                            target=prob.target)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
 
 
 def test_cd_rejects_degenerate_scale():
     h = np.eye(2)
-    params = QuantParams(scale=0.0, bias=1.0, bits=2)
-    prob = ChannelProblem.build(np.ones(2), h, params)
+    prob = ChannelProblem.build(np.ones(2), h, 0.0, 1.0, 2)
     with pytest.raises(DegenerateChannelError):
         cd_quantize(prob, np.zeros(2, dtype=np.uint8), DescentConfig())
 
@@ -137,7 +139,7 @@ def test_cyclic_diagonal_single_pass_is_optimal():
     w = rng.standard_normal(6)
     h = np.diag(rng.uniform(0.2, 2.0, size=6))
     params, _ = minmax_quantize(w, 2)
-    prob = ChannelProblem.build(w, h, params)
+    prob = ChannelProblem.build(w, h, params.scale, params.bias, params.bits)
     q0 = np.zeros(6, dtype=np.uint8)
     codes, _ = cyclic_cd_quantize(prob, q0, DescentConfig())
     # separable loss: each coordinate lands on its independent best value
@@ -298,7 +300,8 @@ def test_quantize_matrix_owc_objectives_match_engine_inits():
     w, h = _layer_inputs(d_in=12, d_out=4, seed=8)
     layer, records = quantize_matrix(w, h, "owc", bits=3)
     for j, rec in enumerate(records):
-        params, codes = owc_quantize(w[:, j].astype(np.float64), h, 3, 50)
+        fit = owc_quantize(w[:, j].astype(np.float64), h, 3, 50)
+        params, codes = as_params(fit, 3)[0], fit[3]
         assert rec.objective == pytest.approx(
             objective(w[:, j].astype(np.float64), codes, params, h), rel=1e-12)
         np.testing.assert_array_equal(layer.codes[j], codes)
@@ -336,3 +339,10 @@ def test_bcd_with_blocks_of_one_is_cd(monkeypatch):
     np.testing.assert_array_equal(bcd_layer.codes, cd_layer.codes)
     assert [r.steps for r in bcd_records] == [r.steps for r in cd_records]
     assert any(r.steps > 1 for r in cd_records)  # some channel accepted a step
+
+
+def test_readme_library_use_block_runs():
+    # README's "Library use" example, run verbatim, so the API it shows stays the package's.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

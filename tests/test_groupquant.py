@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import _fit_affine, expand_params, minmax_group_init, random_problem
+from conftest import _fit_affine, as_params, expand_params, minmax_group_init, random_problem
 from qdescent import groupquant
 from qdescent.calibration import SynthSpec, build_hessian, gen_calibration, gen_weights
 from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
 from qdescent.groupquant import owc_cd, owc_group_init, quantize_channel_grouped, tilde_transform
-from qdescent.quantcore import QuantParams, _affine_table, channel_objective, owc_quantize
+from qdescent.quantcore import ChannelProblem, _affine_table, channel_objective, owc_quantize
 
 
 def _rand_instance(d, seed, n=None):
@@ -19,30 +19,26 @@ def _rand_instance(d, seed, n=None):
     return rng.standard_normal(d), build_hessian(x, 0.01)
 
 
-def _uniform_params(d, g, params):
-    return tuple([params] * (d // g))
-
-
 def _group_init(w, h, bits, group_size, grid_size=50):
-    """``owc_group_init``'s (params per group, codes)."""
+    """``owc_group_init``'s (scales, biases, gammas, codes)."""
     table, picks = owc_group_init(w, h, bits, group_size, grid_size)
     return table.pick(picks)
 
 
 def test_tilde_identity_when_scales_one():
     w, h = _rand_instance(6, 0)
-    tilde = tilde_transform(w, h, _uniform_params(6, 2, QuantParams(scale=1.0, bias=0.25, bits=2)))
+    tilde = tilde_transform(w, h, np.full(3, 1.0), np.full(3, 0.25), 2)
     np.testing.assert_array_equal(tilde.hessian, h)
     np.testing.assert_allclose(tilde.target, w - 0.25)
     assert tilde.weights is tilde.target
-    assert (tilde.params.scale, tilde.params.bias, tilde.params.bits) == (1.0, 0.0, 2)
+    assert (tilde.scale, tilde.bias, tilde.bits) == (1.0, 0.0, 2)
 
 
 def test_tilde_uniform_scale_matches_per_channel_trajectory():
     prob, q0 = random_problem(12, 2, seed=1)
-    params = _uniform_params(12, 3, prob.params)
-    codes_g, trace_g = cd_quantize(tilde_transform(prob.weights, prob.hessian, params), q0,
-                                   DescentConfig())
+    tilde = tilde_transform(prob.weights, prob.hessian, np.full(4, prob.scale),
+                            np.full(4, prob.bias), prob.bits)
+    codes_g, trace_g = cd_quantize(tilde, q0, DescentConfig())
     codes_c, trace_c = cd_quantize(prob, q0, DescentConfig())
     np.testing.assert_array_equal(codes_g, codes_c)
     assert [(s.coords, s.values) for s in trace_g.steps] == \
@@ -53,20 +49,19 @@ def test_tilde_uniform_scale_matches_per_channel_trajectory():
 
 def test_tilde_rejects_inconsistent_zero_scale():
     w, h = _rand_instance(4, 2)
-    params = _uniform_params(4, 2, QuantParams(scale=0.0, bias=0.0, bits=2))
     with pytest.raises(ValueError, match="zero scale"):
-        tilde_transform(w, h, params)
+        tilde_transform(w, h, np.zeros(2), np.zeros(2), 2)
 
 
 @pytest.mark.parametrize("d, g", [(6, 2), (128, 32), (1024, 32)])
 def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
     w, h = _rand_instance(d, 4)
     w[g:2 * g] = 0.75  # a constant group: zero scale, zero rows and columns of H~
-    params, _ = _group_init(w, h, bits=3, group_size=g)
-    assert params[1].scale == 0.0
-    avec, _ = expand_params(params, d)
+    scales, biases, _, _ = _group_init(w, h, bits=3, group_size=g)
+    assert scales[1] == 0.0
+    avec, _ = expand_params(scales, biases, d)
     expected = h * avec[:, None] * avec[None, :]
-    h_tilde = tilde_transform(w, h, params).hessian
+    h_tilde = tilde_transform(w, h, scales, biases, 3).hessian
     assert h_tilde.tobytes() == expected.tobytes()
     assert not h_tilde[g:2 * g].any() and not h_tilde[:, g:2 * g].any()
 
@@ -74,31 +69,31 @@ def test_tilde_matrix_bitwise_equals_two_temporary_expression(d, g):
 def test_tilde_degenerate_group_constant_weights():
     w, h = _rand_instance(6, 3)
     w[2:4] = 1.5  # middle group constant
-    params, codes = _group_init(w, h, bits=2, group_size=2)
-    assert params[1].scale == 0.0
+    scales, biases, _, codes = _group_init(w, h, bits=2, group_size=2)
+    assert scales[1] == 0.0
     np.testing.assert_array_equal(codes[2:4], [0, 0])
     # engines never touch the degenerate coordinates
-    out, trace = cd_quantize(tilde_transform(w, h, params), codes, DescentConfig())
+    out, trace = cd_quantize(tilde_transform(w, h, scales, biases, 2), codes, DescentConfig())
     np.testing.assert_array_equal(out[2:4], [0, 0])
-    avec, bvec = expand_params(params, 6)
+    avec, bvec = expand_params(scales, biases, 6)
     np.testing.assert_allclose((avec * out + bvec)[2:4], [1.5, 1.5])
 
 
 def test_single_group_reduces_to_per_channel_bitwise():
     w, h = _rand_instance(10, 4)
-    params_c, codes_c = owc_quantize(w, h, 3, 50)
-    params_g, codes_g = _group_init(w, h, bits=3, group_size=10)
-    assert params_g[0] == params_c
+    fit_c = owc_quantize(w, h, 3, 50)
+    fit_g = _group_init(w, h, bits=3, group_size=10)
+    assert as_params(fit_g, 3) == as_params(fit_c, 3)
+    codes_c, codes_g = fit_c[3], fit_g[3]
     np.testing.assert_array_equal(codes_g, codes_c)
 
     cfg = DescentConfig(seed=3, block_size=2)
-    from qdescent.quantcore import ChannelProblem
-    prob = ChannelProblem.build(w, h, params_c)
+    prob = ChannelProblem.build(w, h, fit_c[0][0], fit_c[1][0], 3)
     out_c, _ = cd_quantize(prob, codes_c, cfg)
-    out_g, _ = cd_quantize(tilde_transform(w, h, params_g), codes_g, cfg)
+    out_g, _ = cd_quantize(tilde_transform(w, h, fit_g[0], fit_g[1], 3), codes_g, cfg)
     np.testing.assert_array_equal(out_c, out_g)
 
-    bcd_c, _ = bcd_quantize(tilde_transform(w, h, params_g), codes_g, cfg)
+    bcd_c, _ = bcd_quantize(tilde_transform(w, h, fit_g[0], fit_g[1], 3), codes_g, cfg)
     bcd_ref, _ = bcd_quantize(prob, codes_c, cfg)
     np.testing.assert_array_equal(bcd_c, bcd_ref)
 
@@ -133,36 +128,35 @@ def test_block_diagonal_groups_decouple():
     h = _block_diag_hessian(d, g, 7)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(d)
-    params, q0 = _group_init(w, h, bits=2, group_size=g)
+    scales, biases, _, q0 = _group_init(w, h, bits=2, group_size=g)
     cfg = DescentConfig(steps=64)
-    joint, _ = cd_quantize(tilde_transform(w, h, params), q0, cfg)
+    joint, _ = cd_quantize(tilde_transform(w, h, scales, biases, 2), q0, cfg)
 
     for i in range(d // g):
         sl = slice(i * g, (i + 1) * g)
         sub_h = h[sl, sl].copy()
-        from qdescent.quantcore import ChannelProblem
-        prob = ChannelProblem.build(w[sl], sub_h, params[i])
+        prob = ChannelProblem.build(w[sl], sub_h, scales[i], biases[i], 2)
         sub_codes, _ = cd_quantize(prob, q0[sl], DescentConfig(steps=64))
         np.testing.assert_array_equal(joint[sl], sub_codes)
 
 
 def test_owc_group_init_grid_one_is_group_minmax():
     w, h = _rand_instance(8, 10)
-    a_params, a_codes = _group_init(w, h, bits=3, group_size=4, grid_size=1)
+    a_fit = _group_init(w, h, bits=3, group_size=4, grid_size=1)
     b_params, b_codes = minmax_group_init(w, 3, 4)
-    assert a_params == b_params
-    np.testing.assert_array_equal(a_codes, b_codes)
+    assert as_params(a_fit, 3) == b_params
+    np.testing.assert_array_equal(a_fit[3], b_codes)
 
 
 def test_owc_group_init_local_objective_never_worse_than_minmax():
     for seed in range(10):
         w, h = _rand_instance(12, seed)
-        owc_params, owc_codes = _group_init(w, h, bits=2, group_size=4)
+        owc_scales, owc_biases, _, owc_codes = _group_init(w, h, bits=2, group_size=4)
         mm_params, mm_codes = minmax_group_init(w, 2, 4)
         for i in range(3):
             sl = slice(i * 4, (i + 1) * 4)
             hblk = h[sl, sl]
-            e_owc = w[sl] - (owc_params[i].scale * owc_codes[sl] + owc_params[i].bias)
+            e_owc = w[sl] - (owc_scales[i] * owc_codes[sl] + owc_biases[i])
             e_mm = w[sl] - (mm_params[i].scale * mm_codes[sl] + mm_params[i].bias)
             assert e_owc @ hblk @ e_owc <= e_mm @ hblk @ e_mm + 1e-12
 
@@ -213,9 +207,9 @@ def test_owc_cd_single_group_matches_grid_search():
     w, h = _rand_instance(6, 11)
     table, picks = owc_group_init(w, h, bits=2, group_size=6)
     result = owc_cd(table, h, picks, steps=10)
-    (params,), codes = table.pick(result.picks)
-    ref_params, ref_codes = owc_quantize(w, h, 2, 50)
-    assert params.gamma == ref_params.gamma
+    _, _, (gamma,), codes = table.pick(result.picks)
+    _, _, (ref_gamma,), ref_codes = owc_quantize(w, h, 2, 50)
+    assert gamma == ref_gamma
     np.testing.assert_array_equal(codes, ref_codes)
     assert result.swaps == []  # init already sits at the grid optimum
 
@@ -272,8 +266,8 @@ def test_owc_cd_monotone_and_v_maintenance():
         # the predicted change of every swap matches the realized change
         for (i, beta, predicted, after), before in zip(result.swaps, losses):
             assert after - before == pytest.approx(predicted, rel=1e-9, abs=1e-12)
-        params, codes = table.pick(result.picks)
-        avec, bvec = expand_params(params, d)
+        scales, biases, _, codes = table.pick(result.picks)
+        avec, bvec = expand_params(scales, biases, d)
         err = w - (avec * codes + bvec)
         fresh_v = -2.0 * (h @ err)
         assert np.abs(result.final_v - fresh_v).max() < 1e-6
@@ -283,8 +277,8 @@ def test_owc_cd_final_never_worse_than_init():
     for seed in range(5):
         w, h = _rand_instance(12, 100 + seed)
         table, picks = owc_group_init(w, h, bits=3, group_size=3)
-        params, codes = table.pick(picks)
-        avec, bvec = expand_params(params, 12)
+        scales, biases, _, codes = table.pick(picks)
+        avec, bvec = expand_params(scales, biases, 12)
         err = w - (avec * codes + bvec)
         init_loss = float(err @ h @ err)
         result = owc_cd(table, h, picks)
@@ -297,8 +291,9 @@ def test_quantize_channel_grouped_monotone():
     cfg = DescentConfig(block_size=2, seed=2)
     objectives = {}
     for method in ("owc", "cd", "bcd"):
-        params, codes, steps = quantize_channel_grouped(w, h, method, 2, 4, cfg, 50, False)
-        avec, bvec = expand_params(params, 16)
+        scales, biases, _, codes, steps = quantize_channel_grouped(w, h, method, 2, 4, cfg, 50,
+                                                                    False)
+        avec, bvec = expand_params(scales, biases, 16)
         err = w - (avec * codes + bvec)
         objectives[method] = float(err @ h @ err)
     assert objectives["cd"] <= objectives["owc"] + 1e-12
@@ -309,14 +304,13 @@ def test_owc_cd_refine_improves_group_init():
     for seed in range(5):
         w, h = _rand_instance(16, 30 + seed)
         cfg = DescentConfig(seed=1)
-        plain_params, plain_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, False)
-        refined_params, refined_codes, _ = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50,
-                                                                    True)
-        def loss(params, codes):
-            avec, bvec = expand_params(params, 16)
+        plain = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, False)
+        refined = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, True)
+        def loss(scales, biases, gammas, codes, steps):
+            avec, bvec = expand_params(scales, biases, 16)
             err = w - (avec * codes + bvec)
             return float(err @ h @ err)
-        assert loss(refined_params, refined_codes) <= loss(plain_params, plain_codes) + 1e-12
+        assert loss(*refined) <= loss(*plain) + 1e-12
 
 
 def test_grouped_channel_builds_one_table():

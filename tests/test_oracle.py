@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import objective, random_problem
+from conftest import QuantParams, objective, random_problem
 from qdescent.descent import (DescentConfig, EnumerationGuardError, TraceStep, bcd_quantize,
                               cd_quantize)
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem, QuantParams
+from qdescent.quantcore import ChannelProblem
 
 
 def naive_enumeration(prob):
@@ -18,7 +18,7 @@ def naive_enumeration(prob):
     hmat = prob.hessian
     z = prob.target
     best = None
-    for combo in itertools.product(range(prob.params.levels), repeat=z.shape[0]):
+    for combo in itertools.product(range(prob.levels), repeat=z.shape[0]):
         err = np.asarray(combo, dtype=np.float64) - z
         loss = float(err @ hmat @ err)
         if best is None or loss < best[0]:
@@ -55,18 +55,16 @@ def test_brute_force_matches_naive_reference():
 
 
 def test_brute_force_exact_weights():
-    params = QuantParams(scale=1.0, bias=0.0, bits=2)
     h = np.eye(3)
-    prob = ChannelProblem.build(np.array([0.0, 2.0, 3.0]), h, params)
+    prob = ChannelProblem.build(np.array([0.0, 2.0, 3.0]), h, 1.0, 0.0, 2)
     result = brute_force(prob)
     assert result.scaled_objective == 0.0
     np.testing.assert_array_equal(result.codes, [0, 2, 3])
 
 
 def test_brute_force_tie_break_lexicographic():
-    params = QuantParams(scale=1.0, bias=0.0, bits=1)
     h = np.eye(2)
-    prob = ChannelProblem.build(np.array([0.5, 0.5]), h, params)
+    prob = ChannelProblem.build(np.array([0.5, 0.5]), h, 1.0, 0.0, 1)
     result = brute_force(prob)  # all four codes tie at 0.5
     np.testing.assert_array_equal(result.codes, [0, 0])
 
@@ -89,8 +87,8 @@ def test_brute_force_chunking_consistent():
 def test_true_objective_matches_quantcore():
     prob, _ = random_problem(4, 2, seed=9)
     result = brute_force(prob)
-    assert result.true_objective == objective(prob.weights, result.codes, prob.params,
-                                              prob.hessian)
+    params = QuantParams(scale=prob.scale, bias=prob.bias, bits=prob.bits)
+    assert result.true_objective == objective(prob.weights, result.codes, params, prob.hessian)
 
 
 def test_oracle_not_above_engines():

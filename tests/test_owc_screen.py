@@ -19,8 +19,10 @@ import pytest
 from qdescent import quantcore
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.groupquant import _change_bound, _check_grouping, _diag_blocks, owc_group_init
-from qdescent.quantcore import (QuantParams, _affine_table, _best_clips, _clip_screen,
-                                default_gamma_grid, owc_quantize)
+from qdescent.quantcore import (_affine_table, _best_clips, _clip_screen, default_gamma_grid,
+                                owc_quantize)
+
+from conftest import QuantParams, as_params
 
 
 def reference_best_clip(resid: np.ndarray, hmat: np.ndarray) -> int:
@@ -40,7 +42,7 @@ def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int, grid_size: 
         raise ValueError("empty weight vector")
     table = _affine_table(w[None, :], bits, grid)
     best = reference_best_clip(table.resid[0], hmat) if table.live[0] else 0
-    return table.params(0, best), table.codes[0, best].copy()
+    return as_params(table.pick(np.array([best])), bits)[0], table.codes[0, best].copy()
 
 
 def reference_owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
@@ -55,13 +57,13 @@ def reference_owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, grou
     if hessian.shape[0] != w.shape[0]:
         raise ShapeMismatchError("Hessian dimension disagrees with the weight length")
     table = _affine_table(w.reshape(n_groups, group_size), bits, default_gamma_grid(grid_size))
-    params, codes = [], np.empty(w.shape[0], dtype=np.uint8)
+    bests, codes = np.zeros(n_groups, dtype=np.intp), np.empty(w.shape[0], dtype=np.uint8)
     for i in range(n_groups):
         sl = slice(i * group_size, (i + 1) * group_size)
         best = reference_best_clip(table.resid[i], hessian[sl, sl]) if table.live[i] else 0
-        params.append(table.params(i, best))
+        bests[i] = best
         codes[sl] = table.codes[i, best]
-    return tuple(params), codes
+    return as_params(table.pick(bests), bits), codes
 
 
 @pytest.fixture
@@ -113,7 +115,8 @@ def test_owc_search_matches_loop(bits, grid_size, h1024, loop_calls):
         hmat = h1024[:d, :d]
         for _ in range(2):
             w = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 30.0])
-            p, q = owc_quantize(w, hmat, bits, grid_size)
+            fit = owc_quantize(w, hmat, bits, grid_size)
+            (p,), q = as_params(fit, bits), fit[3]
             ref_p, ref_q = reference_owc_search(w, hmat, bits, grid_size)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -126,7 +129,8 @@ def test_owc_search_matches_loop_on_hard_hessians(kind, loop_calls):
         hmat = HESSIANS[kind](d, seed)
         w = np.random.default_rng(seed).standard_normal(d)
         for bits in (2, 4, 8):
-            p, q = owc_quantize(w, hmat, bits, 50)
+            fit = owc_quantize(w, hmat, bits, 50)
+            (p,), q = as_params(fit, bits), fit[3]
             ref_p, ref_q = reference_owc_search(w, hmat, bits, 50)
             assert_same_params(p, ref_p)
             assert np.array_equal(q, ref_q)
@@ -143,7 +147,8 @@ def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
         if d // g > 2:
             w[2 * g:3 * g] = -1.25
         table, picks = owc_group_init(w, hessian, bits, g, grid_size)
-        params, codes = table.pick(picks)
+        fit = table.pick(picks)
+        params, codes = as_params(fit, bits), fit[3]
         ref_params, ref_codes = reference_owc_group_init(w, hessian, bits, g, grid_size)
         assert len(params) == len(ref_params) == d // g
         for p, ref_p in zip(params, ref_params, strict=True):
@@ -157,7 +162,8 @@ def test_owc_group_init_matches_loop(bits, grid_size, h1024, loop_calls):
 def test_all_groups_constant_returns_first_index():
     w = np.full(64, 0.75)
     table, picks = owc_group_init(w, calib_hessian(64, 1), 3, 16)
-    params, codes = table.pick(picks)
+    fit = table.pick(picks)
+    params, codes = as_params(fit, 3), fit[3]
     ref_params, ref_codes = reference_owc_group_init(w, calib_hessian(64, 1), 3, 16)
     assert params == ref_params and np.array_equal(codes, ref_codes)
     assert all(p.scale == 0.0 and p.gamma == 1.0 for p in params)
@@ -348,7 +354,8 @@ def test_out_of_range_hessian_runs_the_loop(factor, loop_calls):
     table = _affine_table(w[None, :], 3, default_gamma_grid(50))
     _, bounds = _clip_screen(table.resid, hmat[None])
     assert np.isinf(bounds).all()
-    p, q = owc_quantize(w, hmat, 3, 50)
+    fit = owc_quantize(w, hmat, 3, 50)
+    (p,), q = as_params(fit, 3), fit[3]
     ref_p, ref_q = reference_owc_search(w, hmat, 3, 50)
     assert_same_params(p, ref_p)
     assert np.array_equal(q, ref_q)

@@ -23,9 +23,9 @@ import pytest
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.descent import DescentConfig
 from qdescent.groupquant import _check_grouping, owc_cd, owc_group_init, quantize_channel_grouped
-from qdescent.quantcore import QuantParams, _affine_table, default_gamma_grid, owc_quantize
+from qdescent.quantcore import _affine_table, default_gamma_grid, owc_quantize
 
-from conftest import _fit_affine, minmax_group_init
+from conftest import QuantParams, _fit_affine, as_params, minmax_group_init
 
 
 def reference_owc_search(w: np.ndarray, hmat: np.ndarray, bits: int,
@@ -215,7 +215,7 @@ def test_affine_table_equals_scalar_fit(bits, kind, grid_size):
         assert bool(table.live[i]) == (float(wg[i].max() - wg[i].min()) != 0.0)
         for k, gamma in enumerate(grid):
             p, q = _fit_affine(wg[i], bits, gamma=float(gamma))
-            assert table.params(i, k) == p
+            assert as_params(table.pick(np.full(5, k)), bits)[i] == p
             assert table.scales[i, k] == p.scale
             assert table.biases[i] == p.bias
             np.testing.assert_array_equal(table.codes[i, k], q)
@@ -231,7 +231,7 @@ def test_affine_table_off_grid_gammas():
     for i in range(4):
         for k, gamma in enumerate(gammas):
             p, q = _fit_affine(wg[i], 3, gamma=float(gamma))
-            assert table.params(i, k) == p
+            assert as_params(table.pick(np.full(4, k)), 3)[i] == p
             np.testing.assert_array_equal(table.codes[i, k], q)
 
 
@@ -244,7 +244,7 @@ def test_affine_table_per_group_grids():
     for i in range(6):
         for k in range(5):
             p, q = _fit_affine(wg[i], 3, gamma=float(gammas[i, k]))
-            assert table.params(i, k) == p
+            assert as_params(table.pick(np.full(6, k)), 3)[i] == p
             np.testing.assert_array_equal(table.codes[i, k], q)
             np.testing.assert_array_equal(table.resid[i, k],
                                           wg[i] - (p.scale * q.astype(np.float64) + p.bias))
@@ -257,22 +257,24 @@ def test_owc_search_matches_scalar_search(bits, grid_size):
         w, h = _instance(100 * bits + seed, 24)
         if seed == 2:
             w[:] = 0.125
-        p, q = owc_quantize(w, h, bits, grid_size)
+        fit = owc_quantize(w, h, bits, grid_size)
         ref_p, ref_q = reference_owc_search(w, h, bits, grid_size)
-        assert p == ref_p
-        np.testing.assert_array_equal(q, ref_q)
+        assert as_params(fit, bits) == (ref_p,)
+        np.testing.assert_array_equal(fit[3], ref_q)
 
 
 def test_owc_search_ties_go_to_larger_gamma():
     # A zero Hessian scores every candidate 0, so the whole grid ties.
     w, _ = _instance(3, 16)
-    p, q = owc_quantize(w, np.zeros((16, 16)), 3, 8)
+    fit = owc_quantize(w, np.zeros((16, 16)), 3, 8)
+    (p,), q = as_params(fit, 3), fit[3]
     ref_p, ref_q = reference_owc_search(w, np.zeros((16, 16)), 3, 8)
     assert p == ref_p and p.gamma == 1.0
     np.testing.assert_array_equal(q, ref_q)
     # Zero H blocks tie the per-group searches too.
     table, picks = owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
-    params, codes = table.pick(picks)
+    fit = table.pick(picks)
+    params, codes = as_params(fit, 3), fit[3]
     ref_params, ref_codes = reference_owc_group_init(w, np.zeros((16, 16)), 3, 4, 8)
     assert params == ref_params and tuple(p.gamma for p in params) == (1.0,) * 4
     np.testing.assert_array_equal(codes, ref_codes)
@@ -284,14 +286,15 @@ def test_owc_group_init_matches_scalar_init(bits, d, g):
     w, h = _instance(bits + d, d)
     w[g:2 * g] = -1.5   # one constant group
     table, picks = owc_group_init(w, h, bits, g)
-    params, codes = table.pick(picks)
+    fit = table.pick(picks)
     ref_params, ref_codes = reference_owc_group_init(w, h, bits, g)
-    assert params == ref_params
-    np.testing.assert_array_equal(codes, ref_codes)
+    assert as_params(fit, bits) == ref_params
+    np.testing.assert_array_equal(fit[3], ref_codes)
 
 
 def _assert_same_result(table, result, ref: OwcCdResult):
-    params, codes = table.pick(result.picks)
+    fit = table.pick(result.picks)
+    params, codes = as_params(fit, table.bits), fit[3]
     assert [s[:3] for s in result.swaps] == [s[:3] for s in ref.swaps]
     for s, ref_s in zip(result.swaps, ref.swaps):
         assert abs(s[3] - ref_s[3]) <= 1e-12 * ref.initial_loss
@@ -307,12 +310,12 @@ def _start(start, w, h, bits, g, grid_size, seed):
     from, and the params ``reference_owc_cd`` starts from."""
     if start == "owc":
         table, picks = owc_group_init(w, h, bits, g, grid_size)
-        return table, picks, table.pick(picks)[0]
+        return table, picks, as_params(table.pick(picks), bits)
     table = _affine_table(w.reshape(-1, g), bits, default_gamma_grid(grid_size))
     if start == "minmax":   # gamma = 1 is the grid's last entry
         return table, np.full(w.shape[0] // g, grid_size - 1), minmax_group_init(w, bits, g)[0]
     picks = np.random.default_rng(seed).integers(0, grid_size, w.shape[0] // g)
-    return table, picks, table.pick(picks)[0]
+    return table, picks, as_params(table.pick(picks), bits)
 
 
 def _check_owc_cd(w, h, table, picks, params, steps=None):
@@ -342,8 +345,8 @@ def test_owc_cd_matches_reference_with_constant_groups():
     w[5 * g:6 * g] = -2.0
     for start in ("owc", "minmax"):
         table, picks, params = _start(start, w, h, bits, g, 50, 5)
-        final, _ = table.pick(_check_owc_cd(w, h, table, picks, params).picks)
-        assert final[0].scale == 0.0 and final[5].scale == 0.0
+        final, _, _, _ = table.pick(_check_owc_cd(w, h, table, picks, params).picks)
+        assert final[0] == 0.0 and final[5] == 0.0
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3, 40])
@@ -359,7 +362,7 @@ def test_owc_cd_matches_reference_default_grid_and_steps():
     w, h = _instance(33, 64, coupling=1.0)
     table, picks = owc_group_init(w, h, 3, 16)
     _assert_same_result(table, owc_cd(table, h, picks),
-                        reference_owc_cd(w, h, table.pick(picks)[0]))
+                        reference_owc_cd(w, h, as_params(table.pick(picks), 3)))
 
 
 @pytest.mark.parametrize("n,v,g", [(1, 1, 1), (3, 5, 2), (8, 50, 16), (32, 50, 32),
@@ -411,7 +414,8 @@ def test_minmax_group_init_matches_scalar_fits(bits):
     # rtn's grouped path, the grid search on the one-point grid {1}, is the min-max fit.
     w, h = _instance(bits, 64)
     w[16:32] = 0.625
-    params, codes, _ = quantize_channel_grouped(w, h, "rtn", bits, 16, DescentConfig(), 50, False)
+    fit = quantize_channel_grouped(w, h, "rtn", bits, 16, DescentConfig(), 50, False)
+    params, codes = as_params(fit, bits), fit[3]
     for i in range(4):
         sl = slice(i * 16, (i + 1) * 16)
         p, q = _fit_affine(w[sl], bits, gamma=1.0)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import minmax_quantize, objective
+from conftest import as_params, minmax_quantize, objective
 from qdescent.calibration import build_hessian
 from qdescent.descent import DescentConfig, _quantize_channel
+from qdescent.groupquant import tilde_transform
 from qdescent.quantcore import (ChannelProblem, QuantizedLayer, _reconstruct, channel_objective,
                                 load_layer, owc_quantize, round_half_away, save_layer,
                                 zero_baseline)
@@ -27,9 +28,14 @@ def _f32(*values):
 def _rtn(w, bits):
     """(params, codes) of the ``rtn`` method's per-channel path: the min-max fit."""
     w = np.asarray(w, dtype=np.float64)
-    (params,), codes, _ = _quantize_channel(w, np.eye(w.shape[0]), "rtn", bits,
-                                            DescentConfig(), 50)
-    return params, codes
+    fit = _quantize_channel(w, np.eye(w.shape[0]), "rtn", bits, DescentConfig(), 50)
+    return as_params(fit, bits)[0], fit[3]
+
+
+def _owc(w, h, bits, grid_size=50):
+    """(params, codes) of ``owc_quantize``'s one-group fit."""
+    fit = owc_quantize(w, h, bits, grid_size)
+    return as_params(fit, bits)[0], fit[3]
 
 
 def _loss(w, codes, params, h):
@@ -139,7 +145,7 @@ def test_owc_grid_one_is_minmax_bitwise():
     for _ in range(20):
         w = rng.standard_normal(10)
         pm, qm = minmax_quantize(w, 3)
-        po, qo = owc_quantize(w, h, 3, grid_size=1)
+        po, qo = _owc(w, h, 3, grid_size=1)
         assert (po.scale, po.bias, po.gamma) == (pm.scale, pm.bias, pm.gamma)
         np.testing.assert_array_equal(qo, qm)
 
@@ -150,14 +156,14 @@ def test_owc_never_worse_than_minmax():
     for _ in range(100):
         w = rng.standard_normal(12) * rng.uniform(0.1, 10)
         pm, qm = minmax_quantize(w, 2)
-        po, qo = owc_quantize(w, h, 2, grid_size=50)
+        po, qo = _owc(w, h, 2, grid_size=50)
         assert objective(w, qo, po, h) <= objective(w, qm, pm, h)
 
 
 def test_owc_exact_grid_point():
     w = np.array([0.0, 1.0, 2.0, 3.0])
     h = hess(np.eye(4))
-    params, q = owc_quantize(w, h, 2, grid_size=50)
+    params, q = _owc(w, h, 2, grid_size=50)
     assert params.gamma == 1.0
     assert objective(w, q, params, h) == 0.0
 
@@ -180,7 +186,7 @@ def test_owc_matches_independent_grid_scan():
         if best is None or score <= best[0]:  # later j wins ties, toward larger gamma
             best = (score, gamma, a, q)
 
-    params, q = owc_quantize(w, h, bits, grid_size=grid)
+    params, q = _owc(w, h, bits, grid_size=grid)
     assert params.gamma == pytest.approx(best[1])
     assert params.scale == pytest.approx(best[2])
     np.testing.assert_array_equal(q, best[3])
@@ -189,7 +195,7 @@ def test_owc_matches_independent_grid_scan():
 
 def test_owc_degenerate_constant():
     h = hess(np.eye(2))
-    params, q = owc_quantize(np.array([3.0, 3.0]), h, 4)
+    params, q = _owc(np.array([3.0, 3.0]), h, 4)
     assert params.scale == 0.0 and params.gamma == 1.0
     np.testing.assert_array_equal(q, [0, 0])
 
@@ -218,7 +224,7 @@ def test_channel_objective_groups_and_stored_params():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(6)
     h = build_hessian(rng.standard_normal((24, 6)), 0.01)
-    params, codes = owc_quantize(w, h, 3)
+    params, codes = _owc(w, h, 3)
     obj, rel, base = channel_objective(w, _f32(params.scale), _f32(params.bias), codes, h)
     assert obj == objective(w, codes, params, h) and base == zero_baseline(w, h)
     assert rel == obj / base
@@ -233,12 +239,24 @@ def test_channel_problem_target_cache():
     h = hess(np.eye(3))
     w = np.array([0.1, 0.5, 0.9])
     params, _ = _rtn(w, 2)
-    prob = ChannelProblem.build(w, h, params)
+    prob = ChannelProblem.build(w, h, params.scale, params.bias, 2)
     np.testing.assert_allclose(prob.target, (w - params.bias) / params.scale, atol=1e-12)
 
     pc, _ = _rtn(np.array([1.0, 1.0, 1.0]), 2)
-    degenerate = ChannelProblem.build(np.array([1.0, 1.0, 1.0]), h, pc)
+    degenerate = ChannelProblem.build(np.array([1.0, 1.0, 1.0]), h, pc.scale, pc.bias, 2)
     assert degenerate.target is None
+
+
+@pytest.mark.parametrize("scale", [-0.5, np.nan, np.inf])
+def test_channel_problem_rejects_negative_or_non_finite_scale(scale):
+    # A NaN scale would otherwise read as a constant channel, an infinite one
+    # as an all-zero target with an infinite loss scale; tilde_transform's
+    # group scales are held to the same rule.
+    w, h = np.array([0.1, 0.5, 0.2, 0.9]), hess(np.eye(4))
+    with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+        ChannelProblem.build(w, h, scale, 0.0, 3)
+    with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+        tilde_transform(w, h, np.array([0.25, scale]), np.zeros(2), 3)
 
 
 # ---------------------------------------------------------------------------
