@@ -299,7 +299,7 @@ def cmd_oracle(args) -> int:
         scales, biases, _, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
         if scales[0] == 0.0:
             raise ValueError(f"channel {args.channel} is constant; nothing to search")
-        prob = quantcore.ChannelProblem.build(w, hessian, scales[0], biases[0], args.bits)
+        prob = quantcore.ChannelProblem(w, hessian, scales[0], biases[0], args.bits)
 
     result = oracle.brute_force(prob)
     codes, trace = descent.cd_quantize(prob, q0, DescentConfig())

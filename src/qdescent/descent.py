@@ -47,10 +47,13 @@ Engines:
 
 Greedy and cyclic descent are one loop (``_single_moves``) that differs only
 in which coordinate a step takes; greedy stops at its first no-op, a fixed
-point. Every engine runs at most ``DescentConfig.total_steps(d_in)`` steps,
-tracks the loss incrementally (``loss += delta``) in each step's
-``loss_after`` and computes ``final_loss`` from scratch on the final codes;
-``oracle.verify_trace`` is the from-scratch audit of every step.
+point. Every engine takes a ``ChannelProblem``, whose scale is never 0 (a
+constant channel raises when its problem is built), gets its codes, gradient
+and trace from ``_start`` and returns through ``_finish``. It runs at most
+``DescentConfig.total_steps(d_in)`` steps, tracks the loss incrementally
+(``loss += delta``) in each step's ``loss_after`` and computes ``final_loss``
+from scratch on the final codes; ``oracle.verify_trace`` is the from-scratch
+audit of every step.
 
 Determinism: argmin ties break to the lexicographically smallest
 (coordinate, value) or (block, values); block partitions come from a
@@ -70,8 +73,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer, _check_grouping,
-                        check_bits, default_gamma_grid, group_count, layer_records, owc_quantize)
+from .quantcore import (ChannelProblem, QuantizedLayer, _check_grouping, check_bits,
+                        default_gamma_grid, group_count, layer_records, owc_quantize)
 from .tensorio import BenchRecord
 
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
@@ -172,8 +175,7 @@ def _loss(hmat: np.ndarray, codes: np.ndarray, z: np.ndarray) -> float:
 
 
 def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if prob.scale == 0.0 or prob.target is None:
-        raise DegenerateChannelError("constant weight vector: run the degenerate path, not descent")
+    """(H, z) of ``prob``, once the initial codes ``q0`` fit its dimension and bit width."""
     hmat = prob.hessian
     q0 = np.asarray(q0)
     if q0.shape[0] != hmat.shape[0]:
@@ -181,6 +183,25 @@ def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarr
     if q0.size and int(q0.max(initial=0)) >= prob.levels:
         raise ValueError("initial code out of range for the configured bit width")
     return hmat, prob.target
+
+
+def _start(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, DescentTrace]:
+    """Every engine's start from the checked ``q0``: its codes as float64, the
+    gradient 2 H (q0 - z), and a trace holding the loss of q0."""
+    hmat, z = _check_engine_inputs(prob, q0)
+    codes = np.array(q0, dtype=np.float64)
+    err = codes - z
+    h_err = hmat @ err
+    return codes, 2.0 * h_err, DescentTrace(float(err @ h_err), loss_scale=prob.scale ** 2)
+
+
+def _finish(prob: ChannelProblem, codes: np.ndarray, gradient: np.ndarray,
+            trace: DescentTrace) -> tuple[np.ndarray, DescentTrace]:
+    """Every engine's finish: the final codes as uint8 and the trace, with its
+    from-scratch ``final_loss`` and the maintained gradient."""
+    trace.final_loss = _loss(prob.hessian, codes, prob.target)
+    trace.final_gradient = gradient.copy()
+    return codes.astype(np.uint8), trace
 
 
 def _best_moves(codes: np.ndarray, gradient: np.ndarray, hdiag: np.ndarray,
@@ -260,16 +281,11 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     recording it. ``loss_after`` accumulates the predicted deltas;
     ``final_loss`` is recomputed from scratch.
     """
-    hmat, z = _check_engine_inputs(prob, q0)
+    codes, gradient, trace = _start(prob, q0)
+    hmat = prob.hessian
     d = hmat.shape[0]
-    codes = np.array(q0, dtype=np.float64)
-    err = codes - z
-    h_err = hmat @ err
-    gradient = 2.0 * h_err
     hdiag = np.diag(hmat).copy()
     levels = prob.levels
-
-    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     scores = None
     for step in range(cfg.total_steps(d)):
@@ -288,9 +304,7 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
             trace.steps.append(TraceStep(step, (), (), 0.0, loss, False))
             if not cyclic:
                 break
-    trace.final_loss = _loss(hmat, codes, z)
-    trace.final_gradient = gradient.copy()
-    return codes.astype(np.uint8), trace
+    return _finish(prob, codes, gradient, trace)
 
 
 def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -430,13 +444,13 @@ def _first_paired_row(block_of: np.ndarray, flagged: np.ndarray, start: int) -> 
     return block_of.shape[0]
 
 
-def _check_block(k: int, bits: int, d_in: Optional[int], divide_error: type) -> None:
+def _check_block(k: int, bits: int, d_in: Optional[int]) -> None:
     """2^(k*bits) block combinations within the guard, and k dividing d_in (when given)."""
     if k * bits > MAX_BLOCK_BITS:
         raise EnumerationGuardError(
             f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
     if d_in is not None and d_in % k:
-        raise divide_error(f"block size {k} does not divide d_in={d_in}")
+        raise ValueError(f"block size {k} does not divide d_in={d_in}")
 
 
 def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
@@ -469,17 +483,14 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     every step with one draw per step. For k >= 3 every step is scanned (a
     triple can improve even when no pair can).
     """
-    hmat, z = _check_engine_inputs(prob, q0)
-    d = hmat.shape[0]
     k = cfg.block_size
-    _check_block(k, prob.bits, d, EnumerationGuardError)
-    if k == 1:
+    if k == 1:  # 1-blocks pass the block rules at every bit width and d_in
         return cd_quantize(prob, q0, cfg)
+    codes, gradient, trace = _start(prob, q0)
+    hmat = prob.hessian
+    d = hmat.shape[0]
+    _check_block(k, prob.bits, d)
 
-    codes = np.array(q0, dtype=np.float64)
-    err = codes - z
-    h_err = hmat @ err
-    gradient = 2.0 * h_err
     levels = prob.levels
     r_grid = np.arange(levels, dtype=np.float64)
     combos = _value_combinations(levels, k)
@@ -492,8 +503,6 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     per_block = combos.shape[0] * (k * k if expanded else k)
     block_chunk = max(1, (1 << 22) // per_block)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-
-    trace = DescentTrace(initial_loss=float(err @ h_err), loss_scale=prob.scale ** 2)
     loss = trace.initial_loss
     n_blocks = d // k
     total = cfg.total_steps(d)
@@ -578,9 +587,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
             if use_screen and not fresh:
                 flagged, fresh = _pair_screen(hmat, codes, gradient, r_grid, coupling), True
         step += 1
-    trace.final_loss = _loss(hmat, codes, z)
-    trace.final_gradient = gradient.copy()
-    return codes.astype(np.uint8), trace
+    return _finish(prob, codes, gradient, trace)
 
 
 METHODS = ("rtn", "owc", "cyclic", "cd", "bcd")
@@ -629,7 +636,7 @@ def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[Des
     if method != "rtn":  # rtn searches the one-point grid {1}, whatever grid_size says
         default_gamma_grid(grid_size)
     if method == "bcd":
-        _check_block((cfg or DescentConfig()).block_size, bits, d_in, ValueError)
+        _check_block((cfg or DescentConfig()).block_size, bits, d_in)
     if d_in is not None and group_size:
         _check_grouping(d_in, group_size)
 
@@ -644,7 +651,7 @@ def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int
                                                  1 if method == "rtn" else grid_size)
     if method in ("rtn", "owc") or scales[0] == 0.0:
         return scales, biases, gammas, codes, 0
-    prob = ChannelProblem.build(w, hessian, scales[0], biases[0], bits)
+    prob = ChannelProblem(w, hessian, scales[0], biases[0], bits)
     return (scales, biases, gammas, *descend(prob, codes, method, cfg))
 
 

@@ -96,8 +96,7 @@ def tilde_transform(w: np.ndarray, hessian: np.ndarray, scales: np.ndarray,
     active = avec > 0.0
     z_tilde = np.zeros_like(w)
     z_tilde[active] = (w[active] - bvec[active]) / avec[active]
-    return ChannelProblem(weights=z_tilde, hessian=h_tilde, scale=1.0, bias=0.0, bits=bits,
-                          target=z_tilde)
+    return ChannelProblem(z_tilde, h_tilde, 1.0, 0.0, bits)
 
 
 def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:

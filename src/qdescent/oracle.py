@@ -13,6 +13,9 @@ step leaves the codes unchanged, so its actual loss is the previous
 from-scratch one, bit for bit, and is reused rather than recomputed. It
 shares no incremental state with the engines, so it catches bookkeeping bugs
 in the gradient updates.
+
+Neither sees a constant channel: its zero scale raises
+``DegenerateChannelError`` when its ``ChannelProblem`` is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descent import DescentTrace, EnumerationGuardError, _loss
-from .quantcore import ChannelProblem, DegenerateChannelError, channel_objective
+from .quantcore import ChannelProblem, channel_objective
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
 MAX_SEARCH_BITS = 24
@@ -40,8 +43,6 @@ class OracleResult:
 
 def brute_force(prob: ChannelProblem) -> OracleResult:
     """Enumerate every code vector and return the scaled-loss minimizer."""
-    if prob.scale == 0.0 or prob.target is None:
-        raise DegenerateChannelError("constant weight vector has the trivial all-zero optimum")
     hmat = prob.hessian
     z = prob.target
     d = hmat.shape[0]
@@ -87,8 +88,6 @@ class VerifyReport:
 def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
                  rel_tol: float = 1e-9) -> VerifyReport:
     """Replay a trace, recomputing the loss from scratch after every accepted step."""
-    if prob.target is None:
-        raise DegenerateChannelError("cannot verify a trace on a degenerate channel")
     hmat = prob.hessian
     z = prob.target
     levels = prob.levels
@@ -137,5 +136,5 @@ def canonical_problem() -> tuple[ChannelProblem, np.ndarray]:
     """
     hessian = np.array([[2.0, 1.0], [1.0, 2.0]])
     weights = np.array([0.4, 0.6])
-    prob = ChannelProblem.build(weights, hessian, 1.0, 0.0, 1)
+    prob = ChannelProblem(weights, hessian, 1.0, 0.0, 1)
     return prob, np.zeros(2, dtype=np.uint8)

@@ -36,9 +36,6 @@ import numpy as np
 from .calibration import ShapeMismatchError
 from . import tensorio
 
-#: Integer codes are plain uint8 numpy vectors; every entry must be < 2^bits.
-CodeVector = np.ndarray
-
 LAYER_META_FILENAME = "meta.json"
 
 
@@ -70,8 +67,9 @@ def _check_grouping(d_in: int, group_size: int) -> int:
 class ChannelProblem:
     """One output channel's quantization problem under the affine map a*q + b.
 
-    ``target`` caches z = (w - b) / a, the real-valued point the integer
-    codes chase; it is None for degenerate (constant-weight) channels.
+    ``weights`` are held as float64, and ``target`` caches z = (w - b) / a,
+    the real-valued point the integer codes chase. A constant channel has
+    scale 0 and no such point, so it raises ``DegenerateChannelError`` here.
     """
 
     weights: np.ndarray
@@ -79,25 +77,22 @@ class ChannelProblem:
     scale: float
     bias: float
     bits: int
-    target: Optional[np.ndarray]
+    target: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.shape[0] != self.hessian.shape[0]:
+            raise ShapeMismatchError(f"weights have shape {w.shape}, Hessian is "
+                                     f"{self.hessian.shape[0]}x{self.hessian.shape[0]}")
         check_bits(self.bits)
-        check_scales(self.scale)
+        if check_scales(self.scale) == 0.0:
+            raise DegenerateChannelError("constant weight vector: scale is 0, descent is undefined")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "target", (w - self.bias) / self.scale)
 
     @property
     def levels(self) -> int:
         return 1 << self.bits
-
-    @classmethod
-    def build(cls, weights: np.ndarray, hessian: np.ndarray, scale: float, bias: float,
-              bits: int) -> "ChannelProblem":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != hessian.shape[0]:
-            raise ShapeMismatchError(
-                f"weights have shape {w.shape}, Hessian is {hessian.shape[0]}x{hessian.shape[0]}")
-        target = (w - bias) / scale if scale > 0 else None
-        return cls(weights=w, hessian=hessian, scale=scale, bias=bias, bits=bits, target=target)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -113,7 +108,7 @@ def zero_baseline(weights: np.ndarray, hessian: np.ndarray) -> float:
 
 
 def channel_objective(weights: np.ndarray, scales: np.ndarray, biases: np.ndarray,
-                      codes: CodeVector, hessian: np.ndarray) -> tuple[float, float, float]:
+                      codes: np.ndarray, hessian: np.ndarray) -> tuple[float, float, float]:
     """(objective, relative objective, baseline) of one stored channel.
 
     ``scales``/``biases`` hold the channel's float32 params, one per group
@@ -301,7 +296,7 @@ def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
 
 
 def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int, grid_size: int = 50
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CodeVector]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
     loss, ties toward larger gamma. Returns the one-group ``AffineTable.pick``:
     (scales, biases, gammas), one entry each, and the codes.

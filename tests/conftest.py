@@ -22,8 +22,8 @@ import numpy as np
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.descent import SCREEN_CHECK_VALUES, SCREEN_CHUNK_ROWS, SCREEN_MARGIN
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import (ChannelProblem, CodeVector, _affine_table, _check_grouping,
-                                check_bits, owc_quantize, round_half_away)
+from qdescent.quantcore import (ChannelProblem, _affine_table, _check_grouping, check_bits,
+                                owc_quantize, round_half_away)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def objective(weights: np.ndarray, codes: np.ndarray, params: QuantParams,
     return float(err @ (h @ err))
 
 
-def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, CodeVector]:
+def minmax_quantize(w: np.ndarray, bits: int) -> tuple[QuantParams, np.ndarray]:
     """Min-max affine quantization (clip strength 1, i.e. no clipping)."""
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
@@ -221,7 +221,7 @@ def random_problem(d_in, bits, seed, n=None, lambda_rel=0.01, grid_size=50, scal
     hessian = build_hessian(x, lambda_rel)
     w = rng.standard_normal(d_in) * scale
     scales, biases, _, q0 = owc_quantize(w, hessian, bits, grid_size)
-    prob = ChannelProblem.build(w, hessian, scales[0], biases[0], bits)
+    prob = ChannelProblem(w, hessian, scales[0], biases[0], bits)
     return prob, q0
 
 
@@ -232,7 +232,7 @@ def integer_problem(d, bits, seed):
     h = a.T @ a + np.diag(rng.integers(0, 2, size=d).astype(np.float64))
     levels = 2 ** bits
     z = rng.integers(0, 2 * levels - 1, size=d) / 2.0
-    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits)
     q0 = rng.integers(0, levels, size=d).astype(np.uint8)
     return prob, q0
 

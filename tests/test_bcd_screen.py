@@ -199,7 +199,7 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     h = np.diag(rng.uniform(1.0, 2.0, size=d)) + 1e-3 * (a.T @ a) / (4 * d)
     w = rng.standard_normal(d)
     scales, biases, _, q0 = owc_quantize(w, h, bits, 50)
-    prob = ChannelProblem.build(w, h, scales[0], biases[0], bits)
+    prob = ChannelProblem(w, h, scales[0], biases[0], bits)
     cfg = DescentConfig(block_size=2, epochs=2, seed=3)
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
@@ -336,8 +336,7 @@ def _screen_states():
                 tri = np.triu(rng.standard_normal((d, d)), 1)
                 h = a.T @ a / d + 0.5 * np.eye(d) + 0.5 * (tri.T if lower else tri)
                 z = rng.uniform(0.0, 2 ** bits - 1, size=d)
-                prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits,
-                                      target=z)
+                prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits)
                 problems.append((prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)))
     states = []
     for prob, q0 in problems:

@@ -157,7 +157,7 @@ def scaled_problem(d, bits, seed, tiny, tiny_rows):
     scale[tiny_rows] = tiny
     h = scale[:, None] * (a.T @ a) * scale[None, :] + 1e-3 * np.diag(scale * scale)
     z = rng.uniform(0.0, 2 ** bits - 1, size=d)
-    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits)
     return prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)
 
 
@@ -181,7 +181,7 @@ def test_scan_matches_reference_on_indefinite_and_overflowing_rows():
     h[2, 2] = -0.5
     h[7, 7] = 5e-324
     z = rng.uniform(0.0, 15.0, size=d)
-    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits, target=z)
+    prob = ChannelProblem(weights=z, hessian=h, scale=1.0, bias=0.0, bits=bits)
     q0 = rng.integers(0, 16, size=d).astype(np.uint8)
     state = GradientState.init(h, q0, z)
     with np.errstate(over="ignore"):

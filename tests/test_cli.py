@@ -791,6 +791,17 @@ def test_oracle_negative_channel_reads_no_input(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "--channel" in err
 
 
+def test_oracle_constant_channel(tmp_path, capsys):
+    w, x = write_inputs(tmp_path, d_in=6, d_out=3)
+    weights = tensorio.read_container(w).array.copy()
+    weights[:, 2] = 0.75
+    tensorio.write_container(w, weights)
+    capsys.readouterr()
+    assert main(["oracle", "--weights", w, "--calib", x, "--channel", "2",
+                 "--bits", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: channel 2 is constant; nothing to search\n"
+
+
 def test_oracle_guard(tmp_path):
     w, x = write_inputs(tmp_path, d_in=30, d_out=2)
     assert main(["oracle", "--weights", w, "--calib", x, "--bits", "1"]) == EXIT_GUARD

@@ -38,7 +38,7 @@ def test_cd_diagonal_h_rtn_init_is_fixed_point():
         w = rng.standard_normal(8)
         h = np.diag(rng.uniform(0.5, 3.0, size=8))
         params, q0 = minmax_quantize(w, 2)
-        prob = ChannelProblem.build(w, h, params.scale, params.bias, params.bits)
+        prob = ChannelProblem(w, h, params.scale, params.bias, params.bits)
         codes, trace = cd_quantize(prob, q0, DescentConfig())
         np.testing.assert_array_equal(codes, q0)
         assert trace.accepted_steps == 0
@@ -49,8 +49,7 @@ def test_cd_scale_invariance_power_of_two():
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
                             hessian=4.0 * prob.hessian,
-                            scale=prob.scale, bias=prob.bias, bits=prob.bits,
-                            target=prob.target)
+                            scale=prob.scale, bias=prob.bias, bits=prob.bits)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
     assert [(s.coords, s.values) for s in trace_a.steps] == \
@@ -64,17 +63,15 @@ def test_cd_scale_invariance_generic_factor():
     codes_a, trace_a = cd_quantize(prob, q0, DescentConfig())
     scaled = ChannelProblem(weights=prob.weights,
                             hessian=3.7 * prob.hessian,
-                            scale=prob.scale, bias=prob.bias, bits=prob.bits,
-                            target=prob.target)
+                            scale=prob.scale, bias=prob.bias, bits=prob.bits)
     codes_b, trace_b = cd_quantize(scaled, q0, DescentConfig())
     np.testing.assert_array_equal(codes_a, codes_b)
 
 
 def test_cd_rejects_degenerate_scale():
-    h = np.eye(2)
-    prob = ChannelProblem.build(np.ones(2), h, 0.0, 1.0, 2)
+    # A constant channel never becomes a problem, so no engine sees scale 0.
     with pytest.raises(DegenerateChannelError):
-        cd_quantize(prob, np.zeros(2, dtype=np.uint8), DescentConfig())
+        ChannelProblem(np.ones(2), np.eye(2), 0.0, 1.0, 2)
 
 
 def test_bcd_k1_identical_to_cd():
@@ -117,8 +114,10 @@ def test_bcd_runs_full_step_budget():
 
 def test_bcd_guards():
     prob, q0 = random_problem(9, 2, seed=6)
-    with pytest.raises(EnumerationGuardError, match="does not divide"):
+    # The divisor rule is a usage error, as in check_settings, not the guard.
+    with pytest.raises(ValueError, match="does not divide") as err:
         bcd_quantize(prob, q0, DescentConfig(block_size=2))
+    assert not isinstance(err.value, EnumerationGuardError)
     prob8, q08 = random_problem(9, 8, seed=6)
     with pytest.raises(EnumerationGuardError, match="guard"):
         bcd_quantize(prob8, q08, DescentConfig(block_size=3))
@@ -139,7 +138,7 @@ def test_cyclic_diagonal_single_pass_is_optimal():
     w = rng.standard_normal(6)
     h = np.diag(rng.uniform(0.2, 2.0, size=6))
     params, _ = minmax_quantize(w, 2)
-    prob = ChannelProblem.build(w, h, params.scale, params.bias, params.bits)
+    prob = ChannelProblem(w, h, params.scale, params.bias, params.bits)
     q0 = np.zeros(6, dtype=np.uint8)
     codes, _ = cyclic_cd_quantize(prob, q0, DescentConfig())
     # separable loss: each coordinate lands on its independent best value

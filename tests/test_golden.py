@@ -56,6 +56,19 @@ CASES = {
     # Grouped owc -> cyclic descent on the tilde problem.
     "group32-cyclic3": dict(d_in=128, d_out=8, n=512, seed=12, constant_group=None,
                             flags=("--method", "cyclic", "--bits", "3", "--group-size", "32")),
+    # Grouped owc -> clip-strength descent -> cd -> bcd with 2-blocks; column 2
+    # is constant, so all its groups are, and it never reaches the engines.
+    "group16-owcbcd2": dict(d_in=128, d_out=8, n=512, seed=13, constant_group=(2, slice(0, 128)),
+                            flags=("--method", "bcd", "--bits", "2", "--group-size", "16",
+                                   "--owc-cd")),
+    # Per-channel owc -> cd -> bcd with 3-blocks, which scan every step
+    # unscreened; column 4 is constant, so its scale is 0.
+    "chan-bcd2-k3": dict(d_in=96, d_out=8, n=384, seed=14, constant_group=(4, slice(0, 96)),
+                         flags=("--method", "bcd", "--bits", "2", "--block-size", "3")),
+    # Grouped owc -> cd at 8 bits; column 1 has one constant group, whose zero
+    # rows of H~ take the full 256-value scan of ``_best_moves``.
+    "group16-cd8": dict(d_in=128, d_out=8, n=512, seed=15, constant_group=(1, slice(16, 32)),
+                        flags=("--method", "cd", "--bits", "8", "--group-size", "16")),
 }
 
 

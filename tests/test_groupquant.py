@@ -30,7 +30,7 @@ def test_tilde_identity_when_scales_one():
     tilde = tilde_transform(w, h, np.full(3, 1.0), np.full(3, 0.25), 2)
     np.testing.assert_array_equal(tilde.hessian, h)
     np.testing.assert_allclose(tilde.target, w - 0.25)
-    assert tilde.weights is tilde.target
+    assert tilde.weights.tobytes() == tilde.target.tobytes()
     assert (tilde.scale, tilde.bias, tilde.bits) == (1.0, 0.0, 2)
 
 
@@ -88,7 +88,7 @@ def test_single_group_reduces_to_per_channel_bitwise():
     np.testing.assert_array_equal(codes_g, codes_c)
 
     cfg = DescentConfig(seed=3, block_size=2)
-    prob = ChannelProblem.build(w, h, fit_c[0][0], fit_c[1][0], 3)
+    prob = ChannelProblem(w, h, fit_c[0][0], fit_c[1][0], 3)
     out_c, _ = cd_quantize(prob, codes_c, cfg)
     out_g, _ = cd_quantize(tilde_transform(w, h, fit_g[0], fit_g[1], 3), codes_g, cfg)
     np.testing.assert_array_equal(out_c, out_g)
@@ -135,7 +135,7 @@ def test_block_diagonal_groups_decouple():
     for i in range(d // g):
         sl = slice(i * g, (i + 1) * g)
         sub_h = h[sl, sl].copy()
-        prob = ChannelProblem.build(w[sl], sub_h, scales[i], biases[i], 2)
+        prob = ChannelProblem(w[sl], sub_h, scales[i], biases[i], 2)
         sub_codes, _ = cd_quantize(prob, q0[sl], DescentConfig(steps=64))
         np.testing.assert_array_equal(joint[sl], sub_codes)
 

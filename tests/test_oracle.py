@@ -56,7 +56,7 @@ def test_brute_force_matches_naive_reference():
 
 def test_brute_force_exact_weights():
     h = np.eye(3)
-    prob = ChannelProblem.build(np.array([0.0, 2.0, 3.0]), h, 1.0, 0.0, 2)
+    prob = ChannelProblem(np.array([0.0, 2.0, 3.0]), h, 1.0, 0.0, 2)
     result = brute_force(prob)
     assert result.scaled_objective == 0.0
     np.testing.assert_array_equal(result.codes, [0, 2, 3])
@@ -64,7 +64,7 @@ def test_brute_force_exact_weights():
 
 def test_brute_force_tie_break_lexicographic():
     h = np.eye(2)
-    prob = ChannelProblem.build(np.array([0.5, 0.5]), h, 1.0, 0.0, 1)
+    prob = ChannelProblem(np.array([0.5, 0.5]), h, 1.0, 0.0, 1)
     result = brute_force(prob)  # all four codes tie at 0.5
     np.testing.assert_array_equal(result.codes, [0, 0])
 

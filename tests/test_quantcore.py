@@ -7,9 +7,9 @@ from conftest import as_params, minmax_quantize, objective
 from qdescent.calibration import build_hessian
 from qdescent.descent import DescentConfig, _quantize_channel
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import (ChannelProblem, QuantizedLayer, _reconstruct, channel_objective,
-                                load_layer, owc_quantize, round_half_away, save_layer,
-                                zero_baseline)
+from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer,
+                                _reconstruct, channel_objective, load_layer, owc_quantize,
+                                round_half_away, save_layer, zero_baseline)
 
 
 def hess(mat):
@@ -239,12 +239,44 @@ def test_channel_problem_target_cache():
     h = hess(np.eye(3))
     w = np.array([0.1, 0.5, 0.9])
     params, _ = _rtn(w, 2)
-    prob = ChannelProblem.build(w, h, params.scale, params.bias, 2)
+    prob = ChannelProblem(w, h, params.scale, params.bias, 2)
     np.testing.assert_allclose(prob.target, (w - params.bias) / params.scale, atol=1e-12)
 
     pc, _ = _rtn(np.array([1.0, 1.0, 1.0]), 2)
-    degenerate = ChannelProblem.build(np.array([1.0, 1.0, 1.0]), h, pc.scale, pc.bias, 2)
-    assert degenerate.target is None
+    with pytest.raises(DegenerateChannelError, match="scale is 0"):
+        ChannelProblem(np.array([1.0, 1.0, 1.0]), h, pc.scale, pc.bias, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_problem_target_matches_the_formula(dtype):
+    # The constructor's target is, byte for byte, (float64(w) - b) / a.
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(9).astype(dtype)
+    h = build_hessian(rng.standard_normal((36, 9)), 0.01)
+    scales, biases, _, _ = owc_quantize(w, h, 3)
+    prob = ChannelProblem(w, h, scales[0], biases[0], 3)
+    expected = (np.asarray(w, dtype=np.float64) - biases[0]) / scales[0]
+    assert prob.target.tobytes() == expected.tobytes()
+    assert prob.weights.dtype == np.float64
+    with pytest.raises(DegenerateChannelError):
+        ChannelProblem(w, h, 0.0, biases[0], 3)
+
+
+def test_tilde_problem_target_is_z_tilde():
+    # A constant group (scale 0, z~ = 0) and a -0.0 weight at bias 0 (z~ = -0.0):
+    # the target computed at unit scale and zero bias keeps every bit of z~.
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal(8)
+    w[4:6] = 0.5
+    w[1] = -0.0
+    h = build_hessian(rng.standard_normal((32, 8)), 0.01)
+    scales, biases = np.array([0.25, 0.5, 0.0, 0.125]), np.array([0.0, -1.0, 0.5, 0.25])
+    prob = tilde_transform(w, h, scales, biases, 2)
+    z_tilde = np.zeros(8)
+    active = np.repeat(scales, 2) > 0.0
+    z_tilde[active] = (w - np.repeat(biases, 2))[active] / np.repeat(scales, 2)[active]
+    assert np.signbit(prob.target[1])
+    assert prob.target.tobytes() == z_tilde.tobytes() == prob.weights.tobytes()
 
 
 @pytest.mark.parametrize("scale", [-0.5, np.nan, np.inf])
@@ -254,7 +286,7 @@ def test_channel_problem_rejects_negative_or_non_finite_scale(scale):
     # group scales are held to the same rule.
     w, h = np.array([0.1, 0.5, 0.2, 0.9]), hess(np.eye(4))
     with pytest.raises(ValueError, match="scale must be finite and >= 0"):
-        ChannelProblem.build(w, h, scale, 0.0, 3)
+        ChannelProblem(w, h, scale, 0.0, 3)
     with pytest.raises(ValueError, match="scale must be finite and >= 0"):
         tilde_transform(w, h, np.array([0.25, scale]), np.zeros(2), 3)
 
