@@ -39,8 +39,9 @@ Engines:
   holds a listed pair are recorded as no-ops without scanning. Once no pair
   is listed every remaining step is a no-op, so the run stops drawing. The
   screen compares against a coupling table of about d_in^2 / 2 floats that
-  depends on H alone and is built once per run. Codes and traces are
-  exactly those of scanning every step.
+  depends on H alone, built once per layer when the channels share H and
+  once per run otherwise. Codes and traces are exactly those of scanning
+  every step.
 * cyclic: coordinates visited in fixed order 0..d_in-1, one best value per
   visit, chosen by the same closed-form window; the classic one-sweep
   baseline.
@@ -342,16 +343,22 @@ def _pair_coupling(hmat: np.ndarray) -> list[np.ndarray]:
     """The left side of ``_pair_screen``'s filter, which depends on H alone.
 
     Chunk c covers rows lo = c * SCREEN_CHUNK_ROWS up to hi (at most d_in - 1)
-    and holds ``(1 + 4 margin) / 2 * (|H_ij| + |H_ji|)`` at (i - lo, j - lo - 1)
-    for j > lo. Together the chunks hold about d_in^2 / 2 floats (1 MiB at
-    d_in = 512), built once per block-engine run instead of once per screen.
+    and columns lo..d_in-1, and holds ``(1 + 4 margin) / 2 * (|H_ij| + |H_ji|)``
+    at (i - lo, j - lo) for j > i and -inf on and below the diagonal, where
+    no pair lies: ``-inf > x`` is false for every x, NaN included, so the
+    filter compares whole chunks and never lists a pair i >= j. Together the
+    chunks hold about d_in^2 / 2 floats (1 MiB at d_in = 512).
+    ``quantize_matrix`` builds the table once per layer for per-channel runs,
+    whose columns share one H; ``bcd_quantize`` builds its own otherwise.
     """
     d = hmat.shape[0]
     half_factor = 0.5 * (1.0 + 4.0 * SCREEN_MARGIN)
     tables = []
     for lo in range(0, d - 1, SCREEN_CHUNK_ROWS):
         hi = min(lo + SCREEN_CHUNK_ROWS, d - 1)
-        tables.append(half_factor * (np.abs(hmat[lo:hi, lo + 1:]) + np.abs(hmat[lo + 1:, lo:hi].T)))
+        table = half_factor * (np.abs(hmat[lo:hi, lo:]) + np.abs(hmat[lo:, lo:hi].T))
+        table[np.tril_indices(hi - lo, 0, d - lo)] = -np.inf
+        tables.append(table)
     return tables
 
 
@@ -387,8 +394,11 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
        so a pair cannot come within the margin unless
        ``(1 + margin) (|H_ij| + |H_ji|) / 2 > mu_i mu_j``. The left side,
        with a slightly larger factor to absorb rounding, is ``coupling``
-       (``_pair_coupling(hmat)``), compared chunk by chunk; mu below 1e-150
-       is taken as 0 so that mu_i mu_j never underflows.
+       (``_pair_coupling(hmat)``); each chunk is compared whole against the
+       outer product of its rows' and columns' mu, and its -inf entries on
+       and below the diagonal never pass, so one ``flatnonzero`` per chunk
+       lists the candidates in row-major (i, j) order. mu below 1e-150 is
+       taken as 0 so that mu_i mu_j never underflows.
     3. Exact check of the pairs that pass the filter: all levels^2 value
        pairs of ``sigma_i + sigma_j + D_i D_j c - margin |D_i D_j| a`` with
        ``c = H_ij + H_ji`` and ``a = |H_ij| + |H_ji|``; a pair is returned
@@ -410,12 +420,9 @@ def _pair_screen(hmat: np.ndarray, codes: np.ndarray, gradient: np.ndarray,
 
     rows_i, cols_j = [], []
     for lo, table in zip(range(0, d - 1, SCREEN_CHUNK_ROWS), coupling):
-        hit = table > mu[lo:lo + table.shape[0], None] * mu[None, lo + 1:]
-        ii, jj = np.nonzero(hit)
-        jj += 1
-        upper = jj > ii
-        rows_i.append(ii[upper] + lo)
-        cols_j.append(jj[upper] + lo)
+        hit = np.flatnonzero(table > np.multiply.outer(mu[lo:lo + table.shape[0]], mu[lo:]))
+        rows_i.append(hit // table.shape[1] + lo)
+        cols_j.append(hit % table.shape[1] + lo)
     cand_i, cand_j = np.concatenate(rows_i), np.concatenate(cols_j)
 
     keep = np.zeros(cand_i.shape[0], dtype=bool)
@@ -453,8 +460,8 @@ def _check_block(k: int, bits: int, d_in: Optional[int]) -> None:
         raise ValueError(f"block size {k} does not divide d_in={d_in}")
 
 
-def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                 cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
+                 coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, DescentTrace]:
     """Block coordinate descent over fresh random partitions.
 
     Every step shuffles the coordinates into d_in/k blocks of size k
@@ -476,12 +483,15 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     listed pair together; the steps before it are recorded as the no-ops the
     scan would have produced, without scanning. The screen is built at the
     start and again at the first no-op step after an accepted one, since
-    only accepted steps change the state, each time against the coupling
-    table built once per call (``_pair_coupling``). When it lists no pair at
-    all, every remaining step is a no-op: they are recorded and drawing
-    stops. Codes, traces and ``final_gradient`` are identical to scanning
-    every step with one draw per step. For k >= 3 every step is scanned (a
-    triple can improve even when no pair can).
+    only accepted steps change the state, each time against one coupling
+    table of H (``_pair_coupling``): ``coupling`` when given, which must be
+    ``_pair_coupling(prob.hessian)`` (``quantize_matrix`` builds it once per
+    layer for per-channel runs), and otherwise a table built once per call.
+    When the screen lists no pair at all, every remaining step is a no-op:
+    they are recorded and drawing stops. Codes, traces and
+    ``final_gradient`` are identical to scanning every step with one draw
+    per step. For k >= 3 every step is scanned (a triple can improve even
+    when no pair can).
     """
     k = cfg.block_size
     if k == 1:  # 1-blocks pass the block rules at every bit width and d_in
@@ -507,7 +517,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
     n_blocks = d // k
     total = cfg.total_steps(d)
     use_screen = k == 2
-    coupling = _pair_coupling(hmat) if use_screen else None
+    if use_screen and coupling is None:
+        coupling = _pair_coupling(hmat)
     flagged = _pair_screen(hmat, codes, gradient, r_grid, coupling) if use_screen else None
     fresh = use_screen  # whether ``flagged`` was computed for the current state
     perms = np.empty((0, d), dtype=np.intp)  # the drawn partitions; row ``row`` is next
@@ -527,7 +538,7 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
         if flagged is not None:
             if block_of is None:
                 block_of = np.empty_like(perms)
-                np.put_along_axis(block_of, perms, np.arange(d) // k, axis=1)
+                block_of[np.arange(perms.shape[0])[:, None], perms] = np.arange(d) // k
             paired = _first_paired_row(block_of, flagged, row)
             trace.steps.extend(TraceStep(s, (), (), 0.0, loss, False)
                                for s in range(step, step + paired - row))
@@ -599,12 +610,13 @@ def channel_seed(seed: int, channel: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
-            cfg: DescentConfig) -> tuple[np.ndarray, int]:
+def descend(prob: ChannelProblem, codes: np.ndarray, method: str, cfg: DescentConfig,
+            coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, int]:
     """The code engines of ``method`` on ``prob``, shared by the per-channel and
     grouped pipelines: cd, cyclic, or cd then bcd warm-started from the greedy
     result. Returns (codes, steps_taken). bcd with blocks of one coordinate is
     greedy cd, already at its fixed point after the cd stage, so it is not run.
+    ``coupling`` is passed on to ``bcd_quantize``.
 
     The engines are looked up as module globals at each call, so a wrapper
     rebound over them (a tracer, a profiler) sees every call.
@@ -617,7 +629,7 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str,
     codes, trace = cd_quantize(prob, codes, cfg)
     steps = len(trace.steps)
     if method == "bcd" and cfg.block_size >= 2:
-        codes, trace = bcd_quantize(prob, codes, cfg)
+        codes, trace = bcd_quantize(prob, codes, cfg, coupling)
         steps += len(trace.steps)
     return codes, steps
 
@@ -642,17 +654,19 @@ def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[Des
 
 
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
-                      cfg: DescentConfig, grid_size: int) -> tuple:
+                      cfg: DescentConfig, grid_size: int,
+                      coupling: Optional[list[np.ndarray]] = None) -> tuple:
     """Per-channel pipeline: the clip-strength grid search (on the one-point grid
-    {1} for rtn), then :func:`descend` on the channel's own problem. Returns
-    (scales, biases, gammas, codes, steps_taken), one entry each in the first three.
+    {1} for rtn), then :func:`descend` on the channel's own problem, with the
+    layer's bcd ``coupling`` table if given. Returns (scales, biases, gammas,
+    codes, steps_taken), one entry each in the first three.
     """
     scales, biases, gammas, codes = owc_quantize(w, hessian, bits,
                                                  1 if method == "rtn" else grid_size)
     if method in ("rtn", "owc") or scales[0] == 0.0:
         return scales, biases, gammas, codes, 0
     prob = ChannelProblem(w, hessian, scales[0], biases[0], bits)
-    return (scales, biases, gammas, *descend(prob, codes, method, cfg))
+    return (scales, biases, gammas, *descend(prob, codes, method, cfg, coupling))
 
 
 def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
@@ -665,8 +679,10 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     run one after another, each filling its row of the layer, and BLAS
     threads the products inside each. Group quantization (group_size > 0)
     routes through the sub-channel pipeline; ``owc_cd_refine`` additionally
-    runs the clip-strength coordinate descent before the code engines. Each
-    record's wall time covers its channel's quantization only.
+    runs the clip-strength coordinate descent before the code engines.
+    Per-channel bcd with blocks of two builds the pair screen's coupling
+    table of H once for all channels. Each record's wall time covers its
+    channel's quantization only.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -695,13 +711,15 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
               "epochs": cfg.epochs, "block_size": cfg.block_size,
               "owc_cd_refine": bool(owc_cd_refine)},
     )
+    coupling = (_pair_coupling(hessian)
+                if method == "bcd" and cfg.block_size == 2 and not group_size else None)
     steps, walls = [], []
     for j in range(d_out):
         start = time.perf_counter()
         ccfg = replace(cfg, seed=channel_seed(cfg.seed, j))
         w = w64[:, j]
         if group_size == 0:
-            fit = _quantize_channel(w, hessian, method, bits, ccfg, grid_size)
+            fit = _quantize_channel(w, hessian, method, bits, ccfg, grid_size, coupling)
         else:
             fit = groupquant.quantize_channel_grouped(w, hessian, method, bits, group_size, ccfg,
                                                       grid_size, owc_cd_refine)

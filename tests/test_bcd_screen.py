@@ -6,7 +6,9 @@ draws one partition per step. The screen claims to skip only scans that are
 provably no-ops, and the partitions drawn ``DRAW_ROWS`` at a time are the
 same rows, so codes, every trace step, the final loss and the final gradient
 must be identical. ``conftest.reference_pair_screen``, the screen before its
-coupling table was built once per run, must list the same pairs.
+coupling table was built once per run, must list the same pairs. A layer of
+per-channel runs builds the table once and shares it; a run given that table
+must equal the run that builds its own.
 """
 
 import numpy as np
@@ -361,3 +363,118 @@ def test_screen_matches_reference_screen():
         listed += ref.shape[0]
         screened += 1
     assert listed > 0 and screened > 10
+
+
+def _edge_states():
+    """(label, H, codes, gradient, levels) at the chunk edges of the coupling table and
+    at the extremes of float64.
+
+    The table's chunks hold 32 rows each, the last ending at row d - 2: d_in
+    2 gives one chunk of one row, 32 one chunk of 31 rows, 64 two chunks,
+    and 66 a last chunk of one row whose columns end at d - 1. H scaled by
+    2^+-500 moves every compared value by 2^+-500 (its mu by 2^+-250); 2^1020
+    overflows the table and the gradient to inf, and 2^-1060 makes H
+    subnormal, so its mu fall under the 1e-150 rule. The H~ of a channel with
+    a constant group has zero rows, placed last at d_in = 66. Each H is taken
+    at the start and at the cd fixed point of the unscaled problem.
+    """
+    cases = []
+    for d in (2, 32, 64, 66):
+        for bits in (1, 2, 3):
+            cases.append((f"d{d}-b{bits}", random_problem(d, bits, seed=7 * d + bits, n=d // 2 + 1),
+                          [0]))
+    for d, bits in ((64, 2), (66, 3)):
+        cases.append((f"d{d}-b{bits}-scaled", random_problem(d, bits, seed=d, n=d // 2),
+                      [500, -500, 1020, -1060]))
+    for seed, (d, g, group) in enumerate(((66, 33, 1), (64, 16, 3), (32, 16, 0))):
+        cases.append((f"tilde-d{d}-g{group}", grouped_problem(d, g, bits=2 + seed % 2, seed=seed,
+                                                               constant_group=group), [0]))
+    states = []
+    for label, (prob, q0), exponents in cases:
+        cd_codes, _ = cd_quantize(prob, q0, DescentConfig(epochs=20))
+        for codes in (q0, cd_codes):
+            for e in exponents:
+                with np.errstate(all="ignore"):
+                    hmat = np.ldexp(prob.hessian, e)
+                    state = GradientState.init(hmat, codes, prob.target)
+                states.append((f"{label}-2^{e}", hmat, state.codes, state.gradient,
+                               np.arange(prob.levels, dtype=np.float64)))
+    return states
+
+
+def test_screen_matches_reference_at_chunk_edges_and_extremes():
+    listed = screened = 0
+    overflowed = subnormal = False
+    for label, hmat, codes, gradient, levels in _edge_states():
+        with np.errstate(all="ignore"):
+            coupling = _pair_coupling(hmat)
+            pairs = _pair_screen(hmat, codes, gradient, levels, coupling)
+            ref = reference_pair_screen(hmat, codes, gradient, levels)
+        overflowed |= any(np.isposinf(table).any() for table in coupling)
+        subnormal |= bool((np.abs(hmat[hmat != 0.0]) < np.finfo(np.float64).tiny).all())
+        if ref is None:
+            assert pairs is None, label
+            continue
+        assert pairs.dtype == ref.dtype and pairs.shape == ref.shape, label
+        np.testing.assert_array_equal(pairs, ref, err_msg=label)
+        listed += ref.shape[0]
+        screened += 1
+    assert listed > 0 and screened > 20 and overflowed and subnormal
+
+
+def _count_couplings(monkeypatch):
+    built = []
+    coupling = descent._pair_coupling
+
+    def counted(hmat):
+        built.append(hmat)
+        return coupling(hmat)
+
+    monkeypatch.setattr(descent, "_pair_coupling", counted)
+    return built
+
+
+def test_per_channel_layer_builds_one_coupling_table(monkeypatch):
+    built = _count_couplings(monkeypatch)
+    prob, _ = random_problem(32, 2, seed=1)
+    weights = np.random.default_rng(1).standard_normal((32, 5))
+    weights[:, 2] = 0.5  # a constant column runs no engine
+    descent.quantize_matrix(weights, prob.hessian, "bcd", bits=2,
+                            cfg=DescentConfig(block_size=2, seed=1))
+    assert len(built) == 1 and built[0] is prob.hessian
+    built.clear()
+    for method, k in (("bcd", 1), ("bcd", 4), ("cd", 2)):
+        descent.quantize_matrix(weights, prob.hessian, method, bits=2,
+                                cfg=DescentConfig(block_size=k, seed=1))
+    assert built == []
+
+
+def test_grouped_layer_builds_one_coupling_table_per_live_channel(monkeypatch):
+    built = _count_couplings(monkeypatch)
+    prob, _ = random_problem(64, 2, seed=2)
+    weights = np.random.default_rng(2).standard_normal((64, 5))
+    weights[:, 1] = 0.5         # every group constant: no engine runs
+    weights[16:32, 3] = -0.25   # one constant group: the engines run on H~
+    descent.quantize_matrix(weights, prob.hessian, "bcd", bits=2, group_size=16,
+                            cfg=DescentConfig(block_size=2, seed=2))
+    assert len(built) == 4 and all(h is not prob.hessian for h in built)
+
+
+@pytest.mark.parametrize("d, bits", [(32, 2), (66, 3)])
+def test_bcd_with_the_layer_table_matches_its_own(d, bits):
+    prob, owc_codes = random_problem(d, bits, seed=d, n=d // 2)
+    layer_table = _pair_coupling(prob.hessian)
+    accepted = 0
+    for seed in range(3):
+        cfg = DescentConfig(block_size=2, epochs=2, seed=seed)
+        cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
+        q0 = owc_codes if seed % 2 else cd_codes
+        codes, trace = bcd_quantize(prob, q0, cfg)
+        shared_codes, shared = bcd_quantize(prob, q0, cfg, layer_table)
+        assert codes.dtype == shared_codes.dtype
+        np.testing.assert_array_equal(codes, shared_codes)
+        np.testing.assert_array_equal(trace.final_gradient, shared.final_gradient)
+        assert (trace.steps, trace.initial_loss, trace.final_loss, trace.loss_scale) == \
+            (shared.steps, shared.initial_loss, shared.final_loss, shared.loss_scale)
+        accepted += trace.accepted_steps
+    assert accepted > 0

@@ -3,13 +3,22 @@
 Each case quantizes a small seeded layer through the CLI and compares the
 report byte for byte, and the layer files by SHA-256, against files checked
 in under ``tests/golden/<case>/``. Engine changes that claim identical
-results (fast paths, refactors) must pass this unchanged. To regenerate the
-goldens deliberately, run ``PYTHONPATH=src python tests/test_golden.py``.
+results (fast paths, refactors) must pass this unchanged.
+
+To write a case's files deliberately, for a new case or an output change that
+is meant, name it:
+
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
+
+Only the named cases are rewritten; ``--all`` rewrites every case. With no
+argument, or a name that is not in ``CASES``, the script prints its usage
+and exits 2 without writing anything.
 """
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -102,14 +111,44 @@ def test_golden_records_and_layer_identical(name, tmp_path):
     assert digests(out) == json.loads((golden / "sha256.json").read_text())
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    for case_name in sorted(CASES):
+def regenerate(argv: list[str], golden_dir: Path = GOLDEN_DIR) -> int:
+    """Write the golden files of the cases named in ``argv`` (every case for
+    ``--all``) under ``golden_dir``; exit status 2 with usage on bad arguments."""
+    names = sorted(CASES) if argv == ["--all"] else argv
+    unknown = [name for name in names if name not in CASES]
+    if not names or unknown:
+        print("usage: PYTHONPATH=src python tests/test_golden.py CASE [CASE ...] | --all",
+              file=sys.stderr)
+        if unknown:
+            print(f"unknown case(s): {' '.join(unknown)}", file=sys.stderr)
+        print(f"cases: {' '.join(sorted(CASES))}", file=sys.stderr)
+        return 2
+    for case_name in names:
         with tempfile.TemporaryDirectory() as tmp:
             layer = run_case(case_name, Path(tmp))
-            dest = GOLDEN_DIR / case_name
+            dest = golden_dir / case_name
             dest.mkdir(parents=True, exist_ok=True)
             (dest / "records.csv").write_bytes((layer / "records.csv").read_bytes())
             (dest / "sha256.json").write_text(json.dumps(digests(layer), indent=2) + "\n")
         print(f"wrote {dest}", file=sys.stderr)
+    return 0
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-case"], ["chan-rtn3", "no-such-case"],
+                                  ["--all", "chan-rtn3"]])
+def test_regenerate_rejects_bad_arguments(argv, tmp_path, capsys):
+    assert regenerate(argv, tmp_path) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_regenerate_writes_only_the_named_cases(tmp_path):
+    assert regenerate(["chan-rtn3", "group32-rtn3"], tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chan-rtn3", "group32-rtn3"]
+    for name in ("chan-rtn3", "group32-rtn3"):
+        for f in ("records.csv", "sha256.json"):
+            assert (tmp_path / name / f).read_bytes() == (GOLDEN_DIR / name / f).read_bytes()
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
