@@ -105,7 +105,10 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     """The float64 matrix H = X'X + lambda*I with lambda = lambda_rel * mean(diag(X'X)).
 
     Accumulation is in float64 regardless of the input dtype; the result is
-    forced exactly symmetric.
+    forced exactly symmetric. A float64 X is used as it is, any other dtype is
+    widened into one float64 copy first, so a caller that reads X as float64
+    (``read_container(path, dtype=np.float64)``) holds it once. X is checked
+    for NaN/Inf here too, for callers that did not read it from a container.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] == 0:

@@ -49,23 +49,29 @@ _EXIT_CODES = {EnumerationGuardError: EXIT_GUARD, ShapeMismatchError: EXIT_SHAPE
                MemoryError: EXIT_USAGE}
 
 
-def _build_hessian_pipeline(calib: np.ndarray, lambda_rel: float, clip_fraction: float):
-    h = calibration.build_hessian(calib, lambda_rel)
+def _clip(h: np.ndarray, clip_fraction: float) -> np.ndarray:
     return calibration.clip_hessian_eigenvalues(h, clip_fraction) if clip_fraction else h
 
 
 def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
                  clip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weights and the calibration Hessian, once both containers hold matrices of one d_in."""
+    """The weights and the calibration Hessian, once both containers hold matrices of one d_in.
+
+    The calibration X is read as float64, the dtype ``build_hessian`` works in,
+    so it is held once, and it is dropped before the eigen-clip.
+    """
     calibration.check_hessian_settings(lambda_rel, clip_fraction)
-    weights, calib = (tensorio.read_container(path).array for path in (weights_path, calib_path))
-    for path, arr in ((weights_path, weights), (calib_path, calib)):
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"{path}: expected a 2-d tensor, got shape {arr.shape}")
+    weights = tensorio.read_container(weights_path).array
+    calib = tensorio.read_container(calib_path, dtype=np.float64).array
+    for path, shape in ((weights_path, weights.shape), (calib_path, calib.shape)):
+        if len(shape) != 2:
+            raise ShapeMismatchError(f"{path}: expected a 2-d tensor, got shape {shape}")
     if calib.shape[1] != weights.shape[0]:
         raise ShapeMismatchError(f"calibration {calib_path} has d_in={calib.shape[1]} but "
                                  f"weights {weights_path} have d_in={weights.shape[0]}")
-    return weights, _build_hessian_pipeline(calib, lambda_rel, clip_fraction)
+    hessian = calibration.build_hessian(calib, lambda_rel)
+    del calib
+    return weights, _clip(hessian, clip_fraction)
 
 
 def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: np.ndarray) -> None:
@@ -239,9 +245,10 @@ def cmd_bench(args) -> int:
     records = _canonical_records()
     aggregates = []
     for inst, spec, runs in instances:
-        calib = calibration.gen_calibration(spec)
+        # X is only an argument here, so it is freed before the eigen-clip.
+        hessian = calibration.build_hessian(calibration.gen_calibration(spec), suite["lambda_rel"])
+        hessian = _clip(hessian, suite["clip_fraction"])
         weights = calibration.gen_weights(inst["d_in"], inst["d_out"], inst["seed"])
-        hessian = _build_hessian_pipeline(calib, suite["lambda_rel"], suite["clip_fraction"])
         for bits, method, kwargs in runs:
             _, recs = descent.quantize_matrix(weights, hessian, method, **kwargs,
                                               collect_timing=not args.no_timing)
@@ -295,7 +302,7 @@ def cmd_oracle(args) -> int:
         weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
         if args.channel >= weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
-        w = weights.astype(np.float64)[:, args.channel]
+        w = weights[:, args.channel].astype(np.float64)
         scales, biases, _, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
         if scales[0] == 0.0:
             raise ValueError(f"channel {args.channel} is constant; nothing to search")

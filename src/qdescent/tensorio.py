@@ -170,12 +170,18 @@ def write_container(path: str | Path, array: np.ndarray) -> None:
         f.write(payload)
 
 
-def read_container(path: str | Path) -> TensorContainer:
+#: Elements of payload read, checked and cast at a time: 1 MiB of an f32 file.
+READ_CHUNK_ELEMENTS = 1 << 18
+
+
+def read_container(path: str | Path, dtype=None) -> TensorContainer:
     """Read a container written by :func:`write_container`.
 
-    The header is parsed and the payload length checked against the file
-    size before the payload is read straight into the returned array, so
-    the file's bytes are held in memory once.
+    The header is parsed and the payload length checked against the file size
+    before the payload is read, ``READ_CHUNK_ELEMENTS`` at a time, each chunk
+    checked for NaN/Inf and cast into the returned array of ``dtype`` (default:
+    the file's). So an f32 file read as float64 is never held whole as f32. A
+    ``dtype`` the payload cannot be cast to without loss is refused.
     """
     with naming(path), open(path, "rb") as f:
         head = f.read(14)
@@ -198,21 +204,33 @@ def read_container(path: str | Path) -> TensorContainer:
         shape = struct.unpack(f"<{ndim}Q", dims)
         offset = 14 + 8 * ndim
 
-        dtype = _TAG_TO_DTYPE[dtype_tag]
-        expected = math.prod(shape) * dtype.itemsize  # Python ints: no wraparound
+        stored = _TAG_TO_DTYPE[dtype_tag]
+        target = stored if dtype is None else np.dtype(dtype)
+        if not np.can_cast(stored, target, "safe"):
+            raise TensorIOError(f"{stored} payload cannot be read as {target} without loss")
+        expected = math.prod(shape) * stored.itemsize  # Python ints: no wraparound
         size = os.fstat(f.fileno()).st_size - offset
         if size != expected:
             raise PayloadMismatchError(
                 f"payload length mismatch: header declares {expected} bytes, file has {size}"
             )
-        arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
-        got = f.readinto(arr.reshape(-1).view(np.uint8))
+        arr = np.empty(shape, dtype=target)
+        flat = arr.reshape(-1)
+        chunk = np.empty(min(flat.size, READ_CHUNK_ELEMENTS), stored.newbyteorder("<"))
+        got, finite = 0, True
+        for start in range(0, flat.size, READ_CHUNK_ELEMENTS):
+            part = chunk[:flat.size - start]
+            n = f.readinto(part.view(np.uint8))
+            got += n
+            if n != part.nbytes:
+                break
+            finite = finite and (stored.kind != "f" or bool(np.isfinite(part).all()))
+            flat[start:start + part.size] = part
         if got != expected:
             raise PayloadMismatchError(
                 f"payload length mismatch: header declares {expected} bytes, file has {got}"
             )
-        arr = arr.astype(dtype, copy=False)
-        if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
+        if not finite:
             raise NonFiniteDataError("container holds non-finite values")
     return TensorContainer(array=arr)
 

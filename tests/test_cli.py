@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qdescent
-from qdescent import calibration, cli, descent, tensorio
+from qdescent import calibration, cli, descent, oracle, quantcore, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from qdescent.quantcore import load_layer
 
@@ -769,6 +769,27 @@ def test_oracle_file_instance(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["gap"] >= -1e-12
     assert payload["enumeration_count"] == 4 ** 6
+
+
+def test_oracle_out_json_as_from_the_whole_matrix_widened(tmp_path):
+    # oracle widens only the chosen column to float64; its JSON is what
+    # widening the whole weight matrix and then taking the column gives.
+    w, x = write_inputs(tmp_path, d_in=10, d_out=3, n=64, seed=5)
+    weights, hessian = cli._read_inputs(w, x, 0.01, 0.0)
+    for channel in range(3):
+        out = tmp_path / f"oracle-{channel}.json"
+        assert main(["oracle", "--weights", w, "--calib", x, "--channel", str(channel),
+                     "--bits", "2", "--out", str(out)]) == EXIT_OK
+        col = weights.astype(np.float64)[:, channel]
+        scales, biases, _, q0 = quantcore.owc_quantize(col, hessian, 2)
+        prob = quantcore.ChannelProblem(col, hessian, scales[0], biases[0], 2)
+        opt = oracle.brute_force(prob)
+        codes, trace = descent.cd_quantize(prob, q0, descent.DescentConfig())
+        assert json.loads(out.read_text()) == {
+            "enumeration_count": opt.enumeration_count,
+            "oracle_objective": opt.scaled_objective,
+            "oracle_codes": opt.codes.tolist(), "cd_objective": trace.final_loss,
+            "cd_codes": codes.tolist(), "gap": trace.final_loss - opt.scaled_objective}
 
 
 def test_oracle_channel_out_of_range(tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""Memory of the Hessian build: the calibration X is held once, as float64,
+and is gone by the time the eigen-clip runs.
+
+``tracemalloc`` sees numpy's array allocations, so these bounds hold for the
+arrays the program makes, whatever else the interpreter holds.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qdescent import calibration, cli, tensorio
+
+#: X is 8 MiB as f32 and 16 MiB as float64; d_in^2 float64 is 128 KiB.
+N, D = 16384, 128
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    w, x = tmp_path / "w.tc", tmp_path / "x.tc"
+    tensorio.write_container(w, calibration.gen_weights(D, 2, 0))
+    tensorio.write_container(x, np.random.default_rng(0).standard_normal((N, D)).astype(np.float32))
+    return str(w), str(x)
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+@pytest.fixture
+def at_clip(monkeypatch):
+    """The traced bytes in use each time the eigen-clip is entered."""
+    seen = []
+    clip = calibration.clip_hessian_eigenvalues
+
+    def probe(*args, **kwargs):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "clip_hessian_eigenvalues", probe)
+    return seen
+
+
+def test_read_inputs_peak_is_one_float64_copy_of_x(inputs, traced):
+    cli._read_inputs(*inputs, 0.01, 0.01)
+    _, peak = tracemalloc.get_traced_memory()
+    # One float64 X, build_hessian's finite mask of it (one byte an element),
+    # a few d_in^2 matrices, and one f32 chunk of the read with its mask.
+    bound = N * D * 8 + N * D + 4 * D * D * 8 + tensorio.READ_CHUNK_ELEMENTS * 5
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_quantize_frees_x_before_the_eigen_clip(inputs, tmp_path, traced, at_clip):
+    w, x = inputs
+    assert cli.main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "q"),
+                     "--method", "rtn", "--bits", "2", "--clip-fraction", "0.01"]) == 0
+    assert len(at_clip) == 1 and at_clip[0] < N * D * 4, at_clip
+
+
+def test_bench_frees_x_before_the_eigen_clip(tmp_path, traced, at_clip):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [{"d_in": D, "d_out": 2, "n": N, "seed": 0}],
+                                 "methods": ["rtn"], "bits": [2], "clip_fraction": 0.01}))
+    assert cli.main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "b")]) == 0
+    assert len(at_clip) == 1 and at_clip[0] < N * D * 4, at_clip

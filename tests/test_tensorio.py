@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdescent import tensorio
 from qdescent.tensorio import (BenchRecord, MalformedHeaderError, MalformedJSONError,
                                NonFiniteDataError, PackedCodes, PayloadMismatchError,
-                               TensorContainer, check_json, emit_report, pack_codes,
-                               read_container, read_json, read_packed, unpack_codes,
+                               TensorContainer, TensorIOError, check_json, emit_report,
+                               pack_codes, read_container, read_json, read_packed, unpack_codes,
                                write_container, write_packed)
 
 
@@ -72,11 +73,15 @@ def test_container_payload_one_byte_off(tmp_path, change, found):
         read_container(path)
 
 
+def _header(dtype_tag, dims):
+    """A container header declaring ``dims``, for a payload written by hand."""
+    return (b"QDTC" + struct.pack("<IBBI", 1, dtype_tag, 1, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims))
+
+
 def _huge_dims_container(path, dims):
     """A f64 container whose header declares ``dims`` and whose payload is 8 bytes."""
-    header = b"QDTC" + struct.pack("<I", 1) + struct.pack("<BB", 1, 1)
-    header += struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
-    path.write_bytes(header + struct.pack("<d", 1.0))
+    path.write_bytes(_header(1, dims) + struct.pack("<d", 1.0))
 
 
 @pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 64 - 1,)])
@@ -136,9 +141,7 @@ def test_nan_rejected_at_write(tmp_path):
 def test_nan_rejected_at_read(tmp_path):
     # Craft a file whose payload holds a NaN without going through write_container.
     path = tmp_path / "craft.tc"
-    header = b"QDTC" + struct.pack("<I", 1) + struct.pack("<BB", 0, 1)
-    header += struct.pack("<I", 1) + struct.pack("<Q", 1)
-    path.write_bytes(header + struct.pack("<f", float("nan")))
+    path.write_bytes(_header(0, (1,)) + struct.pack("<f", float("nan")))
     with pytest.raises(NonFiniteDataError):
         read_container(path)
 
@@ -146,6 +149,87 @@ def test_nan_rejected_at_read(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(MalformedHeaderError):
         write_container(tmp_path / "i64.tc", np.ones(3, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# widened reads: read_container(path, dtype=np.float64)
+
+#: Chunk sizes in elements: 1, 3, 5 (which divides no row of 7 elements) and the default.
+CHUNKS = [1, 3, 5, tensorio.READ_CHUNK_ELEMENTS]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+@pytest.mark.parametrize("shape", [(4, 7), (31,), (0,), (3, 0), (2, 0, 5)])
+def test_widened_read_equals_astype(tmp_path, monkeypatch, chunk, dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    arr = (rng.integers(0, 256, shape) if dtype is np.uint8 else rng.standard_normal(shape) * 100
+           ).astype(dtype)
+    path = tmp_path / "w.tc"
+    write_container(path, arr)
+    monkeypatch.setattr(tensorio, "READ_CHUNK_ELEMENTS", chunk)
+    plain = read_container(path).array
+    wide = read_container(path, dtype=np.float64).array
+    assert plain.dtype == dtype and wide.dtype == np.float64 and wide.shape == shape
+    assert wide.tobytes() == plain.astype(np.float64).tobytes()
+
+
+def _errors(path, **kwargs):
+    """The (class, message) that reading ``path`` raises."""
+    with pytest.raises(TensorIOError) as info:
+        read_container(path, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def _same_error_widened(path):
+    plain = _errors(path)
+    assert plain == _errors(path, dtype=np.float64)
+    assert plain[1].startswith(f"{path}: ")
+    return plain
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("cut", [-8, -1, 1])
+def test_widened_read_length_errors_match(tmp_path, monkeypatch, chunk, cut):
+    monkeypatch.setattr(tensorio, "READ_CHUNK_ELEMENTS", chunk)
+    path = tmp_path / "cut.tc"
+    write_container(path, np.arange(28, dtype=np.float32).reshape(4, 7))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+    kind, message = _same_error_widened(path)
+    assert kind is PayloadMismatchError and message.endswith(f"file has {112 + cut}")
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 64 - 1,)])
+def test_widened_read_huge_dims_errors_match(tmp_path, dims):
+    path = tmp_path / "huge.tc"
+    _huge_dims_container(path, dims)
+    assert _same_error_widened(path)[0] is PayloadMismatchError
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("where", [0, 13, 27])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_widened_read_non_finite_in_any_chunk(tmp_path, monkeypatch, chunk, where, bad):
+    # Element 0 is in the first chunk, 13 in a middle one (for chunks of 1, 3
+    # and 5) and 27 in the last.
+    monkeypatch.setattr(tensorio, "READ_CHUNK_ELEMENTS", chunk)
+    arr = np.arange(28, dtype=np.float32)
+    arr[where] = bad
+    path = tmp_path / "bad.tc"
+    path.write_bytes(_header(0, arr.shape) + arr.tobytes())
+    kind, message = _same_error_widened(path)
+    assert kind is NonFiniteDataError and message.endswith("container holds non-finite values")
+
+
+def test_widened_read_refuses_a_lossy_dtype(tmp_path):
+    path = tmp_path / "f64.tc"
+    write_container(path, np.ones(3))
+    with pytest.raises(TensorIOError, match=f"^{re.escape(str(path))}: float64 payload cannot "
+                                            "be read as float32 without loss$"):
+        read_container(path, dtype=np.float32)
+    write_container(path, np.ones(3, dtype=np.uint8))
+    assert read_container(path, dtype=np.float32).array.tolist() == [1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
