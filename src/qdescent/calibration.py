@@ -64,12 +64,24 @@ class SynthSpec:
         return eigvals
 
 
+#: Elements of scratch one chunked step holds: a generated block of rows, a
+#: scanned chunk of X, a symmetrized band of the Gram matrix.
+CHUNK_ELEMENTS = 1 << 16
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def gen_calibration(spec: SynthSpec) -> np.ndarray:
-    """An (n, d_in) float32 activation matrix whose covariance has ``spec.eigenvalues()``."""
+    """An (n, d_in) float32 activation matrix whose covariance has ``spec.eigenvalues()``.
+
+    The samples are drawn and mixed in float64 a block of rows at a time,
+    straight into the float32 result, so the float64 work holds one block's
+    draw and product at a time. Each row comes out as it would from one draw
+    of all n rows: the draws continue one stream, and no block holds a single
+    row (unless n = 1), whose product BLAS would round differently.
+    """
     rng = _rng(spec.seed)
     d = spec.d_in
 
@@ -79,12 +91,20 @@ def gen_calibration(spec: SynthSpec) -> np.ndarray:
 
     # M satisfies M'M = Q diag(eigvals) Q', so X = Z M has the target covariance.
     mix = np.sqrt(spec.eigenvalues())[:, None] * q.T
-    samples = rng.standard_normal((spec.n, d)) @ mix
+    del basis_seed, q, r
     limit = float(np.finfo(np.float32).max)
-    if not (-limit <= samples.min() and samples.max() <= limit):  # NaN fails too
-        raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
-                         f"{spec.outlier_gain!r} give samples beyond the float32 range")
-    return samples.astype(np.float32)
+    samples = np.empty((spec.n, d), dtype=np.float32)
+    starts = list(range(0, spec.n, max(2, CHUNK_ELEMENTS // d)))
+    if len(starts) > 1 and spec.n - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [spec.n]):
+        block = rng.standard_normal((hi - lo, d)) @ mix
+        if not (-limit <= block.min() and block.max() <= limit):  # NaN fails too
+            raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
+                             f"{spec.outlier_gain!r} give samples beyond the float32 range")
+        samples[lo:hi] = block
+        del block  # so that the next block is not drawn while this one is held
+    return samples
 
 
 def gen_weights(d_in: int, d_out: int, seed: int) -> np.ndarray:
@@ -109,25 +129,61 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     widened into one float64 copy first, so a caller that reads X as float64
     (``read_container(path, dtype=np.float64)``) holds it once. X is checked
     for NaN/Inf here too, for callers that did not read it from a container.
+
+    Beside X the build holds the Gram matrix and scratch of at most
+    ``CHUNK_ELEMENTS`` elements (or one row of X or H): X is scanned in row
+    chunks, and the Gram matrix is symmetrized and damped in place, with the
+    bits of ``(g + g.T) / 2`` and ``g + lambda * np.eye(d)``.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatchError("calibration matrix must be 2-d with d_in >= 1")
-    if x.size and not np.isfinite(x).all():
-        raise ValueError("calibration matrix holds non-finite values")
+    rows = max(1, CHUNK_ELEMENTS // x.shape[1])
+    for lo in range(0, x.shape[0], rows):
+        if not np.isfinite(x[lo:lo + rows]).all():
+            raise ValueError("calibration matrix holds non-finite values")
     check_hessian_settings(lambda_rel=lambda_rel)
 
     x64 = x.astype(np.float64, copy=False)
     gram = x64.T @ x64
-    gram = (gram + gram.T) / 2.0
+    _symmetrize(gram)
     with np.errstate(over="ignore"):
         lam = float(lambda_rel * np.mean(np.diag(gram)))
         damped = np.diag(gram) + lam
     if not np.isfinite(damped).all():
         raise ValueError(f"lambda_rel={lambda_rel!r} overflows the damped Hessian diagonal")
-    if lam:
-        gram = gram + lam * np.eye(gram.shape[0])
+    _add_damping(gram, lam)
     return gram
+
+
+def _symmetrize(g: np.ndarray) -> None:
+    """``g[:] = (g + g.T) / 2`` in place, one row band of the upper triangle at a time.
+
+    Both g[i, j] and g[j, i] become ``(g[i, j] + g[j, i]) / 2``, which is
+    what ``(g + g.T) / 2`` holds at each, since IEEE addition commutes; a sum
+    that overflows becomes inf as it does there. A band reads only rows and
+    columns at or past its first row, which no earlier band wrote.
+    """
+    d = g.shape[0]
+    rows = max(1, CHUNK_ELEMENTS // d)
+    for lo in range(0, d, rows):
+        hi = min(lo + rows, d)
+        band = g[lo:hi, lo:] + g[lo:, lo:hi].T
+        band /= 2.0
+        g[lo:hi, lo:] = band
+        g[lo:, lo:hi] = band.T
+        del band  # so that the next band is not made while this one is held
+
+
+def _add_damping(g: np.ndarray, lam: float) -> None:
+    """``g[:] = g + lam * np.eye(d)`` in place for a finite lam >= 0; nothing for lam = 0.
+
+    Off the diagonal ``lam * 0`` is +0.0, so every entry first gets 0.0 added
+    (which turns -0.0 into +0.0), then the diagonal gets lam.
+    """
+    if lam:
+        g += 0.0
+        g[np.diag_indices_from(g)] += lam
 
 
 def clip_hessian_eigenvalues(hessian: np.ndarray, clip_fraction: float) -> np.ndarray:

@@ -1,10 +1,31 @@
 """Synthetic generator, Hessian accumulation, and eigenvalue clipping."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from qdescent import calibration
 from qdescent.calibration import (SynthSpec, build_hessian, clip_hessian_eigenvalues,
                                   gen_calibration, gen_weights)
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _whole_matrix_samples(spec):
+    """The float64 samples as ``gen_calibration`` drew them before it drew in
+    row blocks: all n rows in one draw, mixed in one product."""
+    rng = calibration._rng(spec.seed)
+    d = spec.d_in
+    basis_seed = rng.standard_normal((d, d))
+    q, r = np.linalg.qr(basis_seed)
+    q *= np.sign(np.diag(r))
+    mix = np.sqrt(spec.eigenvalues())[:, None] * q.T
+    return rng.standard_normal((spec.n, d)) @ mix
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def test_spec_validation():
@@ -50,6 +71,60 @@ def test_gen_rejects_samples_beyond_float32():
     # A gain whose samples fit in float32 still generates.
     x = gen_calibration(SynthSpec(d_in=8, n=16, outlier_directions=1, outlier_gain=1e60))
     assert x.dtype == np.float32 and np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("d_in,n,chunk", [
+    (16, 1, 32),            # n = 1: the one block holds one row
+    (16, 37, 48),           # 3-row blocks; a trailing row joins the last block
+    (16, 100, 7 * 16),      # 7-row blocks, 100 = 14 * 7 + 2
+    (64, 300, 64 * 64),     # 64-row blocks, 300 = 4 * 64 + 44
+    (64, 300, None),        # the default: one block
+    (1024, 5, 2048),        # 2-row blocks at d_in = 1024
+])
+def test_gen_in_row_blocks_equals_the_whole_matrix_draw(monkeypatch, d_in, n, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", chunk)
+    spec = SynthSpec(d_in=d_in, n=n, spectrum_exponent=1.0, outlier_directions=1,
+                     outlier_gain=50.0, seed=41)
+    whole = _whole_matrix_samples(spec).astype(np.float32)
+    assert gen_calibration(spec).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7])
+def test_gen_draws_no_one_row_block_unless_n_is_one(monkeypatch, n):
+    monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", 2 * 8)  # 2-row blocks at d_in = 8
+    rows = []
+    make_rng = calibration._rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, shape):
+            rows.append(shape[0])
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(calibration, "_rng", Recording)
+    gen_calibration(SynthSpec(d_in=8, n=n, seed=3))
+    blocks = rows[1:]  # the first draw seeds the basis
+    assert sum(blocks) == n and (n == 1 or min(blocks) >= 2), blocks
+
+
+def test_gen_range_error_from_a_late_block(monkeypatch):
+    monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", 4 * 8)  # 16 blocks of 4 rows
+    base = SynthSpec(d_in=8, n=64, outlier_directions=1, outlier_gain=1e70, seed=1)
+    block_max = np.abs(_whole_matrix_samples(base)).max(axis=1).reshape(16, 4).max(axis=1)
+    late = int(np.argmax(block_max))
+    earlier = block_max[:late].max()
+    assert late > 0 and block_max[late] > 1.5 * earlier
+    # Samples scale with the square root of the outlier gain: put the float32
+    # limit between the earlier blocks' largest sample and the late block's.
+    spec = SynthSpec(d_in=8, n=64, outlier_directions=1, seed=1,
+                     outlier_gain=1e70 * F32_MAX ** 2 / (block_max[late] * earlier))
+    samples = _whole_matrix_samples(spec)
+    assert np.abs(samples[:4 * late]).max() <= F32_MAX < np.abs(samples[4 * late:]).max()
+    with pytest.raises(ValueError, match="float32 range"):
+        gen_calibration(spec)
 
 
 def test_gen_weights_deterministic():
@@ -110,6 +185,85 @@ def test_hessian_damped_is_positive_definite():
 def test_hessian_rejects_nan():
     with pytest.raises(ValueError):
         build_hessian(np.array([[np.nan, 1.0]]), 0.0)
+
+
+@pytest.mark.parametrize("row", [0, 4, 8])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hessian_rejects_non_finite_in_any_scan_chunk(monkeypatch, row, bad):
+    monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", 2 * 4)  # 2-row chunks
+    x = np.ones((9, 4), dtype=np.float32)
+    x[row, 1] = bad
+    with pytest.raises(ValueError, match="calibration matrix holds non-finite values"):
+        build_hessian(x, 0.01)
+
+
+def _reference_build_hessian(x, lambda_rel):
+    """``build_hessian`` as it was before it worked in place."""
+    x64 = np.asarray(x).astype(np.float64, copy=False)
+    gram = x64.T @ x64
+    gram = (gram + gram.T) / 2.0
+    lam = float(lambda_rel * np.mean(np.diag(gram)))
+    if lam:
+        gram = gram + lam * np.eye(gram.shape[0])
+    return gram
+
+
+@pytest.mark.parametrize("chunk", [None, 3 * 37, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lambda_rel", [0.0, 0.01])
+def test_hessian_bits_equal_the_whole_matrix_build(monkeypatch, chunk, dtype, lambda_rel):
+    if chunk is not None:
+        monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(8)
+    for n, d in ((1, 1), (3, 7), (200, 37), (40, 90)):
+        x = rng.standard_normal((n, d)).astype(dtype)
+        x[:, d // 2] = 0.0  # a zero row and column of X'X
+        h = build_hessian(x, lambda_rel)
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        assert (_bits(h) == _bits(_reference_build_hessian(x, lambda_rel))).all()
+
+
+def _unsymmetric_matrices():
+    """Matrices X'X never is: not symmetric, non-finite, -0.0, and sums that overflow."""
+    rng = np.random.default_rng(4)
+    plain = rng.standard_normal((10, 10))
+    special = plain.copy()
+    special[1, 4] = special[3, 3] = np.nan
+    special[6, 2], special[2, 6] = np.inf, -np.inf  # their sum is NaN
+    special[8, 0], special[5, 9] = -np.inf, np.inf
+    zeros = plain.copy()
+    zeros[2, 5] = zeros[5, 2] = zeros[4, 4] = -0.0
+    zeros[7, 1], zeros[1, 7] = -0.0, 0.0
+    huge = plain * 1e300
+    huge[0, 9] = huge[9, 0] = huge[3, 3] = 0.6 * sys.float_info.max
+    huge[5, 6] = huge[6, 5] = -0.7 * sys.float_info.max
+    return {"plain": plain, "special": special, "zeros": zeros, "huge": huge}
+
+
+@pytest.mark.parametrize("band_rows", [1, 3, 4, 10])
+@pytest.mark.parametrize("case", ["plain", "special", "zeros", "huge"])
+def test_symmetrize_in_place_has_the_bits_of_the_whole_matrix_mean(monkeypatch, band_rows, case):
+    monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", band_rows * 10)
+    g = _unsymmetric_matrices()[case]
+    with np.errstate(all="ignore"):
+        expected = (g + g.T) / 2.0
+        calibration._symmetrize(g)
+    assert (_bits(g) == _bits(expected)).all()
+    if case == "huge":  # the overflowing sums are reached, on and off the diagonal
+        assert np.isposinf(g[0, 9]) and np.isposinf(g[3, 3]) and np.isneginf(g[6, 5])
+    if case == "zeros":
+        assert np.signbit(g[2, 5]) and np.signbit(g[4, 4]) and not np.signbit(g[7, 1])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("case", ["plain", "special", "zeros", "huge"])
+def test_damping_in_place_has_the_bits_of_adding_lambda_eye(case, lam):
+    g = _unsymmetric_matrices()[case]
+    expected = g + lam * np.eye(10) if lam else g.copy()
+    calibration._add_damping(g, lam)
+    assert (_bits(g) == _bits(expected)).all()
+    if case == "zeros":  # -0.0 stays at lam = 0, and becomes +0.0 off the diagonal otherwise
+        assert np.signbit(g[2, 5]) == (lam == 0)
 
 
 def test_hessian_psd_probe_vectors():

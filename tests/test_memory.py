@@ -1,5 +1,6 @@
-"""Memory of the Hessian build: the calibration X is held once, as float64,
-and is gone by the time the eigen-clip runs.
+"""Memory of the calibration and the Hessian build: X is generated block by
+block, held once as float64 while H is built in place, and is gone by the
+time the eigen-clip runs.
 
 ``tracemalloc`` sees numpy's array allocations, so these bounds hold for the
 arrays the program makes, whatever else the interpreter holds.
@@ -49,9 +50,9 @@ def at_clip(monkeypatch):
 def test_read_inputs_peak_is_one_float64_copy_of_x(inputs, traced):
     cli._read_inputs(*inputs, 0.01, 0.01)
     _, peak = tracemalloc.get_traced_memory()
-    # One float64 X, build_hessian's finite mask of it (one byte an element),
-    # a few d_in^2 matrices, and one f32 chunk of the read with its mask.
-    bound = N * D * 8 + N * D + 4 * D * D * 8 + tensorio.READ_CHUNK_ELEMENTS * 5
+    # One float64 X, a few d_in^2 matrices, and one f32 chunk of the read
+    # with its mask.
+    bound = N * D * 8 + 4 * D * D * 8 + tensorio.READ_CHUNK_ELEMENTS * 5
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
@@ -68,3 +69,28 @@ def test_bench_frees_x_before_the_eigen_clip(tmp_path, traced, at_clip):
                                  "methods": ["rtn"], "bits": [2], "clip_fraction": 0.01}))
     assert cli.main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "b")]) == 0
     assert len(at_clip) == 1 and at_clip[0] < N * D * 4, at_clip
+
+
+def test_build_hessian_holds_one_d_squared_matrix_above_x():
+    n, d = 2048, 512
+    x = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        calibration.build_hessian(x, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # H, one scan chunk's mask (a byte an element), one float64 band of the
+    # symmetrize, and a few d_in vectors. ``(g + g.T) / 2`` would hold a
+    # second d_in^2 matrix, and a mask of all of X n * d_in bytes.
+    bound = d * d * 8 + calibration.CHUNK_ELEMENTS * 9 + 16 * d * 8
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_gen_calibration_holds_the_f32_result_and_one_block(traced):
+    calibration.gen_calibration(calibration.SynthSpec(d_in=D, n=N, seed=0))
+    _, peak = tracemalloc.get_traced_memory()
+    # The f32 X, one block's float64 draw and its product with the mixing
+    # matrix, and a few d_in^2 matrices.
+    bound = N * D * 4 + calibration.CHUNK_ELEMENTS * 2 * 8 + 4 * D * D * 8
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
