@@ -67,20 +67,26 @@ class SynthSpec:
 #: Elements of scratch one chunked step holds: a generated block of rows, a
 #: scanned chunk of X, a symmetrized band of the Gram matrix.
 CHUNK_ELEMENTS = 1 << 16
+#: The largest X'X diagonal entry ``build_hessian`` accepts without scanning X and
+#: checking all of H for overflow.
+DIAG_LIMIT = sys.float_info.max / 4
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def gen_calibration(spec: SynthSpec) -> np.ndarray:
-    """An (n, d_in) float32 activation matrix whose covariance has ``spec.eigenvalues()``.
+def gen_calibration(spec: SynthSpec, dtype=np.float32) -> np.ndarray:
+    """An (n, d_in) activation matrix whose covariance has ``spec.eigenvalues()``.
 
-    The samples are drawn and mixed in float64 a block of rows at a time,
-    straight into the float32 result, so the float64 work holds one block's
-    draw and product at a time. Each row comes out as it would from one draw
-    of all n rows: the draws continue one stream, and no block holds a single
-    row (unless n = 1), whose product BLAS would round differently.
+    The samples are float32 values whatever ``dtype`` holds them: with
+    ``np.float64`` each is rounded to float32 and widened exactly, so a
+    caller that builds H from the samples holds one float64 X, not a float32
+    one and its float64 copy. They are drawn and mixed in float64 a block of
+    rows at a time, straight into the result, so the float64 work holds one
+    block's draw and product at a time. Each row comes out as it would from
+    one draw of all n rows: the draws continue one stream, and no block holds
+    a single row (unless n = 1), whose product BLAS would round differently.
     """
     rng = _rng(spec.seed)
     d = spec.d_in
@@ -93,7 +99,7 @@ def gen_calibration(spec: SynthSpec) -> np.ndarray:
     mix = np.sqrt(spec.eigenvalues())[:, None] * q.T
     del basis_seed, q, r
     limit = float(np.finfo(np.float32).max)
-    samples = np.empty((spec.n, d), dtype=np.float32)
+    samples = np.empty((spec.n, d), dtype=dtype)
     starts = list(range(0, spec.n, max(2, CHUNK_ELEMENTS // d)))
     if len(starts) > 1 and spec.n - starts[-1] == 1:
         starts.pop()
@@ -102,7 +108,7 @@ def gen_calibration(spec: SynthSpec) -> np.ndarray:
         if not (-limit <= block.min() and block.max() <= limit):  # NaN fails too
             raise ValueError(f"spectrum_exponent={spec.spectrum_exponent!r} and outlier_gain="
                              f"{spec.outlier_gain!r} give samples beyond the float32 range")
-        samples[lo:hi] = block
+        samples[lo:hi] = block.astype(np.float32, copy=False)
         del block  # so that the next block is not drawn while this one is held
     return samples
 
@@ -127,26 +133,50 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     Accumulation is in float64 regardless of the input dtype; the result is
     forced exactly symmetric. A float64 X is used as it is, any other dtype is
     widened into one float64 copy first, so a caller that reads X as float64
-    (``read_container(path, dtype=np.float64)``) holds it once. X is checked
-    for NaN/Inf here too, for callers that did not read it from a container.
+    (``read_container(path, dtype=np.float64)``) holds it once. Beside X the
+    build holds the Gram matrix and scratch of at most ``CHUNK_ELEMENTS``
+    elements (or one row of X or H): the Gram matrix is symmetrized and
+    damped in place, with the bits of ``(g + g.T) / 2`` and
+    ``g + lambda * np.eye(d)``.
 
-    Beside X the build holds the Gram matrix and scratch of at most
-    ``CHUNK_ELEMENTS`` elements (or one row of X or H): X is scanned in row
-    chunks, and the Gram matrix is symmetrized and damped in place, with the
-    bits of ``(g + g.T) / 2`` and ``g + lambda * np.eye(d)``.
+    X is not scanned for NaN/Inf when the Gram matrix's diagonal is finite and
+    at most ``DIAG_LIMIT`` (DBL_MAX/4); a container read has already checked
+    every element. That diagonal check stands for the scan and for an
+    overflow check of all of H:
+
+    * ``g[c, c]`` sums ``x[k, c]**2 >= 0``, so a NaN anywhere in column c makes
+      it NaN and a +-inf makes it +inf or NaN.
+    * Rounded in any order, with or without fused multiply-adds, a computed
+      sum of n products is off the exact one by at most ``e_n`` times the sum
+      of their magnitudes, ``e_n = n*eps / (1 - n*eps)``; underflow adds an
+      absolute error no bound near overflow feels. The diagonal sums squares,
+      so ``g[c, c] >= (1 - e_n) S_c`` for the exact squared column norm
+      ``S_c``, and by Cauchy-Schwarz ``|g[i, j]|``, and every partial sum of
+      it, is at most ``(1 + e_n) sqrt(S_i S_j)``. So ``|g[i, j]|`` is at most
+      ``(1 + e_n) / (1 - e_n) * DBL_MAX/4``, below DBL_MAX/2 for any n under
+      1e15: no entry overflows, and no ``g[i, j] + g[j, i]`` in
+      ``_symmetrize`` does, i = j included.
+
+    Otherwise X is scanned in row chunks (a NaN/Inf raises), and all of the
+    symmetrized Gram matrix is checked: H beyond the float64 range raises
+    before any damping is computed.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatchError("calibration matrix must be 2-d with d_in >= 1")
-    rows = max(1, CHUNK_ELEMENTS // x.shape[1])
-    for lo in range(0, x.shape[0], rows):
-        if not np.isfinite(x[lo:lo + rows]).all():
-            raise ValueError("calibration matrix holds non-finite values")
-    check_hessian_settings(lambda_rel=lambda_rel)
-
     x64 = x.astype(np.float64, copy=False)
-    gram = x64.T @ x64
-    _symmetrize(gram)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is caught below
+        gram = x64.T @ x64
+        _symmetrize(gram)  # keeps each diagonal entry, or makes it inf past DBL_MAX/2
+    in_range = np.diag(gram).max() <= DIAG_LIMIT  # NaN fails too
+    if not in_range:
+        rows = max(1, CHUNK_ELEMENTS // x.shape[1])
+        for lo in range(0, x.shape[0], rows):
+            if not np.isfinite(x[lo:lo + rows]).all():
+                raise ValueError("calibration matrix holds non-finite values")
+    check_hessian_settings(lambda_rel=lambda_rel)
+    if not in_range and not np.isfinite(gram).all():
+        raise ValueError("calibration matrix X'X exceeds the float64 range")
     with np.errstate(over="ignore"):
         lam = float(lambda_rel * np.mean(np.diag(gram)))
         damped = np.diag(gram) + lam

@@ -21,11 +21,19 @@ key are accepted for old command lines and configs, and have no effect.
 (``codes.pc``) and a ``records.csv`` report; ``eval --out`` and ``bench``
 write the same CSV columns. Report files embed per-channel wall-clock times
 unless --no-timing is given, which zeroes them so reports are byte-stable.
+
+When a command ends, ``main`` hands the heap it freed back to the operating
+system (glibc's ``malloc_trim``; nothing where the C library lacks it). A
+freed LAPACK workspace raises glibc's mmap and trim thresholds, so a process
+that runs ``eval`` after an untrimmed ``quantize`` would start eval with the
+eigen-clip's freed d_in^2 temporaries still resident. A single command's
+peak is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import statistics
 import sys
@@ -47,6 +55,14 @@ EXIT_GUARD = 5
 _EXIT_CODES = {EnumerationGuardError: EXIT_GUARD, ShapeMismatchError: EXIT_SHAPE,
                TensorIOError: EXIT_IO, OSError: EXIT_IO, ValueError: EXIT_USAGE,
                MemoryError: EXIT_USAGE}
+
+
+#: glibc's ``malloc_trim``, or None where the C library has no such symbol.
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+    _MALLOC_TRIM = None
 
 
 def _clip(h: np.ndarray, clip_fraction: float) -> np.ndarray:
@@ -245,8 +261,10 @@ def cmd_bench(args) -> int:
     records = _canonical_records()
     aggregates = []
     for inst, spec, runs in instances:
-        # X is only an argument here, so it is freed before the eigen-clip.
-        hessian = calibration.build_hessian(calibration.gen_calibration(spec), suite["lambda_rel"])
+        # X is generated as float64, so build_hessian widens no copy of it, and it
+        # is only an argument here, so it is freed before the eigen-clip.
+        hessian = calibration.build_hessian(calibration.gen_calibration(spec, np.float64),
+                                            suite["lambda_rel"])
         hessian = _clip(hessian, suite["clip_fraction"])
         weights = calibration.gen_weights(inst["d_in"], inst["d_out"], inst["seed"])
         for bits, method, kwargs in runs:
@@ -413,6 +431,9 @@ def main(argv=None) -> int:
         note = "out of memory: " if isinstance(exc, MemoryError) else ""  # a size too large
         print(f"error: {note}{exc}", file=sys.stderr)
         return code
+    finally:
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Synthetic generator, Hessian accumulation, and eigenvalue clipping."""
 
+import math
 import sys
 
 import numpy as np
@@ -127,6 +128,16 @@ def test_gen_range_error_from_a_late_block(monkeypatch):
         gen_calibration(spec)
 
 
+@pytest.mark.parametrize("n", [1, 5, 1001])
+def test_gen_float64_holds_the_float32_samples(monkeypatch, n):
+    monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", 7 * 16)
+    spec = SynthSpec(d_in=16, n=n, spectrum_exponent=1.0, outlier_directions=2,
+                     outlier_gain=50.0, seed=3)
+    wide = gen_calibration(spec, np.float64)
+    assert wide.dtype == np.float64 and wide.shape == (n, 16)
+    assert (_bits(wide) == _bits(gen_calibration(spec).astype(np.float64))).all()
+
+
 def test_gen_weights_deterministic():
     a = gen_weights(8, 3, seed=5)
     b = gen_weights(8, 3, seed=5)
@@ -195,6 +206,66 @@ def test_hessian_rejects_non_finite_in_any_scan_chunk(monkeypatch, row, bad):
     x[row, 1] = bad
     with pytest.raises(ValueError, match="calibration matrix holds non-finite values"):
         build_hessian(x, 0.01)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hessian_rejects_non_finite_in_any_column_and_row(dtype, where, bad):
+    # No scan stands before X'X: the NaN or inf reaches H's diagonal and sends
+    # the build to the scan, whose message it keeps.
+    rng = np.random.default_rng(3)
+    for row, col in ((where, 2), (4, where)):
+        x = rng.standard_normal((7, 7)).astype(dtype)
+        x[row, col] = bad
+        with pytest.raises(ValueError, match="^calibration matrix holds non-finite values$"):
+            build_hessian(x, 0.01)
+
+
+def test_hessian_error_precedence():
+    bad_x = np.array([[np.nan, 1.0]])
+    huge_x = np.full((4, 8), 6e153)  # finite, but X'X's symmetrized diagonal overflows
+    huge_x[::2, ::3] *= -1.0
+    with pytest.raises(ValueError, match="non-finite values"):
+        build_hessian(bad_x, -1.0)
+    with pytest.raises(ValueError, match="lambda_rel must be finite"):
+        build_hessian(np.ones((2, 2)), -1.0)
+    with pytest.raises(ValueError, match="lambda_rel must be finite"):
+        build_hessian(huge_x, -1.0)
+    for lambda_rel in (0.0, 0.01):  # warnings are errors here, so none is raised
+        with pytest.raises(ValueError, match="^calibration matrix X'X exceeds the float64 range$"):
+            build_hessian(huge_x, lambda_rel)
+    with pytest.raises(ValueError, match="lambda_rel=1e\\+308 overflows the damped"):
+        build_hessian(np.ones((2, 2)), 1e308)
+
+
+@pytest.mark.parametrize("lambda_rel", [0.0, 0.01])
+def test_hessian_accepts_a_diagonal_above_the_limit_that_does_not_overflow(lambda_rel):
+    big = math.sqrt(0.2 * sys.float_info.max)
+    x = np.array([[big, -big], [big, 0.5 * big], [0.25 * big, big]])
+    diag = np.diag(x.T @ x)
+    assert (diag > calibration.DIAG_LIMIT).all() and (diag < sys.float_info.max / 2).all()
+    h = build_hessian(x, lambda_rel)
+    assert np.isfinite(h).all()
+    assert (_bits(h) == _bits(_reference_build_hessian(x, lambda_rel))).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hessian_checks_o_of_d_in_elements_on_a_finite_x(monkeypatch, dtype):
+    # The diagonal stands for a scan of X: np.isfinite sees at most a few d_in
+    # elements, where a scan would hand it all n * d_in of them.
+    n, d = 500, 20
+    seen = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.size(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    x = np.random.default_rng(5).standard_normal((n, d)).astype(dtype)
+    build_hessian(x, 0.01)
+    assert sum(seen) <= 4 * d, seen
 
 
 def _reference_build_hessian(x, lambda_rel):

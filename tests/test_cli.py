@@ -181,6 +181,35 @@ def test_quantize_config_non_finite_lambda_rel_exits_usage(tmp_path, capsys, val
     assert code == EXIT_USAGE and "lambda_rel" in err
 
 
+def test_quantize_x_gram_beyond_float64_exits_usage_with_one_line(tmp_path):
+    # X is finite, but X'X's symmetrized diagonal overflows: one error line
+    # naming X'X, with no numpy warning and no blame on a damping of zero.
+    x = np.full((4, 8), 6e153)
+    x[1::2] *= -1.0
+    xpath, wpath = tmp_path / "x.tc", tmp_path / "w.tc"
+    tensorio.write_container(xpath, x)
+    tensorio.write_container(wpath, calibration.gen_weights(8, 2, 0))
+    src = str(Path(qdescent.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "qdescent.cli", "quantize", "--weights",
+                           str(wpath), "--calib", str(xpath), "--out", str(tmp_path / "o"),
+                           "--method", "cd", "--bits", "2", "--lambda-rel", "0"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: calibration matrix X'X exceeds the float64 range\n"
+
+
+def test_main_trims_the_heap_after_every_command(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
+    assert main(["oracle", "--canonical"]) == EXIT_OK
+    assert main(["eval", "--layer", str(tmp_path / "none"), "--calib", "x.tc"]) == EXIT_IO
+    assert calls == [0, 0]
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", None)  # a C library without malloc_trim
+    assert main(["oracle", "--canonical"]) == EXIT_OK
+
+
 def test_quantize_grid_too_large_to_allocate_exits_usage(tmp_path, capsys):
     # 2^50 float64 grid values need 8 PiB, beyond the address space, so
     # numpy refuses the allocation without touching memory.
