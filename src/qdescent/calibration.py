@@ -160,6 +160,10 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     Otherwise X is scanned in row chunks (a NaN/Inf raises), and all of the
     symmetrized Gram matrix is checked: H beyond the float64 range raises
     before any damping is computed.
+
+    lambda_rel = 0 computes no mean. Otherwise the mean of the diagonal is
+    taken without overflowing its sum (``_diag_mean``), and only a lambda or
+    a damped diagonal entry beyond the float64 range raises.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -178,12 +182,30 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     if not in_range and not np.isfinite(gram).all():
         raise ValueError("calibration matrix X'X exceeds the float64 range")
     with np.errstate(over="ignore"):
-        lam = float(lambda_rel * np.mean(np.diag(gram)))
+        lam = float(lambda_rel * _diag_mean(np.diag(gram))) if lambda_rel else 0.0
         damped = np.diag(gram) + lam
-    if not np.isfinite(damped).all():
+    if not np.isfinite(damped).all():  # lam too: the diagonal is finite
         raise ValueError(f"lambda_rel={lambda_rel!r} overflows the damped Hessian diagonal")
     _add_damping(gram, lam)
     return gram
+
+
+def _diag_mean(diag: np.ndarray) -> np.float64:
+    """``np.mean(diag)`` of finite entries >= 0, also where their sum overflows.
+
+    Then the entries are scaled by 2^-k with 2^k > 2 d, so that their sum
+    stays below DBL_MAX/2, and the mean is scaled back by 2^k. A power of two
+    scales every rounding step exactly, so the result is the mean that
+    float64 arithmetic with a wider exponent range would give, but for
+    entries that underflow to subnormals, which weigh nothing against a mean
+    above DBL_MAX/d.
+    """
+    with np.errstate(over="ignore"):
+        mean = np.mean(diag)
+        if not np.isfinite(mean):
+            k = diag.size.bit_length() + 1
+            mean = np.mean(diag * 2.0 ** -k) * 2.0 ** k
+    return mean
 
 
 def _symmetrize(g: np.ndarray) -> None:

@@ -58,9 +58,11 @@ audit of every step.
 
 Determinism: argmin ties break to the lexicographically smallest
 (coordinate, value) or (block, values); block partitions come from a
-counter-based Philox stream; per-channel seeds are derived from the global
-seed and the channel index, so a channel's result does not depend on the
-other channels or on the order they run in.
+counter-based Philox stream. Only block descent with blocks of two or more
+draws, so only its runs derive per-channel seeds, from the global seed and
+the channel index: a channel's result does not depend on the other channels
+or on the order they run in. The other methods never read the seed and never
+load ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ class DescentConfig:
     so the default run is one epoch of d_in steps. Greedy descent stops
     sooner, at its first no-op step. The block engine enumerates
     2^(block_size*bits) combinations per block and is guarded by
-    ``block_size * bits <= MAX_BLOCK_BITS``.
+    ``block_size * bits <= MAX_BLOCK_BITS``. ``seed`` keys the block
+    partitions, the only draws of any engine: with blocks of one, and for
+    every other engine, it is not read.
     """
 
     steps: Optional[int] = None
@@ -681,8 +685,11 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     routes through the sub-channel pipeline; ``owc_cd_refine`` additionally
     runs the clip-strength coordinate descent before the code engines.
     Per-channel bcd with blocks of two builds the pair screen's coupling
-    table of H once for all channels. Each record's wall time covers its
-    channel's quantization only.
+    table of H once for all channels. Only bcd with blocks of two or more
+    draws: its channels run on seeds ``channel_seed(cfg.seed, j)``, and every
+    other run passes ``cfg`` through unchanged, deriving no seed and loading
+    no ``numpy.random``. Each record's wall time covers its channel's
+    quantization only.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -711,12 +718,13 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
               "epochs": cfg.epochs, "block_size": cfg.block_size,
               "owc_cd_refine": bool(owc_cd_refine)},
     )
+    draws = method == "bcd" and cfg.block_size >= 2  # the only engine that reads cfg.seed
     coupling = (_pair_coupling(hessian)
-                if method == "bcd" and cfg.block_size == 2 and not group_size else None)
+                if draws and cfg.block_size == 2 and not group_size else None)
     steps, walls = [], []
     for j in range(d_out):
         start = time.perf_counter()
-        ccfg = replace(cfg, seed=channel_seed(cfg.seed, j))
+        ccfg = replace(cfg, seed=channel_seed(cfg.seed, j)) if draws else cfg
         w = w64[:, j]
         if group_size == 0:
             fit = _quantize_channel(w, hessian, method, bits, ccfg, grid_size, coupling)

@@ -281,17 +281,46 @@ def _reference_build_hessian(x, lambda_rel):
 
 @pytest.mark.parametrize("chunk", [None, 3 * 37, 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lambda_rel", [0.0, 0.01])
+@pytest.mark.parametrize("lambda_rel", [0.0, 0.01, 0.5, 3.0])
 def test_hessian_bits_equal_the_whole_matrix_build(monkeypatch, chunk, dtype, lambda_rel):
     if chunk is not None:
         monkeypatch.setattr(calibration, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(8)
-    for n, d in ((1, 1), (3, 7), (200, 37), (40, 90)):
-        x = rng.standard_normal((n, d)).astype(dtype)
-        x[:, d // 2] = 0.0  # a zero row and column of X'X
-        h = build_hessian(x, lambda_rel)
-        assert h.dtype == np.float64 and h.flags.c_contiguous
-        assert (_bits(h) == _bits(_reference_build_hessian(x, lambda_rel))).all()
+    # Wherever the plain mean of the diagonal is finite, lambda keeps its bits,
+    # from tiny columns to diagonal entries of about DBL_MAX/500.
+    scales = ((1.0, 1e-20, 1e18) if dtype == np.float32 else
+              (1.0, 1e-150, 1e100, math.sqrt(1e-5 * sys.float_info.max)))
+    for scale in scales:
+        for n, d in ((1, 1), (3, 7), (200, 37), (40, 90)):
+            x = (rng.standard_normal((n, d)) * scale).astype(dtype)
+            x[:, d // 2] = 0.0  # a zero row and column of X'X
+            h = build_hessian(x, lambda_rel)
+            assert h.dtype == np.float64 and h.flags.c_contiguous
+            assert (_bits(h) == _bits(_reference_build_hessian(x, lambda_rel))).all()
+
+
+def test_hessian_diagonal_whose_sum_overflows_needs_no_mean_without_damping():
+    # Each entry is 0.24 DBL_MAX, within DIAG_LIMIT, but their sum overflows:
+    # lambda_rel = 0 takes no mean, so nothing is NaN and nothing raises.
+    x = np.eye(5) * math.sqrt(0.24 * sys.float_info.max)
+    h = build_hessian(x, 0.0)
+    assert (_bits(h) == _bits((x.T @ x + x.T @ x) / 2.0)).all()
+
+
+def test_hessian_damping_mean_does_not_overflow_where_the_damped_diagonal_is_finite():
+    big = math.sqrt(0.24 * sys.float_info.max)
+    x = np.eye(5) * big
+    diag = big * big
+    h = build_hessian(x, 0.5)  # the true damped diagonal is 0.36 DBL_MAX
+    assert (np.diag(h) == diag + 0.5 * diag).all()
+    assert (h[~np.eye(5, dtype=bool)] == 0.0).all()
+    # Unequal entries: the mean of the entries scaled by an exact power of two.
+    x = np.diag([big, big, big, 0.5 * big, big])
+    h = build_hessian(x, 0.5)
+    entries = np.diag(x) ** 2
+    assert (np.diag(h) == entries + 0.5 * float(np.mean(entries / 16) * 16)).all()
+    with pytest.raises(ValueError, match="^lambda_rel=4.0 overflows the damped Hessian diagonal$"):
+        build_hessian(np.eye(5) * big, 4.0)  # diag + lambda is 1.2 DBL_MAX
 
 
 def _unsymmetric_matrices():

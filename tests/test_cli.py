@@ -566,6 +566,50 @@ def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
     assert quantized == [r["objective"] for r in read_records(report)]
 
 
+_NUMPY_RANDOM_SCRIPT = """
+import json, sys
+import numpy
+at_import = "numpy.random" in sys.modules
+from qdescent.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"at_import": at_import, "codes": codes, "loaded": "numpy.random" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("extra, draws", [
+    (["--method", "rtn"], False),
+    (["--method", "owc"], False),
+    (["--method", "cyclic"], False),
+    (["--method", "cd"], False),
+    (["--method", "bcd", "--block-size", "1"], False),
+    (["--method", "cd", "--group-size", "6", "--owc-cd"], False),
+    (["--method", "bcd", "--block-size", "2"], True),
+    (["--method", "bcd", "--block-size", "2", "--group-size", "6"], True),
+], ids=["rtn", "owc", "cyclic", "cd", "bcd-k1", "grouped-owc-cd", "bcd-k2", "grouped-bcd-k2"])
+def test_only_runs_that_draw_load_numpy_random(tmp_path, extra, draws):
+    # Only block descent with blocks of two or more draws, so only its runs
+    # derive per-channel seeds; quantize and eval in a fresh interpreter, as
+    # a benchmark child runs them, load numpy.random for no other method.
+    rng = np.random.default_rng(0)
+    wpath, xpath, out = tmp_path / "w.tc", tmp_path / "x.tc", tmp_path / "layer"
+    tensorio.write_container(wpath, rng.standard_normal((12, 3)).astype(np.float32))
+    tensorio.write_container(xpath, rng.standard_normal((48, 12)).astype(np.float32))
+    runs = [["quantize", "--weights", str(wpath), "--calib", str(xpath), "--out", str(out),
+             "--bits", "2", *extra],
+            ["eval", "--layer", str(out), "--calib", str(xpath)]]
+    src = str(Path(qdescent.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_RANDOM_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    if seen["at_import"]:
+        pytest.skip("importing numpy alone loads numpy.random (numpy < 2)")
+    assert seen["codes"] == [EXIT_OK, EXIT_OK]
+    assert seen["loaded"] == draws
+
+
 def test_eval_flags_zero_columns(tmp_path, capsys):
     rng = np.random.default_rng(0)
     w = rng.standard_normal((8, 3)).astype(np.float32)

@@ -340,6 +340,25 @@ def test_bcd_with_blocks_of_one_is_cd(monkeypatch):
     assert any(r.steps > 1 for r in cd_records)  # some channel accepted a step
 
 
+@pytest.mark.parametrize("group_size", [0, 6])
+@pytest.mark.parametrize("method, block_size, draws", [
+    ("rtn", 1, False), ("owc", 1, False), ("cyclic", 1, False), ("cd", 1, False),
+    ("bcd", 1, False), ("bcd", 2, True), ("bcd", 3, True)])
+def test_channel_seeds_are_derived_only_for_runs_that_draw(monkeypatch, group_size, method,
+                                                           block_size, draws):
+    # Only bcd with blocks of two or more draws partitions. No other engine
+    # reads cfg.seed, so its runs derive no per-channel seed.
+    w, h = _layer_inputs(d_in=12, d_out=3, seed=4)
+    seeds = []
+    derive = descent.channel_seed
+    monkeypatch.setattr(descent, "channel_seed", lambda *args: seeds.append(args) or derive(*args))
+    layer, _ = quantize_matrix(w, h, method, bits=2, group_size=group_size,
+                               cfg=DescentConfig(block_size=block_size, seed=9),
+                               collect_timing=False)
+    assert seeds == ([(9, j) for j in range(3)] if draws else [])
+    assert layer.meta["seed"] == 9
+
+
 def test_readme_library_use_block_runs():
     # README's "Library use" example, run verbatim, so the API it shows stays the package's.
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
