@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorio
+
 
 class ShapeMismatchError(ValueError):
     """Operand dimensions do not agree."""
@@ -119,12 +121,10 @@ def gen_weights(d_in: int, d_out: int, seed: int) -> np.ndarray:
     return rng.standard_normal((d_in, d_out)).astype(np.float32)
 
 
-def check_hessian_settings(lambda_rel: float = 0.0, clip_fraction: float = 0.0) -> None:
-    """The ranges of ``build_hessian``'s lambda_rel and ``clip_hessian_eigenvalues``'s fraction."""
-    if not 0 <= lambda_rel <= sys.float_info.max:
-        raise ValueError(f"lambda_rel must be finite and nonnegative, got {lambda_rel!r}")
-    if not 0.0 <= clip_fraction < 1.0:
-        raise ValueError("clip_fraction must be in [0, 1)")
+#: The ranges of ``build_hessian``'s lambda_rel and ``clip_hessian_eigenvalues``'s fraction,
+#: as ``tensorio.check_rules`` rules; ``quantcore.SETTING_RULES`` holds them with the others.
+HESSIAN_RULES = {"lambda_rel": (lambda v: 0 <= v <= sys.float_info.max, "finite and nonnegative"),
+                 "clip_fraction": (lambda v: 0 <= v < 1, "in [0, 1)")}
 
 
 def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
@@ -178,7 +178,7 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
         for lo in range(0, x.shape[0], rows):
             if not np.isfinite(x[lo:lo + rows]).all():
                 raise ValueError("calibration matrix holds non-finite values")
-    check_hessian_settings(lambda_rel=lambda_rel)
+    tensorio.check_rules({"lambda_rel": lambda_rel}, HESSIAN_RULES)
     if not in_range and not np.isfinite(gram).all():
         raise ValueError("calibration matrix X'X exceeds the float64 range")
     with np.errstate(over="ignore"):
@@ -245,7 +245,7 @@ def clip_hessian_eigenvalues(hessian: np.ndarray, clip_fraction: float) -> np.nd
     idempotent: the flattened eigenvalues tie with the threshold, so a second
     pass with the same fraction changes nothing.
     """
-    check_hessian_settings(clip_fraction=clip_fraction)
+    tensorio.check_rules({"clip_fraction": clip_fraction}, HESSIAN_RULES)
     d = hessian.shape[0]
     m = math.ceil(clip_fraction * d)
     if m == 0:

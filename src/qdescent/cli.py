@@ -11,12 +11,15 @@ Subcommands:
 Exit codes: 0 success, 2 usage/invalid flags, 3 I/O or file-format failure
 (the message names the file), 4 shape mismatch, 5 enumeration guard exceeded.
 
-All flags are long-form. ``quantize`` optionally reads a flat JSON config
-file whose values become the flags' defaults, so flags win over it; a
-``bench`` suite's settings default to the same flags' defaults. Both files,
-like a layer's ``meta.json``, go through ``tensorio.read_json``. Channels
-are quantized one after another; ``--threads`` and the ``threads`` config
-key are accepted for old command lines and configs, and have no effect.
+All flags are long-form. A run's settings are one ``quantcore.RunSettings``
+value, which types, defaults and checks each of them: ``quantize`` builds it
+from its flags, whose defaults are the value's; a flat JSON config file's
+values replace those defaults, so flags win over it; a ``bench`` suite's
+settings default to the value's too; and ``eval`` reads it back from the
+layer's ``meta.json`` run block. All three files go through
+``tensorio.read_json``. Channels are quantized one after another;
+``--threads`` and the ``threads`` config key are accepted for old command
+lines and configs, and have no effect.
 ``quantize`` writes a layer directory whose codes are always bit-packed
 (``codes.pc``) and a ``records.csv`` report; ``eval --out`` and ``bench``
 write the same CSV columns. Report files embed per-channel wall-clock times
@@ -37,13 +40,14 @@ import ctypes
 import json
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, descent, oracle, quantcore, tensorio
 from .calibration import ShapeMismatchError, SynthSpec
-from .descent import DescentConfig, EnumerationGuardError
+from .quantcore import SETTING_TYPES, DescentConfig, EnumerationGuardError, RunSettings
 from .tensorio import BenchRecord, TensorIOError
 
 EXIT_OK = 0
@@ -76,7 +80,6 @@ def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
     The calibration X is read as float64, the dtype ``build_hessian`` works in,
     so it is held once, and it is dropped before the eigen-clip.
     """
-    calibration.check_hessian_settings(lambda_rel, clip_fraction)
     weights = tensorio.read_container(weights_path).array
     calib = tensorio.read_container(calib_path, dtype=np.float64).array
     for path, shape in ((weights_path, weights.shape), (calib_path, calib.shape)):
@@ -88,6 +91,15 @@ def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
     hessian = calibration.build_hessian(calib, lambda_rel)
     del calib
     return weights, _clip(hessian, clip_fraction)
+
+
+def _quantize(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, timing: bool):
+    """``descent.quantize_matrix`` on ``run``'s settings, called through the module, so a
+    wrapper rebound over it (the benchmark's timer) sees it."""
+    return descent.quantize_matrix(weights, hessian, run.method, bits=run.bits,
+                                   group_size=run.group_size, cfg=run.config(),
+                                   grid_size=run.grid_size, owc_cd_refine=run.owc_cd,
+                                   collect_timing=timing)
 
 
 def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: np.ndarray) -> None:
@@ -121,13 +133,8 @@ def cmd_gen_calib(args) -> int:
 # ---------------------------------------------------------------------------
 # quantize
 
-#: The settings ``quantize`` and ``bench`` share, and the JSON type of each;
-#: their defaults are the quantize flags'.
-_SETTING_TYPES = {"group_size": int, "block_size": int, "epochs": int, "grid_size": int,
-                  "lambda_rel": float, "clip_fraction": float, "owc_cd": bool}
-#: Config-file keys and the JSON type each value must have.
-_CONFIG_TYPES = {"method": str, "bits": int, "steps": int, "seed": int, "threads": int,
-                 **_SETTING_TYPES}
+#: Config-file keys and the JSON type each value must have: the settings, and ``threads``.
+_CONFIG_TYPES = {**SETTING_TYPES, "threads": int}
 
 
 def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
@@ -137,31 +144,16 @@ def _read_config(path: str, quantize_parser: argparse.ArgumentParser) -> dict:
         k for k in _CONFIG_TYPES if quantize_parser.get_default(k) is None])
 
 
-def _engine_settings(method: str, bits: int, seed: int, settings: dict, *, steps=None,
-                     d_in=None) -> dict:
-    """``descent.quantize_matrix``'s keywords from the shared settings of a quantize run or
-    a bench suite (a block size of None means 2), once ``descent.check_settings`` accepts them."""
-    block_size = 2 if settings["block_size"] is None else settings["block_size"]
-    cfg = DescentConfig(steps=steps, epochs=settings["epochs"], block_size=block_size, seed=seed)
-    kwargs = dict(bits=bits, group_size=settings["group_size"], cfg=cfg,
-                  grid_size=settings["grid_size"], owc_cd_refine=settings["owc_cd"])
-    descent.check_settings(method, **kwargs, d_in=d_in)
-    return kwargs
-
-
 def cmd_quantize(args) -> int:
     if args.method is None or args.bits is None:
         raise ValueError("--method and --bits are required (flag or config file)")
-    kwargs = _engine_settings(args.method, args.bits, args.seed, vars(args), steps=args.steps)
+    run = RunSettings(**{name: getattr(args, name) for name in SETTING_TYPES}).check()
     if args.block_size is not None and args.method != "bcd":
         raise ValueError("--block-size only applies to --method bcd")
 
-    weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, args.clip_fraction)
-    # Called through the module, so a wrapper rebound over it (the benchmark's timer) sees it.
-    layer, records = descent.quantize_matrix(weights, hessian, args.method, **kwargs,
-                                             collect_timing=not args.no_timing)
-    layer.meta.update(lambda_rel=args.lambda_rel, clip_fraction=args.clip_fraction,
-                      weights_path=args.weights, calib_path=args.calib)
+    weights, hessian = _read_inputs(args.weights, args.calib, run.lambda_rel, run.clip_fraction)
+    layer, records = _quantize(weights, hessian, run, not args.no_timing)
+    layer.meta = run.run_block(inputs=(args.weights, args.calib))
 
     out_dir = Path(args.out)
     quantcore.save_layer(layer, out_dir)
@@ -179,17 +171,15 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     layer = quantcore.load_layer(args.layer)
-    meta = layer.meta
-    weights_path = args.weights or meta.get("weights_path")
+    run, weights_path = RunSettings.from_run_block(layer.meta, layer.bits, layer.group_size)
+    weights_path = args.weights or weights_path
     if not weights_path:
         raise ValueError("--weights required (layer metadata holds no weights path)")
-    weights, hessian = _read_inputs(weights_path, args.calib,
-                                    meta.get("lambda_rel", args.lambda_rel),
-                                    meta.get("clip_fraction", args.clip_fraction))
+    weights, hessian = _read_inputs(weights_path, args.calib, run.lambda_rel, run.clip_fraction)
     if weights.shape != (layer.d_in, layer.d_out):
         raise ShapeMismatchError(f"weights {weights_path} have shape {weights.shape}, which does "
                                  f"not match layer {args.layer} ({layer.d_in}, {layer.d_out})")
-    records = quantcore.layer_records(layer, weights, hessian)
+    records = quantcore.layer_records(layer, run, weights, hessian)
     if args.out:
         tensorio.emit_report(records, args.out)
     _print_summary(records, weights, hessian)
@@ -201,7 +191,7 @@ def cmd_eval(args) -> int:
 
 
 def default_suite() -> dict:
-    """The built-in matrix; the settings a suite leaves out take the quantize flags' defaults."""
+    """The built-in matrix; the settings a suite leaves out take ``RunSettings``' defaults."""
     return {
         "instances": [{"d_in": 128, "d_out": 64, "n": 512, "seed": seed}
                       for seed in range(10)],
@@ -210,8 +200,12 @@ def default_suite() -> dict:
     }
 
 
+#: The settings a suite can set: its runs take their methods and bit widths from its
+#: lists and their seeds from its instances, and it sets no step budget.
+_SUITE_SETTINGS = [key for key in SETTING_TYPES if key not in ("method", "bits", "seed", "steps")]
 #: Bench-suite keys and the JSON type of each value; ``[kind]`` is a list of kind.
-_SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int], **_SETTING_TYPES}
+_SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int],
+                **{key: SETTING_TYPES[key] for key in _SUITE_SETTINGS}}
 #: Only a suite can empty a list: the built-in matrix's are non-empty.
 _SUITE_RULES = {key: (bool, "a non-empty list") for key in ("instances", "methods", "bits")}
 #: Bench-suite instance keys and the JSON type of each value.
@@ -248,13 +242,11 @@ def _canonical_records() -> list[BenchRecord]:
 
 
 def cmd_bench(args) -> int:
-    suite = {**default_suite(), **{key: getattr(args, key) for key in _SETTING_TYPES}}
-    if args.suite:
-        suite.update(_read_suite(args.suite))
+    suite = {**default_suite(), **(_read_suite(args.suite) if args.suite else {})}
+    shared = RunSettings(**{key: suite[key] for key in _SUITE_SETTINGS if key in suite})
     # Every setting of every run is checked before the first instance is generated.
-    calibration.check_hessian_settings(suite["lambda_rel"], suite["clip_fraction"])
     instances = [(inst, SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"}),
-                  [(b, m, _engine_settings(m, b, inst["seed"], suite, d_in=inst["d_in"]))
+                  [replace(shared, method=m, bits=b, seed=inst["seed"]).check(inst["d_in"])
                    for b in suite["bits"] for m in suite["methods"]])
                  for inst in suite["instances"]]
 
@@ -264,16 +256,15 @@ def cmd_bench(args) -> int:
         # X is generated as float64, so build_hessian widens no copy of it, and it
         # is only an argument here, so it is freed before the eigen-clip.
         hessian = calibration.build_hessian(calibration.gen_calibration(spec, np.float64),
-                                            suite["lambda_rel"])
-        hessian = _clip(hessian, suite["clip_fraction"])
+                                            shared.lambda_rel)
+        hessian = _clip(hessian, shared.clip_fraction)
         weights = calibration.gen_weights(inst["d_in"], inst["d_out"], inst["seed"])
-        for bits, method, kwargs in runs:
-            _, recs = descent.quantize_matrix(weights, hessian, method, **kwargs,
-                                              collect_timing=not args.no_timing)
+        for run in runs:
+            _, recs = _quantize(weights, hessian, run, not args.no_timing)
             records.extend(recs)
             rels = [r.relative_objective for r in recs]
             aggregates.append({
-                "method": method, "bits": bits, "seed": inst["seed"],
+                "method": run.method, "bits": run.bits, "seed": inst["seed"],
                 "group_size": recs[0].group_size, "block_size": recs[0].block_size,
                 "epochs": recs[0].epochs,
                 "median_relative": statistics.median(rels),
@@ -313,11 +304,12 @@ def cmd_oracle(args) -> int:
     else:
         if not (args.weights and args.calib) or args.bits is None:
             raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
-        descent.check_settings("cd", bits=args.bits, group_size=0, cfg=None,
-                               grid_size=args.grid_size, owc_cd_refine=False)
+        run = RunSettings("cd", args.bits, grid_size=args.grid_size,
+                          lambda_rel=args.lambda_rel).check()
         if args.channel < 0:
             raise ValueError(f"--channel must be >= 0, got {args.channel}")
-        weights, hessian = _read_inputs(args.weights, args.calib, args.lambda_rel, 0.0)
+        weights, hessian = _read_inputs(args.weights, args.calib, run.lambda_rel,
+                                        run.clip_fraction)
         if args.channel >= weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         w = weights[:, args.channel].astype(np.float64)
@@ -347,6 +339,14 @@ def cmd_oracle(args) -> int:
 # parser
 
 
+def _add_settings(parser: argparse.ArgumentParser, names: list[str]) -> None:
+    """A flag of its JSON type for each named setting, defaulting to ``RunSettings``'."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=SETTING_TYPES[name], dest=name,
+                            default=getattr(RunSettings, name),
+                            choices=quantcore.METHODS if name == "method" else None)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The command-line parser and its ``quantize`` subparser, whose defaults a
     ``--config`` file replaces."""
@@ -369,16 +369,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     q.add_argument("--calib", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--config", default=None, help="flat JSON config of defaults; flags override it")
-    q.add_argument("--method", choices=descent.METHODS, default=None)
-    q.add_argument("--bits", type=int, default=None)
-    q.add_argument("--group-size", type=int, default=0, dest="group_size")
-    q.add_argument("--block-size", type=int, default=None, dest="block_size")
-    q.add_argument("--epochs", type=int, default=1)
-    q.add_argument("--steps", type=int, default=None)
-    q.add_argument("--grid-size", type=int, default=50, dest="grid_size")
-    q.add_argument("--lambda-rel", type=float, default=0.01, dest="lambda_rel")
-    q.add_argument("--clip-fraction", type=float, default=0.0, dest="clip_fraction")
-    q.add_argument("--seed", type=int, default=0)
+    _add_settings(q, [name for name, kind in SETTING_TYPES.items() if kind is not bool])
     q.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     q.add_argument("--owc-cd", action="store_true", dest="owc_cd",
                    help="refine group clip strengths by coordinate descent before the engines")
@@ -392,26 +383,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--weights", default=None,
                    help="original weights; defaults to the path recorded in layer metadata")
     p.add_argument("--out", default=None)
-    # A layer without lambda_rel or clip_fraction in its metadata was made with these.
-    p.set_defaults(func=cmd_eval, lambda_rel=q.get_default("lambda_rel"),
-                   clip_fraction=q.get_default("clip_fraction"))
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run a method x config experiment matrix")
     p.add_argument("--suite", default=None, help="suite JSON; defaults to the built-in matrix")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(func=cmd_bench, **{key: q.get_default(key) for key in _SETTING_TYPES})
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="exhaustive optimum vs greedy descent")
     p.add_argument("--canonical", action="store_true", help="run the fixed 2-d instance")
     p.add_argument("--weights", default=None)
     p.add_argument("--calib", default=None)
     p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=q.get_default("grid_size"), dest="grid_size")
-    p.add_argument("--lambda-rel", type=float, default=q.get_default("lambda_rel"),
-                   dest="lambda_rel")
+    _add_settings(p, ["bits", "grid_size", "lambda_rel"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -76,49 +76,11 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, QuantizedLayer, _check_grouping, check_bits,
-                        default_gamma_grid, group_count, layer_records, owc_quantize)
+from .quantcore import (ChannelProblem, DescentConfig, QuantizedLayer, RunSettings, _check_block,
+                        group_count, layer_records, owc_quantize)
+# Names of the run settings that callers reach through this module.
+from .quantcore import MAX_BLOCK_BITS, METHODS, EnumerationGuardError  # noqa: F401
 from .tensorio import BenchRecord
-
-#: Block enumeration guard: 2^(k*c) candidate combinations per block.
-MAX_BLOCK_BITS = 20
-
-
-class EnumerationGuardError(ValueError):
-    """A requested exhaustive scan exceeds the configured size guard."""
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Engine configuration.
-
-    ``steps`` is the per-epoch step budget of every engine; None means d_in,
-    so the default run is one epoch of d_in steps. Greedy descent stops
-    sooner, at its first no-op step. The block engine enumerates
-    2^(block_size*bits) combinations per block and is guarded by
-    ``block_size * bits <= MAX_BLOCK_BITS``. ``seed`` keys the block
-    partitions, the only draws of any engine: with blocks of one, and for
-    every other engine, it is not read.
-    """
-
-    steps: Optional[int] = None
-    epochs: int = 1
-    block_size: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps is not None and self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def total_steps(self, d_in: int) -> int:
-        per_epoch = d_in if self.steps is None else self.steps
-        return per_epoch * self.epochs
 
 
 @dataclass(frozen=True)
@@ -455,15 +417,6 @@ def _first_paired_row(block_of: np.ndarray, flagged: np.ndarray, start: int) -> 
     return block_of.shape[0]
 
 
-def _check_block(k: int, bits: int, d_in: Optional[int]) -> None:
-    """2^(k*bits) block combinations within the guard, and k dividing d_in (when given)."""
-    if k * bits > MAX_BLOCK_BITS:
-        raise EnumerationGuardError(
-            f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
-    if d_in is not None and d_in % k:
-        raise ValueError(f"block size {k} does not divide d_in={d_in}")
-
-
 def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
                  coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, DescentTrace]:
     """Block coordinate descent over fresh random partitions.
@@ -605,9 +558,6 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     return _finish(prob, codes, gradient, trace)
 
 
-METHODS = ("rtn", "owc", "cyclic", "cd", "bcd")
-
-
 def channel_seed(seed: int, channel: int) -> int:
     """Stable per-channel seed so results are independent of scheduling."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(channel,))
@@ -638,25 +588,6 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str, cfg: DescentCo
     return codes, steps
 
 
-def check_settings(method: str, *, bits: int, group_size: int, cfg: Optional[DescentConfig],
-                   grid_size: int, owc_cd_refine: bool, d_in: Optional[int] = None) -> None:
-    """Reject ``quantize_matrix`` settings that no input makes valid and, given d_in, a group
-    or block size that does not divide it. ``quantize_matrix`` calls it on entry."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    check_bits(bits)
-    if group_size < 0:
-        raise ValueError(f"group_size must be >= 0, got {group_size}")
-    if owc_cd_refine and not group_size:
-        raise ValueError("'owc_cd' only applies with 'group_size' > 0")
-    if method != "rtn":  # rtn searches the one-point grid {1}, whatever grid_size says
-        default_gamma_grid(grid_size)
-    if method == "bcd":
-        _check_block((cfg or DescentConfig()).block_size, bits, d_in)
-    if d_in is not None and group_size:
-        _check_grouping(d_in, group_size)
-
-
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
                       cfg: DescentConfig, grid_size: int,
                       coupling: Optional[list[np.ndarray]] = None) -> tuple:
@@ -673,9 +604,10 @@ def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int
     return (scales, biases, gammas, *descend(prob, codes, method, cfg, coupling))
 
 
-def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
-                    bits: int, group_size: int = 0, cfg: Optional[DescentConfig] = None,
-                    grid_size: int = 50, owc_cd_refine: bool = False,
+def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *, bits: int,
+                    group_size: int = RunSettings.group_size,
+                    cfg: Optional[DescentConfig] = None, grid_size: int = RunSettings.grid_size,
+                    owc_cd_refine: bool = RunSettings.owc_cd,
                     collect_timing: bool = True) -> tuple[QuantizedLayer, list[BenchRecord]]:
     """Quantize a (d_in, d_out) weight matrix column by column.
 
@@ -690,6 +622,9 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     other run passes ``cfg`` through unchanged, deriving no seed and loading
     no ``numpy.random``. Each record's wall time covers its channel's
     quantization only.
+
+    The keywords become a ``RunSettings``, checked against d_in before any
+    work; its run block is the layer's ``meta``.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -697,14 +632,14 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     if weights.ndim != 2:
         raise ShapeMismatchError("weights must be a (d_in, d_out) matrix")
     d_in, d_out = weights.shape
-    check_settings(method, bits=bits, group_size=group_size, cfg=cfg, grid_size=grid_size,
-                   owc_cd_refine=owc_cd_refine, d_in=d_in)
+    cfg = cfg or DescentConfig()
+    run = RunSettings(method, bits, group_size, grid_size=grid_size, owc_cd=bool(owc_cd_refine),
+                      **vars(cfg)).check(d_in)
     if d_in != hessian.shape[0]:
         raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
                                  f"{hessian.shape[0]}x{hessian.shape[0]}")
     if d_out == 0:
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
-    cfg = cfg or DescentConfig()
     if not np.isfinite(weights).all():
         raise ValueError("weights hold non-finite values")
 
@@ -713,11 +648,7 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
     layer = QuantizedLayer(
         d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
         **{name: np.empty(params_shape, np.float32) for name in ("scales", "biases", "gammas")},
-        codes=np.empty((d_out, d_in), np.uint8),
-        meta={"method": method, "grid_size": grid_size, "seed": cfg.seed,
-              "epochs": cfg.epochs, "block_size": cfg.block_size,
-              "owc_cd_refine": bool(owc_cd_refine)},
-    )
+        codes=np.empty((d_out, d_in), np.uint8), meta=run.run_block())
     draws = method == "bcd" and cfg.block_size >= 2  # the only engine that reads cfg.seed
     coupling = (_pair_coupling(hessian)
                 if draws and cfg.block_size == 2 and not group_size else None)
@@ -735,4 +666,4 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *,
         steps.append(n_steps)
         walls.append((time.perf_counter() - start) * 1e3 if collect_timing else 0.0)
     layer.validate()
-    return layer, layer_records(layer, w64, hessian, steps, walls)
+    return layer, layer_records(layer, run, w64, hessian, steps, walls)

@@ -56,8 +56,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (AffineTable, ChannelProblem, _affine_table, _best_clips, _check_grouping,
-                        _clip_screen, check_scales, default_gamma_grid)
+from .quantcore import (AffineTable, ChannelProblem, RunSettings, _affine_table, _best_clips,
+                        _check_grouping, _clip_screen, check_scales, default_gamma_grid)
 from .descent import DescentConfig, descend
 
 
@@ -105,7 +105,7 @@ def _diag_blocks(hmat: np.ndarray, n_groups: int, g: int) -> np.ndarray:
 
 
 def owc_group_init(w: np.ndarray, hessian: np.ndarray, bits: int, group_size: int,
-                   grid_size: int = 50) -> tuple[AffineTable, np.ndarray]:
+                   grid_size: int = RunSettings.grid_size) -> tuple[AffineTable, np.ndarray]:
     """Per-group clip-strength grid search against the group's own H block:
     the channel's affine table and each group's best grid index in it, whose
     scales, biases, clip strengths and codes ``table.pick(picks)`` gives.

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descent import DescentTrace, EnumerationGuardError, _loss
-from .quantcore import ChannelProblem, channel_objective
+from .descent import DescentTrace, _loss
+from .quantcore import ChannelProblem, EnumerationGuardError, channel_objective
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
 MAX_SEARCH_BITS = 24

@@ -26,14 +26,14 @@ Rounding is half-away-from-zero throughout, never banker's rounding.
 from __future__ import annotations
 
 import json
-import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .calibration import ShapeMismatchError
+from .calibration import HESSIAN_RULES, ShapeMismatchError
 from . import tensorio
 
 LAYER_META_FILENAME = "meta.json"
@@ -41,11 +41,6 @@ LAYER_META_FILENAME = "meta.json"
 
 class DegenerateChannelError(ValueError):
     """Scale is zero (constant weight vector), descent is undefined."""
-
-
-def check_bits(bits: int) -> None:
-    if not 1 <= bits <= 8:
-        raise ValueError(f"bits must be in 1..8, got {bits}")
 
 
 def check_scales(scales) -> np.ndarray:
@@ -61,6 +56,135 @@ def _check_grouping(d_in: int, group_size: int) -> int:
     if group_size < 1 or d_in % group_size:
         raise ValueError(f"group size {group_size} does not divide d_in={d_in}")
     return d_in // group_size
+
+
+METHODS = ("rtn", "owc", "cyclic", "cd", "bcd")
+#: Block enumeration guard: 2^(k*c) candidate combinations per block.
+MAX_BLOCK_BITS = 20
+
+
+class EnumerationGuardError(ValueError):
+    """A requested exhaustive scan exceeds the configured size guard."""
+
+
+#: Each numeric setting's range, as a ``tensorio.check_rules`` rule. The grid size's
+#: is ``default_gamma_grid``'s, which an rtn run never calls.
+SETTING_RULES = {"bits": (lambda v: v in range(1, 9), "in 1..8"),
+                 "group_size": (lambda v: v >= 0, ">= 0"),
+                 "block_size": (lambda v: v is None or v >= 1, ">= 1"),
+                 "epochs": (lambda v: v >= 1, ">= 1"),
+                 "steps": (lambda v: v is None or v >= 0, ">= 0"),
+                 "seed": (lambda v: v >= 0, ">= 0"), **HESSIAN_RULES}
+
+
+def check_bits(bits: int) -> None:
+    tensorio.check_rules({"bits": bits}, SETTING_RULES)
+
+
+def _check_block(k: int, bits: int, d_in: Optional[int]) -> None:
+    """2^(k*bits) block combinations within the guard, and k dividing d_in (when given)."""
+    if k * bits > MAX_BLOCK_BITS:
+        raise EnumerationGuardError(
+            f"block enumeration needs 2^{k * bits} combinations; guard is 2^{MAX_BLOCK_BITS}")
+    if d_in is not None and d_in % k:
+        raise ValueError(f"block size {k} does not divide d_in={d_in}")
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The settings of a ``quantize`` run or of one run of a ``bench`` suite, each
+    defaulting to its ``quantize`` flag's default. None means not given: a run
+    needs a method and bits, bcd's blocks are then of two, and the step budget
+    is d_in per epoch."""
+
+    method: Optional[str] = None
+    bits: Optional[int] = None
+    group_size: int = 0
+    block_size: Optional[int] = None
+    epochs: int = 1
+    steps: Optional[int] = None
+    grid_size: int = 50
+    lambda_rel: float = 0.01
+    clip_fraction: float = 0.0
+    seed: int = 0
+    owc_cd: bool = False
+
+    @property
+    def blocks(self) -> int:
+        return 2 if self.block_size is None else self.block_size
+
+    def check(self, d_in: Optional[int] = None) -> RunSettings:
+        """This value once valid: the method, each field's range in field order, the
+        rules between fields, and given d_in, the group and bcd block divisors."""
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        tensorio.check_rules(vars(self), SETTING_RULES)
+        if self.owc_cd and not self.group_size:
+            raise ValueError("'owc_cd' only applies with 'group_size' > 0")
+        if self.method != "rtn":
+            default_gamma_grid(self.grid_size)
+        if self.method == "bcd":
+            _check_block(self.blocks, self.bits, d_in)
+        if d_in is not None and self.group_size:
+            _check_grouping(d_in, self.group_size)
+        return self
+
+    def config(self) -> DescentConfig:
+        return DescentConfig(steps=self.steps, epochs=self.epochs, block_size=self.blocks,
+                             seed=self.seed)
+
+    def run_block(self, inputs: Optional[tuple[str, str]] = None) -> dict:
+        """A layer's ``meta.json`` run block: bits and group_size are the layer's own
+        keys and steps is not recorded. ``inputs``, a ``quantize`` run's (weights,
+        calibration) paths, are recorded with the lambda_rel and clip_fraction H was
+        built with; ``quantize_matrix``, handed H itself, records neither."""
+        run = {key: getattr(self, name) for name, key in _RUN_KEYS.items()
+               if inputs or name not in HESSIAN_RULES}
+        return {**run, "block_size": self.blocks, **dict(zip(_RUN_INPUTS, inputs or ()))}
+
+    @classmethod
+    def from_run_block(cls, run: dict, bits: int,
+                       group_size: int) -> tuple[RunSettings, Optional[str]]:
+        """The settings and the weights path (None if absent) of a checked run block;
+        a setting it lacks takes its default, so eval rebuilds the default H."""
+        return (cls(bits=bits, group_size=group_size,
+                    **{name: run[key] for name, key in _RUN_KEYS.items() if key in run}),
+                run.get(_RUN_INPUTS[0]))
+
+
+#: The JSON type of each setting: its annotation, Optional unwrapped.
+SETTING_TYPES = {name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+                 for name, hint in typing.get_type_hints(RunSettings).items()}
+#: The run-block key of each setting a layer records, and of a quantize run's input paths.
+_RUN_KEYS = ({name: name for name in SETTING_TYPES if name not in ("bits", "group_size", "steps")}
+             | {"owc_cd": "owc_cd_refine"})
+_RUN_INPUTS = ("weights_path", "calib_path")
+
+
+@dataclass(frozen=True)
+class DescentConfig:
+    """Engine configuration.
+
+    ``steps`` is the per-epoch step budget of every engine; None means d_in,
+    so the default run is one epoch of d_in steps. Greedy descent stops
+    sooner, at its first no-op step. The block engine enumerates
+    2^(block_size*bits) combinations per block and is guarded by
+    ``block_size * bits <= MAX_BLOCK_BITS``; its default blocks of one are
+    greedy descent. ``seed`` keys the block partitions, the only draws of any
+    engine: with blocks of one, and for every other engine, it is not read.
+    """
+
+    steps: Optional[int] = RunSettings.steps
+    epochs: int = RunSettings.epochs
+    block_size: int = 1
+    seed: int = RunSettings.seed
+
+    def __post_init__(self):
+        tensorio.check_rules(vars(self), SETTING_RULES)
+
+    def total_steps(self, d_in: int) -> int:
+        per_epoch = d_in if self.steps is None else self.steps
+        return per_epoch * self.epochs
 
 
 @dataclass(frozen=True)
@@ -288,14 +412,15 @@ def _clip_screen(resid: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.
     return scores, np.where(in_range, bounds, np.inf)
 
 
-def default_gamma_grid(grid_size: int = 50) -> np.ndarray:
+def default_gamma_grid(grid_size: int = RunSettings.grid_size) -> np.ndarray:
     """The clip-strength grid {j/grid_size : j=1..grid_size}; excludes 0, includes 1."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     return np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
 
 
-def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int, grid_size: int = 50
+def owc_quantize(w: np.ndarray, hessian: np.ndarray, bits: int,
+                 grid_size: int = RunSettings.grid_size
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip-strength grid search {j/grid_size} scored by the calibration-weighted
     loss, ties toward larger gamma. Returns the one-group ``AffineTable.pick``:
@@ -324,8 +449,7 @@ class QuantizedLayer:
 
     ``codes[j]`` holds channel j's d_in codes; scales/biases/gammas have one
     column per group (a single column for per-channel quantization). ``meta``
-    carries run provenance (method, damping, seed, ...) and is serialized
-    verbatim.
+    is the run block (``RunSettings.run_block``), serialized verbatim.
     """
 
     d_in: int
@@ -381,15 +505,14 @@ def save_layer(layer: QuantizedLayer, directory: str | Path) -> None:
                           tensorio.pack_codes(layer.codes.ravel(), layer.bits))
 
 
-def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: np.ndarray,
-                  steps: Optional[list[int]] = None,
+def layer_records(layer: QuantizedLayer, run: RunSettings, weights: np.ndarray,
+                  hessian: np.ndarray, steps: Optional[list[int]] = None,
                   walls: Optional[list[float]] = None) -> list[tensorio.BenchRecord]:
     """The report rows ``quantize`` writes and ``eval`` recomputes: per channel, its
-    :func:`channel_objective`, run keys from ``layer.meta`` (block size 0 unless
-    bcd), and its ``steps`` and ``walls`` (ms), 0 where not given."""
-    meta = layer.meta
-    method = meta.get("method", "?")
-    block_size = meta.get("block_size", 0) if method == "bcd" else 0
+    :func:`channel_objective`, the method ("?" if not given), block size (0 unless
+    bcd) and epochs of ``run``, and its ``steps`` and ``walls`` (ms), 0 where not given."""
+    method = "?" if run.method is None else run.method
+    block_size = (run.block_size or 0) if method == "bcd" else 0
     w64 = np.asarray(weights, dtype=np.float64)
     records = []
     for j in range(layer.d_out):
@@ -397,7 +520,7 @@ def layer_records(layer: QuantizedLayer, weights: np.ndarray, hessian: np.ndarra
                                         layer.codes[j], hessian)
         records.append(tensorio.BenchRecord(
             method=method, bits=layer.bits, group_size=layer.group_size, block_size=block_size,
-            epochs=meta.get("epochs", 1), column=j, objective=obj, relative_objective=rel,
+            epochs=run.epochs, column=j, objective=obj, relative_objective=rel,
             steps=steps[j] if steps else 0, wall_millis=walls[j] if walls else 0.0))
     return records
 
@@ -411,14 +534,13 @@ _LAYER_META_TYPES = {**dict.fromkeys(_LAYER_META_REQUIRED, int), "meta": dict}
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _LAYER_META_RULES = {"format_version": (lambda v: v == tensorio.FORMAT_VERSION,
                                         str(tensorio.FORMAT_VERSION)),
-                     "bits": (lambda v: 1 <= v <= 8, "in 1..8"), "d_in": _AT_LEAST_1,
-                     "d_out": _AT_LEAST_1}
-#: Optional run-provenance keys of the inner ``meta`` object that eval reads.
-_RUN_META_TYPES = {"weights_path": str, "method": str, "lambda_rel": float,
-                   "clip_fraction": float, "block_size": int, "epochs": int}
-_RUN_META_RULES = {"lambda_rel": (lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0"),
-                   "clip_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-                   "block_size": _AT_LEAST_1, "epochs": _AT_LEAST_1}
+                     "bits": SETTING_RULES["bits"], "group_size": SETTING_RULES["group_size"],
+                     "d_in": _AT_LEAST_1, "d_out": _AT_LEAST_1}
+#: The optional keys of the inner ``meta`` object, the run block, and their rules.
+_RUN_META_TYPES = {**{key: SETTING_TYPES[name] for name, key in _RUN_KEYS.items()},
+                   **dict.fromkeys(_RUN_INPUTS, str)}
+_RUN_META_RULES = {key: SETTING_RULES[name] for name, key in _RUN_KEYS.items()
+                   if name in SETTING_RULES}
 
 
 def _read_layer_meta(path: Path) -> dict:
@@ -428,13 +550,16 @@ def _read_layer_meta(path: Path) -> dict:
                               error=LayerMetaError)
     tensorio.check_json(f"{path}: run metadata", meta.get("meta", {}), _RUN_META_TYPES,
                         strict=False, rules=_RUN_META_RULES, error=LayerMetaError)
-    if meta["group_size"] < 0 or meta["group_size"] and meta["d_in"] % meta["group_size"]:
+    if meta["group_size"] and meta["d_in"] % meta["group_size"]:
         raise LayerMetaError(f"{path}: layer metadata key 'group_size' must be 0 or a divisor "
                              f"of d_in={meta['d_in']}, got {meta['group_size']}")
     return meta
 
 
 def load_layer(directory: str | Path) -> QuantizedLayer:
+    """The layer ``save_layer`` wrote to ``directory``, once every file passes its
+    checks. The run block's settings are typed and range-checked by
+    ``RunSettings``' rules, and ``RunSettings.from_run_block`` reads them back."""
     directory = Path(directory)
     meta = _read_layer_meta(directory / LAYER_META_FILENAME)
     d_in, d_out, bits, group_size = (meta[key] for key in ("d_in", "d_out", "bits", "group_size"))

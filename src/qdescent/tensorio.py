@@ -129,6 +129,14 @@ def check_json(where: str, obj, types: dict, *, required=(), nullable=(), strict
     return obj
 
 
+def check_rules(values: dict, rules: dict) -> None:
+    """Raise ValueError for the first of ``values`` that fails its ``(test, text)``
+    rule in ``rules``, as "<key> must be <text>, got <value>"; keys without a rule pass."""
+    for key, value in values.items():
+        if key in rules and not rules[key][0](value):
+            raise ValueError(f"{key} must be {rules[key][1]}, got {value!r}")
+
+
 def read_json(path: str | Path, what: str, types: dict, **checks) -> dict:
     """The UTF-8 JSON object in the file at ``path``, checked by :func:`check_json` as
     ``"<path>: <what>"``; MalformedJSONError names the path if the file is not JSON."""

@@ -293,6 +293,66 @@ def test_quantize_config_file_precedence(tmp_path):
     assert meta["meta"]["method"] == "rtn"  # from config file
 
 
+#: The run block ``quantize`` wrote before its settings became one value, paths dropped.
+_RUN_BLOCK = {"block_size": 2, "clip_fraction": 0.0, "epochs": 1, "grid_size": 50,
+              "lambda_rel": 0.01, "method": "cd", "owc_cd_refine": False, "seed": 0}
+
+
+@pytest.mark.parametrize("flags,run_block", [
+    (["--method", "rtn", "--bits", "3"], dict(_RUN_BLOCK, method="rtn")),
+    (["--method", "owc", "--bits", "4", "--grid-size", "20", "--lambda-rel", "0.05"],
+     dict(_RUN_BLOCK, method="owc", grid_size=20, lambda_rel=0.05)),
+    (["--method", "cyclic", "--bits", "2", "--clip-fraction", "0.25"],
+     dict(_RUN_BLOCK, method="cyclic", clip_fraction=0.25)),
+    (["--method", "cd", "--bits", "3"], _RUN_BLOCK),
+    (["--method", "bcd", "--bits", "3", "--block-size", "2", "--seed", "7"],
+     dict(_RUN_BLOCK, method="bcd", seed=7)),
+    (["--method", "bcd", "--bits", "3", "--block-size", "1"],
+     dict(_RUN_BLOCK, method="bcd", block_size=1)),
+    (["--method", "cd", "--bits", "3", "--group-size", "4", "--owc-cd"],
+     dict(_RUN_BLOCK, owc_cd_refine=True)),
+    (["--method", "cd", "--bits", "3", "--steps", "5", "--epochs", "2"],
+     dict(_RUN_BLOCK, epochs=2)),
+], ids=["rtn", "owc", "cyclic", "cd", "bcd-k2", "bcd-k1", "grouped-cd-owc-cd", "cd-steps"])
+def test_quantize_run_block_is_unchanged(tmp_path, flags, run_block):
+    # meta.json's run block keeps its keys and values: block_size is recorded for
+    # every method, owc_cd as owc_cd_refine, and steps is not recorded.
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--no-timing",
+                 *flags]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    run = meta.pop("meta")
+    assert (run.pop("weights_path"), run.pop("calib_path")) == (w, x)
+    assert run == run_block
+    assert sorted(meta) == ["bits", "d_in", "d_out", "format_version", "group_size"]
+
+
+@pytest.mark.parametrize("dropped", [["block_size"], ["method", "block_size", "epochs", "seed",
+                                                      "grid_size", "owc_cd_refine", "lambda_rel",
+                                                      "clip_fraction", "calib_path"]],
+                         ids=["block_size", "all-but-weights-path"])
+def test_eval_of_a_run_block_without_optional_keys(tmp_path, dropped):
+    # A setting the run block lacks takes its default: an unknown method reports
+    # "?", a bcd layer without a block size reports 0, and H is the default one,
+    # which is the one this layer was quantized against.
+    w, x = write_inputs(tmp_path)
+    out = tmp_path / "layer"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--no-timing",
+                 "--method", "bcd", "--bits", "3", "--block-size", "2", "--epochs", "2"]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    for key in dropped:
+        del meta["meta"][key]
+    (out / "meta.json").write_text(json.dumps(meta))
+    assert main(["eval", "--layer", str(out), "--calib", x, "--out",
+                 str(tmp_path / "eval.csv")]) == EXIT_OK
+    quantized, evaluated = read_records(out / "records.csv"), read_records(tmp_path / "eval.csv")
+    method, epochs = ("bcd", "2") if "method" not in dropped else ("?", "1")
+    for q, e in zip(quantized, evaluated, strict=True):
+        assert (e["method"], e["block_size"], e["epochs"]) == (method, "0", epochs)
+        assert e["objective"] == q["objective"]
+
+
 @pytest.mark.parametrize("config", [
     {"bits": "3", "method": "rtn"},
     {"bits": 3, "method": "rtn", "owc_cd": 1},
@@ -386,6 +446,16 @@ def test_eval_layer_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
                                        ("clip_fraction", 1.0), ("clip_fraction", -0.1),
                                        ("block_size", 0), ("epochs", 0)])
 def test_eval_run_meta_wrong_type_exits_io(tmp_path, capsys, key, value):
+    code, err = _eval_with_edited_meta(tmp_path, capsys,
+                                       lambda meta: meta["meta"].update({key: value}))
+    assert code == EXIT_IO and repr(key) in err
+
+
+@pytest.mark.parametrize("key,value", [("seed", -1), ("seed", "1"), ("grid_size", 2.5),
+                                       ("owc_cd_refine", 1), ("calib_path", 5)])
+def test_eval_run_meta_checks_every_recorded_setting(tmp_path, capsys, key, value):
+    # Every setting the run block records is typed and range-checked by the
+    # rules RunSettings applies to a flag, not only the ones eval reads.
     code, err = _eval_with_edited_meta(tmp_path, capsys,
                                        lambda meta: meta["meta"].update({key: value}))
     assert code == EXIT_IO and repr(key) in err
@@ -534,11 +604,14 @@ def test_eval_matches_quantize_records(tmp_path, capsys):
 def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
     # At d_in = 1024 the BLAS calls are large enough for OpenBLAS to thread
     # them, unlike the small layers above, and the eigenvalue clip depends on
-    # the BLAS thread count. --threads must still give byte-identical
-    # artifacts, and eval must recompute each channel's objective to the same
-    # text as records.csv. One fresh interpreter runs quantize and eval, as a
-    # benchmark child does, so BLAS state left by earlier tests cannot mask a
-    # BLAS thread-count change made by either command.
+    # the BLAS thread count. --threads has no effect (channels run one after
+    # another), so the two runs differ only in order: the second must give the
+    # first's bytes, whatever BLAS state the first left behind, and eval must
+    # recompute each channel's objective to the same text as records.csv. One
+    # fresh interpreter runs quantize and eval, as a benchmark child does, so
+    # BLAS state left by earlier tests cannot mask a BLAS thread-count change
+    # made by either command. The thread count itself is varied by
+    # test_layer_bytes_do_not_depend_on_the_blas_thread_count.
     from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
 
     d_in, d_out = 1024, 4
@@ -565,6 +638,42 @@ def test_quantize_large_layer_threads_identical_and_eval_matches(tmp_path):
     quantized = [r["objective"] for r in read_records(dirs[1] / "records.csv")]
     assert quantized == [r["objective"] for r in read_records(report)]
 
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "cd", "--bits", "8"],
+    ["--method", "bcd", "--bits", "3", "--block-size", "2"],
+    ["--method", "cd", "--bits", "3", "--group-size", "32", "--owc-cd"],
+], ids=["cd8", "bcd3-k2", "grouped-cd3-owc-cd"])
+def test_layer_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, flags):
+    """The stored layer and records.csv are byte-identical whether OpenBLAS runs
+    one thread or two: only the child's ``OPENBLAS_NUM_THREADS`` differs.
+
+    The documented exception is ``--clip-fraction > 0``: ``eigh`` rounds
+    differently under another thread count, so the clipped H, and with it the
+    layer, may differ (README "Reproducibility").
+    """
+    from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
+
+    d_in, d_out = 512, 8
+    wpath, xpath = tmp_path / "w.tc", tmp_path / "x.tc"
+    tensorio.write_container(wpath, gen_weights(d_in, d_out, 5))
+    tensorio.write_container(xpath, gen_calibration(SynthSpec(
+        d_in=d_in, n=2 * d_in, spectrum_exponent=1.0, outlier_directions=4,
+        outlier_gain=100.0, seed=5)))
+    src = str(Path(qdescent.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    for threads in (1, 2):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        proc = subprocess.run([sys.executable, "-m", "qdescent.cli", "quantize",
+                               "--weights", str(wpath), "--calib", str(xpath),
+                               "--out", str(tmp_path / f"layer{threads}"), "--no-timing", *flags],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("codes.pc", "scales.tc", "biases.tc", "gammas.tc", "records.csv"):
+        assert ((tmp_path / "layer1" / name).read_bytes()
+                == (tmp_path / "layer2" / name).read_bytes()), name
 
 _NUMPY_RANDOM_SCRIPT = """
 import json, sys

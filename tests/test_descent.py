@@ -10,10 +10,10 @@ from conftest import GradientState, as_params, minmax_quantize, objective, rando
 from qdescent import descent
 from qdescent.calibration import build_hessian
 from qdescent.descent import (DescentConfig, EnumerationGuardError, bcd_quantize,
-                              cd_quantize, check_settings, cyclic_cd_quantize, descend,
-                              dump_trace, quantize_matrix)
+                              cd_quantize, cyclic_cd_quantize, descend, dump_trace,
+                              quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem, DegenerateChannelError, owc_quantize
+from qdescent.quantcore import ChannelProblem, DegenerateChannelError, RunSettings, owc_quantize
 
 
 def test_cd_canonical_trace():
@@ -114,7 +114,7 @@ def test_bcd_runs_full_step_budget():
 
 def test_bcd_guards():
     prob, q0 = random_problem(9, 2, seed=6)
-    # The divisor rule is a usage error, as in check_settings, not the guard.
+    # The divisor rule is a usage error, as in RunSettings.check, not the guard.
     with pytest.raises(ValueError, match="does not divide") as err:
         bcd_quantize(prob, q0, DescentConfig(block_size=2))
     assert not isinstance(err.value, EnumerationGuardError)
@@ -227,8 +227,8 @@ def _raised(call):
 @pytest.mark.parametrize("method", ["rtn", "owc", "cyclic", "cd", "bcd", "gptq"])
 @pytest.mark.parametrize("d_in", [6, 8])
 def test_check_settings_raises_exactly_when_quantize_matrix_does(method, d_in):
-    # Every settings rule of a run is in check_settings: on valid data, quantize_matrix
-    # fails on a setting only where check_settings does, and with the same type.
+    # Every settings rule of a run is in RunSettings.check: on valid data, quantize_matrix
+    # fails on a setting only where check does, and with the same type.
     rng = np.random.default_rng(d_in)
     w = rng.standard_normal((d_in, 2))
     h = build_hessian(rng.standard_normal((4 * d_in, d_in)))
@@ -237,7 +237,9 @@ def test_check_settings_raises_exactly_when_quantize_matrix_does(method, d_in):
             (0, 2, 8, 9), (-1, 0, 2, 3, 4), (1, 3, 11), (0, 2), (False, True)):
         kw = dict(bits=bits, group_size=group_size, grid_size=grid_size, owc_cd_refine=owc_cd,
                   cfg=DescentConfig(steps=2, block_size=block_size))
-        expected = _raised(lambda: check_settings(method, **kw, d_in=d_in))
+        run = RunSettings(method, bits, group_size, block_size, steps=2, grid_size=grid_size,
+                          owc_cd=owc_cd)
+        expected = _raised(lambda: run.check(d_in))
         assert _raised(lambda: quantize_matrix(w, h, method, **kw)) is expected, kw
         seen.add(expected)
     assert None in seen or method == "gptq"

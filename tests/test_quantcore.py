@@ -1,5 +1,8 @@
 """Affine quantizers, objective evaluation, and layer serialization."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from qdescent.calibration import build_hessian
 from qdescent.descent import DescentConfig, _quantize_channel
 from qdescent.groupquant import tilde_transform
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer,
-                                _reconstruct, channel_objective, load_layer, owc_quantize,
-                                round_half_away, save_layer, zero_baseline)
+                                RunSettings, _reconstruct, channel_objective, load_layer,
+                                owc_quantize, round_half_away, save_layer, zero_baseline)
 
 
 def hess(mat):
@@ -304,6 +307,22 @@ def _toy_layer():
         codes=np.arange(12, dtype=np.uint8).reshape(3, 4) % 8,
         meta={"method": "cd", "lambda_rel": 0.01},
     )
+
+
+@pytest.mark.parametrize("run", [
+    RunSettings("cd", 3),
+    RunSettings("bcd", 2, 8, block_size=3, epochs=2, steps=5, grid_size=20, lambda_rel=0.5,
+                clip_fraction=0.25, seed=7, owc_cd=True),
+], ids=["defaults", "every-setting"])
+def test_run_block_reads_back_into_the_settings(run):
+    # The run block holds every setting but bits and group_size (the layer's own
+    # keys) and steps; read back with those two, it gives the settings, with the
+    # block size resolved. quantize_matrix's block also leaves out H's settings.
+    block = json.loads(json.dumps(run.run_block(inputs=("w.tc", "x.tc"))))
+    recorded = replace(run, block_size=run.blocks, steps=None)
+    assert RunSettings.from_run_block(block, run.bits, run.group_size) == (recorded, "w.tc")
+    assert (RunSettings.from_run_block(run.run_block(), run.bits, run.group_size)
+            == (replace(recorded, lambda_rel=0.01, clip_fraction=0.0), None))
 
 
 def test_layer_roundtrip_packed(tmp_path):
