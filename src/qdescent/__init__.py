@@ -12,9 +12,9 @@ from .descent import (DescentTrace, TraceStep, bcd_quantize, cd_quantize, cyclic
                       descend, dump_trace, quantize_matrix)
 from .groupquant import OwcCdResult, default_gamma_grid, owc_cd, owc_group_init, tilde_transform
 from .oracle import OracleResult, VerifyReport, brute_force, canonical_problem, verify_trace
-from .quantcore import (ChannelProblem, DegenerateChannelError, DescentConfig,
-                        EnumerationGuardError, QuantizedLayer, RunSettings, channel_objective,
-                        load_layer, owc_quantize, round_half_away, save_layer, zero_baseline)
+from .quantcore import (ChannelProblem, DegenerateChannelError, EnumerationGuardError,
+                        QuantizedLayer, RunSettings, channel_objective, load_layer, owc_quantize,
+                        round_half_away, save_layer, zero_baseline)
 from .tensorio import (BenchRecord, MalformedHeaderError, NonFiniteDataError, PackedCodes,
                        PayloadMismatchError, TensorContainer, TensorIOError, emit_report,
                        pack_codes, read_container, read_packed, unpack_codes, write_container,

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import calibration, descent, oracle, quantcore, tensorio
 from .calibration import ShapeMismatchError, SynthSpec
-from .quantcore import SETTING_TYPES, DescentConfig, EnumerationGuardError, RunSettings
+from .quantcore import SETTING_TYPES, EnumerationGuardError, RunSettings
 from .tensorio import BenchRecord, TensorIOError
 
 EXIT_OK = 0
@@ -91,15 +91,6 @@ def _read_inputs(weights_path: str, calib_path: str, lambda_rel: float,
     hessian = calibration.build_hessian(calib, lambda_rel)
     del calib
     return weights, _clip(hessian, clip_fraction)
-
-
-def _quantize(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, timing: bool):
-    """``descent.quantize_matrix`` on ``run``'s settings, called through the module, so a
-    wrapper rebound over it (the benchmark's timer) sees it."""
-    return descent.quantize_matrix(weights, hessian, run.method, bits=run.bits,
-                                   group_size=run.group_size, cfg=run.config(),
-                                   grid_size=run.grid_size, owc_cd_refine=run.owc_cd,
-                                   collect_timing=timing)
 
 
 def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: np.ndarray) -> None:
@@ -152,7 +143,9 @@ def cmd_quantize(args) -> int:
         raise ValueError("--block-size only applies to --method bcd")
 
     weights, hessian = _read_inputs(args.weights, args.calib, run.lambda_rel, run.clip_fraction)
-    layer, records = _quantize(weights, hessian, run, not args.no_timing)
+    # Called through the module, so a wrapper rebound over it (a timer) sees it.
+    layer, records = descent.quantize_matrix(weights, hessian, run,
+                                             collect_timing=not args.no_timing)
     layer.meta = run.run_block(inputs=(args.weights, args.calib))
 
     out_dir = Path(args.out)
@@ -227,9 +220,8 @@ def _canonical_records() -> list[BenchRecord]:
     """Fixed regression rows: the 2-d instance's oracle/greedy/cyclic objectives."""
     prob, q0 = oracle.canonical_problem()
     opt = oracle.brute_force(prob)
-    cfg = DescentConfig()
-    _, cd_trace = descent.cd_quantize(prob, q0, cfg)
-    _, cyc_trace = descent.cyclic_cd_quantize(prob, q0, cfg)
+    _, cd_trace = descent.cd_quantize(prob, q0, RunSettings())
+    _, cyc_trace = descent.cyclic_cd_quantize(prob, q0, RunSettings())
     base = quantcore.zero_baseline(prob.weights, prob.hessian)
     rows = []
     for name, obj, steps in (("canonical:oracle", opt.scaled_objective, 0),
@@ -245,8 +237,12 @@ def cmd_bench(args) -> int:
     suite = {**default_suite(), **(_read_suite(args.suite) if args.suite else {})}
     shared = RunSettings(**{key: suite[key] for key in _SUITE_SETTINGS if key in suite})
     # Every setting of every run is checked before the first instance is generated.
+    # Like the block size, owc_cd applies to the suite's methods that read it, so
+    # not to rtn; without groups it is refused for rtn too.
     instances = [(inst, SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"}),
-                  [replace(shared, method=m, bits=b, seed=inst["seed"]).check(inst["d_in"])
+                  [replace(shared, method=m, bits=b, seed=inst["seed"],
+                           owc_cd=shared.owc_cd and (m != "rtn" or not shared.group_size))
+                   .check(inst["d_in"])
                    for b in suite["bits"] for m in suite["methods"]])
                  for inst in suite["instances"]]
 
@@ -260,7 +256,8 @@ def cmd_bench(args) -> int:
         hessian = _clip(hessian, shared.clip_fraction)
         weights = calibration.gen_weights(inst["d_in"], inst["d_out"], inst["seed"])
         for run in runs:
-            _, recs = _quantize(weights, hessian, run, not args.no_timing)
+            _, recs = descent.quantize_matrix(weights, hessian, run,
+                                              collect_timing=not args.no_timing)
             records.extend(recs)
             rels = [r.relative_objective for r in recs]
             aggregates.append({
@@ -319,7 +316,7 @@ def cmd_oracle(args) -> int:
         prob = quantcore.ChannelProblem(w, hessian, scales[0], biases[0], args.bits)
 
     result = oracle.brute_force(prob)
-    codes, trace = descent.cd_quantize(prob, q0, DescentConfig())
+    codes, trace = descent.cd_quantize(prob, q0, RunSettings())
     payload = {
         "enumeration_count": result.enumeration_count,
         "oracle_objective": result.scaled_objective,

@@ -51,7 +51,7 @@ in which coordinate a step takes; greedy stops at its first no-op, a fixed
 point. Every engine takes a ``ChannelProblem``, whose scale is never 0 (a
 constant channel raises when its problem is built), gets its codes, gradient
 and trace from ``_start`` and returns through ``_finish``. It runs at most
-``DescentConfig.total_steps(d_in)`` steps, tracks the loss incrementally
+``RunSettings.total_steps(d_in)`` steps, tracks the loss incrementally
 (``loss += delta``) in each step's ``loss_after`` and computes ``final_loss``
 from scratch on the final codes; ``oracle.verify_trace`` is the from-scratch
 audit of every step.
@@ -76,8 +76,8 @@ from typing import Optional
 import numpy as np
 
 from .calibration import ShapeMismatchError
-from .quantcore import (ChannelProblem, DescentConfig, QuantizedLayer, RunSettings, _check_block,
-                        group_count, layer_records, owc_quantize)
+from .quantcore import (ChannelProblem, QuantizedLayer, RunSettings, _check_block, group_count,
+                        layer_records, owc_quantize)
 # Names of the run settings that callers reach through this module.
 from .quantcore import MAX_BLOCK_BITS, METHODS, EnumerationGuardError  # noqa: F401
 from .tensorio import BenchRecord
@@ -233,9 +233,9 @@ def _best_moves(codes: np.ndarray, gradient: np.ndarray, hdiag: np.ndarray,
     return values, scores
 
 
-def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
+def _single_moves(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
                   cyclic: bool) -> tuple[np.ndarray, DescentTrace]:
-    """The one loop of greedy and cyclic descent, ``cfg.total_steps(d_in)`` steps.
+    """The one loop of greedy and cyclic descent, ``run.total_steps(d_in)`` steps.
 
     Step s takes coordinate ``s % d_in`` (cyclic) or the first coordinate
     whose best score reaches the minimum (greedy), which is the lexicographic
@@ -255,7 +255,7 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     levels = prob.levels
     loss = trace.initial_loss
     scores = None
-    for step in range(cfg.total_steps(d)):
+    for step in range(run.total_steps(d)):
         if scores is None:
             values, scores = _best_moves(codes, gradient, hdiag, levels)
         i = step % d if cyclic else int(np.argmin(scores))
@@ -275,15 +275,15 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
 
 
 def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+                run: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """Greedy coordinate descent: each step applies the best single-coordinate change."""
-    return _single_moves(prob, q0, cfg, cyclic=False)
+    return _single_moves(prob, q0, run, cyclic=False)
 
 
 def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                       cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+                       run: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """Cyclic coordinate descent baseline: coordinates visited in order 0..d_in-1."""
-    return _single_moves(prob, q0, cfg, cyclic=True)
+    return _single_moves(prob, q0, run, cyclic=True)
 
 
 def _value_combinations(levels: int, k: int) -> np.ndarray:
@@ -417,7 +417,7 @@ def _first_paired_row(block_of: np.ndarray, flagged: np.ndarray, start: int) -> 
     return block_of.shape[0]
 
 
-def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
+def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
                  coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, DescentTrace]:
     """Block coordinate descent over fresh random partitions.
 
@@ -450,9 +450,9 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
     per step. For k >= 3 every step is scanned (a triple can improve even
     when no pair can).
     """
-    k = cfg.block_size
+    k = run.blocks
     if k == 1:  # 1-blocks pass the block rules at every bit width and d_in
-        return cd_quantize(prob, q0, cfg)
+        return cd_quantize(prob, q0, run)
     codes, gradient, trace = _start(prob, q0)
     hmat = prob.hessian
     d = hmat.shape[0]
@@ -469,10 +469,10 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, cfg: DescentConfig,
         if expanded else None
     per_block = combos.shape[0] * (k * k if expanded else k)
     block_chunk = max(1, (1 << 22) // per_block)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(run.seed)))
     loss = trace.initial_loss
     n_blocks = d // k
-    total = cfg.total_steps(d)
+    total = run.total_steps(d)
     use_screen = k == 2
     if use_screen and coupling is None:
         coupling = _pair_coupling(hmat)
@@ -564,9 +564,9 @@ def channel_seed(seed: int, channel: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def descend(prob: ChannelProblem, codes: np.ndarray, method: str, cfg: DescentConfig,
+def descend(prob: ChannelProblem, codes: np.ndarray, run: RunSettings,
             coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, int]:
-    """The code engines of ``method`` on ``prob``, shared by the per-channel and
+    """The code engines of ``run.method`` on ``prob``, shared by the per-channel and
     grouped pipelines: cd, cyclic, or cd then bcd warm-started from the greedy
     result. Returns (codes, steps_taken). bcd with blocks of one coordinate is
     greedy cd, already at its fixed point after the cd stage, so it is not run.
@@ -575,56 +575,50 @@ def descend(prob: ChannelProblem, codes: np.ndarray, method: str, cfg: DescentCo
     The engines are looked up as module globals at each call, so a wrapper
     rebound over them (a tracer, a profiler) sees every call.
     """
-    if method == "cyclic":
-        codes, trace = cyclic_cd_quantize(prob, codes, cfg)
+    if run.method == "cyclic":
+        codes, trace = cyclic_cd_quantize(prob, codes, run)
         return codes, len(trace.steps)
-    if method not in ("cd", "bcd"):
-        raise ValueError(f"unknown method {method!r}")
-    codes, trace = cd_quantize(prob, codes, cfg)
+    if run.method not in ("cd", "bcd"):
+        raise ValueError(f"unknown method {run.method!r}")
+    codes, trace = cd_quantize(prob, codes, run)
     steps = len(trace.steps)
-    if method == "bcd" and cfg.block_size >= 2:
-        codes, trace = bcd_quantize(prob, codes, cfg, coupling)
+    if run.method == "bcd" and run.blocks >= 2:
+        codes, trace = bcd_quantize(prob, codes, run, coupling)
         steps += len(trace.steps)
     return codes, steps
 
 
-def _quantize_channel(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
-                      cfg: DescentConfig, grid_size: int,
+def _quantize_channel(w: np.ndarray, hessian: np.ndarray, run: RunSettings,
                       coupling: Optional[list[np.ndarray]] = None) -> tuple:
     """Per-channel pipeline: the clip-strength grid search (on the one-point grid
     {1} for rtn), then :func:`descend` on the channel's own problem, with the
     layer's bcd ``coupling`` table if given. Returns (scales, biases, gammas,
     codes, steps_taken), one entry each in the first three.
     """
-    scales, biases, gammas, codes = owc_quantize(w, hessian, bits,
-                                                 1 if method == "rtn" else grid_size)
-    if method in ("rtn", "owc") or scales[0] == 0.0:
+    scales, biases, gammas, codes = owc_quantize(w, hessian, run.bits,
+                                                 1 if run.method == "rtn" else run.grid_size)
+    if run.method in ("rtn", "owc") or scales[0] == 0.0:
         return scales, biases, gammas, codes, 0
-    prob = ChannelProblem(w, hessian, scales[0], biases[0], bits)
-    return (scales, biases, gammas, *descend(prob, codes, method, cfg, coupling))
+    prob = ChannelProblem(w, hessian, scales[0], biases[0], run.bits)
+    return (scales, biases, gammas, *descend(prob, codes, run, coupling))
 
 
-def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *, bits: int,
-                    group_size: int = RunSettings.group_size,
-                    cfg: Optional[DescentConfig] = None, grid_size: int = RunSettings.grid_size,
-                    owc_cd_refine: bool = RunSettings.owc_cd,
+def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, *,
                     collect_timing: bool = True) -> tuple[QuantizedLayer, list[BenchRecord]]:
-    """Quantize a (d_in, d_out) weight matrix column by column.
+    """Quantize a (d_in, d_out) weight matrix column by column with the settings ``run``,
+    checked against d_in before any work; its run block is the layer's ``meta``.
 
     Channels are independent problems sharing the read-only Hessian; they
     run one after another, each filling its row of the layer, and BLAS
     threads the products inside each. Group quantization (group_size > 0)
-    routes through the sub-channel pipeline; ``owc_cd_refine`` additionally
-    runs the clip-strength coordinate descent before the code engines.
+    routes through the sub-channel pipeline; ``owc_cd`` additionally runs
+    the clip-strength coordinate descent before the code engines.
     Per-channel bcd with blocks of two builds the pair screen's coupling
     table of H once for all channels. Only bcd with blocks of two or more
-    draws: its channels run on seeds ``channel_seed(cfg.seed, j)``, and every
-    other run passes ``cfg`` through unchanged, deriving no seed and loading
+    draws: its channels run on seeds ``channel_seed(run.seed, j)``, and every
+    other run passes ``run`` through unchanged, deriving no seed and loading
     no ``numpy.random``. Each record's wall time covers its channel's
     quantization only.
-
-    The keywords become a ``RunSettings``, checked against d_in before any
-    work; its run block is the layer's ``meta``.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -632,9 +626,7 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *, bi
     if weights.ndim != 2:
         raise ShapeMismatchError("weights must be a (d_in, d_out) matrix")
     d_in, d_out = weights.shape
-    cfg = cfg or DescentConfig()
-    run = RunSettings(method, bits, group_size, grid_size=grid_size, owc_cd=bool(owc_cd_refine),
-                      **vars(cfg)).check(d_in)
+    run = run.check(d_in)
     if d_in != hessian.shape[0]:
         raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
                                  f"{hessian.shape[0]}x{hessian.shape[0]}")
@@ -644,24 +636,23 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, method: str, *, bi
         raise ValueError("weights hold non-finite values")
 
     w64 = weights.astype(np.float64)
-    params_shape = (d_out, group_count(d_in, group_size))
+    params_shape = (d_out, group_count(d_in, run.group_size))
     layer = QuantizedLayer(
-        d_in=d_in, d_out=d_out, bits=bits, group_size=group_size,
+        d_in=d_in, d_out=d_out, bits=run.bits, group_size=run.group_size,
         **{name: np.empty(params_shape, np.float32) for name in ("scales", "biases", "gammas")},
         codes=np.empty((d_out, d_in), np.uint8), meta=run.run_block())
-    draws = method == "bcd" and cfg.block_size >= 2  # the only engine that reads cfg.seed
+    draws = run.method == "bcd" and run.blocks >= 2  # the only engine that reads run.seed
     coupling = (_pair_coupling(hessian)
-                if draws and cfg.block_size == 2 and not group_size else None)
+                if draws and run.blocks == 2 and not run.group_size else None)
     steps, walls = [], []
     for j in range(d_out):
         start = time.perf_counter()
-        ccfg = replace(cfg, seed=channel_seed(cfg.seed, j)) if draws else cfg
+        crun = replace(run, seed=channel_seed(run.seed, j)) if draws else run
         w = w64[:, j]
-        if group_size == 0:
-            fit = _quantize_channel(w, hessian, method, bits, ccfg, grid_size, coupling)
+        if run.group_size == 0:
+            fit = _quantize_channel(w, hessian, crun, coupling)
         else:
-            fit = groupquant.quantize_channel_grouped(w, hessian, method, bits, group_size, ccfg,
-                                                      grid_size, owc_cd_refine)
+            fit = groupquant.quantize_channel_grouped(w, hessian, crun)
         layer.scales[j], layer.biases[j], layer.gammas[j], layer.codes[j], n_steps = fit
         steps.append(n_steps)
         walls.append((time.perf_counter() - start) * 1e3 if collect_timing else 0.0)

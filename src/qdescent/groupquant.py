@@ -58,7 +58,7 @@ import numpy as np
 from .calibration import ShapeMismatchError
 from .quantcore import (AffineTable, ChannelProblem, RunSettings, _affine_table, _best_clips,
                         _check_grouping, _clip_screen, check_scales, default_gamma_grid)
-from .descent import DescentConfig, descend
+from .descent import descend
 
 
 def _check_hessian(hessian: np.ndarray, d_in: int) -> None:
@@ -242,25 +242,23 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
     return result
 
 
-def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, method: str, bits: int,
-                             group_size: int, cfg: DescentConfig, grid_size: int,
-                             owc_cd_refine: bool) -> tuple:
+def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, run: RunSettings) -> tuple:
     """Grouped counterpart of the per-channel pipeline: the per-group grid
     search (on the one-point grid {1} for rtn), optionally refined by the
     clip-strength descent, then ``descent.descend`` on the scaled problem.
     Returns (scales, biases, gammas, codes, steps_taken), one entry per group
     in the first three.
     """
-    rtn = method == "rtn"
-    table, picks = owc_group_init(w, hessian, bits, group_size, 1 if rtn else grid_size)
+    table, picks = owc_group_init(w, hessian, run.bits, run.group_size,
+                                  1 if run.method == "rtn" else run.grid_size)
     steps = 0
-    if owc_cd_refine and not rtn:
+    if run.owc_cd:
         refined = owc_cd(table, hessian, picks)
         picks = refined.picks
         steps += len(refined.swaps)
     scales, biases, gammas, codes = table.pick(picks)
-    if method not in ("rtn", "owc") and table.live.any():
-        prob = tilde_transform(w, hessian, scales, biases, bits)
-        codes, engine_steps = descend(prob, codes, method, cfg)
+    if run.method not in ("rtn", "owc") and table.live.any():
+        prob = tilde_transform(w, hessian, scales, biases, run.bits)
+        codes, engine_steps = descend(prob, codes, run)
         steps += engine_steps
     return scales, biases, gammas, codes, steps

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -71,9 +71,9 @@ class EnumerationGuardError(ValueError):
 #: is ``default_gamma_grid``'s, which an rtn run never calls.
 SETTING_RULES = {"bits": (lambda v: v in range(1, 9), "in 1..8"),
                  "group_size": (lambda v: v >= 0, ">= 0"),
-                 "block_size": (lambda v: v is None or v >= 1, ">= 1"),
+                 "block_size": (lambda v: v >= 1, ">= 1"),
                  "epochs": (lambda v: v >= 1, ">= 1"),
-                 "steps": (lambda v: v is None or v >= 0, ">= 0"),
+                 "steps": (lambda v: v >= 0, ">= 0"),
                  "seed": (lambda v: v >= 0, ">= 0"), **HESSIAN_RULES}
 
 
@@ -92,10 +92,19 @@ def _check_block(k: int, bits: int, d_in: Optional[int]) -> None:
 
 @dataclass(frozen=True)
 class RunSettings:
-    """The settings of a ``quantize`` run or of one run of a ``bench`` suite, each
-    defaulting to its ``quantize`` flag's default. None means not given: a run
-    needs a method and bits, bcd's blocks are then of two, and the step budget
-    is d_in per epoch."""
+    """The settings of a run, from the ``quantize`` flags down to the engines, each
+    defaulting to its flag's default. None means not given: a run needs a method
+    and bits, bcd's blocks are then of two, and the step budget is d_in per epoch.
+    Each given setting's range is checked when the value is built; ``check`` adds
+    the rest.
+
+    The engines read ``total_steps``, ``blocks`` and ``seed``. Greedy descent
+    stops before its budget, at its first no-op step. The block engine enumerates
+    2^(blocks*bits) combinations per block, guarded by ``blocks * bits <=
+    MAX_BLOCK_BITS``; blocks of one are greedy descent. ``seed`` keys the block
+    partitions, the only draws of any engine: with blocks of one, and for every
+    other engine, it is not read.
+    """
 
     method: Optional[str] = None
     bits: Optional[int] = None
@@ -109,38 +118,47 @@ class RunSettings:
     seed: int = 0
     owc_cd: bool = False
 
+    def __post_init__(self):
+        tensorio.check_rules({k: v for k, v in vars(self).items() if v is not None},
+                             SETTING_RULES)
+
     @property
     def blocks(self) -> int:
         return 2 if self.block_size is None else self.block_size
 
+    def total_steps(self, d_in: int) -> int:
+        per_epoch = d_in if self.steps is None else self.steps
+        return per_epoch * self.epochs
+
     def check(self, d_in: Optional[int] = None) -> RunSettings:
-        """This value once valid: the method, each field's range in field order, the
-        rules between fields, and given d_in, the group and bcd block divisors."""
+        """This value once valid: a method and bits given, the rules between fields,
+        and given d_in, the group and bcd block divisors. A bcd value comes back with
+        its block size filled in, so its records report the blocks it ran."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        tensorio.check_rules(vars(self), SETTING_RULES)
+        check_bits(self.bits)
         if self.owc_cd and not self.group_size:
             raise ValueError("'owc_cd' only applies with 'group_size' > 0")
+        if self.owc_cd and self.method == "rtn":
+            raise ValueError("'owc_cd' does not apply to method 'rtn'")
         if self.method != "rtn":
             default_gamma_grid(self.grid_size)
         if self.method == "bcd":
             _check_block(self.blocks, self.bits, d_in)
         if d_in is not None and self.group_size:
             _check_grouping(d_in, self.group_size)
-        return self
-
-    def config(self) -> DescentConfig:
-        return DescentConfig(steps=self.steps, epochs=self.epochs, block_size=self.blocks,
-                             seed=self.seed)
+        return replace(self, block_size=self.blocks) if self.method == "bcd" else self
 
     def run_block(self, inputs: Optional[tuple[str, str]] = None) -> dict:
         """A layer's ``meta.json`` run block: bits and group_size are the layer's own
-        keys and steps is not recorded. ``inputs``, a ``quantize`` run's (weights,
-        calibration) paths, are recorded with the lambda_rel and clip_fraction H was
-        built with; ``quantize_matrix``, handed H itself, records neither."""
-        run = {key: getattr(self, name) for name, key in _RUN_KEYS.items()
-               if inputs or name not in HESSIAN_RULES}
-        return {**run, "block_size": self.blocks, **dict(zip(_RUN_INPUTS, inputs or ()))}
+        keys, block_size is recorded for bcd alone and steps when given. ``inputs``, a
+        ``quantize`` run's (weights, calibration) paths, are recorded with the
+        lambda_rel and clip_fraction H was built with; ``quantize_matrix``, handed H
+        itself, records neither."""
+        values = {**vars(self), "block_size": self.blocks if self.method == "bcd" else None}
+        run = {key: values[name] for name, key in _RUN_KEYS.items()
+               if values[name] is not None and (inputs or name not in HESSIAN_RULES)}
+        return {**run, **dict(zip(_RUN_INPUTS, inputs or ()))}
 
     @classmethod
     def from_run_block(cls, run: dict, bits: int,
@@ -156,35 +174,9 @@ class RunSettings:
 SETTING_TYPES = {name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
                  for name, hint in typing.get_type_hints(RunSettings).items()}
 #: The run-block key of each setting a layer records, and of a quantize run's input paths.
-_RUN_KEYS = ({name: name for name in SETTING_TYPES if name not in ("bits", "group_size", "steps")}
+_RUN_KEYS = ({name: name for name in SETTING_TYPES if name not in ("bits", "group_size")}
              | {"owc_cd": "owc_cd_refine"})
 _RUN_INPUTS = ("weights_path", "calib_path")
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Engine configuration.
-
-    ``steps`` is the per-epoch step budget of every engine; None means d_in,
-    so the default run is one epoch of d_in steps. Greedy descent stops
-    sooner, at its first no-op step. The block engine enumerates
-    2^(block_size*bits) combinations per block and is guarded by
-    ``block_size * bits <= MAX_BLOCK_BITS``; its default blocks of one are
-    greedy descent. ``seed`` keys the block partitions, the only draws of any
-    engine: with blocks of one, and for every other engine, it is not read.
-    """
-
-    steps: Optional[int] = RunSettings.steps
-    epochs: int = RunSettings.epochs
-    block_size: int = 1
-    seed: int = RunSettings.seed
-
-    def __post_init__(self):
-        tensorio.check_rules(vars(self), SETTING_RULES)
-
-    def total_steps(self, d_in: int) -> int:
-        per_epoch = d_in if self.steps is None else self.steps
-        return per_epoch * self.epochs
 
 
 @dataclass(frozen=True)

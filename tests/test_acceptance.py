@@ -7,6 +7,7 @@ failures). Criteria with runtime budgets measure and report wall time.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from conftest import as_params, expand_params, minmax_quantize, objective, rando
 from qdescent import calibration, descent, groupquant, oracle, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
-from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, cyclic_cd_quantize
-from qdescent.quantcore import owc_quantize, zero_baseline
+from qdescent.descent import bcd_quantize, cd_quantize, cyclic_cd_quantize
+from qdescent.quantcore import RunSettings, owc_quantize, zero_baseline
 
 
 def _report(num: int, desc: str, ok: bool, extra: str = "") -> None:
@@ -31,8 +32,8 @@ def test_criterion_01_canonical_instance():
 
     def solve():
         opt = oracle.brute_force(prob)
-        cd_codes, cd_trace = cd_quantize(prob, q0, DescentConfig())
-        cyc_codes, cyc_trace = cyclic_cd_quantize(prob, q0, DescentConfig(epochs=1))
+        cd_codes, cd_trace = cd_quantize(prob, q0, RunSettings())
+        cyc_codes, cyc_trace = cyclic_cd_quantize(prob, q0, RunSettings(epochs=1))
         return opt, cd_codes, cd_trace, cyc_codes, cyc_trace
 
     solve()  # warm-up
@@ -69,7 +70,7 @@ def test_criterion_02_oracle_sandwich():
         bits = 1 + (seed // 5) % 2
         prob, q0 = random_problem(d_in, bits, seed=seed)
         opt = oracle.brute_force(prob).scaled_objective
-        cd_codes, cd_trace = cd_quantize(prob, q0, DescentConfig())
+        cd_codes, cd_trace = cd_quantize(prob, q0, RunSettings())
         init_obj, cd_obj = cd_trace.initial_loss, cd_trace.final_loss
         slack = 1e-12 * max(1.0, init_obj)
         if not (opt <= cd_obj + slack and cd_obj <= init_obj + slack):
@@ -77,7 +78,7 @@ def test_criterion_02_oracle_sandwich():
             break
         if d_in % 2 == 0:
             _, bcd_trace = bcd_quantize(prob, cd_codes,
-                                        DescentConfig(block_size=2, epochs=1, seed=seed))
+                                        RunSettings(block_size=2, epochs=1, seed=seed))
             if not bcd_trace.final_loss <= cd_obj + slack:
                 ok, detail = False, f"seed {seed}: bcd {bcd_trace.final_loss} > cd {cd_obj}"
                 break
@@ -94,9 +95,9 @@ def test_criterion_03_delta_exactness_and_monotone():
     for seed in range(50):
         bits = (2, 3, 4)[seed % 3]
         prob, q0 = random_problem(64, bits, seed=seed)
-        runs = ((cd_quantize, DescentConfig()),
-                (bcd_quantize, DescentConfig(block_size=2, seed=seed)),
-                (cyclic_cd_quantize, DescentConfig()))
+        runs = ((cd_quantize, RunSettings()),
+                (bcd_quantize, RunSettings(block_size=2, seed=seed)),
+                (cyclic_cd_quantize, RunSettings()))
         for engine, cfg in runs:
             _, trace = engine(prob, q0, cfg)
             report = oracle.verify_trace(prob, q0, trace, rel_tol=1e-9)
@@ -115,7 +116,7 @@ def test_criterion_04_gradient_and_v_drift():
     worst_g = 0.0
     for seed in range(5):
         prob, _ = random_problem(64, 2, seed=100 + seed)
-        codes, trace = cd_quantize(prob, np.zeros(64, dtype=np.uint8), DescentConfig())
+        codes, trace = cd_quantize(prob, np.zeros(64, dtype=np.uint8), RunSettings())
         assert len(trace.steps) == trace.accepted_steps == 64
         fresh = 2.0 * (prob.hessian @ (codes.astype(np.float64) - prob.target))
         worst_g = max(worst_g, float(np.abs(trace.final_gradient - fresh).max()))
@@ -161,9 +162,9 @@ def test_criterion_05_exact_equivalences():
     traces_equal = True
     for seed in range(25):
         prob, q0 = random_problem(10, 2, seed=300 + seed)
-        cfg = DescentConfig(seed=seed)
+        cfg = RunSettings(block_size=1, seed=seed)
         _, cd_trace = cd_quantize(prob, q0, cfg)
-        _, bcd_trace = bcd_quantize(prob, q0, cfg)  # block_size defaults to 1
+        _, bcd_trace = bcd_quantize(prob, q0, cfg)
         if [(s.coords, s.values, s.predicted_delta, s.loss_after, s.accepted)
                 for s in cd_trace.steps] != \
            [(s.coords, s.values, s.predicted_delta, s.loss_after, s.accepted)
@@ -174,9 +175,9 @@ def test_criterion_05_exact_equivalences():
     w = rng.standard_normal((8, 6)).astype(np.float32)
     h8 = build_hessian(rng.standard_normal((40, 8)).astype(np.float32), 0.01)
     for method in ("rtn", "owc", "cd", "bcd"):
-        cfg = DescentConfig(block_size=2, seed=11)
-        per_channel, _ = descent.quantize_matrix(w, h8, method, bits=2, group_size=0, cfg=cfg)
-        grouped, _ = descent.quantize_matrix(w, h8, method, bits=2, group_size=8, cfg=cfg)
+        cfg = RunSettings(method, 2, block_size=2, seed=11)
+        per_channel, _ = descent.quantize_matrix(w, h8, cfg)
+        grouped, _ = descent.quantize_matrix(w, h8, replace(cfg, group_size=8))
         if (per_channel.codes.tobytes() != grouped.codes.tobytes()
                 or per_channel.scales.tobytes() != grouped.scales.tobytes()
                 or per_channel.biases.tobytes() != grouped.biases.tobytes()
@@ -202,8 +203,7 @@ def test_criterion_06_qualitative_ordering():
             med = {}
             for method in ("cyclic", "cd", "bcd"):
                 _, recs = descent.quantize_matrix(
-                    w, hessian, method, bits=bits,
-                    cfg=DescentConfig(block_size=2, epochs=1, seed=seed),
+                    w, hessian, RunSettings(method, bits, block_size=2, epochs=1, seed=seed),
                     collect_timing=False)
                 med[method] = float(np.median([r.relative_objective for r in recs]))
             cells[(seed, bits)] = med
@@ -243,8 +243,7 @@ def test_criterion_07_eigenvalue_clipping():
         h_ref = build_hessian(held_out, 0.01)
         means = {}
         for tag, h in (("plain", h_train), ("clip", h_clip)):
-            layer, _ = descent.quantize_matrix(w, h, "cd", bits=3,
-                                               cfg=DescentConfig(seed=seed),
+            layer, _ = descent.quantize_matrix(w, h, RunSettings("cd", 3, seed=seed),
                                                collect_timing=False)
             deq = layer.dequantize()
             rels = []
@@ -282,8 +281,8 @@ def test_criterion_08_thread_determinism(tmp_path):
 def test_criterion_09_epoch_semantics():
     d_in = 16
     prob, q0 = random_problem(d_in, 2, seed=42)
-    _, one = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=1, seed=0))
-    _, two = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=2, seed=0))
+    _, one = bcd_quantize(prob, q0, RunSettings(block_size=2, epochs=1, seed=0))
+    _, two = bcd_quantize(prob, q0, RunSettings(block_size=2, epochs=2, seed=0))
     ok = len(one.steps) == d_in and len(two.steps) == 2 * d_in
     _report(9, "block descent with epochs=2 executes exactly 2*d_in steps",
             ok, f"{len(two.steps)} steps at d_in={d_in}")

@@ -15,18 +15,18 @@ import numpy as np
 import pytest
 
 from qdescent import descent
-from qdescent.descent import (MAX_BLOCK_BITS, DescentConfig, DescentTrace, EnumerationGuardError,
+from qdescent.descent import (MAX_BLOCK_BITS, DescentTrace, EnumerationGuardError,
                               TraceStep, _check_engine_inputs, _pair_coupling, _pair_screen,
                               _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.oracle import brute_force, verify_trace
-from qdescent.quantcore import ChannelProblem, owc_quantize
+from qdescent.quantcore import ChannelProblem, RunSettings, owc_quantize
 
 from conftest import (GradientState, grouped_problem, integer_problem, random_problem,
                       reference_pair_screen)
 
 
 def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                 cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+                 cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """``bcd_quantize`` as it was before the pair screen: every step scans every block."""
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -142,7 +142,7 @@ def test_screen_matches_reference_on_random_problems(bits, epochs):
     for seed in range(6):
         d = 2 * int(np.random.default_rng(seed).integers(4, 33))
         prob, owc_codes = random_problem(d, bits, seed=100 * bits + seed)
-        cfg = DescentConfig(block_size=2, epochs=epochs, seed=seed)
+        cfg = RunSettings(block_size=2, epochs=epochs, seed=seed)
         cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
         for q0 in (owc_codes, cd_codes):
             assert_same_run(prob, q0, cfg)
@@ -152,7 +152,7 @@ def test_screen_matches_reference_on_random_problems(bits, epochs):
 def test_screen_matches_reference_on_near_ties(bits):
     for seed in range(40):
         prob, q0 = integer_problem(8, bits, seed)
-        cfg = DescentConfig(block_size=2, epochs=2, seed=seed)
+        cfg = RunSettings(block_size=2, epochs=2, seed=seed)
         cd_codes, _ = cd_quantize(prob, q0, cfg)
         assert_same_run(prob, q0, cfg)
         assert_same_run(prob, cd_codes, cfg)
@@ -162,7 +162,7 @@ def test_screen_matches_reference_with_a_constant_group():
     for seed in range(8):
         prob, owc_codes = grouped_problem(64, 16, bits=2 + seed % 2, seed=seed,
                                           constant_group=seed % 4)
-        cfg = DescentConfig(block_size=2, epochs=1 + seed % 2, seed=seed)
+        cfg = RunSettings(block_size=2, epochs=1 + seed % 2, seed=seed)
         cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
         assert_same_run(prob, owc_codes, cfg)
         assert_same_run(prob, cd_codes, cfg)
@@ -171,7 +171,7 @@ def test_screen_matches_reference_with_a_constant_group():
 def test_blocks_of_three_are_unchanged():
     for seed in range(4):
         prob, q0 = random_problem(12, 2, seed=seed)
-        assert_same_run(prob, q0, DescentConfig(block_size=3, seed=seed))
+        assert_same_run(prob, q0, RunSettings(block_size=3, seed=seed))
 
 
 @pytest.mark.parametrize("k, bits", [(6, 3), (9, 2)])
@@ -184,7 +184,7 @@ def test_whole_vector_block_uses_the_factored_score(k, bits):
     for seed in range(3):
         prob, _ = random_problem(k, bits, seed=seed)
         q0 = np.zeros(k, dtype=np.uint8)
-        cfg = DescentConfig(block_size=k, steps=2, seed=seed)
+        cfg = RunSettings(block_size=k, steps=2, seed=seed)
         trace = assert_same_run(prob, q0, cfg)
         assert [s.accepted for s in trace.steps] == [True, False]
         codes, _ = bcd_quantize(prob, q0, cfg)
@@ -202,7 +202,7 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
     w = rng.standard_normal(d)
     scales, biases, _, q0 = owc_quantize(w, h, bits, 50)
     prob = ChannelProblem(w, h, scales[0], biases[0], bits)
-    cfg = DescentConfig(block_size=2, epochs=2, seed=3)
+    cfg = RunSettings(block_size=2, epochs=2, seed=3)
     cd_codes, _ = cd_quantize(prob, q0, cfg)
 
     state = GradientState.init(h, cd_codes, prob.target)
@@ -215,7 +215,7 @@ def test_screen_is_empty_at_a_decoupled_fixed_point():
 
 def test_screen_returns_none_when_a_single_move_improves():
     prob, q0 = random_problem(16, 3, seed=2)
-    codes, _ = cd_quantize(prob, q0, DescentConfig())
+    codes, _ = cd_quantize(prob, q0, RunSettings())
     codes[0] = 7 if codes[0] < 4 else 0  # moving coordinate 0 back now improves
     state = GradientState.init(prob.hessian, codes, prob.target)
     levels = np.arange(8, dtype=np.float64)
@@ -236,7 +236,7 @@ def test_unflagged_pairs_cannot_improve(bits):
         maker = random_problem if seed % 2 else integer_problem
         prob, q0 = maker(10, bits, seed=seed)
         hmat = prob.hessian
-        codes, _ = cd_quantize(prob, q0, DescentConfig())
+        codes, _ = cd_quantize(prob, q0, RunSettings())
         state = GradientState.init(hmat, codes, prob.target)
         flagged = _pair_screen(hmat, state.codes, state.gradient, levels, _pair_coupling(hmat))
         if flagged is None:
@@ -285,15 +285,15 @@ def _draw_rows_cases():
     for seed in range(3):
         for d, bits in ((16, 2), (34, 3), (70, 2)):
             prob, owc_codes = random_problem(d, bits, seed=10 * seed + d, n=d // 2)
-            cfg = DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)
+            cfg = RunSettings(block_size=2, steps=37, epochs=2, seed=seed)
             cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
             cases += [(prob, owc_codes, cfg), (prob, cd_codes, cfg)]
     for seed in range(8):
         prob, q0 = integer_problem(8, 2, seed)
-        cases.append((prob, q0, DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)))
+        cases.append((prob, q0, RunSettings(block_size=2, steps=37, epochs=2, seed=seed)))
     for seed in range(2):
         prob, owc_codes = grouped_problem(64, 16, bits=3, seed=seed, constant_group=1 + seed)
-        cases.append((prob, owc_codes, DescentConfig(block_size=2, steps=37, epochs=2, seed=seed)))
+        cases.append((prob, owc_codes, RunSettings(block_size=2, steps=37, epochs=2, seed=seed)))
     return cases
 
 
@@ -342,7 +342,7 @@ def _screen_states():
                 problems.append((prob, rng.integers(0, 2 ** bits, size=d).astype(np.uint8)))
     states = []
     for prob, q0 in problems:
-        cd_codes, _ = cd_quantize(prob, q0, DescentConfig(epochs=20))
+        cd_codes, _ = cd_quantize(prob, q0, RunSettings(epochs=20))
         for codes in (q0, cd_codes):
             state = GradientState.init(prob.hessian, codes, prob.target)
             states.append((prob.hessian, state.codes, state.gradient,
@@ -391,7 +391,7 @@ def _edge_states():
                                                                constant_group=group), [0]))
     states = []
     for label, (prob, q0), exponents in cases:
-        cd_codes, _ = cd_quantize(prob, q0, DescentConfig(epochs=20))
+        cd_codes, _ = cd_quantize(prob, q0, RunSettings(epochs=20))
         for codes in (q0, cd_codes):
             for e in exponents:
                 with np.errstate(all="ignore"):
@@ -439,13 +439,12 @@ def test_per_channel_layer_builds_one_coupling_table(monkeypatch):
     prob, _ = random_problem(32, 2, seed=1)
     weights = np.random.default_rng(1).standard_normal((32, 5))
     weights[:, 2] = 0.5  # a constant column runs no engine
-    descent.quantize_matrix(weights, prob.hessian, "bcd", bits=2,
-                            cfg=DescentConfig(block_size=2, seed=1))
+    descent.quantize_matrix(weights, prob.hessian, RunSettings("bcd", 2, block_size=2, seed=1))
     assert len(built) == 1 and built[0] is prob.hessian
     built.clear()
     for method, k in (("bcd", 1), ("bcd", 4), ("cd", 2)):
-        descent.quantize_matrix(weights, prob.hessian, method, bits=2,
-                                cfg=DescentConfig(block_size=k, seed=1))
+        descent.quantize_matrix(weights, prob.hessian,
+                                RunSettings(method, 2, block_size=k, seed=1))
     assert built == []
 
 
@@ -455,8 +454,7 @@ def test_grouped_layer_builds_one_coupling_table_per_live_channel(monkeypatch):
     weights = np.random.default_rng(2).standard_normal((64, 5))
     weights[:, 1] = 0.5         # every group constant: no engine runs
     weights[16:32, 3] = -0.25   # one constant group: the engines run on H~
-    descent.quantize_matrix(weights, prob.hessian, "bcd", bits=2, group_size=16,
-                            cfg=DescentConfig(block_size=2, seed=2))
+    descent.quantize_matrix(weights, prob.hessian, RunSettings("bcd", 2, 16, block_size=2, seed=2))
     assert len(built) == 4 and all(h is not prob.hessian for h in built)
 
 
@@ -466,7 +464,7 @@ def test_bcd_with_the_layer_table_matches_its_own(d, bits):
     layer_table = _pair_coupling(prob.hessian)
     accepted = 0
     for seed in range(3):
-        cfg = DescentConfig(block_size=2, epochs=2, seed=seed)
+        cfg = RunSettings(block_size=2, epochs=2, seed=seed)
         cd_codes, _ = cd_quantize(prob, owc_codes, cfg)
         q0 = owc_codes if seed % 2 else cd_codes
         codes, trace = bcd_quantize(prob, q0, cfg)

@@ -12,16 +12,16 @@ the accumulated ``loss_after`` must agree to 1e-12 relative.
 import numpy as np
 import pytest
 
-from qdescent.descent import (DescentConfig, DescentTrace, TraceStep,
+from qdescent.descent import (DescentTrace, TraceStep,
                               _best_moves, _check_engine_inputs, cd_quantize, cyclic_cd_quantize)
 from qdescent.oracle import verify_trace
-from qdescent.quantcore import ChannelProblem
+from qdescent.quantcore import ChannelProblem, RunSettings
 
 from conftest import GradientState, grouped_problem, integer_problem, random_problem
 
 
 def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                          cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+                          cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """``cd_quantize`` as it was before the closed-form scan."""
     hmat, z = _check_engine_inputs(prob, q0)
     state = GradientState.init(hmat, q0, z)
@@ -52,7 +52,7 @@ def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
 
 
 def reference_cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                                 cfg: DescentConfig) -> tuple[np.ndarray, DescentTrace]:
+                                 cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """``cyclic_cd_quantize`` as it was before the closed-form scan."""
     hmat, z = _check_engine_inputs(prob, q0)
     d = hmat.shape[0]
@@ -115,7 +115,7 @@ def test_scan_matches_reference_on_random_problems(bits):
         prob, owc_codes = random_problem(d, bits, seed=100 * bits + seed)
         zero_codes = np.zeros(d, dtype=np.uint8)
         for q0 in (owc_codes, zero_codes):
-            assert_both_engines(prob, q0, DescentConfig(epochs=1 + seed % 2))
+            assert_both_engines(prob, q0, RunSettings(epochs=1 + seed % 2))
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
@@ -125,7 +125,7 @@ def test_scan_matches_reference_on_near_ties(bits):
     accepted = 0
     for seed in range(20):
         prob, q0 = integer_problem(8, bits, seed)
-        for trace in assert_both_engines(prob, q0, DescentConfig(epochs=2)):
+        for trace in assert_both_engines(prob, q0, RunSettings(epochs=2)):
             accepted += sum(1 for s in trace.steps if s.accepted)
     assert accepted > 0
 
@@ -146,7 +146,7 @@ def test_scan_matches_reference_with_a_constant_group(bits):
     for seed in range(4):
         prob, owc_codes = grouped_problem(64, 16, bits=bits, seed=seed, constant_group=seed)
         assert (np.diag(prob.hessian) == 0.0).sum() == 16
-        assert_both_engines(prob, owc_codes, DescentConfig(epochs=1 + seed % 2))
+        assert_both_engines(prob, owc_codes, RunSettings(epochs=1 + seed % 2))
 
 
 def scaled_problem(d, bits, seed, tiny, tiny_rows):
@@ -168,7 +168,7 @@ def test_scan_matches_reference_with_r_star_far_outside(bits):
         state = GradientState.init(prob.hessian, q0, prob.target)
         rstar = state.codes - 0.5 * state.gradient / np.diag(prob.hessian)
         assert np.abs(rstar[[0, 5, 6, 23]]).max() > 4 * 2 ** bits
-        assert_both_engines(prob, q0, DescentConfig(epochs=2))
+        assert_both_engines(prob, q0, RunSettings(epochs=2))
 
 
 def test_scan_matches_reference_on_indefinite_and_overflowing_rows():
@@ -186,13 +186,13 @@ def test_scan_matches_reference_on_indefinite_and_overflowing_rows():
     state = GradientState.init(h, q0, z)
     with np.errstate(over="ignore"):
         assert np.isinf(state.gradient[7] / h[7, 7])
-    assert_both_engines(prob, q0, DescentConfig(epochs=2))
+    assert_both_engines(prob, q0, RunSettings(epochs=2))
 
 
 def test_scan_matches_reference_on_a_large_8_bit_problem():
     prob, owc_codes = random_problem(256, 8, seed=11)
-    assert_both_engines(prob, owc_codes, DescentConfig())
-    traces = assert_both_engines(prob, np.full(256, 128, dtype=np.uint8), DescentConfig())
+    assert_both_engines(prob, owc_codes, RunSettings())
+    traces = assert_both_engines(prob, np.full(256, 128, dtype=np.uint8), RunSettings())
     assert sum(s.accepted for s in traces[0].steps) > 200
 
 

@@ -293,8 +293,8 @@ def test_quantize_config_file_precedence(tmp_path):
     assert meta["meta"]["method"] == "rtn"  # from config file
 
 
-#: The run block ``quantize`` wrote before its settings became one value, paths dropped.
-_RUN_BLOCK = {"block_size": 2, "clip_fraction": 0.0, "epochs": 1, "grid_size": 50,
+#: The run block of a default ``cd`` run, paths dropped.
+_RUN_BLOCK = {"clip_fraction": 0.0, "epochs": 1, "grid_size": 50,
               "lambda_rel": 0.01, "method": "cd", "owc_cd_refine": False, "seed": 0}
 
 
@@ -306,17 +306,17 @@ _RUN_BLOCK = {"block_size": 2, "clip_fraction": 0.0, "epochs": 1, "grid_size": 5
      dict(_RUN_BLOCK, method="cyclic", clip_fraction=0.25)),
     (["--method", "cd", "--bits", "3"], _RUN_BLOCK),
     (["--method", "bcd", "--bits", "3", "--block-size", "2", "--seed", "7"],
-     dict(_RUN_BLOCK, method="bcd", seed=7)),
+     dict(_RUN_BLOCK, method="bcd", block_size=2, seed=7)),
     (["--method", "bcd", "--bits", "3", "--block-size", "1"],
      dict(_RUN_BLOCK, method="bcd", block_size=1)),
     (["--method", "cd", "--bits", "3", "--group-size", "4", "--owc-cd"],
      dict(_RUN_BLOCK, owc_cd_refine=True)),
     (["--method", "cd", "--bits", "3", "--steps", "5", "--epochs", "2"],
-     dict(_RUN_BLOCK, epochs=2)),
+     dict(_RUN_BLOCK, steps=5, epochs=2)),
 ], ids=["rtn", "owc", "cyclic", "cd", "bcd-k2", "bcd-k1", "grouped-cd-owc-cd", "cd-steps"])
 def test_quantize_run_block_is_unchanged(tmp_path, flags, run_block):
     # meta.json's run block keeps its keys and values: block_size is recorded for
-    # every method, owc_cd as owc_cd_refine, and steps is not recorded.
+    # bcd alone, owc_cd as owc_cd_refine, and steps only when given.
     w, x = write_inputs(tmp_path)
     out = tmp_path / "layer"
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(out), "--no-timing",
@@ -351,6 +351,34 @@ def test_eval_of_a_run_block_without_optional_keys(tmp_path, dropped):
     for q, e in zip(quantized, evaluated, strict=True):
         assert (e["method"], e["block_size"], e["epochs"]) == (method, "0", epochs)
         assert e["objective"] == q["objective"]
+
+
+@pytest.mark.parametrize("flags,run", [
+    (["--method", "bcd", "--bits", "3"], quantcore.RunSettings("bcd", 3)),
+    (["--method", "cd", "--bits", "3", "--group-size", "4", "--owc-cd"],
+     quantcore.RunSettings("cd", 3, 4, owc_cd=True)),
+], ids=["bcd-default-blocks", "grouped-cd-owc-cd"])
+def test_library_default_equals_cli_default(tmp_path, flags, run):
+    # quantize_matrix on a RunSettings left at its defaults is the quantize run left
+    # at its flags' defaults: the same layer bytes and records (bcd's blocks of two
+    # included), and the same run block but for the inputs and H's settings.
+    w, x = write_inputs(tmp_path, d_in=16, d_out=5, n=96, seed=2)
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    assert main(["quantize", "--weights", w, "--calib", x, "--out", str(cli_dir),
+                 "--no-timing", *flags]) == EXIT_OK
+    weights = tensorio.read_container(w).array
+    hessian = calibration.build_hessian(tensorio.read_container(x).array)
+    layer, records = descent.quantize_matrix(weights, hessian, run, collect_timing=False)
+    quantcore.save_layer(layer, lib_dir)
+    tensorio.emit_report(records, lib_dir / "records.csv")
+    cli_files, lib_files = dir_bytes(cli_dir), dir_bytes(lib_dir)
+    cli_meta, lib_meta = (json.loads(files.pop("meta.json")) for files in (cli_files, lib_files))
+    assert cli_files == lib_files
+    for key in ("weights_path", "calib_path", "lambda_rel", "clip_fraction"):
+        del cli_meta["meta"][key]
+    assert cli_meta == lib_meta
+    assert {r["block_size"] for r in read_records(lib_dir / "records.csv")} == {
+        "2" if run.method == "bcd" else "0"}
 
 
 @pytest.mark.parametrize("config", [
@@ -854,6 +882,23 @@ def test_bench_suite_owc_cd_without_groups(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_bench_suite_owc_cd_with_rtn(tmp_path, capsys):
+    # A suite's owc_cd applies to its methods that read it, so its rtn runs leave
+    # it out and give the rows of a suite without it; without groups it is refused.
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "methods": ["rtn"],
+                                              "owc_cd": True})
+    assert code == EXIT_USAGE and "'owc_cd'" in err and "'group_size' > 0" in err
+    rows = []
+    for owc_cd in (True, False):
+        suite = tmp_path / f"suite-{owc_cd}.json"
+        suite.write_text(json.dumps({"instances": [_INSTANCE], "methods": ["rtn", "owc"],
+                                     "bits": [3], "group_size": 2, "owc_cd": owc_cd}))
+        out = tmp_path / f"b-{owc_cd}"
+        assert main(["bench", "--suite", str(suite), "--out-dir", str(out), "--no-timing"]) == 0
+        rows.append([r for r in read_records(out / "records.csv") if r["method"] == "rtn"])
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
 def test_bench_suite_methods_string(tmp_path, capsys):
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "methods": "cd"})
     assert code == EXIT_USAGE and "'methods'" in err and "'c'" not in err
@@ -966,7 +1011,7 @@ def test_oracle_out_json_as_from_the_whole_matrix_widened(tmp_path):
         scales, biases, _, q0 = quantcore.owc_quantize(col, hessian, 2)
         prob = quantcore.ChannelProblem(col, hessian, scales[0], biases[0], 2)
         opt = oracle.brute_force(prob)
-        codes, trace = descent.cd_quantize(prob, q0, descent.DescentConfig())
+        codes, trace = descent.cd_quantize(prob, q0, quantcore.RunSettings())
         assert json.loads(out.read_text()) == {
             "enumeration_count": opt.enumeration_count,
             "oracle_objective": opt.scaled_objective,
@@ -1202,10 +1247,12 @@ def test_oracle_bad_setting_reads_no_input(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [["--grid-size", "0"], ["--group-size", "4", "--owc-cd"]],
                          ids=["grid0", "groups-owc-cd"])
 def test_quantize_rtn_ignores_grid_and_owc_cd(tmp_path, argv):
-    # rtn reads neither the clip-strength grid nor the clip-strength refinement.
+    # rtn ignores the clip-strength grid and refuses the clip-strength refinement,
+    # which it would never run.
     w, x = write_inputs(tmp_path)
     assert main(["quantize", "--weights", w, "--calib", x, "--out", str(tmp_path / "o"),
-                 "--method", "rtn", "--bits", "2"] + argv) == EXIT_OK
+                 "--method", "rtn", "--bits", "2"] + argv) == (
+        EXIT_USAGE if "--owc-cd" in argv else EXIT_OK)
 
 
 def test_setting_errors_come_before_input_errors(tmp_path, capsys):

@@ -112,7 +112,7 @@ INSTANCE_OUT_OF_RANGE = {
 #: Layer keys that ``eval`` reads, and the JSON type of each.
 LAYER_TYPES = {"format_version": int, "d_in": int, "d_out": int, "bits": int, "group_size": int}
 RUN_TYPES = {"weights_path": str, "method": str, "lambda_rel": float, "clip_fraction": float,
-             "block_size": int, "epochs": int}
+             "block_size": int, "epochs": int, "steps": int}
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 json_values = st.recursive(

@@ -1,6 +1,7 @@
 """Grouped quantization: scaled-problem reduction, group inits, clip-strength descent."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from conftest import _fit_affine, as_params, expand_params, minmax_group_init, random_problem
 from qdescent import groupquant
 from qdescent.calibration import SynthSpec, build_hessian, gen_calibration, gen_weights
-from qdescent.descent import DescentConfig, bcd_quantize, cd_quantize, quantize_matrix
+from qdescent.descent import bcd_quantize, cd_quantize, quantize_matrix
 from qdescent.groupquant import owc_cd, owc_group_init, quantize_channel_grouped, tilde_transform
-from qdescent.quantcore import ChannelProblem, _affine_table, channel_objective, owc_quantize
+from qdescent.quantcore import (ChannelProblem, RunSettings, _affine_table, channel_objective,
+                                owc_quantize)
 
 
 def _rand_instance(d, seed, n=None):
@@ -38,8 +40,8 @@ def test_tilde_uniform_scale_matches_per_channel_trajectory():
     prob, q0 = random_problem(12, 2, seed=1)
     tilde = tilde_transform(prob.weights, prob.hessian, np.full(4, prob.scale),
                             np.full(4, prob.bias), prob.bits)
-    codes_g, trace_g = cd_quantize(tilde, q0, DescentConfig())
-    codes_c, trace_c = cd_quantize(prob, q0, DescentConfig())
+    codes_g, trace_g = cd_quantize(tilde, q0, RunSettings())
+    codes_c, trace_c = cd_quantize(prob, q0, RunSettings())
     np.testing.assert_array_equal(codes_g, codes_c)
     assert [(s.coords, s.values) for s in trace_g.steps] == \
            [(s.coords, s.values) for s in trace_c.steps]
@@ -73,7 +75,7 @@ def test_tilde_degenerate_group_constant_weights():
     assert scales[1] == 0.0
     np.testing.assert_array_equal(codes[2:4], [0, 0])
     # engines never touch the degenerate coordinates
-    out, trace = cd_quantize(tilde_transform(w, h, scales, biases, 2), codes, DescentConfig())
+    out, trace = cd_quantize(tilde_transform(w, h, scales, biases, 2), codes, RunSettings())
     np.testing.assert_array_equal(out[2:4], [0, 0])
     avec, bvec = expand_params(scales, biases, 6)
     np.testing.assert_allclose((avec * out + bvec)[2:4], [1.5, 1.5])
@@ -87,7 +89,7 @@ def test_single_group_reduces_to_per_channel_bitwise():
     codes_c, codes_g = fit_c[3], fit_g[3]
     np.testing.assert_array_equal(codes_g, codes_c)
 
-    cfg = DescentConfig(seed=3, block_size=2)
+    cfg = RunSettings(seed=3, block_size=2)
     prob = ChannelProblem(w, h, fit_c[0][0], fit_c[1][0], 3)
     out_c, _ = cd_quantize(prob, codes_c, cfg)
     out_g, _ = cd_quantize(tilde_transform(w, h, fit_g[0], fit_g[1], 3), codes_g, cfg)
@@ -103,10 +105,10 @@ def test_group_pipeline_equals_per_channel_pipeline_at_full_group():
     w = rng.standard_normal((8, 5)).astype(np.float32)
     x = rng.standard_normal((32, 8)).astype(np.float32)
     h = build_hessian(x, 0.01)
-    cfg = DescentConfig(block_size=2, seed=9)
+    cfg = RunSettings(block_size=2, seed=9)
     for method in ("rtn", "owc", "cd", "cyclic", "bcd"):
-        per_channel, _ = quantize_matrix(w, h, method, bits=2, group_size=0, cfg=cfg)
-        grouped, _ = quantize_matrix(w, h, method, bits=2, group_size=8, cfg=cfg)
+        per_channel, _ = quantize_matrix(w, h, replace(cfg, method=method, bits=2))
+        grouped, _ = quantize_matrix(w, h, replace(cfg, method=method, bits=2, group_size=8))
         np.testing.assert_array_equal(per_channel.codes, grouped.codes)
         assert per_channel.scales.tobytes() == grouped.scales.tobytes()
         assert per_channel.biases.tobytes() == grouped.biases.tobytes()
@@ -129,14 +131,14 @@ def test_block_diagonal_groups_decouple():
     rng = np.random.default_rng(8)
     w = rng.standard_normal(d)
     scales, biases, _, q0 = _group_init(w, h, bits=2, group_size=g)
-    cfg = DescentConfig(steps=64)
+    cfg = RunSettings(steps=64)
     joint, _ = cd_quantize(tilde_transform(w, h, scales, biases, 2), q0, cfg)
 
     for i in range(d // g):
         sl = slice(i * g, (i + 1) * g)
         sub_h = h[sl, sl].copy()
         prob = ChannelProblem(w[sl], sub_h, scales[i], biases[i], 2)
-        sub_codes, _ = cd_quantize(prob, q0[sl], DescentConfig(steps=64))
+        sub_codes, _ = cd_quantize(prob, q0[sl], RunSettings(steps=64))
         np.testing.assert_array_equal(joint[sl], sub_codes)
 
 
@@ -174,8 +176,8 @@ def test_grouped_owc_promise_is_per_group_block():
         w = gen_weights(64, 16, seed).astype(np.float64)
         h = build_hessian(x, 0.01)
         for g, bits in itertools.product((8, 16), (2, 3)):
-            owc, _ = quantize_matrix(w, h, "owc", bits=bits, group_size=g)
-            rtn, _ = quantize_matrix(w, h, "rtn", bits=bits, group_size=g)
+            owc, _ = quantize_matrix(w, h, RunSettings("owc", bits, g))
+            rtn, _ = quantize_matrix(w, h, RunSettings("rtn", bits, g))
             for j, i in itertools.product(range(16), range(64 // g)):
                 sl = slice(i * g, (i + 1) * g)
                 block = np.ascontiguousarray(h[sl, sl])
@@ -288,11 +290,11 @@ def test_owc_cd_final_never_worse_than_init():
 
 def test_quantize_channel_grouped_monotone():
     w, h = _rand_instance(16, 17)
-    cfg = DescentConfig(block_size=2, seed=2)
+    cfg = RunSettings(bits=2, group_size=4, block_size=2, seed=2)
     objectives = {}
     for method in ("owc", "cd", "bcd"):
-        scales, biases, _, codes, steps = quantize_channel_grouped(w, h, method, 2, 4, cfg, 50,
-                                                                    False)
+        scales, biases, _, codes, steps = quantize_channel_grouped(w, h,
+                                                                    replace(cfg, method=method))
         avec, bvec = expand_params(scales, biases, 16)
         err = w - (avec * codes + bvec)
         objectives[method] = float(err @ h @ err)
@@ -303,9 +305,9 @@ def test_quantize_channel_grouped_monotone():
 def test_owc_cd_refine_improves_group_init():
     for seed in range(5):
         w, h = _rand_instance(16, 30 + seed)
-        cfg = DescentConfig(seed=1)
-        plain = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, False)
-        refined = quantize_channel_grouped(w, h, "owc", 2, 4, cfg, 50, True)
+        cfg = RunSettings("owc", 2, 4, seed=1)
+        plain = quantize_channel_grouped(w, h, cfg)
+        refined = quantize_channel_grouped(w, h, replace(cfg, owc_cd=True))
         def loss(scales, biases, gammas, codes, steps):
             avec, bvec = expand_params(scales, biases, 16)
             err = w - (avec * codes + bvec)
@@ -326,19 +328,18 @@ def test_grouped_channel_builds_one_table():
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groupquant, "_affine_table", counted)
-            quantize_channel_grouped(w, h, method, 2, 4, DescentConfig(), 50, True)
+            quantize_channel_grouped(w, h, RunSettings(method, 2, 4, owc_cd=True))
         assert len(calls) == 1, method
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("group_size,owc_cd_refine", [(0, False), (4, False), (4, True)])
+@pytest.mark.parametrize("group_size,owc_cd_refine", [(0, False), (4, False)])
 def test_rtn_does_not_read_the_hessian(group_size, owc_cd_refine):
     rng = np.random.default_rng(41)
     w = rng.standard_normal((16, 5)).astype(np.float32)
     w[:, 2] = 0.5   # a constant column
     h = build_hessian(rng.standard_normal((64, 16)).astype(np.float32), 0.01)
-    layers = [quantize_matrix(w, hmat, "rtn", bits=3, group_size=group_size,
-                              owc_cd_refine=owc_cd_refine)[0]
+    layers = [quantize_matrix(w, hmat, RunSettings("rtn", 3, group_size, owc_cd=owc_cd_refine))[0]
               for hmat in (h, np.zeros_like(h), 1e300 * np.eye(16), np.full_like(h, np.nan))]
     for layer in layers[1:]:
         for name in ("codes", "scales", "biases", "gammas"):
@@ -356,10 +357,9 @@ def test_channel_without_live_group_runs_no_engine(method):
     w[:, 0] = 0.75
     w[:, 1] = np.repeat([-1.0, 0.5, 2.0, 3.25], 8)
     h = build_hessian(rng.standard_normal((128, 32)), 0.01)
-    layer, records = quantize_matrix(w, h, method, bits=3, group_size=8,
-                                     cfg=DescentConfig(block_size=2), collect_timing=False)
-    owc_layer, owc_records = quantize_matrix(w, h, "owc", bits=3, group_size=8,
-                                             collect_timing=False)
+    layer, records = quantize_matrix(w, h, RunSettings(method, 3, 8, block_size=2),
+                                     collect_timing=False)
+    owc_layer, owc_records = quantize_matrix(w, h, RunSettings("owc", 3, 8), collect_timing=False)
     assert [r.steps for r in records[:2]] == [0, 0]
     assert records[2].steps > 0
     for name in ("codes", "scales", "biases", "gammas"):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import QuantParams, objective, random_problem
-from qdescent.descent import (DescentConfig, EnumerationGuardError, TraceStep, bcd_quantize,
+from qdescent.descent import (EnumerationGuardError, TraceStep, bcd_quantize,
                               cd_quantize)
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem
+from qdescent.quantcore import ChannelProblem, RunSettings
 
 
 def naive_enumeration(prob):
@@ -79,7 +79,7 @@ def test_brute_force_chunking_consistent():
     # d_in * c large enough to span several enumeration chunks
     prob, _ = random_problem(9, 2, seed=5)  # 2^18 candidates
     result = brute_force(prob)
-    codes, trace = cd_quantize(prob, np.zeros(9, dtype=np.uint8), DescentConfig(steps=100))
+    codes, trace = cd_quantize(prob, np.zeros(9, dtype=np.uint8), RunSettings(steps=100))
     assert result.scaled_objective <= trace.final_loss + 1e-12
     assert result.enumeration_count == 4 ** 9
 
@@ -95,8 +95,8 @@ def test_oracle_not_above_engines():
     for seed in range(20):
         prob, q0 = random_problem(6, 2, seed=seed)
         opt = brute_force(prob).scaled_objective
-        for engine, cfg in ((cd_quantize, DescentConfig()),
-                            (bcd_quantize, DescentConfig(block_size=2, seed=seed))):
+        for engine, cfg in ((cd_quantize, RunSettings()),
+                            (bcd_quantize, RunSettings(block_size=2, seed=seed))):
             _, trace = engine(prob, q0, cfg)
             assert opt <= trace.final_loss + 1e-12
 
@@ -107,7 +107,7 @@ def test_oracle_not_above_engines():
 
 def test_verify_valid_trace():
     prob, q0 = random_problem(10, 2, seed=3)
-    _, trace = cd_quantize(prob, q0, DescentConfig())
+    _, trace = cd_quantize(prob, q0, RunSettings())
     report = verify_trace(prob, q0, trace)
     assert report.ok and report.violations == []
     assert report.n_steps == len(trace.steps)
@@ -115,7 +115,7 @@ def test_verify_valid_trace():
 
 def test_verify_flags_tampered_delta():
     prob, q0 = random_problem(10, 2, seed=4)
-    _, trace = cd_quantize(prob, q0, DescentConfig())
+    _, trace = cd_quantize(prob, q0, RunSettings())
     accepted = [i for i, s in enumerate(trace.steps) if s.accepted]
     i = accepted[0]
     trace.steps[i] = replace(trace.steps[i], predicted_delta=trace.steps[i].predicted_delta * 1.5)
@@ -130,7 +130,7 @@ def test_verify_flags_tampered_delta():
                                             ("final_loss", "final loss ")])
 def test_verify_flags_tampered_loss(field, message):
     prob, q0 = random_problem(10, 2, seed=4)
-    _, trace = cd_quantize(prob, q0, DescentConfig())
+    _, trace = cd_quantize(prob, q0, RunSettings())
     assert trace.steps[0].accepted
     if field == "loss_after":
         trace.steps[0] = replace(trace.steps[0], loss_after=trace.steps[0].loss_after * 1.5)
@@ -145,7 +145,7 @@ def test_verify_flags_loss_increase():
     # One more step away from cd's fixed point, its delta and losses recorded
     # truly: only the increase itself is wrong.
     prob, q0 = random_problem(10, 2, seed=4)
-    codes, trace = cd_quantize(prob, q0, DescentConfig())
+    codes, trace = cd_quantize(prob, q0, RunSettings())
     worse = codes.astype(np.float64)
     worse[0] = 0.0 if codes[0] >= 2 else 3.0
     loss, new_loss = (float((q - prob.target) @ (prob.hessian @ (q - prob.target)))
@@ -162,7 +162,7 @@ def test_verify_flags_loss_increase():
 
 def test_verify_bcd_noop_steps():
     prob, q0 = random_problem(8, 1, seed=6)
-    _, trace = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=2, seed=0))
+    _, trace = bcd_quantize(prob, q0, RunSettings(block_size=2, epochs=2, seed=0))
     assert any(not s.accepted for s in trace.steps)
     report = verify_trace(prob, q0, trace)
     assert report.ok, report.violations
@@ -174,7 +174,7 @@ def test_verify_flags_tampered_noop_step(field):
     # recorded loss off by 1e-6 relative, or a nonzero predicted delta, on such
     # a step must still be flagged, and only there.
     prob, q0 = random_problem(8, 1, seed=6)
-    _, trace = bcd_quantize(prob, q0, DescentConfig(block_size=2, epochs=2, seed=0))
+    _, trace = bcd_quantize(prob, q0, RunSettings(block_size=2, epochs=2, seed=0))
     i = next(i for i, s in enumerate(trace.steps) if not s.accepted)
     step = trace.steps[i]
     if field == "loss_after":
@@ -190,7 +190,7 @@ def test_verify_flags_tampered_noop_step(field):
 
 def test_verify_mismatched_trace_rejected():
     prob, q0 = random_problem(6, 1, seed=7)
-    _, trace = cd_quantize(prob, q0, DescentConfig())
+    _, trace = cd_quantize(prob, q0, RunSettings())
     trace.steps.append(TraceStep(index=99, coords=(17,), values=(1,), predicted_delta=0.0,
                                  loss_after=0.0, accepted=True))
     with pytest.raises(ValueError, match="mismatch"):

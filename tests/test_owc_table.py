@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from qdescent.calibration import ShapeMismatchError, build_hessian
-from qdescent.descent import DescentConfig
 from qdescent.groupquant import _check_grouping, owc_cd, owc_group_init, quantize_channel_grouped
-from qdescent.quantcore import _affine_table, default_gamma_grid, owc_quantize
+from qdescent.quantcore import RunSettings, _affine_table, default_gamma_grid, owc_quantize
 
 from conftest import QuantParams, _fit_affine, as_params, minmax_group_init
 
@@ -414,7 +413,7 @@ def test_minmax_group_init_matches_scalar_fits(bits):
     # rtn's grouped path, the grid search on the one-point grid {1}, is the min-max fit.
     w, h = _instance(bits, 64)
     w[16:32] = 0.625
-    fit = quantize_channel_grouped(w, h, "rtn", bits, 16, DescentConfig(), 50, False)
+    fit = quantize_channel_grouped(w, h, RunSettings("rtn", bits, 16))
     params, codes = as_params(fit, bits), fit[3]
     for i in range(4):
         sl = slice(i * 16, (i + 1) * 16)

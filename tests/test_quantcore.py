@@ -8,7 +8,7 @@ import pytest
 
 from conftest import as_params, minmax_quantize, objective
 from qdescent.calibration import build_hessian
-from qdescent.descent import DescentConfig, _quantize_channel
+from qdescent.descent import _quantize_channel
 from qdescent.groupquant import tilde_transform
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer,
                                 RunSettings, _reconstruct, channel_objective, load_layer,
@@ -31,7 +31,7 @@ def _f32(*values):
 def _rtn(w, bits):
     """(params, codes) of the ``rtn`` method's per-channel path: the min-max fit."""
     w = np.asarray(w, dtype=np.float64)
-    fit = _quantize_channel(w, np.eye(w.shape[0]), "rtn", bits, DescentConfig(), 50)
+    fit = _quantize_channel(w, np.eye(w.shape[0]), RunSettings("rtn", bits))
     return as_params(fit, bits)[0], fit[3]
 
 
@@ -316,10 +316,11 @@ def _toy_layer():
 ], ids=["defaults", "every-setting"])
 def test_run_block_reads_back_into_the_settings(run):
     # The run block holds every setting but bits and group_size (the layer's own
-    # keys) and steps; read back with those two, it gives the settings, with the
-    # block size resolved. quantize_matrix's block also leaves out H's settings.
+    # keys), with block_size for bcd alone; read back with those two, it gives the
+    # settings, with bcd's block size resolved. quantize_matrix's block also leaves
+    # out H's settings.
     block = json.loads(json.dumps(run.run_block(inputs=("w.tc", "x.tc"))))
-    recorded = replace(run, block_size=run.blocks, steps=None)
+    recorded = replace(run, block_size=run.blocks) if run.method == "bcd" else run
     assert RunSettings.from_run_block(block, run.bits, run.group_size) == (recorded, "w.tc")
     assert (RunSettings.from_run_block(run.run_block(), run.bits, run.group_size)
             == (replace(recorded, lambda_rel=0.01, clip_fraction=0.0), None))
