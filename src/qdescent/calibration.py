@@ -66,8 +66,7 @@ class SynthSpec:
         return eigvals
 
 
-#: Elements of scratch one chunked step holds: a generated block of rows, a
-#: scanned chunk of X, a symmetrized band of the Gram matrix.
+#: Elements of scratch one chunked step holds: a generated block of rows or a chunk of X.
 CHUNK_ELEMENTS = 1 << 16
 #: The largest X'X diagonal entry ``build_hessian`` accepts without scanning X and
 #: checking all of H for overflow.
@@ -130,19 +129,22 @@ HESSIAN_RULES = {"lambda_rel": (lambda v: 0 <= v <= sys.float_info.max, "finite 
 def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     """The float64 matrix H = X'X + lambda*I with lambda = lambda_rel * mean(diag(X'X)).
 
-    Accumulation is in float64 regardless of the input dtype; the result is
-    forced exactly symmetric. A float64 X is used as it is, any other dtype is
-    widened into one float64 copy first, so a caller that reads X as float64
-    (``read_container(path, dtype=np.float64)``) holds it once. Beside X the
-    build holds the Gram matrix and scratch of at most ``CHUNK_ELEMENTS``
-    elements (or one row of X or H): the Gram matrix is symmetrized and
-    damped in place, with the bits of ``(g + g.T) / 2`` and
-    ``g + lambda * np.eye(d)``.
+    Accumulation is in float64 regardless of the input dtype. H is exactly
+    symmetric, as ``descent.quantize_matrix`` requires: numpy runs ``x.T @ x``
+    of an aligned X in C or F order as a symmetric rank-k update and mirrors
+    its triangle, but multiplies two copies of any other X (a strided view,
+    an unaligned buffer) by gemm, so such an X is copied once first. Any
+    other dtype is widened into one float64 copy, so a caller that reads X as
+    float64 (``read_container(path, dtype=np.float64)``) holds it once. Beside
+    X the build holds the Gram matrix and scratch of at most ``CHUNK_ELEMENTS``
+    elements (or one row of X), and damps the Gram matrix in place, with the
+    bits of ``g + lambda * np.eye(d)``.
 
     X is not scanned for NaN/Inf when the Gram matrix's diagonal is finite and
     at most ``DIAG_LIMIT`` (DBL_MAX/4); a container read has already checked
-    every element. That diagonal check stands for the scan and for an
-    overflow check of all of H:
+    every element. That diagonal check stands for the scan and for a check
+    that every entry of H lies within DBL_MAX/2, which keeps the bcd pair
+    screen's sums ``|h_ij| + |h_ji|`` finite:
 
     * ``g[c, c]`` sums ``x[k, c]**2 >= 0``, so a NaN anywhere in column c makes
       it NaN and a +-inf makes it +inf or NaN.
@@ -154,12 +156,11 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
       ``S_c``, and by Cauchy-Schwarz ``|g[i, j]|``, and every partial sum of
       it, is at most ``(1 + e_n) sqrt(S_i S_j)``. So ``|g[i, j]|`` is at most
       ``(1 + e_n) / (1 - e_n) * DBL_MAX/4``, below DBL_MAX/2 for any n under
-      1e15: no entry overflows, and no ``g[i, j] + g[j, i]`` in
-      ``_symmetrize`` does, i = j included.
+      1e15.
 
-    Otherwise X is scanned in row chunks (a NaN/Inf raises), and all of the
-    symmetrized Gram matrix is checked: H beyond the float64 range raises
-    before any damping is computed.
+    Otherwise X is scanned in row chunks (a NaN/Inf raises), and every entry
+    of the Gram matrix is checked against DBL_MAX/2: one beyond it raises, as
+    beyond the float64 range, before any damping is computed.
 
     lambda_rel = 0 computes no mean. Otherwise the mean of the diagonal is
     taken without overflowing its sum (``_diag_mean``), and only a lambda or
@@ -169,9 +170,10 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatchError("calibration matrix must be 2-d with d_in >= 1")
     x64 = x.astype(np.float64, copy=False)
+    if not (x64.flags.forc and x64.flags.aligned):
+        x64 = x64.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is caught below
         gram = x64.T @ x64
-        _symmetrize(gram)  # keeps each diagonal entry, or makes it inf past DBL_MAX/2
     in_range = np.diag(gram).max() <= DIAG_LIMIT  # NaN fails too
     if not in_range:
         rows = max(1, CHUNK_ELEMENTS // x.shape[1])
@@ -179,7 +181,8 @@ def build_hessian(x: np.ndarray, lambda_rel: float = 0.01) -> np.ndarray:
             if not np.isfinite(x[lo:lo + rows]).all():
                 raise ValueError("calibration matrix holds non-finite values")
     tensorio.check_rules({"lambda_rel": lambda_rel}, HESSIAN_RULES)
-    if not in_range and not np.isfinite(gram).all():
+    half = sys.float_info.max / 2
+    if not in_range and not (-half <= gram.min() and gram.max() <= half):  # NaN fails too
         raise ValueError("calibration matrix X'X exceeds the float64 range")
     with np.errstate(over="ignore"):
         lam = float(lambda_rel * _diag_mean(np.diag(gram))) if lambda_rel else 0.0
@@ -208,25 +211,6 @@ def _diag_mean(diag: np.ndarray) -> np.float64:
     return mean
 
 
-def _symmetrize(g: np.ndarray) -> None:
-    """``g[:] = (g + g.T) / 2`` in place, one row band of the upper triangle at a time.
-
-    Both g[i, j] and g[j, i] become ``(g[i, j] + g[j, i]) / 2``, which is
-    what ``(g + g.T) / 2`` holds at each, since IEEE addition commutes; a sum
-    that overflows becomes inf as it does there. A band reads only rows and
-    columns at or past its first row, which no earlier band wrote.
-    """
-    d = g.shape[0]
-    rows = max(1, CHUNK_ELEMENTS // d)
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
-        band = g[lo:hi, lo:] + g[lo:, lo:hi].T
-        band /= 2.0
-        g[lo:hi, lo:] = band
-        g[lo:, lo:hi] = band.T
-        del band  # so that the next band is not made while this one is held
-
-
 def _add_damping(g: np.ndarray, lam: float) -> None:
     """``g[:] = g + lam * np.eye(d)`` in place for a finite lam >= 0; nothing for lam = 0.
 
@@ -241,9 +225,10 @@ def _add_damping(g: np.ndarray, lam: float) -> None:
 def clip_hessian_eigenvalues(hessian: np.ndarray, clip_fraction: float) -> np.ndarray:
     """Flatten the top ceil(rho*d) eigenvalues down to the next one.
 
-    Eigenvectors are preserved, the output is re-symmetrized, and clipping is
-    idempotent: the flattened eigenvalues tie with the threshold, so a second
-    pass with the same fraction changes nothing.
+    Eigenvectors are preserved. The product, not exactly symmetric as
+    computed, is made so as ``(out + out.T) / 2``. Clipping is idempotent: the
+    flattened eigenvalues tie with the threshold, so a second pass with the
+    same fraction changes nothing.
     """
     tensorio.check_rules({"clip_fraction": clip_fraction}, HESSIAN_RULES)
     d = hessian.shape[0]

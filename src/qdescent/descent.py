@@ -78,8 +78,6 @@ import numpy as np
 from .calibration import ShapeMismatchError
 from .quantcore import (ChannelProblem, QuantizedLayer, RunSettings, _check_block, group_count,
                         layer_records, owc_quantize)
-# Names of the run settings that callers reach through this module.
-from .quantcore import MAX_BLOCK_BITS, METHODS, EnumerationGuardError  # noqa: F401
 from .tensorio import BenchRecord
 
 
@@ -614,11 +612,14 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
     routes through the sub-channel pipeline; ``owc_cd`` additionally runs
     the clip-strength coordinate descent before the code engines.
     Per-channel bcd with blocks of two builds the pair screen's coupling
-    table of H once for all channels. Only bcd with blocks of two or more
-    draws: its channels run on seeds ``channel_seed(run.seed, j)``, and every
-    other run passes ``run`` through unchanged, deriving no seed and loading
-    no ``numpy.random``. Each record's wall time covers its channel's
-    quantization only.
+    table of H once for all channels. A run that descends (cd, cyclic, bcd or
+    ``owc_cd``) steps on 2 H (q - z), the loss's gradient only for H == H.T, so
+    it refuses any other H; ``build_hessian`` and the eigen-clip return one.
+    rtn and owc alone only score e' H e, and take any H. Only bcd with blocks
+    of two or more draws: its channels run on seeds
+    ``channel_seed(run.seed, j)``, and every other run passes ``run`` through
+    unchanged, deriving no seed and loading no ``numpy.random``. Each record's
+    wall time covers its channel's quantization only.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -630,6 +631,8 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
     if d_in != hessian.shape[0]:
         raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
                                  f"{hessian.shape[0]}x{hessian.shape[0]}")
+    if (run.owc_cd or run.method not in ("rtn", "owc")) and not np.array_equal(hessian, hessian.T):
+        raise ValueError("the Hessian is not exactly symmetric (H != H.T), which descent needs")
     if d_out == 0:
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
     if not np.isfinite(weights).all():

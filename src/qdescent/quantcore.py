@@ -186,6 +186,9 @@ class ChannelProblem:
     ``weights`` are held as float64, and ``target`` caches z = (w - b) / a,
     the real-valued point the integer codes chase. A constant channel has
     scale 0 and no such point, so it raises ``DegenerateChannelError`` here.
+    The engines need a symmetric ``hessian``, unchecked here: the grouped
+    problem's H~ = diag(a) H diag(a) is symmetric only in exact arithmetic.
+    ``descent.quantize_matrix`` checks H itself.
     """
 
     weights: np.ndarray

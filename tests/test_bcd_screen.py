@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from qdescent import descent
-from qdescent.descent import (MAX_BLOCK_BITS, DescentTrace, EnumerationGuardError,
-                              TraceStep, _check_engine_inputs, _pair_coupling, _pair_screen,
-                              _value_combinations, bcd_quantize, cd_quantize)
+from qdescent.descent import (DescentTrace, TraceStep, _check_engine_inputs, _pair_coupling,
+                              _pair_screen, _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.oracle import brute_force, verify_trace
-from qdescent.quantcore import ChannelProblem, RunSettings, owc_quantize
+from qdescent.quantcore import (MAX_BLOCK_BITS, ChannelProblem, EnumerationGuardError,
+                                RunSettings, owc_quantize)
 
 from conftest import (GradientState, grouped_problem, integer_problem, random_problem,
                       reference_pair_screen)

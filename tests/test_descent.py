@@ -10,11 +10,11 @@ import pytest
 from conftest import GradientState, as_params, minmax_quantize, objective, random_problem
 from qdescent import descent
 from qdescent.calibration import build_hessian
-from qdescent.descent import (EnumerationGuardError, bcd_quantize,
-                              cd_quantize, cyclic_cd_quantize, descend, dump_trace,
+from qdescent.descent import (bcd_quantize, cd_quantize, cyclic_cd_quantize, descend, dump_trace,
                               quantize_matrix)
 from qdescent.oracle import canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem, DegenerateChannelError, RunSettings, owc_quantize
+from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, EnumerationGuardError,
+                                RunSettings, owc_quantize)
 
 
 def test_cd_canonical_trace():
@@ -288,6 +288,28 @@ def test_quantize_matrix_shape_checks():
         quantize_matrix(w, h, RunSettings("cd", 2, 3))
     with pytest.raises(ValueError):
         quantize_matrix(w, h, RunSettings("nope", 2))
+
+
+DESCENDING_RUNS = {"cd": RunSettings("cd", 3), "cyclic": RunSettings("cyclic", 3),
+                   "bcd": RunSettings("bcd", 3),
+                   "owc-owc_cd": RunSettings("owc", 3, 4, owc_cd=True),
+                   "cd-owc_cd": RunSettings("cd", 3, 4, owc_cd=True)}
+
+
+@pytest.mark.parametrize("name", DESCENDING_RUNS)
+def test_quantize_matrix_refuses_an_asymmetric_hessian(name):
+    # The engines and owc_cd step on 2 H (q - z), the loss's gradient only where
+    # H == H.T; the check is exact, so one entry one ulp off its mirror is refused
+    # too. rtn and owc without owc_cd only score e'He.
+    w, h = _layer_inputs(d_in=16, d_out=3, seed=5)
+    skew = np.random.default_rng(5).standard_normal((16, 16))
+    one_ulp = h.copy()
+    one_ulp[2, 7] = np.nextafter(h[2, 7], np.inf)
+    for hmat in (h + (skew - skew.T), one_ulp):
+        with pytest.raises(ValueError, match="^the Hessian is not exactly symmetric"):
+            quantize_matrix(w, hmat, DESCENDING_RUNS[name])
+        for scored in (RunSettings("rtn", 3), RunSettings("owc", 3), RunSettings("owc", 3, 4)):
+            quantize_matrix(w, hmat, scored)
 
 
 def test_quantize_matrix_owc_cd_needs_groups():

@@ -22,8 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qdescent import calibration, descent, tensorio
 from qdescent.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
-from qdescent.descent import METHODS
-from qdescent.quantcore import LAYER_META_FILENAME
+from qdescent.quantcore import LAYER_META_FILENAME, METHODS
 
 ERROR_CODES = {EXIT_USAGE, EXIT_IO, EXIT_SHAPE, EXIT_GUARD}
 # Each example resets capsys itself, so the function-scoped fixture is safe to share.

@@ -157,10 +157,9 @@ def test_build_hessian_holds_one_d_squared_matrix_above_x():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # H, one scan chunk's mask (a byte an element), one float64 band of the
-    # symmetrize, and a few d_in vectors. ``(g + g.T) / 2`` would hold a
-    # second d_in^2 matrix, and a mask of all of X n * d_in bytes.
-    bound = d * d * 8 + calibration.CHUNK_ELEMENTS * 9 + 16 * d * 8
+    # H, one scan chunk's mask (a byte an element) and a few d_in vectors; a
+    # mask of all of X would take n * d_in bytes.
+    bound = d * d * 8 + calibration.CHUNK_ELEMENTS + 16 * d * 8
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import QuantParams, objective, random_problem
-from qdescent.descent import (EnumerationGuardError, TraceStep, bcd_quantize,
-                              cd_quantize)
+from qdescent.descent import TraceStep, bcd_quantize, cd_quantize
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
-from qdescent.quantcore import ChannelProblem, RunSettings
+from qdescent.quantcore import ChannelProblem, EnumerationGuardError, RunSettings
 
 
 def naive_enumeration(prob):
