@@ -8,8 +8,8 @@ randomized-block coordinate descent, clip-strength initialization, grouped
 
 from .calibration import (ShapeMismatchError, SynthSpec, build_hessian, clip_hessian_eigenvalues,
                           gen_calibration, gen_weights)
-from .descent import (DescentTrace, TraceStep, bcd_quantize, cd_quantize, cyclic_cd_quantize,
-                      descend, dump_trace, quantize_matrix)
+from .descent import (DescentTrace, TraceStep, bcd_quantize, cd_quantize, descend, dump_trace,
+                      quantize_matrix)
 from .groupquant import OwcCdResult, default_gamma_grid, owc_cd, owc_group_init, tilde_transform
 from .oracle import OracleResult, VerifyReport, brute_force, canonical_problem, verify_trace
 from .quantcore import (ChannelProblem, DegenerateChannelError, EnumerationGuardError,

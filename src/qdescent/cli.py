@@ -221,7 +221,7 @@ def _canonical_records() -> list[BenchRecord]:
     prob, q0 = oracle.canonical_problem()
     opt = oracle.brute_force(prob)
     _, cd_trace = descent.cd_quantize(prob, q0, RunSettings())
-    _, cyc_trace = descent.cyclic_cd_quantize(prob, q0, RunSettings())
+    _, cyc_trace = descent.cd_quantize(prob, q0, RunSettings("cyclic"))
     base = quantcore.zero_baseline(prob.weights, prob.hessian)
     rows = []
     for name, obj, steps in (("canonical:oracle", opt.scaled_objective, 0),

@@ -46,8 +46,8 @@ Engines:
   visit, chosen by the same closed-form window; the classic one-sweep
   baseline.
 
-Greedy and cyclic descent are one loop (``_single_moves``) that differs only
-in which coordinate a step takes; greedy stops at its first no-op, a fixed
+Greedy and cyclic descent are one engine, ``cd_quantize``, which takes its
+visiting order from ``run.method``; greedy stops at its first no-op, a fixed
 point. Every engine takes a ``ChannelProblem``, whose scale is never 0 (a
 constant channel raises when its problem is built), gets its codes, gradient
 and trace from ``_start`` and returns through ``_finish``. It runs at most
@@ -139,23 +139,18 @@ def _loss(hmat: np.ndarray, codes: np.ndarray, z: np.ndarray) -> float:
     return float(err @ (hmat @ err))
 
 
-def _check_engine_inputs(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H, z) of ``prob``, once the initial codes ``q0`` fit its dimension and bit width."""
+def _start(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, DescentTrace]:
+    """Every engine's start from ``q0``, once it fits the problem's dimension and
+    bit width: its codes as float64, the gradient 2 H (q0 - z), and a trace
+    holding the loss of q0."""
     hmat = prob.hessian
     q0 = np.asarray(q0)
     if q0.shape[0] != hmat.shape[0]:
         raise ShapeMismatchError("initial codes do not match the Hessian dimension")
     if q0.size and int(q0.max(initial=0)) >= prob.levels:
         raise ValueError("initial code out of range for the configured bit width")
-    return hmat, prob.target
-
-
-def _start(prob: ChannelProblem, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, DescentTrace]:
-    """Every engine's start from the checked ``q0``: its codes as float64, the
-    gradient 2 H (q0 - z), and a trace holding the loss of q0."""
-    hmat, z = _check_engine_inputs(prob, q0)
     codes = np.array(q0, dtype=np.float64)
-    err = codes - z
+    err = codes - prob.target
     h_err = hmat @ err
     return codes, 2.0 * h_err, DescentTrace(float(err @ h_err), loss_scale=prob.scale ** 2)
 
@@ -231,9 +226,10 @@ def _best_moves(codes: np.ndarray, gradient: np.ndarray, hdiag: np.ndarray,
     return values, scores
 
 
-def _single_moves(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
-                  cyclic: bool) -> tuple[np.ndarray, DescentTrace]:
-    """The one loop of greedy and cyclic descent, ``run.total_steps(d_in)`` steps.
+def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
+                run: RunSettings) -> tuple[np.ndarray, DescentTrace]:
+    """Coordinate descent by single moves, ``run.total_steps(d_in)`` steps: cyclic
+    when ``run.method`` is "cyclic", greedy for every other method.
 
     Step s takes coordinate ``s % d_in`` (cyclic) or the first coordinate
     whose best score reaches the minimum (greedy), which is the lexicographic
@@ -246,6 +242,7 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
     recording it. ``loss_after`` accumulates the predicted deltas;
     ``final_loss`` is recomputed from scratch.
     """
+    cyclic = run.method == "cyclic"
     codes, gradient, trace = _start(prob, q0)
     hmat = prob.hessian
     d = hmat.shape[0]
@@ -270,18 +267,6 @@ def _single_moves(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
             if not cyclic:
                 break
     return _finish(prob, codes, gradient, trace)
-
-
-def cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                run: RunSettings) -> tuple[np.ndarray, DescentTrace]:
-    """Greedy coordinate descent: each step applies the best single-coordinate change."""
-    return _single_moves(prob, q0, run, cyclic=False)
-
-
-def cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
-                       run: RunSettings) -> tuple[np.ndarray, DescentTrace]:
-    """Cyclic coordinate descent baseline: coordinates visited in order 0..d_in-1."""
-    return _single_moves(prob, q0, run, cyclic=True)
 
 
 def _value_combinations(levels: int, k: int) -> np.ndarray:
@@ -424,8 +409,9 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
     their first coordinate) and scans all blocks x 2^(k*c) joint updates.
     A non-improving step is recorded as a no-op and iteration continues,
     since the next partition may still improve. With k = 1 the partition is
-    always the same, so the run is greedy descent (``cd_quantize``) step for
-    step and stops at its first no-op.
+    always the same, and the call returns ``cd_quantize(prob, q0, run)``: greedy
+    descent, which stops at its first no-op, for every method but cyclic. The
+    product reaches it only with method bcd.
 
     Partitions are drawn ``DRAW_ROWS`` at a time (fewer for the last draw)
     by one ``Generator.permuted`` call over rows of 0..d_in-1: the rows of as
@@ -565,18 +551,16 @@ def channel_seed(seed: int, channel: int) -> int:
 def descend(prob: ChannelProblem, codes: np.ndarray, run: RunSettings,
             coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, int]:
     """The code engines of ``run.method`` on ``prob``, shared by the per-channel and
-    grouped pipelines: cd, cyclic, or cd then bcd warm-started from the greedy
-    result. Returns (codes, steps_taken). bcd with blocks of one coordinate is
-    greedy cd, already at its fixed point after the cd stage, so it is not run.
-    ``coupling`` is passed on to ``bcd_quantize``.
+    grouped pipelines: ``cd_quantize`` for cd, cyclic and bcd (greedy but for
+    cyclic), then for bcd with blocks of two or more ``bcd_quantize``,
+    warm-started from the greedy result and handed ``coupling``. Returns
+    (codes, steps_taken). bcd with blocks of one coordinate is greedy cd,
+    already at its fixed point after the cd stage, so it is not run.
 
     The engines are looked up as module globals at each call, so a wrapper
     rebound over them (a tracer, a profiler) sees every call.
     """
-    if run.method == "cyclic":
-        codes, trace = cyclic_cd_quantize(prob, codes, run)
-        return codes, len(trace.steps)
-    if run.method not in ("cd", "bcd"):
+    if run.method not in ("cd", "cyclic", "bcd"):
         raise ValueError(f"unknown method {run.method!r}")
     codes, trace = cd_quantize(prob, codes, run)
     steps = len(trace.steps)
@@ -612,11 +596,12 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
     routes through the sub-channel pipeline; ``owc_cd`` additionally runs
     the clip-strength coordinate descent before the code engines.
     Per-channel bcd with blocks of two builds the pair screen's coupling
-    table of H once for all channels. A run that descends (cd, cyclic, bcd or
+    table of H once for all channels. Every run refuses an H that is not a
+    finite d_in x d_in matrix. A run that descends (cd, cyclic, bcd or
     ``owc_cd``) steps on 2 H (q - z), the loss's gradient only for H == H.T, so
     it refuses any other H; ``build_hessian`` and the eigen-clip return one.
-    rtn and owc alone only score e' H e, and take any H. Only bcd with blocks
-    of two or more draws: its channels run on seeds
+    rtn and owc alone only score e' H e, and take an asymmetric H. Only bcd
+    with blocks of two or more draws: its channels run on seeds
     ``channel_seed(run.seed, j)``, and every other run passes ``run`` through
     unchanged, deriving no seed and loading no ``numpy.random``. Each record's
     wall time covers its channel's quantization only.
@@ -628,9 +613,11 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
         raise ShapeMismatchError("weights must be a (d_in, d_out) matrix")
     d_in, d_out = weights.shape
     run = run.check(d_in)
-    if d_in != hessian.shape[0]:
-        raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian is "
-                                 f"{hessian.shape[0]}x{hessian.shape[0]}")
+    if hessian.shape != (d_in, d_in):
+        raise ShapeMismatchError(f"weights have d_in={d_in} but the Hessian has shape "
+                                 f"{hessian.shape}")
+    if not np.isfinite(hessian).all():
+        raise ValueError("the Hessian holds non-finite values")
     if (run.owc_cd or run.method not in ("rtn", "owc")) and not np.array_equal(hessian, hessian.T):
         raise ValueError("the Hessian is not exactly symmetric (H != H.T), which descent needs")
     if d_out == 0:
@@ -656,8 +643,8 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
             fit = _quantize_channel(w, hessian, crun, coupling)
         else:
             fit = groupquant.quantize_channel_grouped(w, hessian, crun)
-        layer.scales[j], layer.biases[j], layer.gammas[j], layer.codes[j], n_steps = fit
-        steps.append(n_steps)
+        layer.scales[j], layer.biases[j], layer.gammas[j], layer.codes[j], taken = fit
+        steps.append(taken)
         walls.append((time.perf_counter() - start) * 1e3 if collect_timing else 0.0)
     layer.validate()
     return layer, layer_records(layer, run, w64, hessian, steps, walls)

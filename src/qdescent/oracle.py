@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descent import DescentTrace, _loss
-from .quantcore import ChannelProblem, EnumerationGuardError, channel_objective
+from .quantcore import ChannelProblem, EnumerationGuardError
 
 #: Enumeration guard: at most 2^24 (about 16.7M) candidate code vectors.
 MAX_SEARCH_BITS = 24
+#: ``verify_trace``'s tolerance, relative to the losses and deltas it compares.
+REL_TOL = 1e-9
 
 _CHUNK = 1 << 16
 
@@ -37,7 +39,6 @@ _CHUNK = 1 << 16
 class OracleResult:
     codes: np.ndarray
     scaled_objective: float
-    true_objective: float
     enumeration_count: int
 
 
@@ -68,16 +69,12 @@ def brute_force(prob: ChannelProblem) -> OracleResult:
             best_index = int(idx[j])
 
     best_codes = ((best_index // place) % levels).astype(np.uint8)
-    true_objective, _, _ = channel_objective(prob.weights, np.array([prob.scale]),
-                                             np.array([prob.bias]), best_codes, hmat)
-    return OracleResult(codes=best_codes, scaled_objective=best_loss,
-                        true_objective=true_objective, enumeration_count=total)
+    return OracleResult(codes=best_codes, scaled_objective=best_loss, enumeration_count=total)
 
 
 @dataclass
 class VerifyReport:
     ok: bool = True
-    n_steps: int = 0
     violations: list[str] = field(default_factory=list)
 
     def flag(self, message: str) -> None:
@@ -85,8 +82,7 @@ class VerifyReport:
         self.violations.append(message)
 
 
-def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
-                 rel_tol: float = 1e-9) -> VerifyReport:
+def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace) -> VerifyReport:
     """Replay a trace, recomputing the loss from scratch after every accepted step."""
     hmat = prob.hessian
     z = prob.target
@@ -95,9 +91,9 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
     if codes.shape[0] != hmat.shape[0]:
         raise ValueError("trace/problem mismatch: initial codes have the wrong length")
 
-    report = VerifyReport(n_steps=len(trace.steps))
+    report = VerifyReport()
     loss = _loss(hmat, codes, z)
-    if abs(loss - trace.initial_loss) > rel_tol * max(abs(loss), 1e-30):
+    if abs(loss - trace.initial_loss) > REL_TOL * max(abs(loss), 1e-30):
         report.flag(f"initial loss {trace.initial_loss} != recomputed {loss}")
 
     for s in trace.steps:
@@ -112,15 +108,15 @@ def verify_trace(prob: ChannelProblem, q0: np.ndarray, trace: DescentTrace,
             new_loss = _loss(hmat, codes, z)
         actual = new_loss - loss
         scale = max(abs(s.predicted_delta), abs(loss), 1.0e-30)
-        if abs(actual - s.predicted_delta) > rel_tol * scale:
+        if abs(actual - s.predicted_delta) > REL_TOL * scale:
             report.flag(f"step {s.index}: predicted delta {s.predicted_delta}, actual {actual}")
-        if actual > rel_tol * max(abs(loss), 1e-30):
+        if actual > REL_TOL * max(abs(loss), 1e-30):
             report.flag(f"step {s.index}: loss increased by {actual}")
-        if abs(new_loss - s.loss_after) > rel_tol * max(abs(new_loss), 1e-30):
+        if abs(new_loss - s.loss_after) > REL_TOL * max(abs(new_loss), 1e-30):
             report.flag(f"step {s.index}: recorded loss {s.loss_after} != recomputed {new_loss}")
         loss = new_loss
 
-    if abs(loss - trace.final_loss) > rel_tol * max(abs(loss), 1e-30):
+    if abs(loss - trace.final_loss) > REL_TOL * max(abs(loss), 1e-30):
         report.flag(f"final loss {trace.final_loss} != recomputed {loss}")
     return report
 

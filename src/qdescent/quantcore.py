@@ -98,12 +98,13 @@ class RunSettings:
     Each given setting's range is checked when the value is built; ``check`` adds
     the rest.
 
-    The engines read ``total_steps``, ``blocks`` and ``seed``. Greedy descent
-    stops before its budget, at its first no-op step. The block engine enumerates
-    2^(blocks*bits) combinations per block, guarded by ``blocks * bits <=
-    MAX_BLOCK_BITS``; blocks of one are greedy descent. ``seed`` keys the block
-    partitions, the only draws of any engine: with blocks of one, and for every
-    other engine, it is not read.
+    The engines read ``total_steps``, ``blocks`` and ``seed``, and ``cd_quantize``
+    its visiting order from ``method``: cyclic for "cyclic", greedy otherwise.
+    Greedy descent stops before its budget, at its first no-op step. The block
+    engine enumerates 2^(blocks*bits) combinations per block, guarded by
+    ``blocks * bits <= MAX_BLOCK_BITS``; blocks of one are greedy descent.
+    ``seed`` keys the block partitions, the only draws of any engine: with
+    blocks of one, and for every other engine, it is not read.
     """
 
     method: Optional[str] = None
@@ -261,7 +262,6 @@ class AffineTable:
     1 at every k.
     """
 
-    bits: int
     gammas: np.ndarray    # (n, v) clip strengths
     scales: np.ndarray    # (n, v) float32 values held as float64
     biases: np.ndarray    # (n,) float32 values held as float64
@@ -300,8 +300,7 @@ def _affine_table(wg: np.ndarray, bits: int, gamma_grid: np.ndarray) -> AffineTa
     codes = np.clip(q, 0, levels - 1).astype(np.uint8)
     codes[~live] = 0
     resid = wg[:, None, :] - (scales[:, :, None] * codes.astype(np.float64) + biases[:, None, None])
-    return AffineTable(bits=bits, gammas=gammas, scales=scales, biases=biases, codes=codes,
-                       resid=resid, live=live)
+    return AffineTable(gammas, scales, biases, codes, resid, live)
 
 
 #: Multiplier of the clip screen's rounding bound; ``_best_clips`` proves it sound above 5.04.

@@ -16,7 +16,7 @@ from conftest import as_params, expand_params, minmax_quantize, objective, rando
 from qdescent import calibration, descent, groupquant, oracle, tensorio
 from qdescent.calibration import SynthSpec, build_hessian, clip_hessian_eigenvalues
 from qdescent.cli import EXIT_OK, main
-from qdescent.descent import bcd_quantize, cd_quantize, cyclic_cd_quantize
+from qdescent.descent import bcd_quantize, cd_quantize
 from qdescent.quantcore import RunSettings, owc_quantize, zero_baseline
 
 
@@ -33,7 +33,7 @@ def test_criterion_01_canonical_instance():
     def solve():
         opt = oracle.brute_force(prob)
         cd_codes, cd_trace = cd_quantize(prob, q0, RunSettings())
-        cyc_codes, cyc_trace = cyclic_cd_quantize(prob, q0, RunSettings(epochs=1))
+        cyc_codes, cyc_trace = cd_quantize(prob, q0, RunSettings("cyclic", epochs=1))
         return opt, cd_codes, cd_trace, cyc_codes, cyc_trace
 
     solve()  # warm-up
@@ -97,12 +97,13 @@ def test_criterion_03_delta_exactness_and_monotone():
         prob, q0 = random_problem(64, bits, seed=seed)
         runs = ((cd_quantize, RunSettings()),
                 (bcd_quantize, RunSettings(block_size=2, seed=seed)),
-                (cyclic_cd_quantize, RunSettings()))
+                (cd_quantize, RunSettings("cyclic")))
         for engine, cfg in runs:
             _, trace = engine(prob, q0, cfg)
-            report = oracle.verify_trace(prob, q0, trace, rel_tol=1e-9)
+            report = oracle.verify_trace(prob, q0, trace)
             if not report.ok:
-                ok, detail = False, f"seed {seed} {engine.__name__}: {report.violations[:2]}"
+                ok = False
+                detail = f"seed {seed} {engine.__name__} {cfg.method}: {report.violations[:2]}"
                 break
         if not ok:
             break

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from qdescent import descent
-from qdescent.descent import (DescentTrace, TraceStep, _check_engine_inputs, _pair_coupling,
-                              _pair_screen, _value_combinations, bcd_quantize, cd_quantize)
+from qdescent.descent import (DescentTrace, TraceStep, _pair_coupling, _pair_screen,
+                              _value_combinations, bcd_quantize, cd_quantize)
 from qdescent.oracle import brute_force, verify_trace
 from qdescent.quantcore import (MAX_BLOCK_BITS, ChannelProblem, EnumerationGuardError,
                                 RunSettings, owc_quantize)
@@ -28,7 +28,7 @@ from conftest import (GradientState, grouped_problem, integer_problem, random_pr
 def reference_bcd_quantize(prob: ChannelProblem, q0: np.ndarray,
                  cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """``bcd_quantize`` as it was before the pair screen: every step scans every block."""
-    hmat, z = _check_engine_inputs(prob, q0)
+    hmat, z = prob.hessian, prob.target
     d = hmat.shape[0]
     k = cfg.block_size
     bits = prob.bits

@@ -1,19 +1,22 @@
 """Differential tests of the closed-form greedy and cyclic scans.
 
-``reference_cd_quantize`` and ``reference_cyclic_cd_quantize`` are verbatim
-copies of the engines before the closed-form window scan: every step scores
-all levels values of every coordinate, and every accepted step recomputes
-the loss from scratch. The window scan claims to return the full scan's
-result bit for bit, so codes, every step's coords, values, predicted delta
-and accepted flag, the final loss and the final gradient must be identical;
-the accumulated ``loss_after`` must agree to 1e-12 relative.
+``reference_cd_quantize`` and ``reference_cyclic_cd_quantize`` are the greedy
+and cyclic engines as they were before the closed-form window scan (reading H
+and z off the problem); ``cd_quantize`` runs either order by its method. In
+the references every step scores all levels values of every coordinate, and
+every accepted step recomputes the loss from scratch. The window scan claims
+to return the full scan's result bit for bit, so codes, every step's coords,
+values, predicted delta and accepted flag, the final loss and the final
+gradient must be identical; the accumulated ``loss_after`` must agree to 1e-12
+relative.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qdescent.descent import (DescentTrace, TraceStep,
-                              _best_moves, _check_engine_inputs, cd_quantize, cyclic_cd_quantize)
+from qdescent.descent import DescentTrace, TraceStep, _best_moves, cd_quantize
 from qdescent.oracle import verify_trace
 from qdescent.quantcore import ChannelProblem, RunSettings
 
@@ -23,7 +26,7 @@ from conftest import GradientState, grouped_problem, integer_problem, random_pro
 def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
                           cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
     """``cd_quantize`` as it was before the closed-form scan."""
-    hmat, z = _check_engine_inputs(prob, q0)
+    hmat, z = prob.hessian, prob.target
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
     r_grid = np.arange(prob.levels, dtype=np.float64)
@@ -53,8 +56,8 @@ def reference_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
 
 def reference_cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
                                  cfg: RunSettings) -> tuple[np.ndarray, DescentTrace]:
-    """``cyclic_cd_quantize`` as it was before the closed-form scan."""
-    hmat, z = _check_engine_inputs(prob, q0)
+    """Cyclic ``cd_quantize`` as it was before the closed-form scan."""
+    hmat, z = prob.hessian, prob.target
     d = hmat.shape[0]
     state = GradientState.init(hmat, q0, z)
     hdiag = np.diag(hmat).copy()
@@ -84,12 +87,12 @@ def reference_cyclic_cd_quantize(prob: ChannelProblem, q0: np.ndarray,
     return state.codes.astype(np.uint8), trace
 
 
-ENGINES = ((cd_quantize, reference_cd_quantize),
-           (cyclic_cd_quantize, reference_cyclic_cd_quantize))
+#: ``cd_quantize``'s method, greedy or cyclic, and the reference of that order.
+ENGINES = (("cd", reference_cd_quantize), ("cyclic", reference_cyclic_cd_quantize))
 
 
-def assert_same_run(engine, reference, prob, q0, cfg):
-    codes, trace = engine(prob, q0, cfg)
+def assert_same_run(method, reference, prob, q0, cfg):
+    codes, trace = cd_quantize(prob, q0, replace(cfg, method=method))
     ref_codes, ref_trace = reference(prob, q0, cfg)
     np.testing.assert_array_equal(codes, ref_codes)
     assert [(s.index, s.coords, s.values, s.predicted_delta, s.accepted) for s in trace.steps] \
@@ -105,7 +108,7 @@ def assert_same_run(engine, reference, prob, q0, cfg):
 
 
 def assert_both_engines(prob, q0, cfg):
-    return [assert_same_run(engine, reference, prob, q0, cfg) for engine, reference in ENGINES]
+    return [assert_same_run(method, reference, prob, q0, cfg) for method, reference in ENGINES]
 
 
 @pytest.mark.parametrize("bits", range(1, 9))

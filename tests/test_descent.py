@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import GradientState, as_params, minmax_quantize, objective, random_problem
+from test_cd_scan import assert_same_run, reference_cd_quantize, reference_cyclic_cd_quantize
 from qdescent import descent
-from qdescent.calibration import build_hessian
-from qdescent.descent import (bcd_quantize, cd_quantize, cyclic_cd_quantize, descend, dump_trace,
-                              quantize_matrix)
+from qdescent.calibration import ShapeMismatchError, build_hessian
+from qdescent.descent import bcd_quantize, cd_quantize, descend, dump_trace, quantize_matrix
 from qdescent.oracle import canonical_problem, verify_trace
 from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, EnumerationGuardError,
                                 RunSettings, owc_quantize)
@@ -126,7 +126,7 @@ def test_bcd_guards():
 
 def test_cyclic_canonical_one_pass():
     prob, q0 = canonical_problem()
-    codes, trace = cyclic_cd_quantize(prob, q0, RunSettings())
+    codes, trace = cd_quantize(prob, q0, RunSettings("cyclic"))
     np.testing.assert_array_equal(codes, [1, 0])
     assert trace.final_loss == pytest.approx(0.72, abs=1e-12)
     assert trace.steps[0].coords == (0,) and trace.steps[0].values == (1,)
@@ -141,7 +141,7 @@ def test_cyclic_diagonal_single_pass_is_optimal():
     params, _ = minmax_quantize(w, 2)
     prob = ChannelProblem(w, h, params.scale, params.bias, params.bits)
     q0 = np.zeros(6, dtype=np.uint8)
-    codes, _ = cyclic_cd_quantize(prob, q0, RunSettings())
+    codes, _ = cd_quantize(prob, q0, RunSettings("cyclic"))
     # separable loss: each coordinate lands on its independent best value
     expected = np.clip(np.sign(prob.target) * np.floor(np.abs(prob.target) + 0.5), 0, 3)
     np.testing.assert_array_equal(codes, expected.astype(np.uint8))
@@ -149,8 +149,8 @@ def test_cyclic_diagonal_single_pass_is_optimal():
 
 def test_cyclic_fixed_point_under_many_epochs():
     prob, q0 = random_problem(10, 2, seed=9)
-    codes1, trace1 = cyclic_cd_quantize(prob, q0, RunSettings(epochs=1))
-    codes20, trace20 = cyclic_cd_quantize(prob, q0, RunSettings(epochs=20))
+    codes1, trace1 = cd_quantize(prob, q0, RunSettings("cyclic", epochs=1))
+    codes20, trace20 = cd_quantize(prob, q0, RunSettings("cyclic", epochs=20))
     d = 10
     # after the last epoch that changed anything, every later visit is a no-op
     last_change = max((s.index for s in trace20.steps if s.accepted), default=-1)
@@ -162,13 +162,13 @@ def test_cyclic_fixed_point_under_many_epochs():
 def test_cyclic_steps_is_the_per_epoch_budget():
     prob, _ = random_problem(10, 3, seed=4)
     q0 = np.zeros(10, dtype=np.uint8)
-    codes2, trace2 = cyclic_cd_quantize(prob, q0, RunSettings(epochs=2))
-    codes, trace = cyclic_cd_quantize(prob, q0, RunSettings(steps=20, epochs=1))
+    codes2, trace2 = cd_quantize(prob, q0, RunSettings("cyclic", epochs=2))
+    codes, trace = cd_quantize(prob, q0, RunSettings("cyclic", steps=20, epochs=1))
     np.testing.assert_array_equal(codes, codes2)
     assert trace.steps == trace2.steps and len(trace.steps) == 20
     assert trace.final_loss == trace2.final_loss
     np.testing.assert_array_equal(trace.final_gradient, trace2.final_gradient)
-    _, short = cyclic_cd_quantize(prob, q0, RunSettings(steps=13))
+    _, short = cd_quantize(prob, q0, RunSettings("cyclic", steps=13))
     assert short.steps == trace2.steps[:13]
     assert short.steps[12].coords == (2,)  # step 12 visits coordinate 12 % 10
 
@@ -178,7 +178,7 @@ def test_traces_verify_on_random_instances():
         prob, q0 = random_problem(16, 3, seed=seed)
         for engine, cfg in ((cd_quantize, RunSettings()),
                             (bcd_quantize, RunSettings(block_size=2, seed=seed)),
-                            (cyclic_cd_quantize, RunSettings(epochs=2))):
+                            (cd_quantize, RunSettings("cyclic", epochs=2))):
             codes, trace = engine(prob, q0, cfg)
             report = verify_trace(prob, q0, trace)
             assert report.ok, report.violations
@@ -312,6 +312,34 @@ def test_quantize_matrix_refuses_an_asymmetric_hessian(name):
             quantize_matrix(w, hmat, scored)
 
 
+def _nan_on_the_diagonal(h):
+    h = h.copy()
+    h[3, 3] = np.nan
+    return h
+
+
+def _inf_pair(h):
+    h = h.copy()
+    h[2, 7] = h[7, 2] = np.inf
+    return h
+
+
+@pytest.mark.parametrize("method", ["rtn", "owc", "cd"])
+@pytest.mark.parametrize("bad, error, message", [
+    (_nan_on_the_diagonal, ValueError, "^the Hessian holds non-finite values$"),
+    (_inf_pair, ValueError, "^the Hessian holds non-finite values$"),
+    (lambda h: np.hstack([h, h[:, :1]]), ShapeMismatchError,
+     r"^weights have d_in=16 but the Hessian has shape \(16, 17\)$")],
+    ids=["nan-diagonal", "inf-pair", "16x17"])
+def test_quantize_matrix_refuses_a_hessian_that_is_not_a_finite_square(method, bad, error,
+                                                                       message):
+    # Every method refuses these before any work: unchecked, rtn returned NaN
+    # objectives or ran on, and owc and cd failed inside numpy or the engines.
+    w, h = _layer_inputs(d_in=16, d_out=3, seed=5)
+    with pytest.raises(error, match=message):
+        quantize_matrix(w, bad(h), RunSettings(method, 3))
+
+
 def test_quantize_matrix_owc_cd_needs_groups():
     w, h = _layer_inputs(d_in=8, d_out=3)
     with pytest.raises(ValueError, match="group_size"):
@@ -330,11 +358,18 @@ def test_quantize_matrix_owc_objectives_match_engine_inits():
 
 
 def test_descend_chains_the_engines():
+    # cd_quantize is greedy for every method but cyclic, and cyclic for it: bit
+    # for bit the reference engine of each order. descend runs it for cd, cyclic
+    # and bcd, and bcd's block stage after it.
     prob, q0 = random_problem(16, 2, seed=21)
     cfg = RunSettings(block_size=2, seed=5)
+    traces = {method: assert_same_run(method, reference_cyclic_cd_quantize if method == "cyclic"
+                                      else reference_cd_quantize, prob, q0, cfg)
+              for method in (None, "cd", "bcd", "cyclic")}
+    assert traces["cyclic"].steps != traces[None].steps
     cd_codes, cd_trace = cd_quantize(prob, q0, cfg)
     bcd_codes, bcd_trace = bcd_quantize(prob, cd_codes, cfg)
-    cyc_codes, cyc_trace = cyclic_cd_quantize(prob, q0, cfg)
+    cyc_codes, cyc_trace = cd_quantize(prob, q0, replace(cfg, method="cyclic"))
     for method, codes, steps in (("cd", cd_codes, len(cd_trace.steps)),
                                  ("bcd", bcd_codes, len(cd_trace.steps) + len(bcd_trace.steps)),
                                  ("cyclic", cyc_codes, len(cyc_trace.steps))):

@@ -340,7 +340,7 @@ def test_rtn_does_not_read_the_hessian(group_size, owc_cd_refine):
     w[:, 2] = 0.5   # a constant column
     h = build_hessian(rng.standard_normal((64, 16)).astype(np.float32), 0.01)
     layers = [quantize_matrix(w, hmat, RunSettings("rtn", 3, group_size, owc_cd=owc_cd_refine))[0]
-              for hmat in (h, np.zeros_like(h), 1e300 * np.eye(16), np.full_like(h, np.nan))]
+              for hmat in (h, np.zeros_like(h), 1e300 * np.eye(16), np.triu(h))]
     for layer in layers[1:]:
         for name in ("codes", "scales", "biases", "gammas"):
             assert getattr(layer, name).tobytes() == getattr(layers[0], name).tobytes(), name

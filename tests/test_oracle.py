@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import QuantParams, objective, random_problem
+from conftest import random_problem
 from qdescent.descent import TraceStep, bcd_quantize, cd_quantize
 from qdescent.oracle import brute_force, canonical_problem, verify_trace
 from qdescent.quantcore import ChannelProblem, EnumerationGuardError, RunSettings
@@ -83,13 +83,6 @@ def test_brute_force_chunking_consistent():
     assert result.enumeration_count == 4 ** 9
 
 
-def test_true_objective_matches_quantcore():
-    prob, _ = random_problem(4, 2, seed=9)
-    result = brute_force(prob)
-    params = QuantParams(scale=prob.scale, bias=prob.bias, bits=prob.bits)
-    assert result.true_objective == objective(prob.weights, result.codes, params, prob.hessian)
-
-
 def test_oracle_not_above_engines():
     for seed in range(20):
         prob, q0 = random_problem(6, 2, seed=seed)
@@ -109,7 +102,6 @@ def test_verify_valid_trace():
     _, trace = cd_quantize(prob, q0, RunSettings())
     report = verify_trace(prob, q0, trace)
     assert report.ok and report.violations == []
-    assert report.n_steps == len(trace.steps)
 
 
 def test_verify_flags_tampered_delta():

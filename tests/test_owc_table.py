@@ -293,7 +293,7 @@ def test_owc_group_init_matches_scalar_init(bits, d, g):
 
 def _assert_same_result(table, result, ref: OwcCdResult):
     fit = table.pick(result.picks)
-    params, codes = as_params(fit, table.bits), fit[3]
+    params, codes = as_params(fit, ref.params[0].bits), fit[3]
     assert [s[:3] for s in result.swaps] == [s[:3] for s in ref.swaps]
     for s, ref_s in zip(result.swaps, ref.swaps):
         assert abs(s[3] - ref_s[3]) <= 1e-12 * ref.initial_loss
