@@ -33,7 +33,8 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of the synthetic activation generator."""
+    """Parameters of the synthetic activation generator, range-checked when built;
+    the ``gen-calib`` flags and a bench suite's instance keys are its fields."""
 
     d_in: int
     n: int
@@ -43,16 +44,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_in < 1:
-            raise ValueError("d_in must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= self.outlier_directions <= self.d_in:
-            raise ValueError("outlier_directions must be in 0..d_in")
-        if not 1.0 <= self.outlier_gain <= sys.float_info.max:
-            raise ValueError(f"outlier_gain must be finite and >= 1, got {self.outlier_gain!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        tensorio.check_rules(vars(self), SYNTH_RULES)
+        if self.outlier_directions > self.d_in:
+            raise ValueError(f"outlier_directions must be at most d_in={self.d_in}, "
+                             f"got {self.outlier_directions}")
         self.eigenvalues()
 
     def eigenvalues(self) -> np.ndarray:
@@ -66,6 +61,12 @@ class SynthSpec:
         return eigvals
 
 
+#: The range of each bounded ``SynthSpec`` field, as a ``tensorio.check_rules`` rule.
+SYNTH_RULES = {"d_in": (lambda v: v >= 1, ">= 1"),
+               "n": (lambda v: v >= 1, ">= 1"),
+               "outlier_directions": (lambda v: v >= 0, ">= 0"),
+               "outlier_gain": (lambda v: 1.0 <= v <= sys.float_info.max, "finite and >= 1"),
+               "seed": (lambda v: v >= 0, ">= 0")}
 #: Elements of scratch one chunked step holds: a generated block of rows or a chunk of X.
 CHUNK_ELEMENTS = 1 << 16
 #: The largest X'X diagonal entry ``build_hessian`` accepts without scanning X and

@@ -16,8 +16,9 @@ value, which types, defaults and checks each of them: ``quantize`` builds it
 from its flags, whose defaults are the value's; a flat JSON config file's
 values replace those defaults, so flags win over it; a ``bench`` suite's
 settings default to the value's too; and ``eval`` reads it back from the
-layer's ``meta.json`` run block. All three files go through
-``tensorio.read_json``. Channels are quantized one after another;
+layer's ``meta.json`` run block. The second such value, ``calibration.SynthSpec``,
+does the same for the ``gen-calib`` flags and a suite's instances. All three
+files go through ``tensorio.read_json``. Channels are quantized one after another;
 ``--threads`` and the ``threads`` config key are accepted for old command
 lines and configs, and have no effect.
 ``quantize`` writes a layer directory whose codes are always bit-packed
@@ -40,13 +41,14 @@ import ctypes
 import json
 import statistics
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, descent, oracle, quantcore, tensorio
-from .calibration import ShapeMismatchError, SynthSpec
+from .calibration import SYNTH_RULES, ShapeMismatchError, SynthSpec
 from .quantcore import SETTING_TYPES, EnumerationGuardError, RunSettings
 from .tensorio import BenchRecord, TensorIOError
 
@@ -112,10 +114,7 @@ def _print_summary(records: list[BenchRecord], weights: np.ndarray, hessian: np.
 
 
 def cmd_gen_calib(args) -> int:
-    spec = SynthSpec(d_in=args.d_in, n=args.n, spectrum_exponent=args.spectrum_exponent,
-                     outlier_directions=args.outlier_directions, outlier_gain=args.outlier_gain,
-                     seed=args.seed)
-    x = calibration.gen_calibration(spec)
+    x = calibration.gen_calibration(SynthSpec(**{k: getattr(args, k) for k in _SYNTH_TYPES}))
     tensorio.write_container(args.out, x)
     print(f"wrote {args.out}: {x.shape[0]} x {x.shape[1]} f32 calibration matrix")
     return EXIT_OK
@@ -201,10 +200,11 @@ _SUITE_TYPES = {"instances": [dict], "methods": [str], "bits": [int],
                 **{key: SETTING_TYPES[key] for key in _SUITE_SETTINGS}}
 #: Only a suite can empty a list: the built-in matrix's are non-empty.
 _SUITE_RULES = {key: (bool, "a non-empty list") for key in ("instances", "methods", "bits")}
-#: Bench-suite instance keys and the JSON type of each value.
-_INSTANCE_TYPES = {"d_in": int, "d_out": int, "n": int, "seed": int, "spectrum_exponent": float,
-                   "outlier_directions": int, "outlier_gain": float}
-_INSTANCE_RULES = {key: (lambda v: v >= 1, "at least 1") for key in ("d_in", "d_out", "n")}
+#: ``SynthSpec``'s field types, the gen-calib flags'. With d_out they are a bench-suite
+#: instance's keys, each of its JSON type and in its range.
+_SYNTH_TYPES = typing.get_type_hints(SynthSpec)
+_INSTANCE_TYPES = {**_SYNTH_TYPES, "d_out": int}
+_INSTANCE_RULES = {**SYNTH_RULES, "d_out": SYNTH_RULES["d_in"]}
 
 
 def _read_suite(path: str) -> dict:
@@ -296,13 +296,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not args.canonical and not (args.weights and args.calib and args.bits is not None):
+        raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
+    # The canonical instance has 1-bit codes; its run checks the settings given all the same.
+    run = RunSettings("cd", 1 if args.bits is None else args.bits, grid_size=args.grid_size,
+                      lambda_rel=args.lambda_rel).check()
     if args.canonical:
         prob, q0 = oracle.canonical_problem()
     else:
-        if not (args.weights and args.calib) or args.bits is None:
-            raise ValueError("oracle needs --canonical, or --weights/--calib/--bits")
-        run = RunSettings("cd", args.bits, grid_size=args.grid_size,
-                          lambda_rel=args.lambda_rel).check()
         if args.channel < 0:
             raise ValueError(f"--channel must be >= 0, got {args.channel}")
         weights, hessian = _read_inputs(args.weights, args.calib, run.lambda_rel,
@@ -310,13 +311,13 @@ def cmd_oracle(args) -> int:
         if args.channel >= weights.shape[1]:
             raise ValueError(f"--channel {args.channel} is outside [0, {weights.shape[1]})")
         w = weights[:, args.channel].astype(np.float64)
-        scales, biases, _, q0 = quantcore.owc_quantize(w, hessian, args.bits, args.grid_size)
+        scales, biases, _, q0 = quantcore.owc_quantize(w, hessian, run.bits, run.grid_size)
         if scales[0] == 0.0:
             raise ValueError(f"channel {args.channel} is constant; nothing to search")
-        prob = quantcore.ChannelProblem(w, hessian, scales[0], biases[0], args.bits)
+        prob = quantcore.ChannelProblem(w, hessian, scales[0], biases[0], run.bits)
 
     result = oracle.brute_force(prob)
-    codes, trace = descent.cd_quantize(prob, q0, RunSettings())
+    codes, trace = descent.cd_quantize(prob, q0, run)
     payload = {
         "enumeration_count": result.enumeration_count,
         "oracle_objective": result.scaled_objective,
@@ -336,12 +337,15 @@ def cmd_oracle(args) -> int:
 # parser
 
 
-def _add_settings(parser: argparse.ArgumentParser, names: list[str]) -> None:
-    """A flag of its JSON type for each named setting, defaulting to ``RunSettings``'."""
-    for name in names:
-        parser.add_argument("--" + name.replace("_", "-"), type=SETTING_TYPES[name], dest=name,
-                            default=getattr(RunSettings, name),
-                            choices=quantcore.METHODS if name == "method" else None)
+def _add_settings(parser: argparse.ArgumentParser, value: type, types: dict) -> None:
+    """A flag for each field of the dataclass ``value`` named in ``types``: of its type
+    there and the field's default, required if it has none, and present-or-absent if bool."""
+    for field in (f for f in fields(value) if f.name in types):
+        name, kind, required = field.name, types[field.name], field.default is MISSING
+        shape = ({"action": "store_true"} if kind is bool else
+                 {"type": kind, "choices": quantcore.METHODS if name == "method" else None})
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, required=required,
+                            default=None if required else field.default, **shape)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -352,12 +356,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-calib", help="synthesize calibration activations")
-    p.add_argument("--d-in", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spectrum-exponent", type=float, default=0.0)
-    p.add_argument("--outlier-directions", type=int, default=0)
-    p.add_argument("--outlier-gain", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, SynthSpec, _SYNTH_TYPES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_calib)
 
@@ -366,10 +365,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     q.add_argument("--calib", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--config", default=None, help="flat JSON config of defaults; flags override it")
-    _add_settings(q, [name for name, kind in SETTING_TYPES.items() if kind is not bool])
+    _add_settings(q, RunSettings, SETTING_TYPES)
     q.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-    q.add_argument("--owc-cd", action="store_true", dest="owc_cd",
-                   help="refine group clip strengths by coordinate descent before the engines")
     q.add_argument("--no-timing", action="store_true",
                    help="zero wall-clock fields so reports are byte-stable")
     q.set_defaults(func=cmd_quantize)
@@ -394,7 +391,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--weights", default=None)
     p.add_argument("--calib", default=None)
     p.add_argument("--channel", type=int, default=0)
-    _add_settings(p, ["bits", "grid_size", "lambda_rel"])
+    _add_settings(p, RunSettings, {name: SETTING_TYPES[name]
+                                   for name in ("bits", "grid_size", "lambda_rel")})
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

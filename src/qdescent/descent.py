@@ -410,8 +410,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
     A non-improving step is recorded as a no-op and iteration continues,
     since the next partition may still improve. With k = 1 the partition is
     always the same, and the call returns ``cd_quantize(prob, q0, run)``: greedy
-    descent, which stops at its first no-op, for every method but cyclic. The
-    product reaches it only with method bcd.
+    descent, which stops at its first no-op, for every method but cyclic. Only
+    library and test callers take it: ``descend`` calls this for blocks >= 2.
 
     Partitions are drawn ``DRAW_ROWS`` at a time (fewer for the last draw)
     by one ``Generator.permuted`` call over rows of 0..d_in-1: the rows of as

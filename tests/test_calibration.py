@@ -40,6 +40,22 @@ def test_spec_validation():
         SynthSpec(d_in=4, n=10, outlier_gain=0.5)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"d_in": 0}, "d_in must be >= 1, got 0"),
+    ({"n": 0}, "n must be >= 1, got 0"),
+    ({"outlier_directions": -1}, "outlier_directions must be >= 0, got -1"),
+    ({"outlier_directions": 5}, "outlier_directions must be at most d_in=4, got 5"),
+    ({"outlier_gain": 0.5}, "outlier_gain must be finite and >= 1, got 0.5"),
+    ({"outlier_gain": math.inf}, "outlier_gain must be finite and >= 1, got inf"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["d_in0", "n0", "directions-1", "directions-above-d_in", "gain-half", "gain-inf",
+        "seed-1"])
+def test_spec_names_the_field_and_value(fields, message):
+    with pytest.raises(ValueError) as exc:
+        SynthSpec(**{"d_in": 4, "n": 10, **fields})
+    assert str(exc.value) == message
+
+
 def test_gen_deterministic():
     spec = SynthSpec(d_in=6, n=100, seed=7)
     a = gen_calibration(spec)

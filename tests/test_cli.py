@@ -2,12 +2,14 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import filecmp
 import os
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -876,6 +878,19 @@ def test_bench_suite_instance_dim_below_one(tmp_path, capsys, key):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("key,value,rule", [
+    ("seed", -1, ">= 0"),
+    ("outlier_gain", 0.5, "finite and >= 1"),
+    ("outlier_directions", -1, ">= 0"),
+], ids=["seed-1", "gain-half", "directions-1"])
+def test_bench_suite_instance_out_of_range_names_file_and_key(tmp_path, capsys, key, value, rule):
+    inst = dict(_INSTANCE, **{key: value})
+    code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE, inst]})
+    assert code == EXIT_USAGE
+    assert err == (f"error: {tmp_path / 'suite.json'}: suite instance 1 key {key!r} must be "
+                   f"{rule}, got {value}\n")
+
+
 def test_bench_suite_owc_cd_without_groups(tmp_path, capsys):
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "owc_cd": True})
     assert code == EXIT_USAGE and "'owc_cd'" in err
@@ -1194,7 +1209,7 @@ _BITS_0 = "bits must be in 1..8, got 0"
      "seed must be >= 0, got -1"),
     (["gen-calib", "--d-in", "4", "--n", "8", "--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["bench"], {"instances": [dict(_INSTANCE, seed=-1)], "methods": ["cd"]},
-     "seed must be >= 0, got -1"),
+     "{suite}: suite instance 0 key 'seed' must be >= 0, got -1"),
 ], ids=["quantize-rtn-bits0", "quantize-cd-bits0", "quantize-owc-bits-1", "grouped-bcd-bits0",
         "oracle-bits0", "bench-bits0", "quantize-seed-1", "gen-calib-seed-1",
         "bench-seed-1"])
@@ -1209,7 +1224,7 @@ def test_bad_bits_or_seed_exits_usage(tmp_path, capsys, argv, suite, message):
     capsys.readouterr()
     code = main(argv + files[argv[0]])
     err = capsys.readouterr().err
-    assert code == EXIT_USAGE and err == f"error: {message}\n"
+    assert code == EXIT_USAGE and err == f"error: {message.format(suite=suite_path)}\n"
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -1242,6 +1257,23 @@ def test_oracle_bad_setting_reads_no_input(tmp_path, capsys, monkeypatch, argv):
     assert main(["oracle", "--weights", w, "--calib", x] + argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and reads == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--bits", "0"], _BITS_0),
+    (["--grid-size", "0"], "grid_size must be >= 1"),
+    (["--lambda-rel", "-1"], "lambda_rel must be finite and nonnegative, got -1.0"),
+], ids=["bits0", "grid0", "lambda-1"])
+def test_oracle_canonical_checks_its_settings(tmp_path, capsys, flags, message):
+    # The fixed instance reads none of these settings, yet a bad one is refused
+    # with the line the file instance gives.
+    w, x = write_inputs(tmp_path)
+    errs = []
+    for argv in (["--canonical"], ["--weights", w, "--calib", x, "--bits", "2"]):
+        capsys.readouterr()
+        assert main(["oracle"] + argv + flags) == EXIT_USAGE
+        errs.append(capsys.readouterr().err)
+    assert errs == [f"error: {message}\n"] * 2
 
 
 @pytest.mark.parametrize("argv", [["--grid-size", "0"], ["--group-size", "4", "--owc-cd"]],
@@ -1284,7 +1316,7 @@ def test_option_surface():
                       "--outlier-gain", "--seed", "--out"],
         "quantize": ["--weights", "--calib", "--out", "--config", "--method", "--bits",
                      "--group-size", "--block-size", "--epochs", "--steps", "--grid-size",
-                     "--lambda-rel", "--clip-fraction", "--seed", "--threads", "--owc-cd",
+                     "--lambda-rel", "--clip-fraction", "--seed", "--owc-cd", "--threads",
                      "--no-timing"],
         "eval": ["--layer", "--calib", "--weights", "--out"],
         "bench": ["--suite", "--out-dir", "--threads", "--no-timing"],
@@ -1294,6 +1326,34 @@ def test_option_surface():
     assert sorted(cli._CONFIG_TYPES) == ["bits", "block_size", "clip_fraction", "epochs",
                                          "grid_size", "group_size", "lambda_rel", "method",
                                          "owc_cd", "seed", "steps", "threads"]
+
+
+@pytest.mark.parametrize("command,value,names", [
+    ("gen-calib", calibration.SynthSpec, None),
+    ("quantize", quantcore.RunSettings, None),
+    ("oracle", quantcore.RunSettings, ["bits", "grid_size", "lambda_rel"]),
+])
+def test_settings_flags_come_from_their_value(command, value, names):
+    # Each settings flag takes its field's type (a bool's flag is present or
+    # absent) and default, and is required exactly when the field has no default.
+    parser, _ = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in sub.choices[command]._actions}
+    hints = typing.get_type_hints(value)
+    for field in dataclasses.fields(value):
+        if names is not None and field.name not in names:
+            continue
+        action = actions[field.name]
+        kind = next(t for t in typing.get_args(hints[field.name]) or [hints[field.name]]
+                    if t is not type(None))
+        required = field.default is dataclasses.MISSING
+        assert action.option_strings == ["--" + field.name.replace("_", "-")]
+        assert action.required == required
+        assert action.default == (None if required else field.default)
+        if kind is bool:
+            assert isinstance(action, argparse._StoreTrueAction)
+        else:
+            assert action.type is kind
 
 
 @pytest.mark.parametrize("argv", [
