@@ -219,32 +219,33 @@ def _read_suite(path: str) -> dict:
 def _canonical_records() -> list[BenchRecord]:
     """Fixed regression rows: the 2-d instance's oracle/greedy/cyclic objectives."""
     prob, q0 = oracle.canonical_problem()
-    opt = oracle.brute_force(prob)
-    _, cd_trace = descent.cd_quantize(prob, q0, RunSettings())
-    _, cyc_trace = descent.cd_quantize(prob, q0, RunSettings("cyclic"))
     base = quantcore.zero_baseline(prob.weights, prob.hessian)
-    rows = []
-    for name, obj, steps in (("canonical:oracle", opt.scaled_objective, 0),
-                             ("canonical:cd", cd_trace.true_loss, len(cd_trace.steps)),
-                             ("canonical:cyclic", cyc_trace.true_loss, len(cyc_trace.steps))):
-        rows.append(BenchRecord(method=name, bits=1, group_size=0, block_size=0, epochs=1,
-                                column=0, objective=obj, relative_objective=obj / base,
-                                steps=steps, wall_millis=0.0))
-    return rows
+    rows = [("oracle", oracle.brute_force(prob).scaled_objective, 0)]
+    for method in ("cd", "cyclic"):
+        trace = descent.cd_quantize(prob, q0, RunSettings(method))[1]
+        rows.append((method, trace.true_loss, len(trace.steps)))
+    return [BenchRecord(method=f"canonical:{name}", bits=1, group_size=0, block_size=0, epochs=1,
+                        column=0, objective=obj, relative_objective=obj / base, steps=steps,
+                        wall_millis=0.0) for name, obj, steps in rows]
 
 
 def cmd_bench(args) -> int:
     suite = {**default_suite(), **(_read_suite(args.suite) if args.suite else {})}
-    shared = RunSettings(**{key: suite[key] for key in _SUITE_SETTINGS if key in suite})
-    # Every setting of every run is checked before the first instance is generated.
+    # Every setting of every run is checked before the first instance is generated,
+    # and an error names the suite file, and the instance if it is the instance's.
     # Like the block size, owc_cd applies to the suite's methods that read it, so
     # not to rtn; without groups it is refused for rtn too.
-    instances = [(inst, SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"}),
-                  [replace(shared, method=m, bits=b, seed=inst["seed"],
-                           owc_cd=shared.owc_cd and (m != "rtn" or not shared.group_size))
-                   .check(inst["d_in"])
-                   for b in suite["bits"] for m in suite["methods"]])
-                 for inst in suite["instances"]]
+    with tensorio.naming(args.suite or "the built-in suite", ValueError):
+        shared = RunSettings(**{key: suite[key] for key in _SUITE_SETTINGS if key in suite})
+        settings = [replace(shared, method=m, bits=b,
+                            owc_cd=shared.owc_cd and (m != "rtn" or not shared.group_size)).check()
+                    for b in suite["bits"] for m in suite["methods"]]
+        instances = []
+        for i, inst in enumerate(suite["instances"]):
+            with tensorio.naming(f"suite instance {i}", ValueError):
+                spec = SynthSpec(**{k: v for k, v in inst.items() if k != "d_out"})
+                instances.append((inst, spec, [replace(run, seed=inst["seed"]).check(inst["d_in"])
+                                               for run in settings]))
 
     records = _canonical_records()
     aggregates = []

@@ -411,7 +411,8 @@ def bcd_quantize(prob: ChannelProblem, q0: np.ndarray, run: RunSettings,
     since the next partition may still improve. With k = 1 the partition is
     always the same, and the call returns ``cd_quantize(prob, q0, run)``: greedy
     descent, which stops at its first no-op, for every method but cyclic. Only
-    library and test callers take it: ``descend`` calls this for blocks >= 2.
+    library and test callers take it: ``RunSettings.engines`` lists this engine
+    only for blocks of two or more.
 
     Partitions are drawn ``DRAW_ROWS`` at a time (fewer for the last draw)
     by one ``Generator.permuted`` call over rows of 0..d_in-1: the rows of as
@@ -550,36 +551,31 @@ def channel_seed(seed: int, channel: int) -> int:
 
 def descend(prob: ChannelProblem, codes: np.ndarray, run: RunSettings,
             coupling: Optional[list[np.ndarray]] = None) -> tuple[np.ndarray, int]:
-    """The code engines of ``run.method`` on ``prob``, shared by the per-channel and
-    grouped pipelines: ``cd_quantize`` for cd, cyclic and bcd (greedy but for
-    cyclic), then for bcd with blocks of two or more ``bcd_quantize``,
-    warm-started from the greedy result and handed ``coupling``. Returns
-    (codes, steps_taken). bcd with blocks of one coordinate is greedy cd,
-    already at its fixed point after the cd stage, so it is not run.
+    """Each of ``run.engines`` on ``prob`` in turn, each warm-started from the last
+    one's codes, shared by the per-channel and grouped pipelines: ``cd_quantize``
+    for "cd" and "cyclic", and ``bcd_quantize``, handed ``coupling``, for "bcd".
+    Returns (codes, steps_taken); with no engine, ``codes`` and 0.
 
     The engines are looked up as module globals at each call, so a wrapper
     rebound over them (a tracer, a profiler) sees every call.
     """
-    if run.method not in ("cd", "cyclic", "bcd"):
-        raise ValueError(f"unknown method {run.method!r}")
-    codes, trace = cd_quantize(prob, codes, run)
-    steps = len(trace.steps)
-    if run.method == "bcd" and run.blocks >= 2:
-        codes, trace = bcd_quantize(prob, codes, run, coupling)
+    steps = 0
+    for engine in run.engines:
+        codes, trace = (bcd_quantize(prob, codes, run, coupling) if engine == "bcd"
+                        else cd_quantize(prob, codes, run))
         steps += len(trace.steps)
     return codes, steps
 
 
 def _quantize_channel(w: np.ndarray, hessian: np.ndarray, run: RunSettings,
                       coupling: Optional[list[np.ndarray]] = None) -> tuple:
-    """Per-channel pipeline: the clip-strength grid search (on the one-point grid
-    {1} for rtn), then :func:`descend` on the channel's own problem, with the
-    layer's bcd ``coupling`` table if given. Returns (scales, biases, gammas,
-    codes, steps_taken), one entry each in the first three.
+    """Per-channel pipeline: the clip-strength grid search, then :func:`descend` on
+    the channel's own problem, with the layer's bcd ``coupling`` table if given;
+    a constant channel runs no engine. Returns (scales, biases, gammas, codes,
+    steps_taken), one entry each in the first three.
     """
-    scales, biases, gammas, codes = owc_quantize(w, hessian, run.bits,
-                                                 1 if run.method == "rtn" else run.grid_size)
-    if run.method in ("rtn", "owc") or scales[0] == 0.0:
+    scales, biases, gammas, codes = owc_quantize(w, hessian, run.bits, run.init_grid)
+    if not run.engines or scales[0] == 0.0:
         return scales, biases, gammas, codes, 0
     prob = ChannelProblem(w, hessian, scales[0], biases[0], run.bits)
     return (scales, biases, gammas, *descend(prob, codes, run, coupling))
@@ -593,18 +589,18 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
     Channels are independent problems sharing the read-only Hessian; they
     run one after another, each filling its row of the layer, and BLAS
     threads the products inside each. Group quantization (group_size > 0)
-    routes through the sub-channel pipeline; ``owc_cd`` additionally runs
-    the clip-strength coordinate descent before the code engines.
-    Per-channel bcd with blocks of two builds the pair screen's coupling
-    table of H once for all channels. Every run refuses an H that is not a
-    finite d_in x d_in matrix. A run that descends (cd, cyclic, bcd or
-    ``owc_cd``) steps on 2 H (q - z), the loss's gradient only for H == H.T, so
-    it refuses any other H; ``build_hessian`` and the eigen-clip return one.
-    rtn and owc alone only score e' H e, and take an asymmetric H. Only bcd
-    with blocks of two or more draws: its channels run on seeds
-    ``channel_seed(run.seed, j)``, and every other run passes ``run`` through
-    unchanged, deriving no seed and loading no ``numpy.random``. Each record's
-    wall time covers its channel's quantization only.
+    routes through the sub-channel pipeline. Each channel runs the stages
+    ``RunSettings`` lists. Per-channel bcd with blocks of two builds the pair
+    screen's coupling table of H once for all channels. Every run refuses an H
+    that is not a finite d_in x d_in matrix. A run that descends (any of
+    ``run.engines``, or ``owc_cd``) steps on 2 H (q - z), the loss's gradient
+    only for H == H.T, so it refuses any other H; ``build_hessian`` and the
+    eigen-clip return one. A run that only fits scores e' H e alone, and takes
+    an asymmetric H. Only the bcd engine draws: the channels of a run that
+    lists it run on seeds ``channel_seed(run.seed, j)``, and every other run
+    passes ``run`` through unchanged, deriving no seed and loading no
+    ``numpy.random``. Each record's wall time covers its channel's
+    quantization only.
     """
     from . import groupquant  # deferred: groupquant imports this module's engines
 
@@ -618,7 +614,7 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
                                  f"{hessian.shape}")
     if not np.isfinite(hessian).all():
         raise ValueError("the Hessian holds non-finite values")
-    if (run.owc_cd or run.method not in ("rtn", "owc")) and not np.array_equal(hessian, hessian.T):
+    if (run.owc_cd or run.engines) and not np.array_equal(hessian, hessian.T):
         raise ValueError("the Hessian is not exactly symmetric (H != H.T), which descent needs")
     if d_out == 0:
         raise ShapeMismatchError("weights have d_out=0; there is no channel to quantize")
@@ -631,7 +627,7 @@ def quantize_matrix(weights: np.ndarray, hessian: np.ndarray, run: RunSettings, 
         d_in=d_in, d_out=d_out, bits=run.bits, group_size=run.group_size,
         **{name: np.empty(params_shape, np.float32) for name in ("scales", "biases", "gammas")},
         codes=np.empty((d_out, d_in), np.uint8), meta=run.run_block())
-    draws = run.method == "bcd" and run.blocks >= 2  # the only engine that reads run.seed
+    draws = "bcd" in run.engines  # the only engine that reads run.seed
     coupling = (_pair_coupling(hessian)
                 if draws and run.blocks == 2 and not run.group_size else None)
     steps, walls = [], []

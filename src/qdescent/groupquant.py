@@ -244,20 +244,19 @@ def owc_cd(table: AffineTable, hessian: np.ndarray, picks: np.ndarray,
 
 def quantize_channel_grouped(w: np.ndarray, hessian: np.ndarray, run: RunSettings) -> tuple:
     """Grouped counterpart of the per-channel pipeline: the per-group grid
-    search (on the one-point grid {1} for rtn), optionally refined by the
-    clip-strength descent, then ``descent.descend`` on the scaled problem.
-    Returns (scales, biases, gammas, codes, steps_taken), one entry per group
-    in the first three.
+    search, optionally refined by the clip-strength descent, then
+    ``descent.descend`` on the scaled problem; a channel of constant groups runs
+    no engine. Returns (scales, biases, gammas, codes, steps_taken), one entry
+    per group in the first three.
     """
-    table, picks = owc_group_init(w, hessian, run.bits, run.group_size,
-                                  1 if run.method == "rtn" else run.grid_size)
+    table, picks = owc_group_init(w, hessian, run.bits, run.group_size, run.init_grid)
     steps = 0
     if run.owc_cd:
         refined = owc_cd(table, hessian, picks)
         picks = refined.picks
         steps += len(refined.swaps)
     scales, biases, gammas, codes = table.pick(picks)
-    if run.method not in ("rtn", "owc") and table.live.any():
+    if run.engines and table.live.any():
         prob = tilde_transform(w, hessian, scales, biases, run.bits)
         codes, engine_steps = descend(prob, codes, run)
         steps += engine_steps

@@ -58,7 +58,9 @@ def _check_grouping(d_in: int, group_size: int) -> int:
     return d_in // group_size
 
 
-METHODS = ("rtn", "owc", "cyclic", "cd", "bcd")
+#: Each method's code engines, as ``RunSettings.engines`` lists them for blocks of two.
+_ENGINES = {"rtn": (), "owc": (), "cyclic": ("cyclic",), "cd": ("cd",), "bcd": ("cd", "bcd")}
+METHODS = tuple(_ENGINES)
 #: Block enumeration guard: 2^(k*c) candidate combinations per block.
 MAX_BLOCK_BITS = 20
 
@@ -98,6 +100,9 @@ class RunSettings:
     Each given setting's range is checked when the value is built; ``check`` adds
     the rest.
 
+    What a channel runs is read from two properties, in both pipelines: the
+    clip-strength fit on ``init_grid`` strengths, then, for a group run with
+    ``owc_cd``, the clip-strength descent, then each of ``engines``.
     The engines read ``total_steps``, ``blocks`` and ``seed``, and ``cd_quantize``
     its visiting order from ``method``: cyclic for "cyclic", greedy otherwise.
     Greedy descent stops before its budget, at its first no-op step. The block
@@ -127,6 +132,20 @@ class RunSettings:
     def blocks(self) -> int:
         return 2 if self.block_size is None else self.block_size
 
+    @property
+    def engines(self) -> tuple[str, ...]:
+        """The code engines a channel runs after its fit, in order: none for rtn and
+        owc, one for cyclic and cd, and for bcd greedy cd, then the block engine if
+        its blocks are of two or more. An unknown method raises ValueError."""
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        return _ENGINES[self.method][:1 if self.blocks == 1 else None]
+
+    @property
+    def init_grid(self) -> int:
+        """The clip strengths the fit searches: rtn's is the one-point grid {1}."""
+        return 1 if self.method == "rtn" else self.grid_size
+
     def total_steps(self, d_in: int) -> int:
         per_epoch = d_in if self.steps is None else self.steps
         return per_epoch * self.epochs
@@ -135,15 +154,13 @@ class RunSettings:
         """This value once valid: a method and bits given, the rules between fields,
         and given d_in, the group and bcd block divisors. A bcd value comes back with
         its block size filled in, so its records report the blocks it ran."""
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        self.engines  # raises for an unknown method
         check_bits(self.bits)
         if self.owc_cd and not self.group_size:
             raise ValueError("'owc_cd' only applies with 'group_size' > 0")
         if self.owc_cd and self.method == "rtn":
             raise ValueError("'owc_cd' does not apply to method 'rtn'")
-        if self.method != "rtn":
-            default_gamma_grid(self.grid_size)
+        default_gamma_grid(self.init_grid)
         if self.method == "bcd":
             _check_block(self.blocks, self.bits, d_in)
         if d_in is not None and self.group_size:
@@ -492,9 +509,8 @@ def save_layer(layer: QuantizedLayer, directory: str | Path) -> None:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    tensorio.write_container(directory / "scales.tc", layer.scales.astype(np.float32))
-    tensorio.write_container(directory / "biases.tc", layer.biases.astype(np.float32))
-    tensorio.write_container(directory / "gammas.tc", layer.gammas.astype(np.float32))
+    for name in ("scales", "biases", "gammas"):
+        tensorio.write_container(directory / f"{name}.tc", getattr(layer, name).astype(np.float32))
     tensorio.write_packed(directory / "codes.pc",
                           tensorio.pack_codes(layer.codes.ravel(), layer.bits))
 

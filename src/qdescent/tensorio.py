@@ -74,11 +74,12 @@ class MalformedJSONError(TensorIOError):
 
 
 @contextmanager
-def naming(path: str | Path):
-    """Prefix ``path`` to the message of a TensorIOError raised in the block."""
+def naming(path: str | Path, kinds: type[Exception] = TensorIOError):
+    """Prefix ``path`` to the message of an error of ``kinds`` raised in the block,
+    which keeps its type."""
     try:
         yield
-    except TensorIOError as exc:
+    except kinds as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

@@ -891,6 +891,39 @@ def test_bench_suite_instance_out_of_range_names_file_and_key(tmp_path, capsys, 
                    f"{rule}, got {value}\n")
 
 
+_METHODS = "('rtn', 'owc', 'cyclic', 'cd', 'bcd')"
+
+
+@pytest.mark.parametrize("suite,code,message", [
+    ({"bits": [2, 0]}, EXIT_USAGE, "bits must be in 1..8, got 0"),
+    ({"methods": ["cd", "gptq"]}, EXIT_USAGE,
+     f"unknown method 'gptq', expected one of {_METHODS}"),
+    ({"grid_size": 0}, EXIT_USAGE, "grid_size must be >= 1"),
+    ({"clip_fraction": 1.5}, EXIT_USAGE, "clip_fraction must be in [0, 1), got 1.5"),
+    ({"lambda_rel": -1}, EXIT_USAGE, "lambda_rel must be finite and nonnegative, got -1"),
+    ({"epochs": 0}, EXIT_USAGE, "epochs must be >= 1, got 0"),
+    ({"owc_cd": True}, EXIT_USAGE, "'owc_cd' only applies with 'group_size' > 0"),
+    ({"methods": ["bcd"], "bits": [8], "block_size": 3}, EXIT_GUARD,
+     "block enumeration needs 2^24 combinations; guard is 2^20"),
+    ({"group_size": 4, "instances": [_INSTANCE, dict(_INSTANCE, d_in=6)]}, EXIT_USAGE,
+     "suite instance 1: group size 4 does not divide d_in=6"),
+    ({"methods": ["bcd"], "block_size": 4, "instances": [_INSTANCE, dict(_INSTANCE, d_in=6)]},
+     EXIT_USAGE, "suite instance 1: block size 4 does not divide d_in=6"),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, outlier_directions=5)]}, EXIT_USAGE,
+     "suite instance 1: outlier_directions must be at most d_in=4, got 5"),
+    ({"instances": [_INSTANCE, dict(_INSTANCE, spectrum_exponent=-600)]}, EXIT_USAGE,
+     "suite instance 1: spectrum_exponent=-600 and outlier_gain=1.0 give a non-finite "
+     "eigenvalue spectrum"),
+], ids=["bits", "method", "grid-size", "clip-fraction", "lambda-rel", "epochs",
+        "owc-cd-without-groups", "block-guard", "group-divisor", "block-divisor",
+        "outlier-directions", "spectrum"])
+def test_bench_suite_error_names_the_suite_file(tmp_path, capsys, suite, code, message):
+    # Every error of a suite's settings names the suite file, and one that belongs
+    # to a single instance names that instance too; the exit code is the error's.
+    got, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], **suite})
+    assert got == code and err == f"error: {tmp_path / 'suite.json'}: {message}\n"
+
+
 def test_bench_suite_owc_cd_without_groups(tmp_path, capsys):
     code, err = _run_suite(tmp_path, capsys, {"instances": [_INSTANCE], "owc_cd": True})
     assert code == EXIT_USAGE and "'owc_cd'" in err
@@ -1204,7 +1237,7 @@ _BITS_0 = "bits must be in 1..8, got 0"
     (["quantize", "--method", "bcd", "--bits", "0", "--group-size", "4"], None, _BITS_0),
     (["oracle", "--bits", "0"], None, _BITS_0),
     (["bench"], {"instances": [_INSTANCE], "methods": ["cd", "owc", "bcd"], "bits": [0]},
-     _BITS_0),
+     "{suite}: " + _BITS_0),
     (["quantize", "--method", "cd", "--bits", "2", "--seed", "-1"], None,
      "seed must be >= 0, got -1"),
     (["gen-calib", "--d-in", "4", "--n", "8", "--seed", "-1"], None, "seed must be >= 0, got -1"),

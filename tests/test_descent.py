@@ -9,7 +9,7 @@ import pytest
 
 from conftest import GradientState, as_params, minmax_quantize, objective, random_problem
 from test_cd_scan import assert_same_run, reference_cd_quantize, reference_cyclic_cd_quantize
-from qdescent import descent
+from qdescent import descent, groupquant
 from qdescent.calibration import ShapeMismatchError, build_hessian
 from qdescent.descent import bcd_quantize, cd_quantize, descend, dump_trace, quantize_matrix
 from qdescent.oracle import canonical_problem, verify_trace
@@ -360,7 +360,7 @@ def test_quantize_matrix_owc_objectives_match_engine_inits():
 def test_descend_chains_the_engines():
     # cd_quantize is greedy for every method but cyclic, and cyclic for it: bit
     # for bit the reference engine of each order. descend runs it for cd, cyclic
-    # and bcd, and bcd's block stage after it.
+    # and bcd, bcd's block stage after it, and no engine for rtn and owc.
     prob, q0 = random_problem(16, 2, seed=21)
     cfg = RunSettings(block_size=2, seed=5)
     traces = {method: assert_same_run(method, reference_cyclic_cd_quantize if method == "cyclic"
@@ -376,9 +376,11 @@ def test_descend_chains_the_engines():
         out, taken = descend(prob, q0, replace(cfg, method=method))
         np.testing.assert_array_equal(out, codes)
         assert taken == steps
-    for method in ("rtn", "owc", "gptq"):
-        with pytest.raises(ValueError, match="unknown method"):
-            descend(prob, q0, replace(cfg, method=method))
+    for method in ("rtn", "owc"):
+        out, taken = descend(prob, q0, replace(cfg, method=method))
+        assert out is q0 and taken == 0
+    with pytest.raises(ValueError, match="unknown method"):
+        descend(prob, q0, replace(cfg, method="gptq"))
 
 
 def test_bcd_with_blocks_of_one_is_cd(monkeypatch):
@@ -395,6 +397,32 @@ def test_bcd_with_blocks_of_one_is_cd(monkeypatch):
     np.testing.assert_array_equal(bcd_layer.codes, cd_layer.codes)
     assert [r.steps for r in bcd_records] == [r.steps for r in cd_records]
     assert any(r.steps > 1 for r in cd_records)  # some channel accepted a step
+
+
+@pytest.mark.parametrize("group_size", [0, 6])
+@pytest.mark.parametrize("method, block_size", [
+    ("rtn", None), ("owc", None), ("cyclic", None), ("cd", None),
+    ("bcd", None), ("bcd", 1), ("bcd", 2), ("bcd", 3)])
+def test_each_column_runs_the_engines_of_its_run(monkeypatch, group_size, method, block_size):
+    # Per channel and grouped, each column calls cd_quantize for each "cd" and
+    # "cyclic" of run.engines and bcd_quantize for "bcd", in that order. A
+    # constant column (column 1) runs no engine.
+    w, h = _layer_inputs(d_in=12, d_out=3, seed=8)
+    w[:, 1] = 0.25
+    columns = []
+    for name in ("cd_quantize", "bcd_quantize"):
+        engine = getattr(descent, name)
+        monkeypatch.setattr(descent, name, lambda *args, name=name, engine=engine:
+                            columns[-1].append(name) or engine(*args))
+    module, name = (groupquant, "quantize_channel_grouped") if group_size else (
+        descent, "_quantize_channel")
+    pipeline = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: columns.append([]) or pipeline(*args))
+    run = RunSettings(method, 2, group_size, block_size)
+    layer, records = quantize_matrix(w, h, run, collect_timing=False)
+    calls = [{"bcd": "bcd_quantize"}.get(engine, "cd_quantize") for engine in run.engines]
+    assert columns == [calls, [], calls]
+    assert records[1].steps == 0 and not layer.codes[1].any()
 
 
 @pytest.mark.parametrize("group_size", [0, 6])

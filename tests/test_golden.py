@@ -3,7 +3,9 @@
 Each case quantizes a small seeded layer through the CLI and compares the
 report byte for byte, and the layer files by SHA-256, against files checked
 in under ``tests/golden/<case>/``. Engine changes that claim identical
-results (fast paths, refactors) must pass this unchanged.
+results (fast paths, refactors) must pass this unchanged. Under two other
+OpenBLAS kernels, every case's layer files and per-column steps must still be
+the goldens' (``records.csv``'s objective text follows the kernel).
 
 To write a case's files deliberately, for a new case or an output change that
 is meant, name it:
@@ -15,14 +17,20 @@ argument, or a name that is not in ``CASES``, the script prints its usage
 and exits 2 without writing anything.
 """
 
+import csv
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qdescent
 from qdescent import tensorio
 from qdescent.calibration import SynthSpec, gen_calibration, gen_weights
 from qdescent.cli import EXIT_OK, main
@@ -109,6 +117,62 @@ def test_golden_records_and_layer_identical(name, tmp_path):
     golden = GOLDEN_DIR / name
     assert (out / "records.csv").read_bytes() == (golden / "records.csv").read_bytes()
     assert digests(out) == json.loads((golden / "sha256.json").read_text())
+
+
+def column_steps(records: Path) -> list[int]:
+    with open(records, newline="") as f:
+        return [int(row["steps"]) for row in csv.DictReader(f)]
+
+
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS reports through
+    ``scipy_openblas_get_corename64_``, or why it cannot be asked."""
+    for lib in sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown (numpy bundles no scipy-openblas64 library with a corename symbol)"
+
+
+def kernel_outputs(kernel: str) -> dict:
+    """This process's OpenBLAS kernel and, if it is ``kernel``, each case's layer
+    digests and per-column steps."""
+    outputs = {"kernel": blas_kernel(), "cases": {}}
+    if outputs["kernel"] == kernel:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in sorted(CASES):
+                (Path(tmp) / name).mkdir()
+                layer = run_case(name, Path(tmp) / name)
+                outputs["cases"][name] = {"digests": digests(layer),
+                                          "steps": column_steps(layer / "records.csv")}
+    return outputs
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_layer_bytes_do_not_depend_on_the_blas_kernel(kernel):
+    """Every case's layer files and per-column steps are the goldens' when OpenBLAS
+    runs another kernel, whose products round H, and with it records.csv's objective
+    text, differently (README "Reproducibility"). ``OPENBLAS_CORETYPE`` picks the
+    kernel of the child process alone; where the library does not report the kernel
+    asked for, the test is skipped."""
+    paths = [str(Path(qdescent.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = "import json, sys, test_golden as t; print(json.dumps(t.kernel_outputs(sys.argv[1])))"
+    proc = subprocess.run([sys.executable, "-c", script, kernel], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout.splitlines()[-1])  # after quantize's own lines
+    if outputs["kernel"] != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} did not take effect: OpenBLAS runs "
+                    f"{outputs['kernel']}")
+    assert sorted(outputs["cases"]) == sorted(CASES)
+    for name, got in outputs["cases"].items():
+        golden = GOLDEN_DIR / name
+        assert got["digests"] == json.loads((golden / "sha256.json").read_text()), name
+        assert got["steps"] == column_steps(golden / "records.csv"), name
 
 
 def regenerate(argv: list[str], golden_dir: Path = GOLDEN_DIR) -> int:

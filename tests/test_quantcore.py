@@ -10,7 +10,7 @@ from conftest import as_params, minmax_quantize, objective
 from qdescent.calibration import build_hessian
 from qdescent.descent import _quantize_channel
 from qdescent.groupquant import tilde_transform
-from qdescent.quantcore import (ChannelProblem, DegenerateChannelError, QuantizedLayer,
+from qdescent.quantcore import (METHODS, ChannelProblem, DegenerateChannelError, QuantizedLayer,
                                 RunSettings, _reconstruct, channel_objective, load_layer,
                                 owc_quantize, round_half_away, save_layer, zero_baseline)
 
@@ -324,6 +324,32 @@ def test_run_block_reads_back_into_the_settings(run):
     assert RunSettings.from_run_block(block, run.bits, run.group_size) == (recorded, "w.tc")
     assert (RunSettings.from_run_block(run.run_block(), run.bits, run.group_size)
             == (replace(recorded, lambda_rel=0.01, clip_fraction=0.0), None))
+
+
+@pytest.mark.parametrize("method, block_size, owc_cd", [
+    (method, block_size, owc_cd) for method in METHODS for block_size in (None, 1, 2, 3)
+    for owc_cd in (False, True) if not (owc_cd and method == "rtn")])
+def test_stage_list_of_every_run(method, block_size, owc_cd):
+    # A channel runs its fit on init_grid strengths, then each of engines: none
+    # for rtn and owc, cd_quantize's one order for cyclic and cd, and for bcd
+    # greedy cd, then the block engine unless its blocks are of one. owc_cd and
+    # the block size of a method other than bcd change neither.
+    run = RunSettings(method, 2, 4 if owc_cd else 0, block_size, grid_size=7, owc_cd=owc_cd)
+    expected = {"rtn": (), "owc": (), "cyclic": ("cyclic",), "cd": ("cd",),
+                "bcd": ("cd",) if block_size == 1 else ("cd", "bcd")}[method]
+    checked = run.check(12)
+    for value in (run, checked):
+        assert value.engines == expected
+        assert value.init_grid == (1 if method == "rtn" else 7)
+    # Both are derived: no field, so no run-block key, holds them.
+    assert not {"engines", "init_grid"} & (set(vars(run)) | set(run.run_block()))
+
+
+@pytest.mark.parametrize("method", [None, "gptq", "CD"])
+def test_stage_list_of_an_unknown_method_raises(method):
+    with pytest.raises(ValueError, match=f"unknown method {method!r}, expected one of "
+                                         r"\('rtn', 'owc', 'cyclic', 'cd', 'bcd'\)"):
+        RunSettings(method, 3).engines
 
 
 def test_layer_roundtrip_packed(tmp_path):
